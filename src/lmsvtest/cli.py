@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -158,11 +159,14 @@ def _read_series(path: Path) -> np.ndarray:
     for i, line in enumerate(path.read_text().strip().splitlines()):
         cell = line.split(",")[-1].strip()
         try:
-            values.append(float(cell))
+            value = float(cell)
         except ValueError:
             if i == 0:
                 continue  # tolerate a header line
             raise UsageError(f"non-numeric value {cell!r} on line {i + 1} of {path}")
+        if not math.isfinite(value):
+            raise UsageError(f"non-finite value {cell!r} on line {i + 1} of {path}")
+        values.append(value)
     if len(values) < 2:
         raise UsageError(f"{path} holds fewer than 2 observations")
     return np.asarray(values)
@@ -253,14 +257,7 @@ def _cmd_test(args) -> int:
     xs = _read_series(args.input)
     transform, trim, norm, cv = _resolve_test(args, xs)
     family = args.family
-    if family == "cusum":
-        stat = stats.cusum(xs, transform)
-    elif family == "wilcoxon":
-        stat = stats.wilcoxon(xs, transform)
-    elif family == "sn_cusum":
-        stat = stats.sn_cusum(xs, transform, trim)
-    else:
-        stat = stats.sn_wilcoxon(xs, transform, trim)
+    stat = stats.evaluate((family,), xs, transform, trim)[family]
     outcome = stats.decide(stat, family, normalization=norm, critical_value=cv)
     if args.profile_out is not None:
         rows = stats.profile_to_rows(stat)
@@ -292,8 +289,11 @@ def _cmd_critvals(args) -> int:
 
 def _cmd_experiment(args) -> int:
     cfg = mc.ExperimentConfig.load(args.config)
+    start = time.monotonic()
     tables = mc.ensure_tables(cfg, existing=_load_tables(args.tables))
     report = mc.run_experiment(cfg, tables=tables)
+    # The tables were built before run_experiment started its clock.
+    report.meta["wall_time_seconds"] = round(time.monotonic() - start, 3)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     mc.cells_to_csv(report.cells, args.out_dir / "cells.csv")
     mc.report_to_csv(report, args.out_dir / "report.csv")

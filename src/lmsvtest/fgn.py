@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -60,13 +61,23 @@ def autocov_tail_constant(hurst: float) -> float:
     return hurst * (2.0 * hurst - 1.0)
 
 
-def _embedding_eigenvalues(n: int, hurst: float) -> np.ndarray:
-    # Circulant first row: gamma(0..m), then mirrored gamma(m-1..1), with the
-    # embedding size the next power of two >= 2(n - 1) for FFT efficiency.
+def embedding_size(n: int) -> int:
+    """Standard normals one path of length n consumes: the circulant size 2m.
+
+    m is the next power of two >= n - 1, so the FFT runs at a fast size; a
+    single observation needs no embedding and consumes one normal.
+    """
+    if n == 1:
+        return 1
     m = 1
     while 2 * m < 2 * (n - 1):
         m *= 2
-    size = 2 * m
+    return 2 * m
+
+
+def _embedding_eigenvalues(n: int, hurst: float) -> np.ndarray:
+    # Circulant first row: gamma(0..m), then mirrored gamma(m-1..1).
+    m = embedding_size(n) // 2
     gamma = autocovariance(hurst, np.arange(m + 1))
     row = np.concatenate([gamma, gamma[-2:0:-1]])
     eig = np.fft.fft(row).real
@@ -79,27 +90,33 @@ def _embedding_eigenvalues(n: int, hurst: float) -> np.ndarray:
     return eig
 
 
-def sample(params: FgnParams, stream: RngStream, size: int | None = None) -> np.ndarray:
-    """Sample fractional Gaussian noise paths with the exact target covariance.
+@lru_cache(maxsize=None)
+def embedding_eigenvalues(n: int, hurst: float) -> np.ndarray:
+    """Circulant eigenvalues for (n, H), computed once per process.
 
-    Davies-Harte construction: the covariance sequence is embedded in a
-    circulant matrix whose eigenvalues come from one FFT; paths are the first
-    n coordinates of the FFT of complex normals scaled by sqrt(eigenvalues).
-    Returns shape (n,) when size is None, else (size, n).
+    The array is shared by every caller, so it is returned read-only.
+    """
+    eig = _embedding_eigenvalues(n, hurst)
+    eig.flags.writeable = False
+    return eig
+
+
+def paths_from_normals(params: FgnParams, normals: np.ndarray) -> np.ndarray:
+    """Turn standard normals of shape (B, embedding_size(n)) into B paths.
+
+    Davies-Harte construction: row b of `normals` becomes Hermitian-symmetric
+    complex normals scaled by sqrt(eigenvalues), and one FFT over the whole
+    batch yields the paths as the first n coordinates. Each row is
+    transformed on its own, so a path does not depend on the rows stacked
+    with it. Returns shape (B, n).
     """
     n = params.n
     if n == 1:
-        rng = stream.generator()
-        out = rng.standard_normal(1 if size is None else (size, 1))
-        return out[0] if size is None else out
-    eig = _embedding_eigenvalues(n, params.hurst)
+        return normals
+    eig = embedding_eigenvalues(n, params.hurst)
     m2 = eig.size
     m = m2 // 2
-    batch = 1 if size is None else size
-
-    rng = stream.generator()
-    normals = rng.standard_normal((batch, m2))
-    z = np.empty((batch, m2), dtype=complex)
+    z = np.empty(normals.shape, dtype=complex)
     z[:, 0] = normals[:, 0]
     z[:, m] = normals[:, m]
     re = normals[:, 1:m]
@@ -107,6 +124,18 @@ def sample(params: FgnParams, stream: RngStream, size: int | None = None) -> np.
     half = (re + 1j * im) / np.sqrt(2.0)
     z[:, 1:m] = half
     z[:, m + 1:] = np.conj(half[:, ::-1])
+    return np.fft.fft(np.sqrt(eig) * z, axis=1)[:, :n].real / np.sqrt(m2)
 
-    paths = np.fft.fft(np.sqrt(eig) * z, axis=1)[:, :n].real / np.sqrt(m2)
+
+def sample(params: FgnParams, stream: RngStream, size: int | None = None) -> np.ndarray:
+    """Sample fractional Gaussian noise paths with the exact target covariance.
+
+    One generator of `stream` draws all normals, row by row, and
+    paths_from_normals turns them into paths with one FFT.
+    Returns shape (n,) when size is None, else (size, n).
+    """
+    normals = stream.generator().standard_normal(
+        (1 if size is None else size, embedding_size(params.n))
+    )
+    paths = paths_from_normals(params, normals)
     return paths[0] if size is None else paths

@@ -1,9 +1,16 @@
 """Monte Carlo rejection-rate experiments over (H, n, alpha, h) grids.
 
 Streams are keyed by cell coordinates and replication index, never by
-execution order, so cells are independent, runs are resumable, and within a
-grid row the same replication reuses the same base stream for every shift
-height (common random numbers across h).
+execution order, so cells are independent, and within a grid row the same
+replication reuses the same base stream for every shift height (common
+random numbers across h).
+
+A grid row is evaluated in fixed-size chunks of replications: each
+replication draws from its own two keyed streams into its row of the chunk,
+one FFT turns the chunk's normals into FGN paths, and each statistic is
+evaluated along the last axis of the whole chunk. The stream layout is the
+one lmsv.simulate_series uses, so the counts are those of evaluating one
+replication at a time, whatever the chunk size.
 """
 
 from __future__ import annotations
@@ -45,6 +52,11 @@ _PROBLEM_TRANSFORM = {
 }
 
 _PROBLEM_KEY = {"mean": 1, "variance": 2, "tail": 3}
+
+#: Replications per chunk of a grid row. Every replication keeps its own
+#: streams, so the counts do not depend on this; it only trades per-call
+#: overhead against the chunk's transient memory (about 22 MB at n = 2000).
+_CHUNK = 64
 
 
 def _float_key(x: float) -> int:
@@ -93,6 +105,11 @@ class ExperimentConfig:
             _validate_family(family, self.problem, self.noise_kind)
         if self.noise_kind != "normal" and not self.alphas:
             raise ValueError("Pareto-type noise needs at least one alpha")
+        if self.problem == "variance" and min(self.shifts) <= 0:
+            raise ValueError(
+                f"variance shifts scale the post-change segment and must be positive, "
+                f"got {min(self.shifts)}"
+            )
 
     def _noise(self, alpha: float | None):
         if self.noise_kind == "normal":
@@ -277,16 +294,13 @@ def ensure_tables(cfg: ExperimentConfig, existing: TableSet | None = None) -> Ta
 @dataclass(frozen=True)
 class _TestPlan:
     family: str
-    transform: Transform
     normalization: float
     critical_value: float
-    self_normalized: bool
 
 
 def _plans_for_row(
     cfg: ExperimentConfig, hurst: float, n: int, alpha: float | None, tables: TableSet
 ) -> list[_TestPlan]:
-    transform = _PROBLEM_TRANSFORM[cfg.problem]
     q = round(1.0 - cfg.level, 6)
     plans = []
     for family in cfg.families:
@@ -302,7 +316,7 @@ def _plans_for_row(
                     setup = hermite_rank_and_coeff(asymp.TailChange())
                 norm = dnm_exact(hurst, setup.m, n) * setup.coeff / math.factorial(setup.m)
                 cv = tables.get(TableFamily.CUSUM_BRIDGE_SUP, setup.m, hurst, None).quantile(q)
-            plans.append(_TestPlan(family, transform, norm, cv, False))
+            plans.append(_TestPlan(family, norm, cv))
         elif family == "wilcoxon":
             if cfg.problem == "mean":
                 setup = hermite_rank_and_coeff(MeanChangeWilcoxon(alpha))
@@ -310,14 +324,14 @@ def _plans_for_row(
                 setup = hermite_rank_and_coeff(VarianceChangeWilcoxon(alpha))
             norm = n * dnm_exact(hurst, setup.m, n) * setup.coeff / math.factorial(setup.m)
             cv = tables.get(TableFamily.CUSUM_BRIDGE_SUP, setup.m, hurst, None).quantile(q)
-            plans.append(_TestPlan(family, transform, norm, cv, False))
+            plans.append(_TestPlan(family, norm, cv))
         elif family == "sn_cusum":
             h_eff = 0.5 if cfg.problem == "mean" else hurst
             cv = tables.get(TableFamily.SN_RATIO, 1, h_eff, cfg.trim).quantile(q)
-            plans.append(_TestPlan(family, transform, 1.0, cv, True))
+            plans.append(_TestPlan(family, 1.0, cv))
         else:  # sn_wilcoxon
             cv = tables.get(TableFamily.SN_RATIO, 1, hurst, cfg.trim).quantile(q)
-            plans.append(_TestPlan(family, transform, 1.0, cv, True))
+            plans.append(_TestPlan(family, 1.0, cv))
     return plans
 
 
@@ -366,57 +380,76 @@ class ExperimentReport:
         return matches[0]
 
 
-def _evaluate_row(cfg: ExperimentConfig, hurst: float, n: int, alpha: float | None,
-                  tables: TableSet) -> list[CellResult]:
-    plans = _plans_for_row(cfg, hurst, n, alpha, tables)
-    cut = lmsv.change_point_index(n, cfg.tau)
-    params = fgn.FgnParams(hurst, n)
-    noise = cfg._noise(alpha)
-    rejections = {(p.family, h): 0 for p in plans for h in cfg.shifts}
-    base = RngStream(cfg.seed).substream(
+def _row_stream(cfg: ExperimentConfig, hurst: float, n: int, alpha: float | None) -> RngStream:
+    """Base stream of a grid row; replication r draws from its substream(r)."""
+    return RngStream(cfg.seed).substream(
         _PROBLEM_KEY[cfg.problem], _float_key(hurst), n,
         _float_key(-1.0 if alpha is None else alpha), _float_key(cfg.tau),
     )
 
-    for rep in range(cfg.replications):
-        rep_stream = base.substream(rep)
-        y = fgn.sample(params, rep_stream.substream(0))
-        rng = rep_stream.substream(1).generator()
-        vol = np.exp(y)
-        if cfg.problem == "tail":
-            u = 1.0 - rng.random(n)
-        elif isinstance(noise, StandardNormal):
-            eps = rng.standard_normal(n)
+
+def _row_paths(cfg: ExperimentConfig, hurst: float, n: int, alpha: float | None):
+    """Yield (h, paths) for each chunk of a grid row and each shift height.
+
+    paths has one row per replication of the chunk. Replication r draws its
+    FGN normals from _row_stream(...).substream(r).substream(0) and its
+    innovations from .substream(1), exactly as lmsv.simulate_series does
+    with the stream .substream(r), so its path does not depend on the chunk
+    it lands in.
+    """
+    params = fgn.FgnParams(hurst, n)
+    noise = cfg._noise(alpha)
+    cut = lmsv.change_point_index(n, cfg.tau)
+    base = _row_stream(cfg, hurst, n, alpha)
+    gaussian = isinstance(noise, StandardNormal)
+    for start in range(0, cfg.replications, _CHUNK):
+        reps = range(start, min(start + _CHUNK, cfg.replications))
+        normals = np.empty((len(reps), fgn.embedding_size(n)))
+        draws = np.empty((len(reps), n))
+        for row, rep in enumerate(reps):
+            rep_stream = base.substream(rep)
+            rep_stream.substream(0).generator().standard_normal(out=normals[row])
+            rng = rep_stream.substream(1).generator()
+            if gaussian:
+                rng.standard_normal(out=draws[row])
+            else:
+                rng.random(out=draws[row])
+
+        vol = np.exp(fgn.paths_from_normals(params, normals))
+        if gaussian:
+            eps = draws
         else:
-            u = 1.0 - rng.random(n)
-            eps = u ** (-1.0 / noise.alpha) * noise.scale
-            if isinstance(noise, CenteredPareto):
-                eps -= noise.mean_shift
+            u = 1.0 - draws
+            if cfg.problem != "tail":
+                eps = u ** (-1.0 / noise.alpha) * noise.scale
+                if isinstance(noise, CenteredPareto):
+                    eps -= noise.mean_shift
 
         for h in cfg.shifts:
             if cfg.problem == "mean":
                 x = vol * eps
-                x[cut:] += h
+                x[:, cut:] += h
             elif cfg.problem == "variance":
                 x = vol * eps
-                x[cut:] *= h
+                x[:, cut:] *= h
             else:
                 alphas = np.full(n, noise.alpha)
                 alphas[cut:] += h
                 x = vol * u ** (-1.0 / alphas) * noise.scale
+            yield h, x
 
-            for plan in plans:
-                if plan.self_normalized:
-                    if plan.family == "sn_cusum":
-                        stat = stats.sn_cusum(x, plan.transform, cfg.trim)
-                    else:
-                        stat = stats.sn_wilcoxon(x, plan.transform, cfg.trim)
-                elif plan.family == "cusum":
-                    stat = stats.cusum(x, plan.transform)
-                else:
-                    stat = stats.wilcoxon(x, plan.transform)
-                if stat.sup_value / plan.normalization > plan.critical_value:
-                    rejections[(plan.family, h)] += 1
+
+def _evaluate_row(cfg: ExperimentConfig, hurst: float, n: int, alpha: float | None,
+                  tables: TableSet) -> list[CellResult]:
+    plans = _plans_for_row(cfg, hurst, n, alpha, tables)
+    families = tuple(plan.family for plan in plans)
+    transform = _PROBLEM_TRANSFORM[cfg.problem]
+    rejections = {(p.family, h): 0 for p in plans for h in cfg.shifts}
+    for h, x in _row_paths(cfg, hurst, n, alpha):
+        results = stats.evaluate(families, x, transform, cfg.trim)
+        for plan in plans:
+            value = results[plan.family].sup_value / plan.normalization
+            rejections[(plan.family, h)] += int(np.count_nonzero(value > plan.critical_value))
 
     return [
         CellResult(

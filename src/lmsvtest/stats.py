@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,13 +60,18 @@ class TrimSpec:
 
 @dataclass
 class ProfileStat:
-    """Supremum statistic together with its full cut-point profile."""
+    """Supremum statistic together with its full cut-point profile.
 
-    sup_value: float
-    argmax_k: int
+    For a batch of series, sup_value, argmax_k and degenerate are arrays
+    with one entry per series and profile has one row per series; k_grid
+    is shared.
+    """
+
+    sup_value: float | np.ndarray
+    argmax_k: int | np.ndarray
     k_grid: np.ndarray
     profile: np.ndarray
-    degenerate: bool = False
+    degenerate: bool | np.ndarray = False
 
 
 @dataclass
@@ -119,31 +125,95 @@ def ranks(xs: np.ndarray) -> np.ndarray:
     return np.searchsorted(order, xs, side="right").astype(float)
 
 
-def _finish(profile: np.ndarray, k_grid: np.ndarray, degenerate: bool = False) -> ProfileStat:
-    arg = int(np.argmax(profile))
+class _Batch:
+    """Transformed series along the last axis, ranked at most once.
+
+    Every kernel evaluates a whole batch; a single series is a batch of one.
+    NaN is refused for every family.
+    """
+
+    def __init__(self, xs: np.ndarray, transform: Transform):
+        y = transform.apply(xs)
+        if y.ndim not in (1, 2):
+            raise ValueError(f"need one series or a 2-D batch of series, got shape {y.shape}")
+        if y.shape[-1] < 2:
+            raise ValueError(f"need at least 2 observations, got {y.shape[-1]}")
+        if np.isnan(y).any():
+            raise ValueError("the series contains NaN")
+        self.single = y.ndim == 1
+        self.values = y.reshape(-1, y.shape[-1])
+
+    def finite_values(self) -> np.ndarray:
+        """The values, refusing +-inf: sums of infinite values mean nothing."""
+        if not np.isfinite(self.values).all():
+            raise ValueError("the series contains +-inf, which sum-based statistics refuse")
+        return self.values
+
+    @cached_property
+    def ranked(self) -> tuple[np.ndarray, np.ndarray]:
+        """'<='-count ranks of every row, and which rows hold ties.
+
+        One argsort per row gives both: in a tie-free row the rank is the
+        sorted position, and a tie shows as two equal neighbours in sorted
+        order. Tied rows are re-ranked by the counting definition.
+        """
+        y = self.values
+        order = np.argsort(y, axis=-1)
+        ordered = np.take_along_axis(y, order, axis=-1)
+        tied = np.any(ordered[:, 1:] == ordered[:, :-1], axis=-1)
+        r = np.empty_like(y)
+        np.put_along_axis(r, order, np.arange(1.0, y.shape[-1] + 1.0), axis=-1)
+        for row in np.flatnonzero(tied):
+            r[row] = ranks(y[row])
+        return r, tied
+
+
+def _finish_batch(
+    profile: np.ndarray, k_grid: np.ndarray, degenerate: np.ndarray | None = None
+) -> ProfileStat:
+    arg = np.argmax(profile, axis=-1)
     return ProfileStat(
-        sup_value=float(profile[arg]),
-        argmax_k=int(k_grid[arg]),
+        sup_value=profile[np.arange(profile.shape[0]), arg],
+        argmax_k=k_grid[arg],
         k_grid=k_grid,
         profile=profile,
-        degenerate=degenerate,
+        degenerate=np.zeros(profile.shape[0], dtype=bool) if degenerate is None else degenerate,
     )
+
+
+def _single(stat: ProfileStat) -> ProfileStat:
+    """The one series of a batch of one, with Python scalars."""
+    return ProfileStat(
+        sup_value=float(stat.sup_value[0]),
+        argmax_k=int(stat.argmax_k[0]),
+        k_grid=stat.k_grid,
+        profile=stat.profile[0],
+        degenerate=bool(stat.degenerate[0]),
+    )
+
+
+def _finish(profile: np.ndarray, k_grid: np.ndarray, degenerate: bool = False) -> ProfileStat:
+    return _single(_finish_batch(profile[None, :], k_grid, np.array([degenerate])))
 
 
 # ---------------------------------------------------------------------------
 # CUSUM
 
 
-def cusum(xs: np.ndarray, transform: Transform = Transform.IDENTITY) -> ProfileStat:
-    """Supremum of |S_k - (k/n) S_n| over cut points k = 1..n, one prefix pass."""
-    y = transform.apply(xs)
-    n = y.size
-    if n < 2:
-        raise ValueError(f"need at least 2 observations, got {n}")
-    s = np.cumsum(y)
+def _cusum(batch: _Batch, trim: TrimSpec) -> ProfileStat:
+    y = batch.finite_values()
+    n = y.shape[-1]
+    s = np.cumsum(y, axis=-1)
     k = np.arange(1, n + 1)
-    profile = np.abs(s - k * (s[-1] / n))
-    return _finish(profile, k)
+    return _finish_batch(np.abs(s - k * (s[:, -1:] / n)), k)
+
+
+def cusum(xs: np.ndarray, transform: Transform = Transform.IDENTITY) -> ProfileStat:
+    """Supremum of |S_k - (k/n) S_n| over cut points k = 1..n, one prefix pass.
+
+    `xs` is one series or a batch of series along the last axis.
+    """
+    return evaluate(("cusum",), xs, transform)["cusum"]
 
 
 def cusum_by_definition(xs: np.ndarray, transform: Transform = Transform.IDENTITY) -> ProfileStat:
@@ -161,24 +231,27 @@ def cusum_by_definition(xs: np.ndarray, transform: Transform = Transform.IDENTIT
 # Wilcoxon
 
 
+def _wilcoxon(batch: _Batch, trim: TrimSpec) -> ProfileStat:
+    # The rank identity holds only for tie-free rows; a tied row falls back to
+    # the O(n^2) pair counts (a null event under continuous generators, so
+    # speed there does not matter).
+    r, tied = batch.ranked
+    n = r.shape[-1]
+    k = np.arange(1, n + 1)
+    profile = np.abs(np.cumsum(r, axis=-1) - k * (n + 1) / 2.0)
+    for row in np.flatnonzero(tied):
+        profile[row] = np.abs(_wilcoxon_pair_counts(batch.values[row]))
+    return _finish_batch(profile, k)
+
+
 def wilcoxon(xs: np.ndarray, transform: Transform = Transform.IDENTITY) -> ProfileStat:
     """Two-sample rank-sum profile |sum_{i<=k} R_i - k(n+1)/2| over cut points.
 
-    The rank identity holds only for tie-free data; with ties the statistic
-    falls back to the O(n^2) double-sum definition (a null event under
-    continuous generators, so speed there does not matter).
+    `xs` is one series or a batch of series along the last axis. The rank
+    identity holds only for tie-free data; with ties the statistic falls
+    back to the O(n^2) double-sum definition.
     """
-    y = transform.apply(xs)
-    n = y.size
-    if n < 2:
-        raise ValueError(f"need at least 2 observations, got {n}")
-    k = np.arange(1, n + 1)
-    if np.unique(y).size == n:
-        r = ranks(y)
-        profile = np.abs(np.cumsum(r) - k * (n + 1) / 2.0)
-    else:
-        profile = np.abs(_wilcoxon_pair_counts(y))
-    return _finish(profile, k)
+    return evaluate(("wilcoxon",), xs, transform)["wilcoxon"]
 
 
 def _wilcoxon_pair_counts(y: np.ndarray) -> np.ndarray:
@@ -212,39 +285,40 @@ def wilcoxon_by_definition(
 # Self-normalized statistics
 
 
-def _sn_profile(values: np.ndarray, trim: TrimSpec) -> ProfileStat:
-    """Trimmed supremum of the self-normalized CUSUM ratio of `values`.
+def _sn_profile(x: np.ndarray, trim: TrimSpec) -> ProfileStat:
+    """Trimmed supremum of the self-normalized CUSUM ratio of each row of x.
 
     The numerator at cut k is the centered partial sum; the denominator
     aggregates squared within-segment demeaned partial sums on both sides of
     the cut. Everything reduces to prefix sums of P_t, P_t^2, t*P_t, so the
-    whole profile costs O(n). A vanishing denominator (piecewise-constant
-    input) yields +inf and sets the degenerate flag.
+    whole profile costs O(n) per row. A vanishing denominator
+    (piecewise-constant input) yields +inf and sets the row's degenerate flag.
     """
-    x = np.asarray(values, dtype=float)
-    n = x.size
+    n = x.shape[-1]
     lo, hi = trim.window(n)
+    window = slice(lo, hi + 1)
     # Centering is a no-op mathematically (the statistic is shift-invariant)
     # but keeps the prefix algebra far from catastrophic cancellation.
-    xc = x - x.mean()
+    xc = x - x.mean(axis=-1, keepdims=True)
     t = np.arange(n + 1, dtype=float)
-    p = np.concatenate(([0.0], np.cumsum(xc)))
-    cum_p = np.cumsum(p)
-    cum_p2 = np.cumsum(p * p)
-    cum_tp = np.cumsum(t * p)
+    p = np.zeros((x.shape[0], n + 1))
+    np.cumsum(xc, axis=-1, out=p[:, 1:])
+    cum_p = np.cumsum(p, axis=-1)
+    cum_p2 = np.cumsum(p * p, axis=-1)
+    cum_tp = np.cumsum(t * p, axis=-1)
 
     k = np.arange(lo, hi + 1, dtype=float)
-    ki = np.arange(lo, hi + 1)
-    pk = p[ki]
-    numer = np.abs(pk - (k / n) * p[n])
+    pk = p[:, window]
+    pn = p[:, n:]
+    numer = np.abs(pk - (k / n) * pn)
 
-    left = cum_p2[ki] - 2.0 * (pk / k) * cum_tp[ki] + (pk / k) ** 2 * _sum_sq(k)
+    left = cum_p2[:, window] - 2.0 * (pk / k) * cum_tp[:, window] + (pk / k) ** 2 * _sum_sq(k)
 
     u = n - k
-    tail_p = cum_p[n] - cum_p[ki]
-    tail_p2 = cum_p2[n] - cum_p2[ki]
-    tail_tp = cum_tp[n] - cum_tp[ki]
-    qn = p[n] - pk
+    tail_p = cum_p[:, n:] - cum_p[:, window]
+    tail_p2 = cum_p2[:, n:] - cum_p2[:, window]
+    tail_tp = cum_tp[:, n:] - cum_tp[:, window]
+    qn = pn - pk
     sum_sq_right = tail_p2 - 2.0 * pk * tail_p + u * pk * pk
     sum_lin_right = tail_tp - k * tail_p - pk * u * (u + 1.0) / 2.0
     sum_wt_right = u * (u + 1.0) * (2.0 * u + 1.0) / 6.0
@@ -254,17 +328,25 @@ def _sn_profile(values: np.ndarray, trim: TrimSpec) -> ProfileStat:
     # Segment-constant inputs leave only rounding noise in the denominator;
     # anything at that scale counts as an exact zero. Rounding noise scales
     # with the magnitude of the raw values, not the centered ones.
-    noise_floor = (32.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(x)))) * n) ** 2
+    scale = np.maximum(1.0, np.max(np.abs(x), axis=-1, keepdims=True))
+    noise_floor = (32.0 * np.finfo(float).eps * scale * n) ** 2
     zero = denom_sq <= noise_floor
-    degenerate = bool(np.any(zero))
     with np.errstate(divide="ignore", invalid="ignore"):
         profile = numer / np.sqrt(np.maximum(denom_sq, 0.0))
     profile[zero] = np.inf
-    return _finish(profile, ki, degenerate=degenerate)
+    return _finish_batch(profile, np.arange(lo, hi + 1), np.any(zero, axis=-1))
 
 
 def _sum_sq(k: np.ndarray) -> np.ndarray:
     return k * (k + 1.0) * (2.0 * k + 1.0) / 6.0
+
+
+def _sn_cusum(batch: _Batch, trim: TrimSpec) -> ProfileStat:
+    return _sn_profile(batch.finite_values(), trim)
+
+
+def _sn_wilcoxon(batch: _Batch, trim: TrimSpec) -> ProfileStat:
+    return _sn_profile(batch.ranked[0], trim)
 
 
 def sn_cusum(
@@ -272,8 +354,11 @@ def sn_cusum(
     transform: Transform = Transform.IDENTITY,
     trim: TrimSpec = TrimSpec(),
 ) -> ProfileStat:
-    """Self-normalized CUSUM statistic over the trimmed cut-point window."""
-    return _sn_profile(transform.apply(xs), trim)
+    """Self-normalized CUSUM statistic over the trimmed cut-point window.
+
+    `xs` is one series or a batch of series along the last axis.
+    """
+    return evaluate(("sn_cusum",), xs, transform, trim)["sn_cusum"]
 
 
 def sn_wilcoxon(
@@ -281,8 +366,41 @@ def sn_wilcoxon(
     transform: Transform = Transform.IDENTITY,
     trim: TrimSpec = TrimSpec(),
 ) -> ProfileStat:
-    """Self-normalized Wilcoxon statistic: the CUSUM ratio applied to ranks."""
-    return _sn_profile(ranks(transform.apply(xs)), trim)
+    """Self-normalized Wilcoxon statistic: the CUSUM ratio applied to ranks.
+
+    `xs` is one series or a batch of series along the last axis.
+    """
+    return evaluate(("sn_wilcoxon",), xs, transform, trim)["sn_wilcoxon"]
+
+
+_KERNELS = {
+    "cusum": _cusum,
+    "wilcoxon": _wilcoxon,
+    "sn_cusum": _sn_cusum,
+    "sn_wilcoxon": _sn_wilcoxon,
+}
+
+
+def evaluate(
+    families: tuple[str, ...],
+    xs: np.ndarray,
+    transform: Transform = Transform.IDENTITY,
+    trim: TrimSpec = TrimSpec(),
+) -> dict[str, ProfileStat]:
+    """Several statistics of the same series, keyed by family name.
+
+    `xs` is one series or a batch of series along the last axis; for a
+    batch every result holds one entry per series. The transform is applied
+    once, and the rank families share one ranking.
+    """
+    unknown = set(families) - set(_KERNELS)
+    if unknown:
+        raise ValueError(f"unknown families {sorted(unknown)}")
+    batch = _Batch(xs, transform)
+    results = {family: _KERNELS[family](batch, trim) for family in families}
+    if batch.single:
+        return {family: _single(stat) for family, stat in results.items()}
+    return results
 
 
 def _sn_profile_by_definition(values: np.ndarray, trim: TrimSpec) -> ProfileStat:

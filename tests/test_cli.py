@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -119,6 +120,16 @@ class TestTest:
         assert lines[0] == "k,value"
         assert len(lines) == 1 + 500
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("family", ["cusum", "wilcoxon", "sn_cusum", "sn_wilcoxon"])
+    def test_non_finite_input_is_usage_error(self, capsys, tmp_path, family, bad):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(["0.5", "1.5", bad, "-0.25", "2.0"]) + "\n")
+        code, out, err = run(capsys, "test", "--input", str(path), "--family", family)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "line 3" in err
+
     def test_missing_input_is_computation_error(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "test", "--input", str(tmp_path / "nope.csv"), "--family", "cusum",
@@ -168,6 +179,32 @@ class TestExperimentAndCompare:
             "--reference", "builtin:mean_normal",
         )
         assert code == EXIT_COMPUTATION
+
+    def test_meta_wall_time_covers_table_building(self, capsys, tmp_path, monkeypatch):
+        from lmsvtest import mc
+
+        built = []
+        ensure_tables = mc.ensure_tables
+
+        def timed_ensure_tables(*args, **kwargs):
+            start = time.monotonic()
+            tables = ensure_tables(*args, **kwargs)
+            built.append(time.monotonic() - start)
+            return tables
+
+        monkeypatch.setattr(mc, "ensure_tables", timed_ensure_tables)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "problem": "mean", "noise": "normal", "hursts": [0.7], "lengths": [60],
+            "shifts": [0.0], "families": ["sn_cusum"], "replications": 100,
+            "table_budget": [2000, 512],
+        }))
+        out_dir = tmp_path / "run"
+        code, _, _ = run(capsys, "experiment", "--config", str(config), "--out-dir", str(out_dir))
+        assert code == EXIT_OK
+        meta = json.loads((out_dir / "meta.json").read_text())
+        assert len(built) == 1
+        assert meta["wall_time_seconds"] >= built[0]
 
     def test_compare_self_is_clean(self, capsys, tmp_path):
         from lmsvtest import mc

@@ -80,6 +80,33 @@ class TestSampling:
         paths = fgn.sample(fgn.FgnParams(0.6, 100), RngStream(15), size=7)
         assert paths.shape == (7, 100)
 
+    def test_sample_is_paths_from_normals_of_its_stream(self):
+        params = fgn.FgnParams(0.75, 300)
+        normals = RngStream(16).generator().standard_normal((5, fgn.embedding_size(300)))
+        assert np.array_equal(fgn.sample(params, RngStream(16), size=5),
+                              fgn.paths_from_normals(params, normals))
+        assert np.array_equal(fgn.sample(params, RngStream(16)),
+                              fgn.paths_from_normals(params, normals[:1])[0])
+
+    def test_paths_do_not_depend_on_batch_neighbours(self):
+        params = fgn.FgnParams(0.85, 1000)
+        normals = RngStream(17).generator().standard_normal((9, fgn.embedding_size(1000)))
+        together = fgn.paths_from_normals(params, normals)
+        for row in range(9):
+            alone = fgn.paths_from_normals(params, normals[row:row + 1])
+            assert np.array_equal(together[row], alone[0])
+
+    def test_eigenvalues_cached_and_read_only(self):
+        eig = fgn.embedding_eigenvalues(300, 0.65)
+        assert fgn.embedding_eigenvalues(300, 0.65) is eig
+        assert eig.size == fgn.embedding_size(300) == 1024
+        with pytest.raises(ValueError):
+            eig[0] = 0.0
+
+    def test_single_observation(self):
+        assert fgn.sample(fgn.FgnParams(0.7, 1), RngStream(18)).shape == (1,)
+        assert fgn.sample(fgn.FgnParams(0.7, 1), RngStream(18), size=3).shape == (3, 1)
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             fgn.FgnParams(1.0, 10)

@@ -1,8 +1,9 @@
 """Tests for the Monte Carlo experiment harness."""
 
+import numpy as np
 import pytest
 
-from lmsvtest import mc
+from lmsvtest import fgn, lmsv, mc
 from lmsvtest.asymp import TableBudget
 
 
@@ -42,6 +43,12 @@ class TestConfig:
                 problem="tail", noise_kind="pareto", alphas=(1.0,),
                 families=("cusum", "sn_wilcoxon"),
             )
+
+    @pytest.mark.parametrize("h", [0.0, -1.0])
+    def test_rejects_nonpositive_variance_shift(self, h):
+        with pytest.raises(ValueError, match="positive"):
+            _small_cfg(problem="variance", noise_kind="centered_pareto", alphas=(4.5,),
+                       shifts=(1.0, h))
 
     def test_rejects_missing_alphas(self):
         with pytest.raises(ValueError):
@@ -128,6 +135,48 @@ class TestRunExperiment:
         assert report.meta["seed"] == 7
         assert report.meta["tables"]
         assert report.meta["wall_time_seconds"] >= 0
+
+
+_ENGINE_CASES = {
+    "mean_normal": dict(shifts=(0.0, 1.0)),
+    "mean_centered_pareto": dict(noise_kind="centered_pareto", alphas=(2.5,),
+                                 families=mc.FAMILIES),
+    "variance": dict(problem="variance", noise_kind="centered_pareto", alphas=(4.5,),
+                     shifts=(1.0, 2.0), families=mc.FAMILIES),
+    "tail": dict(problem="tail", noise_kind="pareto", alphas=(1.0,), shifts=(0.0, 0.5)),
+}
+
+_CHANGES = {"mean": lmsv.MeanShift, "variance": lmsv.VarianceScale, "tail": lmsv.TailShift}
+
+
+class TestChunkedEngine:
+    @pytest.mark.parametrize("name", ["variance", "tail"])
+    def test_counts_do_not_depend_on_chunk_size(self, monkeypatch, name):
+        cfg = _small_cfg(replications=150, **_ENGINE_CASES[name])
+        tables = mc.ensure_tables(cfg)
+
+        def counts():
+            return [(c.family, c.h, c.rejections) for c in mc.run_experiment(cfg, tables).cells]
+
+        default = counts()
+        for chunk in (1, 7):
+            monkeypatch.setattr(mc, "_CHUNK", chunk)
+            assert counts() == default
+
+    @pytest.mark.parametrize("name", sorted(_ENGINE_CASES))
+    def test_paths_follow_simulate_series_layout(self, name):
+        cfg = _small_cfg(**_ENGINE_CASES[name])
+        hurst, n = cfg.hursts[0], cfg.lengths[0]
+        alpha = cfg.alpha_grid[0]
+        base = mc._row_stream(cfg, hurst, n, alpha)
+        chunk = mc._row_paths(cfg, hurst, n, alpha)
+        for h in cfg.shifts:
+            shift, paths = next(chunk)
+            assert shift == h
+            spec = lmsv.SeriesSpec(fgn.FgnParams(hurst, n), cfg._noise(alpha),
+                                   _CHANGES[cfg.problem](h, cfg.tau))
+            for rep in (0, 1, mc._CHUNK - 1):
+                assert np.array_equal(paths[rep], lmsv.simulate_series(spec, base.substream(rep)))
 
 
 class TestSerialization:

@@ -10,6 +10,7 @@ from lmsvtest.stats import (
     cusum,
     cusum_by_definition,
     decide,
+    evaluate,
     ranks,
     sn_cusum,
     sn_cusum_by_definition,
@@ -207,6 +208,73 @@ class TestSnWilcoxon:
         b = sn_wilcoxon(np.exp(x) + x**3)
         assert np.array_equal(a.profile, b.profile)
         assert a.argmax_k == b.argmax_k
+
+
+def _mixed_batch(n=60):
+    """Tie-free rows, rows with ties and piecewise-constant rows, none zero."""
+    rng = RngStream(44).generator()
+    tie_free = rng.standard_normal((4, n))
+    tied = np.round(rng.standard_normal((3, n)), 1) + 0.05
+    step = np.concatenate([np.full(n // 2, 1.0), np.full(n - n // 2, 2.0)])
+    constant = np.full(n, 2.5)
+    return np.vstack([tie_free, tied, step, constant, tie_free[0] * 1e6])
+
+
+class TestBatch:
+    @pytest.mark.parametrize("transform", [Transform.IDENTITY, Transform.SQUARE, Transform.LOG_ABS])
+    @pytest.mark.parametrize("kernel", [cusum, wilcoxon, sn_cusum, sn_wilcoxon])
+    def test_rows_equal_single_series_calls(self, kernel, transform):
+        batch = _mixed_batch()
+        stacked = kernel(batch, transform)
+        assert stacked.profile.shape[0] == batch.shape[0]
+        for row, x in enumerate(batch):
+            single = kernel(x, transform)
+            assert np.array_equal(stacked.profile[row], single.profile)
+            assert stacked.sup_value[row] == single.sup_value
+            assert stacked.argmax_k[row] == single.argmax_k
+            assert stacked.degenerate[row] == single.degenerate
+
+    def test_batch_covers_both_wilcoxon_paths_and_degeneracy(self):
+        batch = _mixed_batch()
+        slow = [wilcoxon_by_definition(x) for x in batch]
+        fast = wilcoxon(batch)
+        for row, ref in enumerate(slow):
+            assert np.allclose(fast.profile[row], ref.profile)
+        assert list(sn_cusum(batch).degenerate) == [False] * 7 + [True, True, False]
+        assert list(sn_wilcoxon(batch).degenerate) == [False] * 7 + [True, True, False]
+
+    def test_evaluate_shares_one_transform(self):
+        x = _mixed_batch()
+        results = evaluate(("cusum", "wilcoxon", "sn_cusum", "sn_wilcoxon"), x, Transform.SQUARE)
+        assert np.array_equal(results["sn_wilcoxon"].profile, sn_wilcoxon(x, Transform.SQUARE).profile)
+        assert np.array_equal(results["cusum"].sup_value, cusum(x, Transform.SQUARE).sup_value)
+        with pytest.raises(ValueError, match="unknown"):
+            evaluate(("bogus",), x)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("kernel", [cusum, wilcoxon, sn_cusum, sn_wilcoxon])
+    def test_nan_is_refused(self, kernel):
+        x = RngStream(45).generator().standard_normal(40)
+        x[7] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            kernel(x)
+
+    @pytest.mark.parametrize("kernel", [cusum, sn_cusum])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_sum_families_refuse_inf(self, kernel, value):
+        x = RngStream(46).generator().standard_normal(40)
+        x[3] = value
+        with pytest.raises(ValueError, match="inf"):
+            kernel(x)
+
+    @pytest.mark.parametrize("kernel", [wilcoxon, sn_wilcoxon])
+    def test_rank_families_rank_inf_as_extreme(self, kernel):
+        x = RngStream(47).generator().standard_normal(40)
+        big = x.copy()
+        x[3], big[3] = np.inf, 1e300
+        x[9], big[9] = -np.inf, -1e300
+        assert np.array_equal(kernel(x).profile, kernel(big).profile)
 
 
 class TestDecide:
