@@ -11,7 +11,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import integrate, optimize, special
 
 from . import fgn
 from .dist import CenteredPareto, NoiseSpec, RngStream, noise_moments
@@ -22,6 +22,14 @@ TABLE_FORMAT_VERSION = 1
 #: Paths per batch when simulating ensembles; fixed so that results are
 #: deterministic in (seed, budget) regardless of available memory.
 _BATCH = 512
+
+#: Doubles per block of the table functionals: a block holds as many whole
+#: paths as fit (at least one), so that each temporary stays in cache. Rows
+#: are independent, so the block size does not change a bit of the result.
+_BLOCK = 1 << 15
+
+#: Coverage of the order-statistic interval recorded for each table quantile.
+_INTERVAL_COVERAGE = 0.99
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -346,7 +354,9 @@ def simulate_hermite_paths(
     while done < path_count:
         take = min(_BATCH, path_count - done)
         y = fgn.sample(params, stream.substream(chunk_index), size=take)
-        out[done:done + take] = np.cumsum(hermite(m, y), axis=1) / norm
+        rows = out[done:done + take]
+        np.cumsum(y if m == 1 else hermite(m, y), axis=1, out=rows)
+        rows /= norm
         done += take
         chunk_index += 1
     return out
@@ -426,10 +436,20 @@ class CriticalValueTable:
         return CriticalValueTable.from_json(Path(path).read_text())
 
 
+def _row_blocks(shape: tuple[int, int]):
+    count, n = shape
+    rows = max(1, _BLOCK // n)
+    return (slice(start, start + rows) for start in range(0, count, rows))
+
+
 def _bridge_sup(paths: np.ndarray) -> np.ndarray:
-    n = paths.shape[1]
+    count, n = paths.shape
     t = np.arange(1, n + 1) / n
-    return np.max(np.abs(paths - t * paths[:, -1:]), axis=1)
+    sup = np.empty(count)
+    for rows in _row_blocks(paths.shape):
+        block = paths[rows]
+        sup[rows] = np.max(np.abs(block - t * block[:, -1:]), axis=1)
+    return sup
 
 
 def _refine_brownian_bridge_sup(
@@ -443,18 +463,23 @@ def _refine_brownian_bridge_sup(
     lower segment extremes (independently; their joint exceedance at the
     relevant levels is negligible) removes the O(1/sqrt(N)) discretization
     bias of the supremum. Only valid for the Brownian member H = 1/2, m = 1.
+    The uniforms of all upper extremes are drawn before those of all lower
+    extremes, one per (path, segment).
     """
     count, n = paths.shape
     t = np.arange(1, n + 1) / n
-    bridge = paths - t * paths[:, -1:]
-    padded = np.concatenate([np.zeros((count, 1)), bridge], axis=1)
-    a, b = padded[:, :-1], padded[:, 1:]
     dt = 1.0 / n
-    log_u_hi = np.log(rng.random((count, n)))
-    log_u_lo = np.log(rng.random((count, n)))
-    seg_max = 0.5 * (a + b + np.sqrt((a - b) ** 2 - 2.0 * dt * log_u_hi))
-    seg_min = 0.5 * (a + b - np.sqrt((a - b) ** 2 - 2.0 * dt * log_u_lo))
-    refined = np.maximum(seg_max.max(axis=1), -seg_min.min(axis=1))
+    u_hi = rng.random((count, n))
+    u_lo = rng.random((count, n))
+    refined = np.empty(count)
+    for rows in _row_blocks(paths.shape):
+        block = paths[rows]
+        bridge = block - t * block[:, -1:]
+        padded = np.concatenate([np.zeros((bridge.shape[0], 1)), bridge], axis=1)
+        a, b = padded[:, :-1], padded[:, 1:]
+        seg_max = 0.5 * (a + b + np.sqrt((a - b) ** 2 - 2.0 * dt * np.log(u_hi[rows])))
+        seg_min = 0.5 * (a + b - np.sqrt((a - b) ** 2 - 2.0 * dt * np.log(u_lo[rows])))
+        refined[rows] = np.maximum(seg_max.max(axis=1), -seg_min.min(axis=1))
     return np.maximum(refined, sup_grid)
 
 
@@ -475,13 +500,9 @@ def _sn_ratio_sup(paths: np.ndarray, trim: TrimSpec) -> np.ndarray:
     trapezoid rule to the squared residual bridge itself.
     """
     count, n = paths.shape
-    z = np.concatenate([np.zeros((count, 1)), paths], axis=1)
     r = np.arange(n + 1) / n
     dr = 1.0 / n
 
-    cz = _cumtrapz(z, dr)
-    cz2 = _cumtrapz(z * z, dr)
-    crz = _cumtrapz(r * z, dr)
     # Deterministic weight integrals share the same trapezoid discretization.
     ones = np.ones((1, n + 1))
     cr = _cumtrapz(r * ones, dr)[0]
@@ -494,31 +515,64 @@ def _sn_ratio_sup(paths: np.ndarray, trim: TrimSpec) -> np.ndarray:
     hi = min(hi, n - 1)
     js = np.arange(lo, hi + 1)
     t = r[js]
-    zt = z[:, js]
-    z1 = z[:, -1:]
-
-    numer = np.abs(zt - t * z1)
-
-    left = cz2[:, js] - 2.0 * (zt / t) * crz[:, js] + (zt / t) ** 2 * cr2[js]
-
-    dz = z1 - zt
     span = 1.0 - t
-    w2 = (cz2[:, -1:] - cz2[:, js]) - 2.0 * zt * (cz[:, -1:] - cz[:, js]) + zt**2 * (
-        c1[-1] - c1[js]
-    )
-    lin = (
-        (crz[:, -1:] - crz[:, js])
-        - t * (cz[:, -1:] - cz[:, js])
-        - zt * ((cr[-1] - cr[js]) - t * (c1[-1] - c1[js]))
-    )
-    wgt = (cr2[-1] - cr2[js]) - 2.0 * t * (cr[-1] - cr[js]) + t**2 * (c1[-1] - c1[js])
-    right = w2 - 2.0 * (dz / span) * lin + (dz / span) ** 2 * wgt
+    tail1 = c1[-1] - c1[js]
+    tail_r = (cr[-1] - cr[js]) - t * tail1
+    wgt = (cr2[-1] - cr2[js]) - 2.0 * t * (cr[-1] - cr[js]) + t**2 * tail1
 
-    denom = np.sqrt(np.maximum(left + right, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = numer / denom
-    ratio[denom == 0.0] = np.inf
-    return np.max(ratio, axis=1)
+    sup = np.empty(count)
+    for rows in _row_blocks(paths.shape):
+        block = paths[rows]
+        z = np.concatenate([np.zeros((block.shape[0], 1)), block], axis=1)
+        cz = _cumtrapz(z, dr)
+        cz2 = _cumtrapz(z * z, dr)
+        crz = _cumtrapz(r * z, dr)
+        zt = z[:, js]
+        z1 = z[:, -1:]
+
+        numer = np.abs(zt - t * z1)
+
+        slope_left = zt / t
+        left = cz2[:, js] - 2.0 * slope_left * crz[:, js] + slope_left**2 * cr2[js]
+
+        tail_z = cz[:, -1:] - cz[:, js]
+        w2 = (cz2[:, -1:] - cz2[:, js]) - 2.0 * zt * tail_z + zt**2 * tail1
+        lin = (crz[:, -1:] - crz[:, js]) - t * tail_z - zt * tail_r
+        slope_right = (z1 - zt) / span
+        right = w2 - 2.0 * slope_right * lin + slope_right**2 * wgt
+
+        denom = np.sqrt(np.maximum(left + right, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = numer / denom
+        ratio[denom == 0.0] = np.inf
+        sup[rows] = np.max(ratio, axis=1)
+    return sup
+
+
+def _quantile_intervals(values: np.ndarray, levels: tuple[float, ...]) -> dict:
+    """Distribution-free interval for each quantile of the simulated law.
+
+    With N draws, the count of values below the true p-quantile is
+    binomial(N, p), so the order statistics at its (1 - c)/2 and (1 + c)/2
+    quantile ranks bracket the true quantile with probability >= c. A side
+    whose rank falls outside the sample is unbounded and given as None
+    (for the 0.99-quantile, the upper side when N < 528).
+    """
+    ordered = np.sort(values)
+    count = ordered.size
+    tail = (1.0 - _INTERVAL_COVERAGE) / 2.0
+    intervals = {}
+    for level in levels:
+        # With k(q) the least k where P(B <= k) >= q, the interval is
+        # [X_(l), X_(u)] for the 1-based ranks l = k(tail), u = k(1 - tail) + 1.
+        cdf = special.bdtr(np.arange(count + 1), count, level)
+        lo, hi = np.searchsorted(cdf, [tail, 1.0 - tail])
+        lo -= 1
+        intervals[f"{level:.6f}"] = [
+            float(ordered[lo]) if lo >= 0 else None,
+            float(ordered[hi]) if hi < count else None,
+        ]
+    return intervals
 
 
 def critical_values(
@@ -535,7 +589,9 @@ def critical_values(
 
     CUSUM_BRIDGE_SUP tabulates sup |Z(t) - t Z(1)|; SN_RATIO tabulates the
     trimmed self-normalized ratio built from the same paths with trapezoid
-    integrals. Tables are deterministic given (stream, budget).
+    integrals. Tables are deterministic given (stream, budget). The meta
+    block records the provenance and, for each level, a distribution-free
+    99 % interval for the true quantile (`quantile_intervals`).
     """
     levels = tuple(sorted(set(round(float(lv), 6) for lv in levels)))
     if any(not 0.0 < lv < 1.0 for lv in levels):
@@ -570,6 +626,8 @@ def critical_values(
         "seed": stream.seed,
         "stream_id": stream.stream_id,
         "brownian_segment_refinement": bool(brownian and refine_brownian),
+        "quantile_interval_coverage": _INTERVAL_COVERAGE,
+        "quantile_intervals": _quantile_intervals(values, levels),
     }
     return CriticalValueTable(
         family=family,

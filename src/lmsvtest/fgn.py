@@ -101,11 +101,28 @@ def embedding_eigenvalues(n: int, hurst: float) -> np.ndarray:
     return eig
 
 
+@lru_cache(maxsize=None)
+def _half_spectrum_scales(n: int, hurst: float) -> tuple[np.ndarray, np.ndarray]:
+    # Weights of the real and imaginary parts of the m + 1 half-spectrum
+    # coefficients: sqrt(eig_k), times 1/sqrt(2) on the interior 1..m-1,
+    # where the real and imaginary normals share one unit of variance.
+    eig = embedding_eigenvalues(n, hurst)
+    m = eig.size // 2
+    re = np.sqrt(eig[:m + 1])
+    re[1:m] /= np.sqrt(2.0)
+    im = -re[1:m]
+    re.flags.writeable = False
+    im.flags.writeable = False
+    return re, im
+
+
 def paths_from_normals(params: FgnParams, normals: np.ndarray) -> np.ndarray:
     """Turn standard normals of shape (B, embedding_size(n)) into B paths.
 
-    Davies-Harte construction: row b of `normals` becomes Hermitian-symmetric
-    complex normals scaled by sqrt(eigenvalues), and one FFT over the whole
+    Davies-Harte construction on the half spectrum: row b of `normals` gives
+    the m + 1 coefficients of a Hermitian-symmetric complex normal vector
+    (real parts from columns 0..m, imaginary parts from columns m+1..2m-1),
+    scaled by sqrt(eigenvalues), and one real inverse FFT over the whole
     batch yields the paths as the first n coordinates. Each row is
     transformed on its own, so a path does not depend on the rows stacked
     with it. Returns shape (B, n).
@@ -113,25 +130,19 @@ def paths_from_normals(params: FgnParams, normals: np.ndarray) -> np.ndarray:
     n = params.n
     if n == 1:
         return normals
-    eig = embedding_eigenvalues(n, params.hurst)
-    m2 = eig.size
-    m = m2 // 2
-    z = np.empty(normals.shape, dtype=complex)
-    z[:, 0] = normals[:, 0]
-    z[:, m] = normals[:, m]
-    re = normals[:, 1:m]
-    im = normals[:, m + 1:]
-    half = (re + 1j * im) / np.sqrt(2.0)
-    z[:, 1:m] = half
-    z[:, m + 1:] = np.conj(half[:, ::-1])
-    return np.fft.fft(np.sqrt(eig) * z, axis=1)[:, :n].real / np.sqrt(m2)
+    re, im = _half_spectrum_scales(n, params.hurst)
+    m = re.size - 1
+    half = np.zeros((normals.shape[0], m + 1), dtype=complex)
+    np.multiply(normals[:, :m + 1], re, out=half.real)
+    np.multiply(normals[:, m + 1:], im, out=half.imag[:, 1:m])
+    return np.fft.irfft(half, n=2 * m, axis=1)[:, :n] * np.sqrt(2 * m)
 
 
 def sample(params: FgnParams, stream: RngStream, size: int | None = None) -> np.ndarray:
     """Sample fractional Gaussian noise paths with the exact target covariance.
 
     One generator of `stream` draws all normals, row by row, and
-    paths_from_normals turns them into paths with one FFT.
+    paths_from_normals turns them into paths with one real FFT.
     Returns shape (n,) when size is None, else (size, n).
     """
     normals = stream.generator().standard_normal(

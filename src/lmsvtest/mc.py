@@ -519,14 +519,18 @@ def run_experiment(cfg: ExperimentConfig, tables: TableSet | None = None) -> Exp
 # Report serialization
 
 
+_CELLS_HEADER = "problem,family,hurst,n,alpha,h,tau,level,replications,rejections,rate,se"
+
+
 def cells_to_csv(cells: list[CellResult], path: str | Path) -> None:
-    """Tidy CSV: one row per (family, cell)."""
-    lines = ["problem,family,hurst,n,alpha,h,tau,level,replications,rate,se"]
+    """Tidy CSV: one row per (family, cell), with the exact rejection count."""
+    lines = [_CELLS_HEADER]
     for c in cells:
         alpha = "" if c.alpha is None else f"{c.alpha:g}"
         lines.append(
             f"{c.problem},{c.family},{c.hurst:g},{c.n},{alpha},{c.h:g},{c.tau:g},"
-            f"{c.level:g},{c.replications},{c.rate:.6f},{c.standard_error:.6f}"
+            f"{c.level:g},{c.replications},{c.rejections},{c.rate:.6f},"
+            f"{c.standard_error:.6f}"
         )
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -534,13 +538,13 @@ def cells_to_csv(cells: list[CellResult], path: str | Path) -> None:
 def cells_from_csv(path: str | Path) -> list[CellResult]:
     lines = Path(path).read_text().strip().splitlines()
     header = lines[0].split(",")
-    expected = "problem,family,hurst,n,alpha,h,tau,level,replications,rate,se".split(",")
-    if header != expected:
+    if header != _CELLS_HEADER.split(","):
         raise ValueError(f"unexpected cells CSV header {header}")
     cells = []
     for line in lines[1:]:
-        problem, family, hurst, n, alpha, h, tau, level, reps, rate, _ = line.split(",")
-        reps = int(reps)
+        problem, family, hurst, n, alpha, h, tau, level, reps, rejections, _, _ = (
+            line.split(",")
+        )
         cells.append(
             CellResult(
                 problem=problem,
@@ -551,8 +555,8 @@ def cells_from_csv(path: str | Path) -> list[CellResult]:
                 h=float(h),
                 tau=float(tau),
                 level=float(level),
-                replications=reps,
-                rejections=round(float(rate) * reps),
+                replications=int(reps),
+                rejections=int(rejections),
             )
         )
     return cells

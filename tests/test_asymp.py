@@ -30,6 +30,47 @@ from lmsvtest.dist import CenteredPareto, RngStream, StandardNormal
 from lmsvtest.stats import TrimSpec
 
 
+def sn_ratio_by_definition(paths, trim):
+    """Trimmed SN ratio with the trapezoid rule applied cut by cut.
+
+    For each cut t = j/N: |Z(t) - t Z(1)| over the root of the trapezoid
+    integrals of the squared residual bridges on [0, t] and [t, 1].
+    """
+    count, n = paths.shape
+    z = np.concatenate([np.zeros((count, 1)), paths], axis=1)
+    r = np.arange(n + 1) / n
+    lo, hi = trim.window(n)
+    lo, hi = max(lo, 1), min(hi, n - 1)
+
+    def trapezoid(v):
+        return 0.5 * float(np.sum(v[1:] + v[:-1])) / n
+
+    out = np.empty(count)
+    for i in range(count):
+        zi = z[i]
+        ratios = []
+        for j in range(lo, hi + 1):
+            t = r[j]
+            left = zi[:j + 1] - r[:j + 1] / t * zi[j]
+            right = (zi[j:] - zi[j]) - (r[j:] - t) / (1.0 - t) * (zi[-1] - zi[j])
+            denom = math.sqrt(trapezoid(left**2) + trapezoid(right**2))
+            ratios.append(abs(zi[j] - t * zi[-1]) / denom)
+        out[i] = max(ratios)
+    return out
+
+
+def refined_sup_reference(paths, grid, u_hi, u_lo):
+    """Segment-refined bridge supremum from given uniforms, all rows at once."""
+    n = paths.shape[1]
+    bridge = paths - np.arange(1, n + 1) / n * paths[:, -1:]
+    padded = np.concatenate([np.zeros((len(paths), 1)), bridge], axis=1)
+    a, b = padded[:, :-1], padded[:, 1:]
+    dt = 1.0 / n
+    seg_max = 0.5 * (a + b + np.sqrt((a - b) ** 2 - 2.0 * dt * np.log(u_hi)))
+    seg_min = 0.5 * (a + b - np.sqrt((a - b) ** 2 - 2.0 * dt * np.log(u_lo)))
+    return np.maximum(np.maximum(seg_max.max(axis=1), -seg_min.min(axis=1)), grid)
+
+
 class TestHermitePolynomials:
     def test_first_polynomials(self):
         x = np.linspace(-3, 3, 31)
@@ -196,6 +237,45 @@ class TestHermitePaths:
         assert np.array_equal(a, b)
 
 
+class TestTableFunctionals:
+    @pytest.mark.parametrize("trim", [TrimSpec(), TrimSpec(0.05, 0.9)])
+    @pytest.mark.parametrize("hurst", [0.5, 0.8])
+    def test_sn_ratio_matches_definition(self, hurst, trim):
+        paths = simulate_hermite_paths(hurst, 1, 128, 24, RngStream(72))
+        fast = asymp._sn_ratio_sup(paths, trim)
+        assert np.allclose(fast, sn_ratio_by_definition(paths, trim), rtol=1e-10, atol=0.0)
+
+    def test_sn_ratio_blocks_are_bitwise_row_by_row(self):
+        paths = simulate_hermite_paths(0.7, 1, 256, 2048, RngStream(73))
+        whole = asymp._sn_ratio_sup(paths, TrimSpec())
+        rows = [asymp._sn_ratio_sup(paths[i:i + 1], TrimSpec()) for i in range(len(paths))]
+        assert np.array_equal(whole, np.concatenate(rows))
+
+    def test_bridge_refinement_blocks_are_bitwise_row_by_row(self):
+        paths = simulate_hermite_paths(0.5, 1, 256, 2048, RngStream(74))
+        grid = asymp._bridge_sup(paths)
+        whole = asymp._refine_brownian_bridge_sup(paths, grid, RngStream(75).generator())
+        # Both uniform arrays cover the whole chunk, upper extremes first.
+        rng = RngStream(75).generator()
+        u_hi, u_lo = rng.random(paths.shape), rng.random(paths.shape)
+        rows = [
+            refined_sup_reference(paths[i:i + 1], grid[i:i + 1], u_hi[i:i + 1], u_lo[i:i + 1])
+            for i in range(len(paths))
+        ]
+        assert np.array_equal(whole, np.concatenate(rows))
+
+    def test_quantile_interval_coverage(self):
+        # Over 2000 uniform samples of 200 values, the 99 % interval of the
+        # 0.9-quantile holds 0.9 in at least 98 % of samples (4.5 standard
+        # errors below the nominal 99 %).
+        samples = RngStream(76).generator().random((2000, 200))
+        hits = 0
+        for values in samples:
+            lo, hi = asymp._quantile_intervals(values, (0.9,))["0.900000"]
+            hits += lo <= 0.9 <= hi
+        assert hits / len(samples) >= 0.98
+
+
 class TestCriticalValues:
     def test_brownian_bridge_matches_kolmogorov(self):
         tab = critical_values(
@@ -240,6 +320,25 @@ class TestCriticalValues:
         assert loaded.quantiles == tab.quantiles
         assert loaded.trim == tab.trim
         assert loaded.meta == tab.meta
+
+    def test_quantile_intervals_bracket_and_narrow(self):
+        widths = []
+        for count in (500, 4_000):
+            tab = critical_values(
+                TableFamily.CUSUM_BRIDGE_SUP, 1, 0.7, RngStream(77),
+                budget=TableBudget(count, 256),
+            )
+            intervals = tab.meta["quantile_intervals"]
+            assert tab.meta["quantile_interval_coverage"] == 0.99
+            assert sorted(intervals) == ["0.900000", "0.950000", "0.990000"]
+            for level, value in tab.quantiles.items():
+                lo, hi = intervals[f"{level:.6f}"]
+                assert lo < value and (hi is None or value < hi)
+            widths.append([math.inf if hi is None else hi - lo for lo, hi in intervals.values()])
+            assert CriticalValueTable.from_json(tab.to_json()).meta == tab.meta
+        # 500 draws hold no 99 % upper bound for the 0.99-quantile.
+        assert [math.isinf(w) for w in widths[0]] == [False, False, True]
+        assert all(narrow < wide for wide, narrow in zip(*widths))
 
     def test_version_mismatch_rejected(self, tmp_path):
         tab = critical_values(

@@ -7,6 +7,26 @@ from lmsvtest import fgn
 from lmsvtest.dist import RngStream
 
 
+def complex_hermitian_paths(params, normals):
+    """Davies-Harte on the full complex spectrum: the reference construction.
+
+    Row b of `normals` becomes a Hermitian-symmetric complex vector (real
+    endpoints 0 and m, interior (re + i im) / sqrt(2) mirrored by its
+    conjugate), scaled by sqrt(eigenvalues); the paths are the real part of
+    its forward FFT over sqrt(2m).
+    """
+    eig = fgn.embedding_eigenvalues(params.n, params.hurst)
+    m2 = eig.size
+    m = m2 // 2
+    z = np.empty(normals.shape, dtype=complex)
+    z[:, 0] = normals[:, 0]
+    z[:, m] = normals[:, m]
+    half = (normals[:, 1:m] + 1j * normals[:, m + 1:]) / np.sqrt(2.0)
+    z[:, 1:m] = half
+    z[:, m + 1:] = np.conj(half[:, ::-1])
+    return np.fft.fft(np.sqrt(eig) * z, axis=1)[:, :params.n].real / np.sqrt(m2)
+
+
 class TestAutocovariance:
     def test_white_noise_case(self):
         assert fgn.autocovariance(0.5, 3) == pytest.approx(0.0, abs=1e-15)
@@ -95,6 +115,16 @@ class TestSampling:
         for row in range(9):
             alone = fgn.paths_from_normals(params, normals[row:row + 1])
             assert np.array_equal(together[row], alone[0])
+
+    @pytest.mark.parametrize("hurst", [0.5, 0.8])
+    @pytest.mark.parametrize("n", [2, 3, 500, 2048])
+    def test_real_fft_matches_complex_hermitian_construction(self, n, hurst):
+        # n = 2 embeds in 2m = 2, where the interior 1..m-1 is empty.
+        params = fgn.FgnParams(hurst, n)
+        normals = RngStream(19).generator().standard_normal((16, fgn.embedding_size(n)))
+        fast = fgn.paths_from_normals(params, normals)
+        assert fast.shape == (16, n)
+        assert np.max(np.abs(fast - complex_hermitian_paths(params, normals))) < 1e-12
 
     def test_eigenvalues_cached_and_read_only(self):
         eig = fgn.embedding_eigenvalues(300, 0.65)

@@ -189,6 +189,19 @@ class TestSerialization:
             (c.family, c.h, c.rejections) for c in report.cells
         ]
 
+    def test_cells_csv_keeps_counts_the_rate_rounds_away(self, tmp_path):
+        # 3333333 / 10^7 prints as rate 0.333333, which reads back as 3333330.
+        cell = mc.CellResult(
+            problem="mean", family="cusum", hurst=0.7, n=500, alpha=None, h=1.0,
+            tau=0.5, level=0.05, replications=10_000_000, rejections=3_333_333,
+        )
+        path = tmp_path / "cells.csv"
+        mc.cells_to_csv([cell], path)
+        assert mc.cells_from_csv(path) == [cell]
+        header, row = path.read_text().splitlines()
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert (fields["rejections"], fields["rate"]) == ("3333333", "0.333333")
+
     def test_report_csv_shape(self, tmp_path):
         report = mc.run_experiment(_small_cfg())
         path = tmp_path / "report.csv"
