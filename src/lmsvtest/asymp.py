@@ -412,6 +412,8 @@ class CriticalValueTable:
     @staticmethod
     def from_json(text: str) -> "CriticalValueTable":
         payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise ValueError("not a critical-value table: the JSON is not an object")
         version = payload.get("version")
         if version != TABLE_FORMAT_VERSION:
             raise ValueError(
@@ -433,7 +435,11 @@ class CriticalValueTable:
 
     @staticmethod
     def load(path: str | Path) -> "CriticalValueTable":
-        return CriticalValueTable.from_json(Path(path).read_text())
+        """Read a table file; a file that is not a valid table is named in the error."""
+        try:
+            return CriticalValueTable.from_json(Path(path).read_text())
+        except (ValueError, KeyError, TypeError) as err:
+            raise ValueError(f"{path}: {err}") from None
 
 
 def _row_blocks(shape: tuple[int, int]):

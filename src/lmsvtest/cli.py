@@ -79,7 +79,8 @@ def _build_parser() -> _Parser:
     test.add_argument("--critical-value", type=float, help="override the critical value")
     test.add_argument("--tables", type=Path, help="directory of critical-value table JSON files")
     test.add_argument("--table-seed", type=int, default=0,
-                      help="seed when a needed table has to be simulated on the fly")
+                      help="seed of a needed table that is neither in --tables nor in "
+                           "the package grid, and so is simulated")
     test.add_argument("--profile-out", type=Path, help="write the (k, value) profile as CSV")
 
     crit = sub.add_parser("critvals", help="simulate a critical-value table")
@@ -91,7 +92,9 @@ def _build_parser() -> _Parser:
     crit.add_argument("--paths", type=int, default=10_000)
     crit.add_argument("--grid", type=int, default=2_048)
     crit.add_argument("--levels", type=float, nargs="+", default=[0.90, 0.95, 0.99])
-    crit.add_argument("--seed", type=int, default=0)
+    crit.add_argument("--seed", type=int, default=0,
+                      help="table seed; the same seed and key give the table an experiment "
+                           "or `test` simulates")
     crit.add_argument("--out", type=Path, required=True)
 
     exp = sub.add_parser("experiment", help="run a rejection-rate experiment from a config file")
@@ -193,27 +196,17 @@ def _resolve_test(args, xs: np.ndarray):
     brownian_case = args.problem == "mean" and family in ("cusum", "sn_cusum")
     if args.hurst is None and not brownian_case:
         raise UsageError("--hurst is required for this problem/family")
-    tables = _load_tables(args.tables)
+    loaded = _load_tables(args.tables)
 
-    def bridge_quantile(hurst):
-        try:
-            table = tables.get(asymp.TableFamily.CUSUM_BRIDGE_SUP, 1, hurst, None)
-        except mc.MissingTableError:
-            table = asymp.critical_values(
-                asymp.TableFamily.CUSUM_BRIDGE_SUP, 1, hurst,
-                RngStream(args.table_seed).substream(1), levels=(0.90, 0.95, 0.99, level_q),
-            )
-        return table.quantile(level_q)
-
-    def sn_quantile(hurst):
-        try:
-            table = tables.get(asymp.TableFamily.SN_RATIO, 1, hurst, trim)
-        except mc.MissingTableError:
-            table = asymp.critical_values(
-                asymp.TableFamily.SN_RATIO, 1, hurst,
-                RngStream(args.table_seed).substream(2), trim=trim,
-                levels=(0.90, 0.95, 0.99, level_q),
-            )
+    def quantile(table_family, hurst):
+        # The lookup an experiment makes, at the default table budget.
+        if args.critical_value is not None:
+            return args.critical_value
+        table_trim = trim if table_family is asymp.TableFamily.SN_RATIO else None
+        table, _ = mc.resolve_table(
+            table_family, 1, hurst, table_trim, seed=args.table_seed,
+            budget=asymp.TableBudget(), levels=mc.table_levels(args.level), loaded=loaded,
+        )
         return table.quantile(level_q)
 
     if family == "cusum":
@@ -229,7 +222,7 @@ def _resolve_test(args, xs: np.ndarray):
             else:
                 setup = asymp.hermite_rank_and_coeff(asymp.TailChange())
             norm = asymp.dnm_exact(args.hurst, setup.m, n) * setup.coeff / math.factorial(setup.m)
-            cv = bridge_quantile(args.hurst)
+            cv = quantile(asymp.TableFamily.CUSUM_BRIDGE_SUP, args.hurst)
     elif family == "wilcoxon":
         if args.alpha is None:
             raise UsageError("--alpha is required for Wilcoxon normalization")
@@ -240,13 +233,13 @@ def _resolve_test(args, xs: np.ndarray):
         else:
             raise UsageError("no Wilcoxon limit theory for the tail problem")
         norm = n * asymp.dnm_exact(args.hurst, setup.m, n) * setup.coeff / math.factorial(setup.m)
-        cv = bridge_quantile(args.hurst)
+        cv = quantile(asymp.TableFamily.CUSUM_BRIDGE_SUP, args.hurst)
     elif family == "sn_cusum":
         norm = 1.0
-        cv = sn_quantile(0.5 if args.problem == "mean" else args.hurst)
+        cv = quantile(asymp.TableFamily.SN_RATIO, 0.5 if args.problem == "mean" else args.hurst)
     else:
         norm = 1.0
-        cv = sn_quantile(args.hurst)
+        cv = quantile(asymp.TableFamily.SN_RATIO, args.hurst)
 
     if args.critical_value is not None:
         cv = args.critical_value
@@ -277,7 +270,7 @@ def _cmd_critvals(args) -> int:
         family,
         args.m,
         args.hurst,
-        RngStream(args.seed),
+        mc.table_stream(args.seed, family, args.m, args.hurst),
         trim=trim,
         levels=tuple(args.levels),
         budget=asymp.TableBudget(path_count=args.paths, path_length=args.grid),

@@ -15,6 +15,7 @@ replication at a time, whatever the chunk size.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
@@ -202,27 +203,59 @@ def _table_key(family: TableFamily, m: int, hurst: float, trim: TrimSpec | None)
     return (family.value, m, round(hurst, 6), trim_key)
 
 
-class TableSet:
-    """Immutable lookup of critical-value tables keyed by (family, m, H, trim)."""
+def _budget_of(table: CriticalValueTable) -> tuple[int, int]:
+    return table.meta.get("path_count", 0), table.meta.get("path_length", 0)
 
-    def __init__(self, tables: list[CriticalValueTable]):
-        self._tables: dict = {}
-        for table in tables:
-            self._tables[_table_key(table.family, table.m, table.hurst, table.trim)] = table
+
+def _check_budget(table: CriticalValueTable, budget: TableBudget) -> None:
+    count, length = _budget_of(table)
+    if count < budget.path_count or length < budget.path_length:
+        raise ValueError(
+            f"critical-value table {table.family.value} m={table.m} H={table.hurst} has "
+            f"budget {count} x {length}, below the requested "
+            f"{budget.path_count} x {budget.path_length}"
+        )
+
+
+class TableSet:
+    """Critical-value tables keyed by (family, m, H, trim), each with its source.
+
+    The source is "loaded" (read from files by the caller), "package" (the
+    grid shipped in lmsvtest/data/tables) or "simulated".
+    """
+
+    def __init__(self, tables: list[CriticalValueTable], source: str = "loaded"):
+        self._entries: dict = {}
+        self._add((table, source) for table in tables)
+
+    def _add(self, entries) -> None:
+        for table, source in entries:
+            key = _table_key(table.family, table.m, table.hurst, table.trim)
+            self._entries[key] = (table, source)
+
+    def with_entries(self, entries) -> "TableSet":
+        """A copy with the (table, source) pairs of `entries` added or replaced."""
+        out = TableSet([])
+        out._entries = dict(self._entries)
+        out._add(entries)
+        return out
+
+    def find(
+        self, family: TableFamily, m: int, hurst: float, trim: TrimSpec | None
+    ) -> tuple[CriticalValueTable, str] | None:
+        """(table, source) of a key, or None when the set has no such table."""
+        return self._entries.get(_table_key(family, m, hurst, trim))
 
     def get(
         self, family: TableFamily, m: int, hurst: float, trim: TrimSpec | None
     ) -> CriticalValueTable:
-        key = _table_key(family, m, hurst, trim)
-        if key not in self._tables:
+        entry = self.find(family, m, hurst, trim)
+        if entry is None:
             raise MissingTableError(
                 f"no critical-value table for family={family.value}, m={m}, "
-                f"H={hurst}, trim={key[3]}"
+                f"H={hurst}, trim={_table_key(family, m, hurst, trim)[3]}"
             )
-        return self._tables[key]
-
-    def tables(self) -> list[CriticalValueTable]:
-        return list(self._tables.values())
+        return entry[0]
 
     def versions(self) -> list[dict]:
         return [
@@ -231,10 +264,81 @@ class TableSet:
                 "m": t.m,
                 "hurst": t.hurst,
                 "trim": None if t.trim is None else [t.trim.tau1, t.trim.tau2],
+                "source": source,
                 "meta": t.meta,
             }
-            for t in self._tables.values()
+            for t, source in self._entries.values()
         ]
+
+
+def table_levels(level: float) -> tuple[float, ...]:
+    """Levels of a table built for a test at significance `level`."""
+    return tuple(sorted({0.90, 0.95, 0.99, round(1.0 - level, 6)}))
+
+
+def table_stream(seed: int, family: TableFamily, m: int, hurst: float) -> RngStream:
+    """Random stream of the simulated table (family, m, H) for a seed.
+
+    Experiments, `lmsvtest critvals` and `lmsvtest test` all simulate from
+    this stream, so one seed gives one table per key, whichever command
+    builds it. Streams are keyed by the table coordinates, not by build
+    order; SN tables of one H share their paths across trims.
+    """
+    kind = 1 if family is TableFamily.CUSUM_BRIDGE_SUP else 2
+    return RngStream(seed).substream(0xC71).substream(kind, m, _float_key(hurst))
+
+
+@functools.cache
+def _package_tables() -> TableSet:
+    """The standard grid shipped in lmsvtest/data/tables, read on first use.
+
+    Every file is `lmsvtest critvals ... --seed 0` at the default budget, so
+    each equals the table resolve_table simulates for seed 0.
+    """
+    directory = resources.files("lmsvtest.data") / "tables"
+    files = sorted((f for f in directory.iterdir() if f.name.endswith(".json")),
+                   key=lambda f: f.name)
+    return TableSet([CriticalValueTable.from_json(f.read_text()) for f in files],
+                    source="package")
+
+
+def resolve_table(
+    family: TableFamily,
+    m: int,
+    hurst: float,
+    trim: TrimSpec | None,
+    *,
+    seed: int,
+    budget: TableBudget,
+    levels: tuple[float, ...],
+    loaded: TableSet | None = None,
+) -> tuple[CriticalValueTable, str]:
+    """Find or simulate one critical-value table; returns (table, source).
+
+    Lookup order:
+    1. the table of the same key in `loaded`. It is refused (ValueError)
+       when its path count or path length is below `budget`; a larger one
+       is accepted.
+    2. the package table of the same key, when its budget equals `budget`
+       exactly and it has every level in `levels`. The package grid is read
+       at most once per process, here, on first need.
+    3. otherwise a table simulated from table_stream(seed, family, m, hurst).
+    """
+    entry = None if loaded is None else loaded.find(family, m, hurst, trim)
+    if entry is not None:
+        _check_budget(entry[0], budget)
+        return entry
+    entry = _package_tables().find(family, m, hurst, trim)
+    if entry is not None:
+        table = entry[0]
+        if (_budget_of(table) == (budget.path_count, budget.path_length)
+                and all(round(lv, 6) in table.quantiles for lv in levels)):
+            return entry
+    table = asymp.critical_values(
+        family, m, hurst, table_stream(seed, family, m, hurst),
+        trim=trim, levels=levels, budget=budget,
+    )
+    return table, "simulated"
 
 
 def required_tables(cfg: ExperimentConfig) -> list[tuple[TableFamily, int, float, TrimSpec | None]]:
@@ -261,30 +365,21 @@ def required_tables(cfg: ExperimentConfig) -> list[tuple[TableFamily, int, float
 
 
 def ensure_tables(cfg: ExperimentConfig, existing: TableSet | None = None) -> TableSet:
-    """Build any missing critical-value tables for an experiment.
+    """The tables of `existing` plus every table the experiment still needs.
 
-    Table streams are keyed by the table coordinates (not by build order), so
-    the resulting set is deterministic in (cfg.seed, budget) and indifferent
-    to which other tables exist.
+    Each needed table is looked up by resolve_table at cfg.budget: first in
+    `existing` (refused when below the budget), then in the package grid
+    (exact key, budget and levels), and otherwise simulated from
+    table_stream(cfg.seed, ...). A package table is a seed-0 table, so at
+    the package budget the tables do not depend on cfg.seed.
     """
-    tables = [] if existing is None else existing.tables()
-    have = {_table_key(t.family, t.m, t.hurst, t.trim) for t in tables}
-    levels = tuple(sorted({0.90, 0.95, 0.99, round(1.0 - cfg.level, 6)}))
-    base = RngStream(cfg.seed).substream(0xC71)
-    for family, m, hurst, trim in required_tables(cfg):
-        key = _table_key(family, m, hurst, trim)
-        if key in have:
-            continue
-        stream = base.substream(
-            1 if family is TableFamily.CUSUM_BRIDGE_SUP else 2, m, _float_key(hurst)
-        )
-        tables.append(
-            asymp.critical_values(
-                family, m, hurst, stream, trim=trim, levels=levels, budget=cfg.budget
-            )
-        )
-        have.add(key)
-    return TableSet(tables)
+    existing = TableSet([]) if existing is None else existing
+    levels = table_levels(cfg.level)
+    return existing.with_entries(
+        resolve_table(family, m, hurst, trim, seed=cfg.seed, budget=cfg.budget,
+                      levels=levels, loaded=existing)
+        for family, m, hurst, trim in required_tables(cfg)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -475,10 +570,11 @@ def _row_task(args) -> list[CellResult]:
 def run_experiment(cfg: ExperimentConfig, tables: TableSet | None = None) -> ExperimentReport:
     """Run the full rejection-rate grid of an experiment configuration.
 
-    When `tables` is omitted the needed critical-value tables are simulated
-    on the fly (deterministically in cfg.seed). A provided table set must
+    When `tables` is omitted the needed critical-value tables come from
+    ensure_tables (package grid or simulation). A provided table set must
     already contain every required key, otherwise MissingTableError names
-    the missing one.
+    the missing one, and a needed table below cfg.budget is refused with
+    ValueError.
     """
     start = time.monotonic()
     if tables is None:
@@ -489,9 +585,12 @@ def run_experiment(cfg: ExperimentConfig, tables: TableSet | None = None) -> Exp
         for n in cfg.lengths
         for alpha in cfg.alpha_grid
     ]
-    # Resolve all plans up front so a missing table fails before any work.
+    # Resolve all plans up front so a missing or too small table fails
+    # before any work.
     for _, hurst, n, alpha, _ in rows:
         _plans_for_row(cfg, hurst, n, alpha, tables)
+    for key in required_tables(cfg):
+        _check_budget(tables.get(*key), cfg.budget)
 
     cells: list[CellResult] = []
     if cfg.max_workers > 1 and len(rows) > 1:

@@ -149,6 +149,160 @@ class TestCritvals:
         assert payload["family"] == "cusum_bridge_sup"
         assert 1.2 < payload["quantiles"]["0.950000"] < 1.5
 
+    def test_regenerates_shipped_table(self, capsys, tmp_path):
+        # The cheapest table of the package grid, from its documented command.
+        from importlib import resources
+
+        out = tmp_path / "bridge_h0.8.json"
+        code, _, _ = run(
+            capsys, "critvals", "--family", "bridge", "--hurst", "0.8", "--paths", "10000",
+            "--grid", "2048", "--seed", "0", "--out", str(out),
+        )
+        assert code == EXIT_OK
+        shipped = json.loads(
+            (resources.files("lmsvtest.data") / "tables" / "bridge_h0.8.json").read_text()
+        )
+        fresh = json.loads(out.read_text())
+        assert fresh["quantiles"].keys() == shipped["quantiles"].keys()
+        for level, value in shipped["quantiles"].items():
+            assert fresh["quantiles"][level] == pytest.approx(value, rel=1e-12)
+        assert fresh["meta"]["stream_id"] == shipped["meta"]["stream_id"]
+
+    def test_never_reads_package_grid(self, capsys, tmp_path, monkeypatch):
+        from lmsvtest import mc
+
+        def refuse():
+            raise AssertionError("critvals read the package grid")
+
+        monkeypatch.setattr(mc, "_package_tables", refuse)
+        code, _, _ = run(
+            capsys, "critvals", "--family", "sn", "--hurst", "0.5", "--paths", "200",
+            "--grid", "64", "--seed", "0", "--out", str(tmp_path / "sn.json"),
+        )
+        assert code == EXIT_OK
+
+
+def _write_config(path, **overrides):
+    config = {
+        "problem": "variance", "noise": "centered_pareto", "alphas": [4.5],
+        "hursts": [0.75], "lengths": [60], "shifts": [1.0],
+        "families": ["cusum", "sn_cusum"], "replications": 100, "seed": 5,
+    }
+    config.update(overrides)
+    path.write_text(json.dumps(config))
+    return path
+
+
+class TestTableResolution:
+    def test_commands_resolve_one_table_per_seed_and_key(self, capsys, tmp_path, monkeypatch,
+                                                         shifted_series):
+        # H = 0.75 is outside the package grid, so each command simulates.
+        # A stub records the stream each command asks for and simulates at
+        # 200 x 64 in place of the default 10000 x 2048 (the experiment's
+        # config asks for 200 x 64, so its run accepts the stub's tables).
+        from lmsvtest import asymp
+
+        real = asymp.critical_values
+        streams = []
+
+        def recording(family, m, hurst, stream, **kwargs):
+            streams.append((family.value, hurst, stream))
+            kwargs["budget"] = asymp.TableBudget(200, 64)
+            return real(family, m, hurst, stream, **kwargs)
+
+        monkeypatch.setattr(asymp, "critical_values", recording)
+        quantiles = {}
+        for family in ("bridge", "sn"):
+            out = tmp_path / f"{family}.json"
+            code, _, _ = run(capsys, "critvals", "--family", family, "--hurst", "0.75",
+                             "--seed", "5", "--out", str(out))
+            assert code == EXIT_OK
+            quantiles[family] = json.loads(out.read_text())["quantiles"]["0.950000"]
+        for family, table in (("cusum", "bridge"), ("sn_cusum", "sn")):
+            code, out, _ = run(capsys, "test", "--input", str(shifted_series), "--family", family,
+                               "--problem", "variance", "--hurst", "0.75", "--alpha", "4.5",
+                               "--table-seed", "5")
+            assert code == EXIT_OK
+            assert json.loads(out)["critical_value"] == quantiles[table]
+        config = _write_config(tmp_path / "config.json", table_budget=[200, 64])
+        code, _, _ = run(capsys, "experiment", "--config", str(config),
+                         "--out-dir", str(tmp_path / "run"))
+        assert code == EXIT_OK
+
+        assert len(streams) == 6
+        for family in ("cusum_bridge_sup", "sn_ratio"):
+            assert len({s for f, _, s in streams if f == family}) == 1
+        meta = json.loads((tmp_path / "run" / "meta.json").read_text())
+        assert {t["source"] for t in meta["tables"]} == {"simulated"}
+
+    def test_test_command_uses_the_package_table(self, capsys, monkeypatch, shifted_series):
+        from importlib import resources
+
+        from lmsvtest import asymp
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a critical-value table was simulated")
+
+        monkeypatch.setattr(asymp, "critical_values", refuse)
+        code, out, _ = run(capsys, "test", "--input", str(shifted_series), "--family", "sn_cusum",
+                           "--problem", "variance", "--hurst", "0.8", "--table-seed", "9")
+        assert code == EXIT_OK
+        shipped = json.loads(
+            (resources.files("lmsvtest.data") / "tables" / "sn_h0.8.json").read_text()
+        )
+        assert json.loads(out)["critical_value"] == shipped["quantiles"]["0.950000"]
+
+    def test_given_critical_value_builds_no_table(self, capsys, monkeypatch, shifted_series):
+        from lmsvtest import asymp
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a critical-value table was simulated")
+
+        monkeypatch.setattr(asymp, "critical_values", refuse)
+        code, out, _ = run(capsys, "test", "--input", str(shifted_series), "--family", "sn_cusum",
+                           "--problem", "variance", "--hurst", "0.75", "--critical-value", "3.5")
+        assert code == EXIT_OK
+        assert json.loads(out)["critical_value"] == 3.5
+
+    def test_loaded_table_below_budget_is_refused(self, capsys, tmp_path):
+        tables = tmp_path / "tables"
+        tables.mkdir()
+        code, _, _ = run(capsys, "critvals", "--family", "sn", "--hurst", "0.5", "--paths", "200",
+                         "--grid", "64", "--out", str(tables / "sn.json"))
+        assert code == EXIT_OK
+        config = _write_config(tmp_path / "config.json", problem="mean", noise="normal",
+                               alphas=[], hursts=[0.7], shifts=[0.0], table_budget=[2000, 512])
+        code, _, err = run(capsys, "experiment", "--config", str(config),
+                           "--out-dir", str(tmp_path / "run"), "--tables", str(tables))
+        assert code == EXIT_COMPUTATION
+        assert "200 x 64" in err and "2000 x 512" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_loaded_table_is_recorded_as_loaded(self, capsys, tmp_path):
+        tables = tmp_path / "tables"
+        tables.mkdir()
+        code, _, _ = run(capsys, "critvals", "--family", "sn", "--hurst", "0.5", "--paths", "400",
+                         "--grid", "512", "--out", str(tables / "sn.json"))
+        assert code == EXIT_OK
+        config = _write_config(tmp_path / "config.json", problem="mean", noise="normal",
+                               alphas=[], hursts=[0.7], shifts=[0.0], table_budget=[200, 256])
+        code, _, _ = run(capsys, "experiment", "--config", str(config),
+                         "--out-dir", str(tmp_path / "run"), "--tables", str(tables))
+        assert code == EXIT_OK
+        [entry] = json.loads((tmp_path / "run" / "meta.json").read_text())["tables"]
+        assert entry["source"] == "loaded"
+        assert (entry["meta"]["path_count"], entry["meta"]["path_length"]) == (400, 512)
+
+    def test_non_table_json_is_named(self, capsys, tmp_path):
+        tables = tmp_path / "tables"
+        tables.mkdir()
+        stray = _write_config(tables / "stray.json")
+        config = _write_config(tmp_path / "config.json")
+        code, _, err = run(capsys, "experiment", "--config", str(config),
+                           "--out-dir", str(tmp_path / "run"), "--tables", str(tables))
+        assert code == EXIT_COMPUTATION
+        assert str(stray) in err
+
 
 class TestExperimentAndCompare:
     def test_desk_run_and_compare(self, capsys, tmp_path):

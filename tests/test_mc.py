@@ -1,10 +1,18 @@
 """Tests for the Monte Carlo experiment harness."""
 
+import os
+import subprocess
+import sys
+from importlib import resources
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from lmsvtest import fgn, lmsv, mc
-from lmsvtest.asymp import TableBudget
+from lmsvtest import asymp, fgn, lmsv, mc
+from lmsvtest.asymp import CriticalValueTable, TableBudget, TableFamily
+from lmsvtest.dist import RngStream
+from lmsvtest.stats import TrimSpec
 
 
 def _small_cfg(**overrides):
@@ -87,6 +95,133 @@ class TestTables:
         )
         needed = {(f.value, h) for f, _, h, _ in mc.required_tables(cfg)}
         assert needed == {("cusum_bridge_sup", 0.6), ("sn_ratio", 0.6)}
+
+
+def _fake_table(family, hurst, path_count, path_length, trim=None):
+    # A hand-made table: only its key, its budget and its quantiles matter here.
+    return CriticalValueTable(
+        family=family, m=1, hurst=hurst, trim=trim,
+        quantiles={0.9: 1.0, 0.95: 1.2, 0.99: 1.5},
+        meta={"path_count": path_count, "path_length": path_length},
+    )
+
+
+class TestTableLookup:
+    @pytest.mark.parametrize("budget", [(1_999, 512), (2_000, 256), (200, 64)])
+    def test_loaded_table_below_budget_is_refused(self, budget):
+        cfg = _small_cfg()
+        small = _fake_table(TableFamily.SN_RATIO, 0.5, *budget, trim=cfg.trim)
+        with pytest.raises(ValueError, match="below the requested 2000 x 512"):
+            mc.ensure_tables(cfg, existing=mc.TableSet([small]))
+
+    def test_provided_table_below_budget_is_refused_by_run_experiment(self):
+        cfg = _small_cfg()
+        small = _fake_table(TableFamily.SN_RATIO, 0.5, 200, 64, trim=cfg.trim)
+        with pytest.raises(ValueError, match="200 x 64, below the requested 2000 x 512"):
+            mc.run_experiment(cfg, tables=mc.TableSet([small]))
+
+    @pytest.mark.parametrize("budget", [(2_000, 512), (4_000, 512), (2_000, 1_024)])
+    def test_loaded_table_at_or_above_budget_is_used(self, monkeypatch, budget):
+        cfg = _small_cfg()
+        table = _fake_table(TableFamily.SN_RATIO, 0.5, *budget, trim=cfg.trim)
+        monkeypatch.setattr(asymp, "critical_values", _refuse_simulation)
+        tables = mc.ensure_tables(cfg, existing=mc.TableSet([table]))
+        assert tables.find(TableFamily.SN_RATIO, 1, 0.5, cfg.trim) == (table, "loaded")
+
+    def test_meta_records_each_table_source(self):
+        # Mean SN-CUSUM needs the H = 0.5 SN table; variance CUSUM a bridge
+        # table at the row's H.
+        cfg = _small_cfg(problem="variance", noise_kind="centered_pareto", alphas=(4.5,),
+                         hursts=(0.6, 0.7), shifts=(1.0,), families=("cusum",),
+                         replications=100, budget=TableBudget())
+        loaded = _fake_table(TableFamily.CUSUM_BRIDGE_SUP, 0.6, 10_000, 2_048)
+        report = mc.run_experiment(cfg, mc.ensure_tables(cfg, existing=mc.TableSet([loaded])))
+        sources = {v["hurst"]: v["source"] for v in report.meta["tables"]}
+        assert sources == {0.6: "loaded", 0.7: "package"}
+
+        simulated = mc.run_experiment(_small_cfg())
+        [entry] = simulated.meta["tables"]
+        assert entry["source"] == "simulated"
+        assert (entry["meta"]["path_count"], entry["meta"]["path_length"]) == (2_000, 512)
+
+    def test_table_stream_keeps_the_experiment_convention(self):
+        stream = mc.table_stream(7, TableFamily.SN_RATIO, 1, 0.5)
+        assert stream == RngStream(7).substream(0xC71).substream(2, 1, mc._float_key(0.5))
+        bridge = mc.table_stream(7, TableFamily.CUSUM_BRIDGE_SUP, 1, 0.5)
+        assert bridge == RngStream(7).substream(0xC71).substream(1, 1, mc._float_key(0.5))
+
+
+def _refuse_simulation(*args, **kwargs):
+    raise AssertionError("a critical-value table was simulated")
+
+
+_SHIPPED_HURSTS = (0.5, 0.6, 0.7, 0.8, 0.9)
+
+
+class TestPackageGrid:
+    def test_shipped_files_cover_exactly_the_grid(self):
+        directory = resources.files("lmsvtest.data") / "tables"
+        files = sorted(f.name for f in directory.iterdir())
+        assert len(files) == 10
+        keys = set()
+        for name in files:
+            table = CriticalValueTable.from_json((directory / name).read_text())
+            assert table.m == 1
+            assert sorted(table.quantiles) == [0.9, 0.95, 0.99]
+            assert (table.meta["path_count"], table.meta["path_length"]) == (10_000, 2_048)
+            assert table.meta["seed"] == 0
+            assert table.meta["stream_id"] == mc.table_stream(
+                0, table.family, 1, table.hurst).stream_id
+            trim = None if table.trim is None else (table.trim.tau1, table.trim.tau2)
+            keys.add((table.family, table.hurst, trim))
+        assert keys == {
+            (family, hurst, trim)
+            for hurst in _SHIPPED_HURSTS
+            for family, trim in ((TableFamily.CUSUM_BRIDGE_SUP, None),
+                                 (TableFamily.SN_RATIO, (0.15, 0.85)))
+        }
+
+    def test_default_budget_experiment_simulates_no_table(self, monkeypatch):
+        monkeypatch.setattr(asymp, "critical_values", _refuse_simulation)
+        cfg = _small_cfg(problem="variance", noise_kind="centered_pareto", alphas=(4.5,),
+                         hursts=(0.6, 0.9), shifts=(1.0,), families=mc.FAMILIES,
+                         replications=100, budget=TableBudget())
+        report = mc.run_experiment(cfg)
+        assert {v["source"] for v in report.meta["tables"]} == {"package"}
+        assert len(report.meta["tables"]) == 4
+
+    def test_other_budgets_and_uncovered_keys_simulate(self, monkeypatch):
+        built = []
+
+        def recording(family, m, hurst, stream, **kwargs):
+            built.append((family, hurst, kwargs["budget"], kwargs["levels"]))
+            return _fake_table(family, hurst, kwargs["budget"].path_count,
+                               kwargs["budget"].path_length, trim=kwargs["trim"])
+
+        monkeypatch.setattr(asymp, "critical_values", recording)
+        mc.ensure_tables(_small_cfg(budget=TableBudget(2_000, 512)))
+        mc.ensure_tables(_small_cfg(budget=TableBudget(20_000, 2_048)))
+        mc.ensure_tables(_small_cfg(budget=TableBudget(), level=0.025))  # needs 0.975
+        mc.ensure_tables(_small_cfg(budget=TableBudget(), trim=TrimSpec(0.1, 0.9)))
+        mc.ensure_tables(_small_cfg(problem="variance", noise_kind="centered_pareto",
+                                    alphas=(4.5,), shifts=(1.0,), hursts=(0.75,),
+                                    budget=TableBudget()))
+        assert [(b.path_count, b.path_length) for _, _, b, _ in built] == [
+            (2_000, 512), (20_000, 2_048), *[(10_000, 2_048)] * 4,
+        ]
+        assert built[2][3] == (0.9, 0.95, 0.975, 0.99)
+        assert {key[:2] for key in built[4:]} == {
+            (TableFamily.CUSUM_BRIDGE_SUP, 0.75), (TableFamily.SN_RATIO, 0.75),
+        }
+
+    def test_grid_is_not_read_at_import(self):
+        code = ("import lmsvtest, lmsvtest.cli, lmsvtest.mc as mc; "
+                "print(mc._package_tables.cache_info().currsize)")
+        src = str(Path(mc.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=env).stdout
+        assert out.strip() == "0"
 
 
 class TestRunExperiment:
