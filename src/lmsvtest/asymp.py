@@ -589,7 +589,6 @@ def critical_values(
     trim: TrimSpec | None = None,
     levels: tuple[float, ...] = (0.90, 0.95, 0.99),
     budget: TableBudget = TableBudget(),
-    refine_brownian: bool = True,
 ) -> CriticalValueTable:
     """Simulate quantiles of a limiting functional on Hermite-path ensembles.
 
@@ -616,7 +615,7 @@ def critical_values(
         )
         if family is TableFamily.CUSUM_BRIDGE_SUP:
             sup = _bridge_sup(paths)
-            if brownian and refine_brownian:
+            if brownian:
                 rng = stream.substream(1, chunk_index).generator()
                 sup = _refine_brownian_bridge_sup(paths, sup, rng)
             values[done:done + take] = sup
@@ -631,7 +630,7 @@ def critical_values(
         "path_length": budget.path_length,
         "seed": stream.seed,
         "stream_id": stream.stream_id,
-        "brownian_segment_refinement": bool(brownian and refine_brownian),
+        "brownian_segment_refinement": brownian,
         "quantile_interval_coverage": _INTERVAL_COVERAGE,
         "quantile_intervals": _quantile_intervals(values, levels),
     }

@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from . import asymp, mc, stats
-from .dist import CenteredPareto, Pareto, RngStream, StandardNormal
+from .dist import RngStream, make_noise
 from .fgn import FgnParams
-from .lmsv import MeanShift, NoChange, SeriesSpec, TailShift, VarianceScale, simulate_components
+from .lmsv import CHANGES, NoChange, SeriesSpec, simulate_components
 from .stats import Transform, TrimSpec
 
 EXIT_OK = 0
@@ -35,14 +35,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
         raise UsageError(message)
-
-
-_TRANSFORMS = {
-    "identity": Transform.IDENTITY,
-    "square": Transform.SQUARE,
-    "log-abs": Transform.LOG_ABS,
-    "log-square": Transform.LOG_SQUARE,
-}
 
 
 def _build_parser() -> _Parser:
@@ -66,9 +58,10 @@ def _build_parser() -> _Parser:
     test = sub.add_parser("test", help="run one change-point test on a CSV series")
     test.add_argument("--input", type=Path, required=True)
     test.add_argument("--family", choices=list(mc.FAMILIES), required=True)
-    test.add_argument("--psi", choices=list(_TRANSFORMS), default="identity")
+    test.add_argument("--psi", choices=[t.value.replace("_", "-") for t in Transform],
+                      help="transform without --problem (default identity)")
     test.add_argument("--problem", choices=list(mc.PROBLEMS),
-                      help="resolve normalization and critical value for this problem")
+                      help="resolve transform, normalization and critical value for this problem")
     test.add_argument("--hurst", type=float, help="Hurst index for normalization/tables")
     test.add_argument("--alpha", type=float, help="innovation tail index (Pareto problems)")
     test.add_argument("--sigma", type=float,
@@ -114,32 +107,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _noise_from_flags(args):
-    if args.noise == "normal":
-        return StandardNormal()
-    if args.alpha is None:
-        raise UsageError("--alpha is required for Pareto-type noise")
-    if args.noise == "pareto":
-        return Pareto(args.alpha, args.scale)
-    return CenteredPareto(args.alpha, args.scale)
-
-
-def _change_from_flags(args):
-    if args.change == "none":
-        return NoChange()
-    if args.change == "mean":
-        return MeanShift(h=args.h, tau=args.tau)
-    if args.change == "variance":
-        return VarianceScale(h=args.h, tau=args.tau)
-    return TailShift(h=args.h, tau=args.tau)
-
-
 def _cmd_simulate(args) -> int:
     try:
         spec = SeriesSpec(
             fgn=FgnParams(hurst=args.hurst, n=args.n),
-            noise=_noise_from_flags(args),
-            change=_change_from_flags(args),
+            noise=make_noise(args.noise.replace("-", "_"), args.alpha, args.scale),
+            change=(NoChange() if args.change == "none"
+                    else CHANGES[args.change](h=args.h, tau=args.tau)),
         )
     except ValueError as err:
         # Bad flag values, caught before any computation starts.
@@ -183,67 +157,40 @@ def _load_tables(directory: Path | None) -> mc.TableSet:
     return mc.TableSet(tables)
 
 
-def _resolve_test(args, xs: np.ndarray):
-    """Normalization and critical value for a single-series test."""
-    family = args.family
-    trim = TrimSpec(tau1=args.tau1, tau2=args.tau2)
-    transform = _TRANSFORMS[args.psi]
-    if args.problem is None:
-        return transform, trim, 1.0, args.critical_value
+#: The innovation law --alpha stands for under each problem.
+_ALPHA_NOISE = {"mean": "centered_pareto", "variance": "centered_pareto", "tail": "pareto"}
 
-    n = xs.size
-    level_q = round(1.0 - args.level, 6)
-    brownian_case = args.problem == "mean" and family in ("cusum", "sn_cusum")
-    if args.hurst is None and not brownian_case:
-        raise UsageError("--hurst is required for this problem/family")
+
+def _resolve_test(args, xs: np.ndarray):
+    """Transform, normalization and critical value for a single-series test."""
+    trim = TrimSpec(tau1=args.tau1, tau2=args.tau2)
+    psi = None if args.psi is None else Transform(args.psi.replace("-", "_"))
+    if args.problem is None:
+        return psi or Transform.IDENTITY, trim, 1.0, args.critical_value
+    problem_psi = mc.PROBLEM_TRANSFORM[args.problem]
+    if psi not in (None, problem_psi):
+        raise UsageError(f"--psi {args.psi} contradicts --problem {args.problem}, which sets "
+                         f"--psi {problem_psi.value.replace('_', '-')}")
     loaded = _load_tables(args.tables)
 
-    def quantile(table_family, hurst):
+    def lookup(*key):
         # The lookup an experiment makes, at the default table budget.
-        if args.critical_value is not None:
-            return args.critical_value
-        table_trim = trim if table_family is asymp.TableFamily.SN_RATIO else None
-        table, _ = mc.resolve_table(
-            table_family, 1, hurst, table_trim, seed=args.table_seed,
-            budget=asymp.TableBudget(), levels=mc.table_levels(args.level), loaded=loaded,
+        return mc.resolve_table(*key, seed=args.table_seed, budget=asymp.TableBudget(),
+                                levels=mc.table_levels(args.level), loaded=loaded)[0]
+
+    try:
+        plan = mc.resolve_plan(
+            args.problem, args.family, args.hurst,
+            None if args.alpha is None else make_noise(_ALPHA_NOISE[args.problem], args.alpha),
+            trim, n=xs.size, level=args.level,
+            lookup=lookup if args.critical_value is None else None,
+            # The mean problem's transform is the identity.
+            sigma=args.sigma if args.sigma is not None else float(np.std(xs)),
         )
-        return table.quantile(level_q)
-
-    if family == "cusum":
-        if args.problem == "mean":
-            sigma = args.sigma if args.sigma is not None else float(np.std(transform.apply(xs)))
-            norm = math.sqrt(n) * sigma
-            cv = asymp.kolmogorov_quantile(level_q)
-        else:
-            if args.problem == "variance":
-                if args.alpha is None:
-                    raise UsageError("--alpha is required for the variance problem")
-                setup = asymp.hermite_rank_and_coeff(asymp.VarianceChange(args.alpha))
-            else:
-                setup = asymp.hermite_rank_and_coeff(asymp.TailChange())
-            norm = asymp.dnm_exact(args.hurst, setup.m, n) * setup.coeff / math.factorial(setup.m)
-            cv = quantile(asymp.TableFamily.CUSUM_BRIDGE_SUP, args.hurst)
-    elif family == "wilcoxon":
-        if args.alpha is None:
-            raise UsageError("--alpha is required for Wilcoxon normalization")
-        if args.problem == "mean":
-            setup = asymp.hermite_rank_and_coeff(asymp.MeanChangeWilcoxon(args.alpha))
-        elif args.problem == "variance":
-            setup = asymp.hermite_rank_and_coeff(asymp.VarianceChangeWilcoxon(args.alpha))
-        else:
-            raise UsageError("no Wilcoxon limit theory for the tail problem")
-        norm = n * asymp.dnm_exact(args.hurst, setup.m, n) * setup.coeff / math.factorial(setup.m)
-        cv = quantile(asymp.TableFamily.CUSUM_BRIDGE_SUP, args.hurst)
-    elif family == "sn_cusum":
-        norm = 1.0
-        cv = quantile(asymp.TableFamily.SN_RATIO, 0.5 if args.problem == "mean" else args.hurst)
-    else:
-        norm = 1.0
-        cv = quantile(asymp.TableFamily.SN_RATIO, args.hurst)
-
-    if args.critical_value is not None:
-        cv = args.critical_value
-    return transform, trim, norm, cv
+    except mc.PlanError as err:
+        raise UsageError(str(err))
+    cv = plan.critical_value if args.critical_value is None else args.critical_value
+    return plan.transform, trim, plan.normalization, cv
 
 
 def _cmd_test(args) -> int:

@@ -115,19 +115,48 @@ def pareto_from_uniform(
     return scale * np.power(u, -1.0 / np.asarray(alpha, dtype=float))
 
 
+def make_noise(kind: str, alpha: float | None = None, scale: float = 1.0) -> NoiseSpec:
+    """The innovation law named `kind`: "normal", "pareto" or "centered_pareto"."""
+    if kind == StandardNormal.kind:
+        return StandardNormal()
+    law = {Pareto.kind: Pareto, CenteredPareto.kind: CenteredPareto}.get(kind)
+    if law is None:
+        raise ValueError(f"unknown noise kind {kind!r}")
+    if alpha is None:
+        raise ValueError("Pareto-type noise needs alpha")
+    return law(alpha, scale)
+
+
+def draw_raw(spec: NoiseSpec, rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill `out` with the draws innovations() maps to the law: standard
+    normals, or uniforms on [0, 1) for the Pareto-type laws."""
+    if isinstance(spec, StandardNormal):
+        rng.standard_normal(out=out)
+    else:
+        rng.random(out=out)
+
+
+def innovations(
+    spec: NoiseSpec, raw: np.ndarray, alpha: float | np.ndarray | None = None
+) -> np.ndarray:
+    """Innovations from the draws of draw_raw; for the Pareto-type laws
+    `alpha` (a scalar or one value per draw) replaces spec.alpha."""
+    if isinstance(spec, StandardNormal):
+        return raw
+    # 1 - U lies in (0, 1]; avoids u = 0 blowing up the inverse CDF.
+    draws = pareto_from_uniform(1.0 - raw, spec.alpha if alpha is None else alpha, spec.scale)
+    if isinstance(spec, CenteredPareto):
+        draws -= spec.mean_shift
+    return draws
+
+
 def sample_noise(spec: NoiseSpec, n: int, stream: RngStream) -> np.ndarray:
     """Draw n i.i.d. innovations from the given law."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    rng = stream.generator()
-    if isinstance(spec, StandardNormal):
-        return rng.standard_normal(n)
-    # 1 - U lies in (0, 1]; avoids u = 0 blowing up the inverse CDF.
-    u = 1.0 - rng.random(n)
-    draws = pareto_from_uniform(u, spec.alpha, spec.scale)
-    if isinstance(spec, CenteredPareto):
-        draws -= spec.mean_shift
-    return draws
+    raw = np.empty(n)
+    draw_raw(spec, stream.generator(), raw)
+    return innovations(spec, raw)
 
 
 def noise_moments(spec: NoiseSpec) -> Moments:

@@ -9,19 +9,20 @@ generated from the same stream are coupled across shift heights.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fgn
 from .dist import (
-    CenteredPareto,
     NoiseSpec,
     Pareto,
     RngStream,
     StandardNormal,
+    draw_raw,
     hill_estimator,
-    pareto_from_uniform,
+    innovations,
 )
 
 _Y_SUBSTREAM = 0
@@ -77,6 +78,9 @@ class TailShift:
 
 ChangeSpec = NoChange | MeanShift | VarianceScale | TailShift
 
+#: The change classes by kind, which is also the problem each one alternates.
+CHANGES = {change.kind: change for change in (MeanShift, VarianceScale, TailShift)}
+
 
 def _check_tau(tau: float) -> None:
     if not 0.0 < tau < 1.0:
@@ -90,17 +94,14 @@ class SeriesSpec:
     fgn: fgn.FgnParams
     noise: NoiseSpec
     change: ChangeSpec = NoChange()
-    volatility: str = "exp"
 
     def __post_init__(self) -> None:
-        if self.volatility != "exp":
-            raise ValueError(f"unsupported volatility function {self.volatility!r}")
-        if isinstance(self.change, TailShift) and not isinstance(self.noise, Pareto):
-            raise ValueError("tail-index changes require Pareto innovations")
+        _check_change(self.noise, self.change)
 
-    @property
-    def n(self) -> int:
-        return self.fgn.n
+
+def _check_change(noise: NoiseSpec, change: ChangeSpec) -> None:
+    if isinstance(change, TailShift) and not isinstance(noise, Pareto):
+        raise ValueError("tail-index changes require Pareto innovations")
 
 
 def change_point_index(n: int, tau: float) -> int:
@@ -108,37 +109,56 @@ def change_point_index(n: int, tau: float) -> int:
     return int(math.floor(n * tau))
 
 
+def simulate_batch(
+    params: fgn.FgnParams,
+    noise: NoiseSpec,
+    changes: Sequence[ChangeSpec],
+    streams: Sequence[RngStream],
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield (y, eps, x), each of shape (len(streams), n), for each change.
+
+    Row r belongs to streams[r]: its latent Gaussian comes from the normals of
+    streams[r].substream(0) and its innovations from .substream(1), written
+    in place into the batch, and one FFT turns all rows into paths. So a row
+    does not depend on the rows drawn with it, and the pre-change segment is
+    bit-identical to the null path of the same stream. The draws are made
+    once and every change is applied to them: common random numbers across
+    changes.
+    """
+    for change in changes:
+        _check_change(noise, change)
+    n = params.n
+    normals = np.empty((len(streams), fgn.embedding_size(n)))
+    raw = np.empty((len(streams), n))
+    for row, stream in enumerate(streams):
+        stream.substream(_Y_SUBSTREAM).generator().standard_normal(out=normals[row])
+        draw_raw(noise, stream.substream(_EPS_SUBSTREAM).generator(), raw[row])
+
+    y = fgn.paths_from_normals(params, normals)
+    vol = np.exp(y)
+    null_eps = None
+    for change in changes:
+        if isinstance(change, TailShift):
+            # Post-change draws reuse the same uniforms at the shifted index.
+            alpha = np.full(n, noise.alpha)
+            alpha[change_point_index(n, change.tau):] += change.h
+            eps = innovations(noise, raw, alpha)
+        else:
+            null_eps = eps = innovations(noise, raw) if null_eps is None else null_eps
+        x = vol * eps
+        if isinstance(change, MeanShift):
+            x[:, change_point_index(n, change.tau):] += change.h
+        elif isinstance(change, VarianceScale):
+            x[:, change_point_index(n, change.tau):] *= change.h
+        yield y, eps, x
+
+
 def simulate_components(
     spec: SeriesSpec, stream: RngStream
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (y, eps, x) for one path.
-
-    The latent Gaussian and the innovations use independent substreams of
-    `stream`, so the pre-change segment is bit-identical to the null path
-    from the same stream whatever the change specification.
-    """
-    n = spec.n
-    y = fgn.sample(spec.fgn, stream.substream(_Y_SUBSTREAM))
-    rng = stream.substream(_EPS_SUBSTREAM).generator()
-
-    change = spec.change
-    if isinstance(spec.noise, StandardNormal):
-        eps = rng.standard_normal(n)
-    else:
-        u = 1.0 - rng.random(n)
-        alpha = np.full(n, spec.noise.alpha)
-        if isinstance(change, TailShift):
-            alpha[change_point_index(n, change.tau):] += change.h
-        eps = pareto_from_uniform(u, alpha, spec.noise.scale)
-        if isinstance(spec.noise, CenteredPareto):
-            eps -= spec.noise.mean_shift
-
-    x = np.exp(y) * eps
-    if isinstance(change, MeanShift):
-        x[change_point_index(n, change.tau):] += change.h
-    elif isinstance(change, VarianceScale):
-        x[change_point_index(n, change.tau):] *= change.h
-    return y, eps, x
+    """Return (y, eps, x) for one path: simulate_batch for one stream."""
+    [(y, eps, x)] = simulate_batch(spec.fgn, spec.noise, (spec.change,), (stream,))
+    return y[0], eps[0], x[0]
 
 
 def simulate_series(spec: SeriesSpec, stream: RngStream) -> np.ndarray:

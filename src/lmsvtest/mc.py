@@ -8,9 +8,13 @@ random numbers across h).
 A grid row is evaluated in fixed-size chunks of replications: each
 replication draws from its own two keyed streams into its row of the chunk,
 one FFT turns the chunk's normals into FGN paths, and each statistic is
-evaluated along the last axis of the whole chunk. The stream layout is the
-one lmsv.simulate_series uses, so the counts are those of evaluating one
-replication at a time, whatever the chunk size.
+evaluated along the last axis of the whole chunk. The chunk's paths come
+from lmsv.simulate_batch, which keeps each replication on its own streams,
+so the counts are those of evaluating one replication at a time, whatever
+the chunk size.
+
+Every test follows one rule, resolve_plan: the problem and the family fix
+the transform, the normalization and the limit table.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import math
 import struct
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -40,19 +44,22 @@ from .asymp import (
     hermite_rank_and_coeff,
     kolmogorov_quantile,
 )
-from .dist import CenteredPareto, Pareto, RngStream, StandardNormal
+from .dist import NoiseSpec, RngStream, make_noise
 from .stats import Transform, TrimSpec
 
 FAMILIES = ("cusum", "wilcoxon", "sn_cusum", "sn_wilcoxon")
 PROBLEMS = ("mean", "variance", "tail")
 
-_PROBLEM_TRANSFORM = {
+PROBLEM_TRANSFORM = {
     "mean": Transform.IDENTITY,
     "variance": Transform.SQUARE,
     "tail": Transform.LOG_ABS,
 }
 
 _PROBLEM_KEY = {"mean": 1, "variance": 2, "tail": 3}
+
+#: JSON keys of the ExperimentConfig fields whose names differ.
+_JSON_KEYS = {"noise_kind": "noise", "budget": "table_budget"}
 
 #: Replications per chunk of a grid row. Every replication keeps its own
 #: streams, so the counts do not depend on this; it only trades per-call
@@ -88,110 +95,54 @@ class ExperimentConfig:
     max_workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.problem not in PROBLEMS:
-            raise ValueError(f"unknown problem {self.problem!r}")
         if self.replications < 100:
             raise ValueError("need at least 100 replications")
         if not 0.0 < self.tau < 1.0:
             raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"level must lie in (0, 1), got {self.level}")
-        unknown = set(self.families) - set(FAMILIES)
-        if unknown:
-            raise ValueError(f"unknown families {sorted(unknown)}")
         if not self.families or not self.hursts or not self.lengths or not self.shifts:
             raise ValueError("families, hursts, lengths, and shifts must be non-empty")
-        self._noise(self.alphas[0] if self.alphas else None)  # validates kind
-        for family in self.families:
-            _validate_family(family, self.problem, self.noise_kind)
-        if self.noise_kind != "normal" and not self.alphas:
-            raise ValueError("Pareto-type noise needs at least one alpha")
+        for alpha in self.alpha_grid:
+            noise = make_noise(self.noise_kind, alpha)
+            for hurst in self.hursts:
+                for family in self.families:
+                    resolve_plan(self.problem, family, hurst, noise, self.trim)
         if self.problem == "variance" and min(self.shifts) <= 0:
             raise ValueError(
                 f"variance shifts scale the post-change segment and must be positive, "
                 f"got {min(self.shifts)}"
             )
 
-    def _noise(self, alpha: float | None):
-        if self.noise_kind == "normal":
-            return StandardNormal()
-        if alpha is None:
-            raise ValueError("Pareto-type noise needs alpha")
-        if self.noise_kind == "centered_pareto":
-            return CenteredPareto(alpha)
-        if self.noise_kind == "pareto":
-            return Pareto(alpha)
-        raise ValueError(f"unknown noise kind {self.noise_kind!r}")
-
     @property
     def alpha_grid(self) -> tuple[float | None, ...]:
         return self.alphas if self.alphas else (None,)
 
     def to_json(self) -> str:
-        payload = {
-            "problem": self.problem,
-            "noise": self.noise_kind,
-            "alphas": list(self.alphas),
-            "hursts": list(self.hursts),
-            "lengths": list(self.lengths),
-            "shifts": list(self.shifts),
-            "families": list(self.families),
-            "tau": self.tau,
-            "level": self.level,
-            "replications": self.replications,
-            "seed": self.seed,
-            "trim": [self.trim.tau1, self.trim.tau2],
-            "table_budget": [self.budget.path_count, self.budget.path_length],
-            "max_workers": self.max_workers,
-        }
+        payload = {_JSON_KEYS.get(f.name, f.name): getattr(self, f.name) for f in fields(self)}
+        payload["trim"] = [self.trim.tau1, self.trim.tau2]
+        payload["table_budget"] = [self.budget.path_count, self.budget.path_length]
         return json.dumps(payload, indent=2)
 
     @staticmethod
     def from_json(text: str) -> "ExperimentConfig":
-        raw = json.loads(text)
-        trim = raw.get("trim", [0.15, 0.85])
-        budget = raw.get("table_budget", [10_000, 2_048])
-        return ExperimentConfig(
-            problem=raw["problem"],
-            noise_kind=raw["noise"],
-            alphas=tuple(raw.get("alphas", [])),
-            hursts=tuple(raw["hursts"]),
-            lengths=tuple(raw["lengths"]),
-            shifts=tuple(raw["shifts"]),
-            families=tuple(raw["families"]),
-            tau=raw.get("tau", 0.5),
-            level=raw.get("level", 0.05),
-            replications=raw.get("replications", 1000),
-            seed=raw.get("seed", 0),
-            trim=TrimSpec(tau1=trim[0], tau2=trim[1]),
-            budget=TableBudget(path_count=budget[0], path_length=budget[1]),
-            max_workers=raw.get("max_workers", 1),
-        )
+        """The configuration of a to_json payload. A key left out takes the
+        field's default; an unknown key is refused."""
+        names = {key: name for name, key in _JSON_KEYS.items()}
+        kwargs = {names.get(key, key): tuple(value) if isinstance(value, list) else value
+                  for key, value in json.loads(text).items()}
+        if "trim" in kwargs:
+            kwargs["trim"] = TrimSpec(*kwargs["trim"])
+        if "budget" in kwargs:
+            kwargs["budget"] = TableBudget(*kwargs["budget"])
+        try:
+            return ExperimentConfig(**kwargs)
+        except TypeError as err:  # a missing or an unknown key
+            raise ValueError(f"invalid experiment config: {err}") from None
 
     @staticmethod
     def load(path: str | Path) -> "ExperimentConfig":
         return ExperimentConfig.from_json(Path(path).read_text())
-
-
-def _validate_family(family: str, problem: str, noise_kind: str) -> None:
-    if problem == "mean":
-        if noise_kind not in ("normal", "centered_pareto"):
-            raise ValueError("the mean problem needs mean-zero innovations")
-        if family in ("wilcoxon", "sn_wilcoxon") and noise_kind != "centered_pareto":
-            raise ValueError(
-                "Wilcoxon families for the mean problem need centered Pareto "
-                "innovations (the limit factor degenerates under normal noise)"
-            )
-    if problem == "variance" and noise_kind != "centered_pareto":
-        raise ValueError("the variance problem uses centered Pareto innovations")
-    if problem == "tail":
-        if noise_kind != "pareto":
-            raise ValueError("the tail problem uses non-centered Pareto innovations")
-        if family in ("wilcoxon", "sn_wilcoxon"):
-            raise ValueError(
-                "no limit theory is available for Wilcoxon families in the "
-                "tail problem"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -343,25 +294,9 @@ def resolve_table(
 
 def required_tables(cfg: ExperimentConfig) -> list[tuple[TableFamily, int, float, TrimSpec | None]]:
     """Table keys an experiment needs, given its problem and families."""
-    needed: dict = {}
-    for hurst in cfg.hursts:
-        for family in cfg.families:
-            if family in ("cusum", "wilcoxon"):
-                if cfg.problem == "mean" and family == "cusum":
-                    continue  # Brownian case uses the analytic Kolmogorov law
-                needed[_table_key(TableFamily.CUSUM_BRIDGE_SUP, 1, hurst, None)] = (
-                    TableFamily.CUSUM_BRIDGE_SUP, 1, hurst, None,
-                )
-            elif family == "sn_cusum":
-                h_eff = 0.5 if cfg.problem == "mean" else hurst
-                needed[_table_key(TableFamily.SN_RATIO, 1, h_eff, cfg.trim)] = (
-                    TableFamily.SN_RATIO, 1, h_eff, cfg.trim,
-                )
-            else:  # sn_wilcoxon
-                needed[_table_key(TableFamily.SN_RATIO, 1, hurst, cfg.trim)] = (
-                    TableFamily.SN_RATIO, 1, hurst, cfg.trim,
-                )
-    return list(needed.values())
+    keys = (resolve_plan(cfg.problem, family, hurst, None, cfg.trim).table
+            for hurst in cfg.hursts for family in cfg.families)
+    return [key for key in dict.fromkeys(keys) if key is not None]
 
 
 def ensure_tables(cfg: ExperimentConfig, existing: TableSet | None = None) -> TableSet:
@@ -383,51 +318,114 @@ def ensure_tables(cfg: ExperimentConfig, existing: TableSet | None = None) -> Ta
 
 
 # ---------------------------------------------------------------------------
-# Test plans: normalization and critical value per (family, row)
+# Test plans: transform, normalization and critical value of one test
+
+
+class PlanError(ValueError):
+    """The limit theory does not cover a (problem, family, noise, H) combination."""
 
 
 @dataclass(frozen=True)
-class _TestPlan:
+class Plan:
+    """How one family tests one problem. `table` is the key (family, m,
+    effective H, trim) of the limit table, None for the Kolmogorov law; the
+    normalization and the critical value are None when not resolved."""
+
     family: str
-    normalization: float
-    critical_value: float
+    transform: Transform
+    table: tuple[TableFamily, int, float, TrimSpec | None] | None
+    normalization: float | None = None
+    critical_value: float | None = None
+
+
+#: Innovation laws the limit theory of each problem covers.
+_PROBLEM_NOISE = {"mean": ("normal", "centered_pareto"), "variance": ("centered_pareto",),
+                  "tail": ("pareto",)}
+
+_LIMIT_PROBLEMS = {
+    ("mean", "wilcoxon"): MeanChangeWilcoxon,
+    ("variance", "cusum"): VarianceChange,
+    ("variance", "wilcoxon"): VarianceChangeWilcoxon,
+}
+
+
+def resolve_plan(
+    problem: str,
+    family: str,
+    hurst: float | None,
+    noise: NoiseSpec | None,
+    trim: TrimSpec,
+    *,
+    n: int | None = None,
+    level: float | None = None,
+    lookup=None,
+    sigma: float | None = None,
+) -> Plan:
+    """The one rule of the tests: the problem and the family fix the
+    transform, the normalization and the limit table with its effective H.
+
+    The mean cusum and sn_cusum limits are Brownian and do not use H; every
+    other plan needs H > 1/2, where the d_{n,m} normalizations and the fBm
+    tables hold. `noise` is the innovation law, or None when it is unknown:
+    a plan whose normalization needs it is then refused. `sigma` replaces
+    the mean CUSUM's Brownian scale that the noise law implies. With `n` the
+    plan carries its normalization; with `level` and `lookup`, a callable
+    from a table key to its CriticalValueTable, its critical value.
+    Raises PlanError for what the limit theory does not cover.
+    """
+    if problem not in PROBLEMS or family not in FAMILIES:
+        raise PlanError(f"unknown problem {problem!r} or family {family!r}")
+    kind = None if noise is None else noise.kind
+    if kind not in (None, *_PROBLEM_NOISE[problem]):
+        raise PlanError(f"the {problem} problem needs {' or '.join(_PROBLEM_NOISE[problem])} "
+                        f"innovations, got {kind}")
+    if "wilcoxon" in family and problem == "tail":
+        raise PlanError("no limit theory is available for Wilcoxon families in the tail problem")
+    if "wilcoxon" in family and kind == "normal":
+        raise PlanError("Wilcoxon families for the mean problem need centered Pareto "
+                        "innovations (the limit factor degenerates under normal noise)")
+    brownian = problem == "mean" and family in ("cusum", "sn_cusum")
+    if not brownian and (hurst is None or hurst <= 0.5):
+        raise PlanError(f"the {problem} {family} test needs long memory, H > 1/2, got H = "
+                        f"{hurst}; only the mean cusum and sn_cusum tests do not use H")
+
+    if family in ("cusum", "wilcoxon"):
+        # Every problem here has Hermite rank 1 (asymp.hermite_rank_and_coeff).
+        table = None if brownian else (TableFamily.CUSUM_BRIDGE_SUP, 1, hurst, None)
+    else:
+        table = (TableFamily.SN_RATIO, 1, 0.5 if brownian else hurst, trim)
+    normalization = critical_value = None
+    if n is not None:
+        if family in ("sn_cusum", "sn_wilcoxon"):
+            normalization = 1.0
+        elif brownian:
+            if sigma is None and noise is None:
+                raise PlanError("the mean cusum test needs sigma or the innovation law")
+            if sigma is None:
+                sigma = hermite_rank_and_coeff(MeanChange(noise)).sigma
+            normalization = math.sqrt(n) * sigma
+        else:
+            if problem != "tail" and noise is None:
+                raise PlanError(f"the {problem} {family} test needs the innovation tail "
+                                f"index alpha")
+            setup = hermite_rank_and_coeff(asymp.TailChange() if problem == "tail" else
+                                           _LIMIT_PROBLEMS[problem, family](noise.alpha))
+            scale = n if family == "wilcoxon" else 1  # the rank sums carry a factor n
+            normalization = (scale * dnm_exact(hurst, setup.m, n) * setup.coeff
+                             / math.factorial(setup.m))
+    if lookup is not None:
+        q = round(1.0 - level, 6)
+        critical_value = kolmogorov_quantile(q) if table is None else lookup(*table).quantile(q)
+    return Plan(family, PROBLEM_TRANSFORM[problem], table, normalization, critical_value)
 
 
 def _plans_for_row(
     cfg: ExperimentConfig, hurst: float, n: int, alpha: float | None, tables: TableSet
-) -> list[_TestPlan]:
-    q = round(1.0 - cfg.level, 6)
-    plans = []
-    for family in cfg.families:
-        if family == "cusum":
-            if cfg.problem == "mean":
-                setup = hermite_rank_and_coeff(MeanChange(cfg._noise(alpha)))
-                norm = math.sqrt(n) * setup.sigma
-                cv = kolmogorov_quantile(q)
-            else:
-                if cfg.problem == "variance":
-                    setup = hermite_rank_and_coeff(VarianceChange(alpha))
-                else:
-                    setup = hermite_rank_and_coeff(asymp.TailChange())
-                norm = dnm_exact(hurst, setup.m, n) * setup.coeff / math.factorial(setup.m)
-                cv = tables.get(TableFamily.CUSUM_BRIDGE_SUP, setup.m, hurst, None).quantile(q)
-            plans.append(_TestPlan(family, norm, cv))
-        elif family == "wilcoxon":
-            if cfg.problem == "mean":
-                setup = hermite_rank_and_coeff(MeanChangeWilcoxon(alpha))
-            else:
-                setup = hermite_rank_and_coeff(VarianceChangeWilcoxon(alpha))
-            norm = n * dnm_exact(hurst, setup.m, n) * setup.coeff / math.factorial(setup.m)
-            cv = tables.get(TableFamily.CUSUM_BRIDGE_SUP, setup.m, hurst, None).quantile(q)
-            plans.append(_TestPlan(family, norm, cv))
-        elif family == "sn_cusum":
-            h_eff = 0.5 if cfg.problem == "mean" else hurst
-            cv = tables.get(TableFamily.SN_RATIO, 1, h_eff, cfg.trim).quantile(q)
-            plans.append(_TestPlan(family, 1.0, cv))
-        else:  # sn_wilcoxon
-            cv = tables.get(TableFamily.SN_RATIO, 1, hurst, cfg.trim).quantile(q)
-            plans.append(_TestPlan(family, 1.0, cv))
-    return plans
+) -> list[Plan]:
+    noise = make_noise(cfg.noise_kind, alpha)
+    return [resolve_plan(cfg.problem, family, hurst, noise, cfg.trim, n=n, level=cfg.level,
+                         lookup=tables.get)
+            for family in cfg.families]
 
 
 # ---------------------------------------------------------------------------
@@ -483,68 +481,23 @@ def _row_stream(cfg: ExperimentConfig, hurst: float, n: int, alpha: float | None
     )
 
 
-def _row_paths(cfg: ExperimentConfig, hurst: float, n: int, alpha: float | None):
-    """Yield (h, paths) for each chunk of a grid row and each shift height.
-
-    paths has one row per replication of the chunk. Replication r draws its
-    FGN normals from _row_stream(...).substream(r).substream(0) and its
-    innovations from .substream(1), exactly as lmsv.simulate_series does
-    with the stream .substream(r), so its path does not depend on the chunk
-    it lands in.
-    """
-    params = fgn.FgnParams(hurst, n)
-    noise = cfg._noise(alpha)
-    cut = lmsv.change_point_index(n, cfg.tau)
-    base = _row_stream(cfg, hurst, n, alpha)
-    gaussian = isinstance(noise, StandardNormal)
-    for start in range(0, cfg.replications, _CHUNK):
-        reps = range(start, min(start + _CHUNK, cfg.replications))
-        normals = np.empty((len(reps), fgn.embedding_size(n)))
-        draws = np.empty((len(reps), n))
-        for row, rep in enumerate(reps):
-            rep_stream = base.substream(rep)
-            rep_stream.substream(0).generator().standard_normal(out=normals[row])
-            rng = rep_stream.substream(1).generator()
-            if gaussian:
-                rng.standard_normal(out=draws[row])
-            else:
-                rng.random(out=draws[row])
-
-        vol = np.exp(fgn.paths_from_normals(params, normals))
-        if gaussian:
-            eps = draws
-        else:
-            u = 1.0 - draws
-            if cfg.problem != "tail":
-                eps = u ** (-1.0 / noise.alpha) * noise.scale
-                if isinstance(noise, CenteredPareto):
-                    eps -= noise.mean_shift
-
-        for h in cfg.shifts:
-            if cfg.problem == "mean":
-                x = vol * eps
-                x[:, cut:] += h
-            elif cfg.problem == "variance":
-                x = vol * eps
-                x[:, cut:] *= h
-            else:
-                alphas = np.full(n, noise.alpha)
-                alphas[cut:] += h
-                x = vol * u ** (-1.0 / alphas) * noise.scale
-            yield h, x
-
-
 def _evaluate_row(cfg: ExperimentConfig, hurst: float, n: int, alpha: float | None,
                   tables: TableSet) -> list[CellResult]:
     plans = _plans_for_row(cfg, hurst, n, alpha, tables)
     families = tuple(plan.family for plan in plans)
-    transform = _PROBLEM_TRANSFORM[cfg.problem]
+    params = fgn.FgnParams(hurst, n)
+    noise = make_noise(cfg.noise_kind, alpha)
+    changes = [lmsv.CHANGES[cfg.problem](h, cfg.tau) for h in cfg.shifts]
+    base = _row_stream(cfg, hurst, n, alpha)
     rejections = {(p.family, h): 0 for p in plans for h in cfg.shifts}
-    for h, x in _row_paths(cfg, hurst, n, alpha):
-        results = stats.evaluate(families, x, transform, cfg.trim)
-        for plan in plans:
-            value = results[plan.family].sup_value / plan.normalization
-            rejections[(plan.family, h)] += int(np.count_nonzero(value > plan.critical_value))
+    for start in range(0, cfg.replications, _CHUNK):
+        streams = [base.substream(rep)
+                   for rep in range(start, min(start + _CHUNK, cfg.replications))]
+        for h, (_, _, x) in zip(cfg.shifts, lmsv.simulate_batch(params, noise, changes, streams)):
+            results = stats.evaluate(families, x, plans[0].transform, cfg.trim)
+            for plan in plans:
+                value = results[plan.family].sup_value / plan.normalization
+                rejections[(plan.family, h)] += int(np.count_nonzero(value > plan.critical_value))
 
     return [
         CellResult(

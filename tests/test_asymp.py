@@ -1,5 +1,6 @@
 """Tests for normalizing constants, limit factors, and critical-value tables."""
 
+import json
 import math
 
 import numpy as np
@@ -301,6 +302,18 @@ class TestCriticalValues:
     def test_sn_ratio_requires_trim(self):
         with pytest.raises(ValueError):
             critical_values(TableFamily.SN_RATIO, 1, 0.5, RngStream(68))
+
+    def test_fresh_table_keeps_the_shipped_meta_keys(self):
+        from importlib import resources
+
+        shipped = json.loads(
+            (resources.files("lmsvtest.data") / "tables" / "bridge_h0.5.json").read_text()
+        )["meta"]
+        fresh = critical_values(TableFamily.CUSUM_BRIDGE_SUP, 1, 0.5, RngStream(70),
+                                budget=TableBudget(200, 64)).meta
+        assert fresh.keys() == shipped.keys()
+        assert fresh["brownian_segment_refinement"] is True
+        assert shipped["brownian_segment_refinement"] is True
 
     def test_deterministic_given_seed_and_budget(self):
         budget = TableBudget(2_000, 512)

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 import math
 import time
@@ -61,6 +62,26 @@ class TestSimulate:
         code, _, _ = run(capsys, "simulate", "--n", "10", "--hurst", "0.7", "--bogus")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("flags,digest", [
+        ("--noise normal --change none",
+         "1ae582eb76a57d900457b2cbe40af80ad28a3dace8c11283468a2c6e9fd9adfb"),
+        ("--noise normal --change mean --h 0.5",
+         "db75c262faa76b5e8c8d523274a0f462d5aa72b321f63d4478de6acd4803d0ed"),
+        ("--noise centered-pareto --alpha 2.5 --change variance --h 0.5",
+         "bcb7953aabc0349b8c728f17fd8d4518cb4e6468a027925b0fdfa0cf30424d97"),
+        ("--noise pareto --alpha 2.5 --change tail --h 0.5",
+         "a1c898a9a04f57e369e1c1354294ce33ffdc5d590e0e6063fb3eb703518fb543"),
+        ("--noise pareto --alpha 2.5 --scale 2 --change tail --h 0.5",
+         "960e5b641113084b6b2ff179d2e69346ccfefdb3f4465a0d30776fdd7308cb0f"),
+    ])
+    def test_latent_output_is_pinned(self, capsys, flags, digest):
+        # Digests of the path synthesis as first recorded; a refactor of the
+        # synthesis must reproduce every bit of y, eps and x.
+        code, out, _ = run(capsys, "simulate", "--n", "300", "--hurst", "0.7", *flags.split(),
+                           "--seed", "20261018", "--stream-id", "3", "--latent")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 @pytest.fixture()
 def shifted_series(capsys, tmp_path):
@@ -69,6 +90,17 @@ def shifted_series(capsys, tmp_path):
         capsys, "simulate", "--n", "500", "--hurst", "0.6", "--noise", "normal",
         "--change", "mean", "--h", "2", "--tau", "0.5", "--seed", "5",
         "--out", str(path),
+    )
+    assert code == EXIT_OK
+    return path
+
+
+@pytest.fixture()
+def null_series(capsys, tmp_path):
+    path = tmp_path / "null.csv"
+    code, _, _ = run(
+        capsys, "simulate", "--n", "1000", "--hurst", "0.8", "--noise", "centered-pareto",
+        "--alpha", "4.5", "--seed", "6", "--out", str(path),
     )
     assert code == EXIT_OK
     return path
@@ -129,6 +161,35 @@ class TestTest:
         assert code == EXIT_USAGE
         assert out == ""
         assert "line 3" in err
+
+    @pytest.mark.parametrize("family,problem,psi", [
+        ("sn_cusum", "variance", "square"), ("sn_wilcoxon", "variance", "square"),
+        ("sn_cusum", "tail", "log-abs"),
+    ])
+    def test_problem_sets_its_transform(self, capsys, null_series, family, problem, psi):
+        code, out, _ = run(capsys, "test", "--input", str(null_series), "--family", family,
+                           "--problem", problem, "--hurst", "0.8")
+        assert code == EXIT_OK
+        code, free, _ = run(capsys, "test", "--input", str(null_series), "--family", family,
+                            "--psi", psi)
+        assert code == EXIT_OK
+        assert json.loads(out)["statistic"] == json.loads(free)["statistic"]
+
+    def test_psi_contradicting_problem_is_usage_error(self, capsys, null_series):
+        code, out, err = run(capsys, "test", "--input", str(null_series), "--family", "sn_cusum",
+                             "--problem", "variance", "--hurst", "0.8", "--psi", "identity")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--psi identity" in err
+
+    @pytest.mark.parametrize("hurst", ["0.5", "0.3"])
+    @pytest.mark.parametrize("family", ["cusum", "wilcoxon", "sn_cusum", "sn_wilcoxon"])
+    def test_short_memory_hurst_is_usage_error(self, capsys, null_series, family, hurst):
+        code, out, err = run(capsys, "test", "--input", str(null_series), "--family", family,
+                             "--problem", "variance", "--hurst", hurst, "--alpha", "4.5")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "H > 1/2" in err
 
     def test_missing_input_is_computation_error(self, capsys, tmp_path):
         code, _, err = run(

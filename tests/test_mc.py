@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo experiment harness."""
 
+import json
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 
 from lmsvtest import asymp, fgn, lmsv, mc
 from lmsvtest.asymp import CriticalValueTable, TableBudget, TableFamily
-from lmsvtest.dist import RngStream
+from lmsvtest.dist import RngStream, make_noise
 from lmsvtest.stats import TrimSpec
 
 
@@ -57,6 +58,34 @@ class TestConfig:
         with pytest.raises(ValueError, match="positive"):
             _small_cfg(problem="variance", noise_kind="centered_pareto", alphas=(4.5,),
                        shifts=(1.0, h))
+
+    @pytest.mark.parametrize("hurst", [0.5, 0.3])
+    @pytest.mark.parametrize("family", mc.FAMILIES)
+    def test_rejects_short_memory_hurst(self, family, hurst):
+        with pytest.raises(mc.PlanError, match="H > 1/2"):
+            _small_cfg(problem="variance", noise_kind="centered_pareto", alphas=(4.5,),
+                       shifts=(1.0,), families=(family,), hursts=(0.7, hurst))
+
+    def test_brownian_mean_plans_do_not_use_hurst(self):
+        cfg = _small_cfg(hursts=(0.3, 0.5), families=("cusum", "sn_cusum"))
+        assert [key[2] for key in mc.required_tables(cfg)] == [0.5]
+
+    def test_rejects_every_invalid_alpha(self):
+        with pytest.raises(ValueError, match="alpha > 1"):
+            _small_cfg(problem="variance", noise_kind="centered_pareto", alphas=(4.5, 0.5),
+                       shifts=(1.0,), families=("sn_cusum",))
+
+    def test_from_json_takes_the_dataclass_defaults(self):
+        required = dict(problem="mean", hursts=(0.7,), lengths=(100,), shifts=(0.0,),
+                        families=("cusum",))
+        text = json.dumps({"noise": "normal", **required})
+        assert mc.ExperimentConfig.from_json(text) == mc.ExperimentConfig(
+            noise_kind="normal", **required)
+
+    def test_from_json_refuses_an_unknown_key(self):
+        text = _small_cfg().to_json().replace('"replications"', '"replicatons"')
+        with pytest.raises(ValueError, match="replicatons"):
+            mc.ExperimentConfig.from_json(text)
 
     def test_rejects_missing_alphas(self):
         with pytest.raises(ValueError):
@@ -304,11 +333,13 @@ class TestChunkedEngine:
         hurst, n = cfg.hursts[0], cfg.lengths[0]
         alpha = cfg.alpha_grid[0]
         base = mc._row_stream(cfg, hurst, n, alpha)
-        chunk = mc._row_paths(cfg, hurst, n, alpha)
-        for h in cfg.shifts:
-            shift, paths = next(chunk)
-            assert shift == h
-            spec = lmsv.SeriesSpec(fgn.FgnParams(hurst, n), cfg._noise(alpha),
+        changes = [_CHANGES[cfg.problem](h, cfg.tau) for h in cfg.shifts]
+        chunk = lmsv.simulate_batch(fgn.FgnParams(hurst, n), make_noise(cfg.noise_kind, alpha),
+                                    changes, [base.substream(rep) for rep in range(mc._CHUNK)])
+        for h, change in zip(cfg.shifts, changes):
+            _, _, paths = next(chunk)
+            assert change.h == h
+            spec = lmsv.SeriesSpec(fgn.FgnParams(hurst, n), make_noise(cfg.noise_kind, alpha),
                                    _CHANGES[cfg.problem](h, cfg.tau))
             for rep in (0, 1, mc._CHUNK - 1):
                 assert np.array_equal(paths[rep], lmsv.simulate_series(spec, base.substream(rep)))
