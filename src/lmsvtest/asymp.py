@@ -15,18 +15,13 @@ from scipy import integrate, optimize, special
 
 from . import fgn
 from .dist import CenteredPareto, NoiseSpec, RngStream, noise_moments
-from .stats import TrimSpec
+from .stats import TrimSpec, row_blocks
 
 TABLE_FORMAT_VERSION = 1
 
 #: Paths per batch when simulating ensembles; fixed so that results are
 #: deterministic in (seed, budget) regardless of available memory.
 _BATCH = 512
-
-#: Doubles per block of the table functionals: a block holds as many whole
-#: paths as fit (at least one), so that each temporary stays in cache. Rows
-#: are independent, so the block size does not change a bit of the result.
-_BLOCK = 1 << 15
 
 #: Coverage of the order-statistic interval recorded for each table quantile.
 _INTERVAL_COVERAGE = 0.99
@@ -442,17 +437,11 @@ class CriticalValueTable:
             raise ValueError(f"{path}: {err}") from None
 
 
-def _row_blocks(shape: tuple[int, int]):
-    count, n = shape
-    rows = max(1, _BLOCK // n)
-    return (slice(start, start + rows) for start in range(0, count, rows))
-
-
 def _bridge_sup(paths: np.ndarray) -> np.ndarray:
     count, n = paths.shape
     t = np.arange(1, n + 1) / n
     sup = np.empty(count)
-    for rows in _row_blocks(paths.shape):
+    for rows in row_blocks(paths.shape):
         block = paths[rows]
         sup[rows] = np.max(np.abs(block - t * block[:, -1:]), axis=1)
     return sup
@@ -478,7 +467,7 @@ def _refine_brownian_bridge_sup(
     u_hi = rng.random((count, n))
     u_lo = rng.random((count, n))
     refined = np.empty(count)
-    for rows in _row_blocks(paths.shape):
+    for rows in row_blocks(paths.shape):
         block = paths[rows]
         bridge = block - t * block[:, -1:]
         padded = np.concatenate([np.zeros((bridge.shape[0], 1)), bridge], axis=1)
@@ -527,7 +516,7 @@ def _sn_ratio_sup(paths: np.ndarray, trim: TrimSpec) -> np.ndarray:
     wgt = (cr2[-1] - cr2[js]) - 2.0 * t * (cr[-1] - cr[js]) + t**2 * tail1
 
     sup = np.empty(count)
-    for rows in _row_blocks(paths.shape):
+    for rows in row_blocks(paths.shape):
         block = paths[rows]
         z = np.concatenate([np.zeros((block.shape[0], 1)), block], axis=1)
         cz = _cumtrapz(z, dr)

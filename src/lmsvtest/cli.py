@@ -187,6 +187,8 @@ def _resolve_test(args, xs: np.ndarray):
             # The mean problem's transform is the identity.
             sigma=args.sigma if args.sigma is not None else float(np.std(xs)),
         )
+    except mc.UnknownNoiseError as err:
+        raise UsageError(f"{err}: give --alpha")
     except mc.PlanError as err:
         raise UsageError(str(err))
     cv = plan.critical_value if args.critical_value is None else args.critical_value

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,24 @@ def _mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
+
+
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    """_mix64 of every element of a uint64 array; array arithmetic wraps
+    modulo 2^64 as the masks do (uint64 scalar arithmetic would warn)."""
+    z = z + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _uint64s(values: Iterable[int]) -> np.ndarray:
+    return np.array([v & _MASK64 for v in values], dtype=np.uint64)
+
+
+def _substream_ids(stream_ids: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """One step of RngStream.substream's chain on uint64 arrays (broadcast)."""
+    return _mix64_array(stream_ids ^ _mix64_array(indices))
 
 
 @dataclass(frozen=True)
@@ -47,6 +66,43 @@ class RngStream:
         for ix in indices:
             sid = _mix64(sid ^ _mix64(ix & _MASK64))
         return RngStream(self.seed, sid)
+
+    def substreams(self, indices: Iterable[int]) -> list["RngStream"]:
+        """[self.substream(i) for i in indices], mixed as one array."""
+        sids = _substream_ids(np.uint64(self.stream_id & _MASK64), _uint64s(indices))
+        return [RngStream(self.seed, int(sid)) for sid in sids]
+
+
+def stream_keys(streams: Sequence[RngStream], index: int) -> np.ndarray:
+    """Philox keys (seed, stream_id) of stream.substream(index) for every
+    stream, one row each, mixed as one array."""
+    keys = _uint64s(v for s in streams for v in (s.seed, s.stream_id)).reshape(-1, 2)
+    keys[:, 1] = _substream_ids(keys[:, 1], _uint64s([index]))
+    return keys
+
+
+def keyed_generators(keys: np.ndarray) -> Iterator[np.random.Generator]:
+    """For each (seed, stream_id) row of `keys`, a generator in the state
+    RngStream(seed, stream_id).generator() starts in.
+
+    Every row re-keys the same Philox (counter 0, empty buffer), which costs
+    a fraction of creating a generator; so a yielded generator is valid only
+    until the next one is yielded.
+    """
+    bit_generator = np.random.Philox(key=0)
+    rng = np.random.Generator(bit_generator)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": None},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for key in keys:
+        state["state"]["key"] = key
+        bit_generator.state = state
+        yield rng
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,8 @@ from .dist import (
     draw_raw,
     hill_estimator,
     innovations,
+    keyed_generators,
+    stream_keys,
 )
 
 _Y_SUBSTREAM = 0
@@ -121,18 +123,21 @@ def simulate_batch(
     streams[r].substream(0) and its innovations from .substream(1), written
     in place into the batch, and one FFT turns all rows into paths. So a row
     does not depend on the rows drawn with it, and the pre-change segment is
-    bit-identical to the null path of the same stream. The draws are made
-    once and every change is applied to them: common random numbers across
-    changes.
+    bit-identical to the null path of the same stream. The substream keys of
+    all rows are mixed at once (stream_keys), and one Philox is re-keyed for
+    each (keyed_generators): the draws of RngStream.generator(), bit for bit,
+    without creating a generator per stream. The draws are made once and
+    every change is applied to them: common random numbers across changes.
     """
     for change in changes:
         _check_change(noise, change)
     n = params.n
     normals = np.empty((len(streams), fgn.embedding_size(n)))
     raw = np.empty((len(streams), n))
-    for row, stream in enumerate(streams):
-        stream.substream(_Y_SUBSTREAM).generator().standard_normal(out=normals[row])
-        draw_raw(noise, stream.substream(_EPS_SUBSTREAM).generator(), raw[row])
+    for row, rng in enumerate(keyed_generators(stream_keys(streams, _Y_SUBSTREAM))):
+        rng.standard_normal(out=normals[row])
+    for row, rng in enumerate(keyed_generators(stream_keys(streams, _EPS_SUBSTREAM))):
+        draw_raw(noise, rng, raw[row])
 
     y = fgn.paths_from_normals(params, normals)
     vol = np.exp(y)

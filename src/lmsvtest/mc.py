@@ -103,6 +103,8 @@ class ExperimentConfig:
             raise ValueError(f"level must lie in (0, 1), got {self.level}")
         if not self.families or not self.hursts or not self.lengths or not self.shifts:
             raise ValueError("families, hursts, lengths, and shifts must be non-empty")
+        if self.alphas and self.noise_kind == "normal":
+            raise ValueError(f"normal noise has no tail index, got alphas {list(self.alphas)}")
         for alpha in self.alpha_grid:
             noise = make_noise(self.noise_kind, alpha)
             for hurst in self.hursts:
@@ -294,7 +296,8 @@ def resolve_table(
 
 def required_tables(cfg: ExperimentConfig) -> list[tuple[TableFamily, int, float, TrimSpec | None]]:
     """Table keys an experiment needs, given its problem and families."""
-    keys = (resolve_plan(cfg.problem, family, hurst, None, cfg.trim).table
+    noise = make_noise(cfg.noise_kind, cfg.alpha_grid[0])  # the keys do not depend on alpha
+    keys = (resolve_plan(cfg.problem, family, hurst, noise, cfg.trim).table
             for hurst in cfg.hursts for family in cfg.families)
     return [key for key in dict.fromkeys(keys) if key is not None]
 
@@ -323,6 +326,10 @@ def ensure_tables(cfg: ExperimentConfig, existing: TableSet | None = None) -> Ta
 
 class PlanError(ValueError):
     """The limit theory does not cover a (problem, family, noise, H) combination."""
+
+
+class UnknownNoiseError(PlanError):
+    """The plan needs the innovation law, and it is not given."""
 
 
 @dataclass(frozen=True)
@@ -367,7 +374,8 @@ def resolve_plan(
     The mean cusum and sn_cusum limits are Brownian and do not use H; every
     other plan needs H > 1/2, where the d_{n,m} normalizations and the fBm
     tables hold. `noise` is the innovation law, or None when it is unknown:
-    a plan whose normalization needs it is then refused. `sigma` replaces
+    a plan that needs it (a mean Wilcoxon plan, or a normalization that
+    uses alpha) is then refused with UnknownNoiseError. `sigma` replaces
     the mean CUSUM's Brownian scale that the noise law implies. With `n` the
     plan carries its normalization; with `level` and `lookup`, a callable
     from a table key to its CriticalValueTable, its critical value.
@@ -384,6 +392,9 @@ def resolve_plan(
     if "wilcoxon" in family and kind == "normal":
         raise PlanError("Wilcoxon families for the mean problem need centered Pareto "
                         "innovations (the limit factor degenerates under normal noise)")
+    if "wilcoxon" in family and problem == "mean" and kind is None:
+        raise UnknownNoiseError(f"the mean {family} test needs centered Pareto innovations "
+                                f"and their tail index alpha")
     brownian = problem == "mean" and family in ("cusum", "sn_cusum")
     if not brownian and (hurst is None or hurst <= 0.5):
         raise PlanError(f"the {problem} {family} test needs long memory, H > 1/2, got H = "
@@ -406,8 +417,8 @@ def resolve_plan(
             normalization = math.sqrt(n) * sigma
         else:
             if problem != "tail" and noise is None:
-                raise PlanError(f"the {problem} {family} test needs the innovation tail "
-                                f"index alpha")
+                raise UnknownNoiseError(f"the {problem} {family} test needs the innovation "
+                                        f"tail index alpha")
             setup = hermite_rank_and_coeff(asymp.TailChange() if problem == "tail" else
                                            _LIMIT_PROBLEMS[problem, family](noise.alpha))
             scale = n if family == "wilcoxon" else 1  # the rank sums carry a factor n
@@ -491,8 +502,7 @@ def _evaluate_row(cfg: ExperimentConfig, hurst: float, n: int, alpha: float | No
     base = _row_stream(cfg, hurst, n, alpha)
     rejections = {(p.family, h): 0 for p in plans for h in cfg.shifts}
     for start in range(0, cfg.replications, _CHUNK):
-        streams = [base.substream(rep)
-                   for rep in range(start, min(start + _CHUNK, cfg.replications))]
+        streams = base.substreams(range(start, min(start + _CHUNK, cfg.replications)))
         for h, (_, _, x) in zip(cfg.shifts, lmsv.simulate_batch(params, noise, changes, streams)):
             results = stats.evaluate(families, x, plans[0].transform, cfg.trim)
             for plan in plans:

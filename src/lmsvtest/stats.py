@@ -3,6 +3,18 @@
 Each optimized kernel has a definitional counterpart (suffix `_by_definition`)
 that evaluates the formulas by direct summation; the optimized paths are
 required to agree with them to 1e-10 relative error.
+
+The self-normalized kernel works on the bridge partial sums
+P_t = S_t - (t/n) S_n, on which the statistic is shift-invariant. Its
+denominator at cut k is n denom^2(k) = A + gamma_k P_k^2
++ (2/u) P_k ((n/k) CC_{k-1} - CC_{n-1}), with u = n - k, A = sum_t P_t^2 and
+CC the prefix sums of the prefix sums of P (see _sn_profile): three prefix
+passes and one row dot product per series.
+
+The self-normalized kernel evaluates a batch in the row blocks of
+row_blocks, the rule the table functionals of asymp use too: as many whole
+rows as fit in _BLOCK doubles. Rows are independent, so a row's result is
+bitwise the same alone, in any batch and in any block.
 """
 
 from __future__ import annotations
@@ -10,9 +22,23 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
+
+
+#: Doubles per row block: the self-normalized kernel and the table functionals
+#: evaluate as many whole rows as fit in 256 kB (at least one) at a time, so
+#: that each temporary stays in cache. Rows are independent, so the block size
+#: does not change a bit of any result.
+_BLOCK = 1 << 15
+
+
+def row_blocks(shape: tuple[int, int]):
+    """Slices of consecutive rows of a (count, n) array, _BLOCK // n rows each."""
+    count, n = shape
+    rows = max(1, _BLOCK // n)
+    return (slice(start, min(start + rows, count)) for start in range(0, count, rows))
 
 
 class Transform(enum.Enum):
@@ -288,53 +314,73 @@ def wilcoxon_by_definition(
 def _sn_profile(x: np.ndarray, trim: TrimSpec) -> ProfileStat:
     """Trimmed supremum of the self-normalized CUSUM ratio of each row of x.
 
-    The numerator at cut k is the centered partial sum; the denominator
-    aggregates squared within-segment demeaned partial sums on both sides of
-    the cut. Everything reduces to prefix sums of P_t, P_t^2, t*P_t, so the
-    whole profile costs O(n) per row. A vanishing denominator
-    (piecewise-constant input) yields +inf and sets the row's degenerate flag.
+    The statistic is shift-invariant, so it is evaluated on the bridge
+    partial sums P_t = S_t - (t/n) S_n of the centered row, with P_n = 0.
+    The numerator at cut k is |P_k|. Within-segment demeaning makes the
+    left residuals P_t - (t/k) P_k and the right residuals
+    P_t - ((n-t)/u) P_k with u = n - k, so the sum of P_t^2 over t <= k
+    cancels between the two sides and only its total A = sum_t P_t^2 is
+    left:
+
+        n denom^2(k) = A + gamma_k P_k^2 + (2/u) P_k ((n/k) CC_{k-1} - CC_{n-1})
+
+    with C_j = sum_{t<=j} P_t, CC_j = sum_{i<=j} C_i (so that
+    sum_{t<=k} (k-t) P_t = CC_{k-1}) and
+    gamma_k = S2(k)/k^2 - 1 + S2(u)/u^2, S2(j) = j(j+1)(2j+1)/6. That is
+    three prefix passes and one row dot product per row; the per-cut
+    weights are cached per (n, window), and the rows are evaluated in the
+    blocks of row_blocks. A denominator within rounding of the cancelled
+    magnitude A (piecewise-constant input) yields +inf and sets the row's
+    degenerate flag.
     """
     n = x.shape[-1]
     lo, hi = trim.window(n)
-    window = slice(lo, hi + 1)
-    # Centering is a no-op mathematically (the statistic is shift-invariant)
-    # but keeps the prefix algebra far from catastrophic cancellation.
-    xc = x - x.mean(axis=-1, keepdims=True)
-    t = np.arange(n + 1, dtype=float)
-    p = np.zeros((x.shape[0], n + 1))
-    np.cumsum(xc, axis=-1, out=p[:, 1:])
-    cum_p = np.cumsum(p, axis=-1)
-    cum_p2 = np.cumsum(p * p, axis=-1)
-    cum_tp = np.cumsum(t * p, axis=-1)
+    t, k_grid, gamma, w_left, w_right = _sn_weights(n, lo, hi)
+    floor = 4.0 * n * np.finfo(float).eps
+    profile = np.empty((x.shape[0], k_grid.size))
+    degenerate = np.empty(x.shape[0], dtype=bool)
+    for rows in row_blocks(x.shape):
+        block = x[rows]
+        p = block - block.mean(axis=-1, keepdims=True)
+        np.cumsum(p, axis=-1, out=p)
+        p -= t * (p[:, -1:] / n)
+        a = np.einsum("ij,ij->i", p, p)[:, None] / n
+        cc = np.zeros_like(p)
+        np.cumsum(np.cumsum(p[:, :-1], axis=-1), axis=-1, out=cc[:, 1:])
 
+        pk = p[:, lo - 1:hi]
+        denom_sq = gamma * pk
+        denom_sq += w_left * cc[:, lo - 1:hi]
+        denom_sq -= w_right * cc[:, -1:]
+        denom_sq *= pk
+        denom_sq += a
+        # The cancellation against A leaves rounding of up to about
+        # 2 sqrt(n) eps A / n (measured on two-level rows, n = 20..10 000) in
+        # the denominator of a piecewise-constant row, within the
+        # recursive-summation bound n eps A / n; up to 4 n eps A / n it
+        # counts as an exact zero. A constant row has P = 0 exactly.
+        zero = denom_sq <= floor * a
+        out = profile[rows]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(np.abs(pk), np.sqrt(denom_sq), out=out)
+        out[zero] = np.inf
+        degenerate[rows] = np.any(zero, axis=-1)
+    return _finish_batch(profile, k_grid, degenerate)
+
+
+@lru_cache(maxsize=32)
+def _sn_weights(n: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
+    """Time index t = 1..n, cut grid k = lo..hi and the per-cut weights of
+    the bridge algebra in _sn_profile, divided by n: gamma_k / n,
+    2 / (k u) and 2 / (n u)."""
     k = np.arange(lo, hi + 1, dtype=float)
-    pk = p[:, window]
-    pn = p[:, n:]
-    numer = np.abs(pk - (k / n) * pn)
-
-    left = cum_p2[:, window] - 2.0 * (pk / k) * cum_tp[:, window] + (pk / k) ** 2 * _sum_sq(k)
-
     u = n - k
-    tail_p = cum_p[:, n:] - cum_p[:, window]
-    tail_p2 = cum_p2[:, n:] - cum_p2[:, window]
-    tail_tp = cum_tp[:, n:] - cum_tp[:, window]
-    qn = pn - pk
-    sum_sq_right = tail_p2 - 2.0 * pk * tail_p + u * pk * pk
-    sum_lin_right = tail_tp - k * tail_p - pk * u * (u + 1.0) / 2.0
-    sum_wt_right = u * (u + 1.0) * (2.0 * u + 1.0) / 6.0
-    right = sum_sq_right - 2.0 * (qn / u) * sum_lin_right + (qn / u) ** 2 * sum_wt_right
-
-    denom_sq = (left + right) / n
-    # Segment-constant inputs leave only rounding noise in the denominator;
-    # anything at that scale counts as an exact zero. Rounding noise scales
-    # with the magnitude of the raw values, not the centered ones.
-    scale = np.maximum(1.0, np.max(np.abs(x), axis=-1, keepdims=True))
-    noise_floor = (32.0 * np.finfo(float).eps * scale * n) ** 2
-    zero = denom_sq <= noise_floor
-    with np.errstate(divide="ignore", invalid="ignore"):
-        profile = numer / np.sqrt(np.maximum(denom_sq, 0.0))
-    profile[zero] = np.inf
-    return _finish_batch(profile, np.arange(lo, hi + 1), np.any(zero, axis=-1))
+    gamma = (_sum_sq(k) / (k * k) - 1.0 + _sum_sq(u) / (u * u)) / n
+    weights = (np.arange(1.0, n + 1.0), np.arange(lo, hi + 1), gamma,
+               2.0 / (k * u), 2.0 / (n * u))
+    for w in weights:
+        w.flags.writeable = False
+    return weights
 
 
 def _sum_sq(k: np.ndarray) -> np.ndarray:

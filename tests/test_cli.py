@@ -182,6 +182,20 @@ class TestTest:
         assert out == ""
         assert "--psi identity" in err
 
+    @pytest.mark.parametrize("family", ["wilcoxon", "sn_wilcoxon"])
+    def test_mean_wilcoxon_needs_alpha(self, capsys, shifted_series, family):
+        # Without --alpha the noise law is unknown, and under normal noise the
+        # mean Wilcoxon limit degenerates; experiments refuse that plan too.
+        argv = ("test", "--input", str(shifted_series), "--family", family,
+                "--problem", "mean", "--hurst", "0.7")
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--alpha" in err
+        code, out, _ = run(capsys, *argv, "--alpha", "2.5")
+        assert code == EXIT_OK
+        assert json.loads(out)["family"] == family
+
     @pytest.mark.parametrize("hurst", ["0.5", "0.3"])
     @pytest.mark.parametrize("family", ["cusum", "wilcoxon", "sn_cusum", "sn_wilcoxon"])
     def test_short_memory_hurst_is_usage_error(self, capsys, null_series, family, hurst):
@@ -353,6 +367,15 @@ class TestTableResolution:
         [entry] = json.loads((tmp_path / "run" / "meta.json").read_text())["tables"]
         assert entry["source"] == "loaded"
         assert (entry["meta"]["path_count"], entry["meta"]["path_length"]) == (400, 512)
+
+    def test_alphas_with_normal_noise_are_refused(self, capsys, tmp_path):
+        config = _write_config(tmp_path / "config.json", problem="mean", noise="normal",
+                               alphas=[3.0, 5.0], hursts=[0.7], lengths=[100], shifts=[0.0])
+        code, _, err = run(capsys, "experiment", "--config", str(config),
+                           "--out-dir", str(tmp_path / "run"))
+        assert code == EXIT_COMPUTATION
+        assert "normal noise" in err
+        assert not (tmp_path / "run").exists()
 
     def test_non_table_json_is_named(self, capsys, tmp_path):
         tables = tmp_path / "tables"

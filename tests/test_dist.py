@@ -11,9 +11,13 @@ from lmsvtest.dist import (
     RngStream,
     StandardNormal,
     hill_estimator,
+    keyed_generators,
     noise_moments,
     sample_noise,
+    stream_keys,
 )
+
+_TOP = 2**64 - 1
 
 
 class TestRngStream:
@@ -36,6 +40,36 @@ class TestRngStream:
     def test_substreams_are_stable_across_processes(self):
         # The mixing chain is pure arithmetic, so ids are fixed constants.
         assert RngStream(seed=0).substream(1).stream_id == RngStream(0).substream(1).stream_id
+
+
+class TestBatchedStreams:
+    @pytest.mark.parametrize("stream_id", [0, 5, _TOP])
+    def test_substreams_equal_scalar_substream(self, stream_id):
+        base = RngStream(seed=3, stream_id=stream_id)
+        indices = [0, 1, 63, 2**40, _TOP, -1, -7, -(2**63)]
+        assert base.substreams(indices) == [base.substream(i) for i in indices]
+
+    @pytest.mark.parametrize("index", [0, 1, -1])
+    def test_stream_keys_equal_scalar_substream_keys(self, index):
+        streams = [RngStream(0), RngStream(-2, _TOP), RngStream(_TOP, 17), RngStream(9, 2**63)]
+        keys = stream_keys(streams, index)
+        assert keys.dtype == np.uint64
+        expected = [(s.seed & _TOP, s.substream(index).stream_id) for s in streams]
+        assert [(int(seed), int(sid)) for seed, sid in keys] == expected
+
+    def test_keyed_generators_equal_fresh_generators(self):
+        streams = [RngStream(11, 0), RngStream(11, _TOP), RngStream(-4, 3), RngStream(11, 0)]
+        keys = stream_keys(streams, 0)
+        fresh = [s.substream(0).generator() for s in streams]
+        for row, rng in enumerate(keyed_generators(keys)):
+            expected = fresh[row]
+            # The previous row's odd count of 32-bit draws left half a 64-bit
+            # word buffered; a re-keyed stream must not see it.
+            assert np.array_equal(rng.integers(0, 2**32, size=3, dtype=np.uint32),
+                                  expected.integers(0, 2**32, size=3, dtype=np.uint32))
+            assert np.array_equal(rng.standard_normal(7), expected.standard_normal(7))
+            assert np.array_equal(rng.random(5), expected.random(5))
+            assert rng.bit_generator.state["has_uint32"] == 1
 
 
 class TestSampling:

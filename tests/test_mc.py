@@ -91,6 +91,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             _small_cfg(noise_kind="centered_pareto", alphas=())
 
+    def test_rejects_alphas_with_normal_noise(self):
+        # Normal noise has no tail index: each alpha would rerun the same
+        # experiment under a label that means nothing.
+        with pytest.raises(ValueError, match="normal noise"):
+            _small_cfg(alphas=(3.0, 5.0), hursts=(0.7,), lengths=(100,), replications=100)
+
     def test_bundled_desk_config_loads(self):
         from importlib import resources
 

@@ -12,6 +12,7 @@ from lmsvtest.stats import (
     decide,
     evaluate,
     ranks,
+    row_blocks,
     sn_cusum,
     sn_cusum_by_definition,
     sn_wilcoxon,
@@ -145,6 +146,19 @@ class TestSnCusum:
         assert stat.degenerate
         assert np.isinf(stat.sup_value)
 
+    @pytest.mark.parametrize("n", [60, 500, 2000])
+    def test_two_level_rows_degenerate_at_their_step(self, n):
+        # Levels over 14 decades, steps anywhere in the window: relative to
+        # A, the rounding left in the denominator grows like sqrt(n).
+        rng = RngStream(47).generator()
+        lo, hi = TrimSpec().window(n)
+        steps = rng.integers(lo, hi + 1, size=200)
+        levels = rng.standard_normal((200, 2)) * 10.0 ** rng.uniform(-6, 8, size=(200, 1))
+        x = np.where(np.arange(n) < steps[:, None], levels[:, :1], levels[:, 1:])
+        stat = sn_cusum(x)
+        assert stat.degenerate.all()
+        assert np.isinf(stat.profile[np.arange(200), steps - lo]).all()
+
     def test_matches_definition(self):
         rng = RngStream(38).generator()
         trim = TrimSpec()
@@ -250,6 +264,47 @@ class TestBatch:
         assert np.array_equal(results["cusum"].sup_value, cusum(x, Transform.SQUARE).sup_value)
         with pytest.raises(ValueError, match="unknown"):
             evaluate(("bogus",), x)
+
+
+def _random_walks(seed, count, n, h, offset=50.0):
+    """Random walks with a mean shift of h at n // 2, around `offset`."""
+    x = offset + np.cumsum(RngStream(seed).generator().standard_normal((count, n)), axis=-1)
+    x[..., n // 2:] += h
+    return x
+
+
+class TestRowBlocks:
+    def test_block_rule(self):
+        assert [(b.start, b.stop) for b in row_blocks((64, 1000))] == [(0, 32), (32, 64)]
+        assert len(list(row_blocks((64, 2000)))) == 4
+        assert len(list(row_blocks((64, 500)))) == 1
+        assert [(b.start, b.stop) for b in row_blocks((2, 40_000))] == [(0, 1), (1, 2)]
+
+    @pytest.mark.parametrize("kernel", [sn_cusum, sn_wilcoxon])
+    @pytest.mark.parametrize("n", [500, 1000, 2000])
+    def test_row_is_bitwise_the_same_alone_and_in_any_block(self, kernel, n):
+        batch = _random_walks(45, 64, n, h=1.0)
+        stacked = kernel(batch)
+        # Rows on both sides of every block boundary, and the ends.
+        rows = sorted({0, 63} | {r for b in row_blocks(batch.shape) for r in (b.start, b.stop - 1)})
+        for row in rows:
+            alone = kernel(batch[row])
+            assert np.array_equal(stacked.profile[row], alone.profile)
+            assert stacked.sup_value[row] == alone.sup_value
+            assert stacked.argmax_k[row] == alone.argmax_k
+            assert stacked.degenerate[row] == alone.degenerate
+        shifted = kernel(batch[5:])  # other block boundaries
+        assert np.array_equal(shifted.profile, stacked.profile[5:])
+
+    @pytest.mark.parametrize("h", [0.0, 1.0, 10.0])
+    @pytest.mark.parametrize("n", [500, 2000])
+    def test_sup_and_argmax_match_the_oracle_with_an_offset(self, n, h):
+        for x in _random_walks(46, 2, n, h):
+            for fast, slow in ((sn_cusum, sn_cusum_by_definition),
+                               (sn_wilcoxon, sn_wilcoxon_by_definition)):
+                stat, ref = fast(x), slow(x)
+                assert stat.sup_value == pytest.approx(ref.sup_value, rel=1e-10)
+                assert stat.argmax_k == ref.argmax_k
 
 
 class TestNonFiniteInput:
