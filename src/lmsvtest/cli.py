@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -231,11 +230,7 @@ def _cmd_critvals(args) -> int:
 
 def _cmd_experiment(args) -> int:
     cfg = mc.ExperimentConfig.load(args.config)
-    start = time.monotonic()
-    tables = mc.ensure_tables(cfg, existing=_load_tables(args.tables))
-    report = mc.run_experiment(cfg, tables=tables)
-    # The tables were built before run_experiment started its clock.
-    report.meta["wall_time_seconds"] = round(time.monotonic() - start, 3)
+    report = mc.run_experiment(cfg, tables=_load_tables(args.tables))
     args.out_dir.mkdir(parents=True, exist_ok=True)
     mc.cells_to_csv(report.cells, args.out_dir / "cells.csv")
     mc.report_to_csv(report, args.out_dir / "report.csv")

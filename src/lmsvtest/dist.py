@@ -11,17 +11,10 @@ import numpy as np
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-def _mix64(z: int) -> int:
-    # SplitMix64 finalizer; full-avalanche 64-bit mixing, stable across runs.
-    z = (z + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
-
-
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    """_mix64 of every element of a uint64 array; array arithmetic wraps
-    modulo 2^64 as the masks do (uint64 scalar arithmetic would warn)."""
+    """The SplitMix64 finalizer (full-avalanche 64-bit mixing, stable across
+    runs) of every element of a uint64 array. Array arithmetic wraps modulo
+    2^64; uint64 scalar arithmetic would warn on overflow."""
     z = z + np.uint64(0x9E3779B97F4A7C15)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
@@ -62,10 +55,10 @@ class RngStream:
         substream(i).substream(j) never aliases substream(j).substream(i)
         for i != j.
         """
-        sid = self.stream_id & _MASK64
+        sid = _uint64s([self.stream_id])
         for ix in indices:
-            sid = _mix64(sid ^ _mix64(ix & _MASK64))
-        return RngStream(self.seed, sid)
+            sid = _substream_ids(sid, _uint64s([ix]))
+        return RngStream(self.seed, int(sid[0]))
 
     def substreams(self, indices: Iterable[int]) -> list["RngStream"]:
         """[self.substream(i) for i in indices], mixed as one array."""

@@ -14,7 +14,10 @@ so the counts are those of evaluating one replication at a time, whatever
 the chunk size.
 
 Every test follows one rule, resolve_plan: the problem and the family fix
-the transform, the normalization and the limit table.
+the transform, the normalization and the limit table. Every table comes
+from one rule too, ensure_tables: a table the caller provides first (refused
+below the run's budget), then the package grid, then simulation. A run
+resolves every row's plans once, before any replication.
 """
 
 from __future__ import annotations
@@ -71,10 +74,6 @@ def _float_key(x: float) -> int:
     return struct.unpack("<Q", struct.pack("<d", float(x)))[0]
 
 
-class MissingTableError(KeyError):
-    """A needed critical-value table is not present in the table set."""
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of one rejection-rate experiment grid."""
@@ -110,6 +109,12 @@ class ExperimentConfig:
             for hurst in self.hursts:
                 for family in self.families:
                     resolve_plan(self.problem, family, hurst, noise, self.trim)
+        # A row that cannot run is refused here, not after the rows before it.
+        for n in self.lengths:
+            if n < 2:  # the statistics' minimum, above FgnParams' n >= 1
+                raise ValueError(f"need at least 2 observations, got n = {n}")
+            if any(family.startswith("sn_") for family in self.families):
+                self.trim.window(n)
         if self.problem == "variance" and min(self.shifts) <= 0:
             raise ValueError(
                 f"variance shifts scale the post-change segment and must be positive, "
@@ -160,16 +165,6 @@ def _budget_of(table: CriticalValueTable) -> tuple[int, int]:
     return table.meta.get("path_count", 0), table.meta.get("path_length", 0)
 
 
-def _check_budget(table: CriticalValueTable, budget: TableBudget) -> None:
-    count, length = _budget_of(table)
-    if count < budget.path_count or length < budget.path_length:
-        raise ValueError(
-            f"critical-value table {table.family.value} m={table.m} H={table.hurst} has "
-            f"budget {count} x {length}, below the requested "
-            f"{budget.path_count} x {budget.path_length}"
-        )
-
-
 class TableSet:
     """Critical-value tables keyed by (family, m, H, trim), each with its source.
 
@@ -178,20 +173,7 @@ class TableSet:
     """
 
     def __init__(self, tables: list[CriticalValueTable], source: str = "loaded"):
-        self._entries: dict = {}
-        self._add((table, source) for table in tables)
-
-    def _add(self, entries) -> None:
-        for table, source in entries:
-            key = _table_key(table.family, table.m, table.hurst, table.trim)
-            self._entries[key] = (table, source)
-
-    def with_entries(self, entries) -> "TableSet":
-        """A copy with the (table, source) pairs of `entries` added or replaced."""
-        out = TableSet([])
-        out._entries = dict(self._entries)
-        out._add(entries)
-        return out
+        self._entries = {_table_key(t.family, t.m, t.hurst, t.trim): (t, source) for t in tables}
 
     def find(
         self, family: TableFamily, m: int, hurst: float, trim: TrimSpec | None
@@ -202,13 +184,7 @@ class TableSet:
     def get(
         self, family: TableFamily, m: int, hurst: float, trim: TrimSpec | None
     ) -> CriticalValueTable:
-        entry = self.find(family, m, hurst, trim)
-        if entry is None:
-            raise MissingTableError(
-                f"no critical-value table for family={family.value}, m={m}, "
-                f"H={hurst}, trim={_table_key(family, m, hurst, trim)[3]}"
-            )
-        return entry[0]
+        return self._entries[_table_key(family, m, hurst, trim)][0]
 
     def versions(self) -> list[dict]:
         return [
@@ -279,7 +255,12 @@ def resolve_table(
     """
     entry = None if loaded is None else loaded.find(family, m, hurst, trim)
     if entry is not None:
-        _check_budget(entry[0], budget)
+        count, length = _budget_of(entry[0])
+        if count < budget.path_count or length < budget.path_length:
+            raise ValueError(
+                f"critical-value table {family.value} m={m} H={hurst} has budget {count} x "
+                f"{length}, below the requested {budget.path_count} x {budget.path_length}"
+            )
         return entry
     entry = _package_tables().find(family, m, hurst, trim)
     if entry is not None:
@@ -311,13 +292,13 @@ def ensure_tables(cfg: ExperimentConfig, existing: TableSet | None = None) -> Ta
     table_stream(cfg.seed, ...). A package table is a seed-0 table, so at
     the package budget the tables do not depend on cfg.seed.
     """
-    existing = TableSet([]) if existing is None else existing
-    levels = table_levels(cfg.level)
-    return existing.with_entries(
-        resolve_table(family, m, hurst, trim, seed=cfg.seed, budget=cfg.budget,
-                      levels=levels, loaded=existing)
-        for family, m, hurst, trim in required_tables(cfg)
-    )
+    out = TableSet([])
+    out._entries = {} if existing is None else dict(existing._entries)
+    for key in required_tables(cfg):
+        out._entries[_table_key(*key)] = resolve_table(
+            *key, seed=cfg.seed, budget=cfg.budget, levels=table_levels(cfg.level),
+            loaded=existing)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -371,18 +352,21 @@ def resolve_plan(
     """The one rule of the tests: the problem and the family fix the
     transform, the normalization and the limit table with its effective H.
 
-    The mean cusum and sn_cusum limits are Brownian and do not use H; every
-    other plan needs H > 1/2, where the d_{n,m} normalizations and the fBm
-    tables hold. `noise` is the innovation law, or None when it is unknown:
-    a plan that needs it (a mean Wilcoxon plan, or a normalization that
-    uses alpha) is then refused with UnknownNoiseError. `sigma` replaces
-    the mean CUSUM's Brownian scale that the noise law implies. With `n` the
-    plan carries its normalization; with `level` and `lookup`, a callable
-    from a table key to its CriticalValueTable, its critical value.
+    A given H must lie in (0, 1). The mean cusum and sn_cusum limits are
+    Brownian and do not use H; every other plan needs H > 1/2, where the
+    d_{n,m} normalizations and the fBm tables hold. `noise` is the
+    innovation law, or None when it is unknown: a plan that needs it (a mean
+    Wilcoxon plan, or a normalization that uses alpha) is then refused with
+    UnknownNoiseError. `sigma` replaces the mean CUSUM's Brownian scale that
+    the noise law implies. With `n` the plan carries its normalization; with
+    `level` and `lookup`, a callable from a table key to its
+    CriticalValueTable, its critical value.
     Raises PlanError for what the limit theory does not cover.
     """
     if problem not in PROBLEMS or family not in FAMILIES:
         raise PlanError(f"unknown problem {problem!r} or family {family!r}")
+    if hurst is not None and not 0.0 < hurst < 1.0:
+        raise PlanError(f"the Hurst index must lie in (0, 1), got H = {hurst}")
     kind = None if noise is None else noise.kind
     if kind not in (None, *_PROBLEM_NOISE[problem]):
         raise PlanError(f"the {problem} problem needs {' or '.join(_PROBLEM_NOISE[problem])} "
@@ -493,8 +477,7 @@ def _row_stream(cfg: ExperimentConfig, hurst: float, n: int, alpha: float | None
 
 
 def _evaluate_row(cfg: ExperimentConfig, hurst: float, n: int, alpha: float | None,
-                  tables: TableSet) -> list[CellResult]:
-    plans = _plans_for_row(cfg, hurst, n, alpha, tables)
+                  plans: list[Plan]) -> list[CellResult]:
     families = tuple(plan.family for plan in plans)
     params = fgn.FgnParams(hurst, n)
     noise = make_noise(cfg.noise_kind, alpha)
@@ -533,27 +516,20 @@ def _row_task(args) -> list[CellResult]:
 def run_experiment(cfg: ExperimentConfig, tables: TableSet | None = None) -> ExperimentReport:
     """Run the full rejection-rate grid of an experiment configuration.
 
-    When `tables` is omitted the needed critical-value tables come from
-    ensure_tables (package grid or simulation). A provided table set must
-    already contain every required key, otherwise MissingTableError names
-    the missing one, and a needed table below cfg.budget is refused with
-    ValueError.
+    The tables come from ensure_tables(cfg, existing=tables), as for
+    `lmsvtest experiment --tables`: a provided table first (ValueError when
+    below cfg.budget), then the package grid, then simulation. Every row's
+    plans are resolved before any replication runs, and the wall time in
+    the report's meta covers the tables.
     """
     start = time.monotonic()
-    if tables is None:
-        tables = ensure_tables(cfg)
+    tables = ensure_tables(cfg, existing=tables)
     rows = [
-        (cfg, hurst, n, alpha, tables)
+        (cfg, hurst, n, alpha, _plans_for_row(cfg, hurst, n, alpha, tables))
         for hurst in cfg.hursts
         for n in cfg.lengths
         for alpha in cfg.alpha_grid
     ]
-    # Resolve all plans up front so a missing or too small table fails
-    # before any work.
-    for _, hurst, n, alpha, _ in rows:
-        _plans_for_row(cfg, hurst, n, alpha, tables)
-    for key in required_tables(cfg):
-        _check_budget(tables.get(*key), cfg.budget)
 
     cells: list[CellResult] = []
     if cfg.max_workers > 1 and len(rows) > 1:

@@ -205,6 +205,17 @@ class TestTest:
         assert out == ""
         assert "H > 1/2" in err
 
+    @pytest.mark.parametrize("problem, hurst", [("variance", "1.0"), ("variance", "1.5"),
+                                                ("mean", "1.2"), ("mean", "0")])
+    def test_hurst_outside_the_unit_interval_is_usage_error(self, capsys, null_series,
+                                                            problem, hurst):
+        # A bad flag value: refused before any table is looked up or simulated.
+        code, out, err = run(capsys, "test", "--input", str(null_series), "--family", "cusum",
+                             "--problem", problem, "--hurst", hurst, "--alpha", "4.5")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "(0, 1)" in err
+
     def test_missing_input_is_computation_error(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "test", "--input", str(tmp_path / "nope.csv"), "--family", "cusum",

@@ -41,6 +41,13 @@ class TestRngStream:
         # The mixing chain is pure arithmetic, so ids are fixed constants.
         assert RngStream(seed=0).substream(1).stream_id == RngStream(0).substream(1).stream_id
 
+    def test_substream_ids_are_pinned(self):
+        # Values of the SplitMix64 chain; shipped tables, golden counts and
+        # --latent digests all depend on them.
+        assert RngStream(0).substream(1).stream_id == 6791897765849424158
+        assert RngStream(3, 5).substream(2, 5, -1, _TOP).stream_id == 13028306382665324259
+        assert RngStream(3, 5).substream() == RngStream(3, 5)
+
 
 class TestBatchedStreams:
     @pytest.mark.parametrize("stream_id", [0, 5, _TOP])

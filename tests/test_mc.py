@@ -105,13 +105,46 @@ class TestConfig:
         assert cfg.problem == "mean"
         assert len(cfg.hursts) * len(cfg.lengths) * len(cfg.shifts) == 24
 
+    # Each grid below cannot run; it is refused at construction, before a row
+    # or a table is computed.
+    @pytest.mark.parametrize("lengths, match", [((500, 5), "trimmed window starts below k=1"),
+                                                ((500, 1), "at least 2 observations"),
+                                                ((0,), "at least 2 observations")])
+    def test_rejects_an_unrunnable_length(self, lengths, match):
+        with pytest.raises(ValueError, match=match):
+            _small_cfg(lengths=lengths)
+
+    def test_trimmed_window_binds_only_the_sn_families(self):
+        assert _small_cfg(lengths=(5,), families=("cusum",)).lengths == (5,)
+
+    @pytest.mark.parametrize("hurst, problem, families", [
+        (1.0, "variance", ("cusum", "sn_wilcoxon")),
+        (1.2, "mean", ("cusum",)),
+        (1.0, "mean", ("sn_cusum",)),
+        (0.0, "mean", ("cusum",)),
+    ])
+    def test_rejects_hurst_outside_the_unit_interval(self, hurst, problem, families):
+        pareto = {"noise_kind": "centered_pareto", "alphas": (4.5,), "shifts": (1.0,)}
+        with pytest.raises(mc.PlanError, match=r"must lie in \(0, 1\)"):
+            _small_cfg(hursts=(0.7, hurst), problem=problem, families=families,
+                       **(pareto if problem == "variance" else {}))
+
 
 class TestTables:
-    def test_missing_table_error_names_key(self):
-        cfg = _small_cfg()
-        empty = mc.TableSet([])
-        with pytest.raises(mc.MissingTableError, match="sn_ratio"):
-            mc.run_experiment(cfg, tables=empty)
+    def test_run_experiment_completes_a_partial_table_set(self, monkeypatch):
+        # A provided set follows the rule of `experiment --tables`: the tables
+        # it lacks come from the package grid, so the counts equal a run
+        # given the complete set.
+        cfg = _small_cfg(problem="variance", noise_kind="centered_pareto", alphas=(4.5,),
+                         shifts=(1.0,), families=("cusum", "sn_cusum"), replications=100,
+                         budget=TableBudget())
+        complete = mc.ensure_tables(cfg)
+        bridge = complete.get(TableFamily.CUSUM_BRIDGE_SUP, 1, 0.6, None)
+        monkeypatch.setattr(asymp, "critical_values", _refuse_simulation)
+        partial = mc.run_experiment(cfg, tables=mc.TableSet([bridge]))
+        sources = {v["family"]: v["source"] for v in partial.meta["tables"]}
+        assert sources == {"cusum_bridge_sup": "loaded", "sn_ratio": "package"}
+        assert partial.cells == mc.run_experiment(cfg, tables=complete).cells
 
     def test_required_tables_mean_problem(self):
         cfg = _small_cfg(hursts=(0.6, 0.9))
