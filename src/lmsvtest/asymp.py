@@ -1,5 +1,5 @@
-"""Normalizing sequences, Hermite-rank bookkeeping, limit constants, and
-simulated critical-value tables for the four test families."""
+"""Normalizing sequences, the limit constant of each test, and simulated
+critical-value tables for the four test families."""
 
 from __future__ import annotations
 
@@ -92,93 +92,40 @@ def dnm_asymptotic(hurst: float, m: int, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Hermite rank and limit coefficients for the concrete testing problems
+# Limit constants of the testing problems
 
 E_EXP_2Y = math.exp(2.0)  # E exp(2Y) for standard normal Y
 
 
-@dataclass(frozen=True)
-class MeanChange:
-    """Mean-change CUSUM problem; innovations enter through their variance."""
-
-    noise: NoiseSpec
-
-
-@dataclass(frozen=True)
-class VarianceChange:
-    """Variance-change CUSUM problem for centered Pareto innovations."""
-
-    alpha: float
-
-
-@dataclass(frozen=True)
-class TailChange:
-    """Tail-index-change CUSUM problem (log|x| transform convention)."""
-
-
-@dataclass(frozen=True)
-class MeanChangeWilcoxon:
-    """Mean-change Wilcoxon problem for centered Pareto innovations."""
-
-    alpha: float
-
-
-@dataclass(frozen=True)
-class VarianceChangeWilcoxon:
-    """Variance-change Wilcoxon problem for centered Pareto innovations."""
-
-    alpha: float
-
-
-TestingProblem = (
-    MeanChange | VarianceChange | TailChange | MeanChangeWilcoxon | VarianceChangeWilcoxon
-)
-
-
-@dataclass(frozen=True)
-class HermiteSetup:
-    """Hermite rank and multiplicative limit coefficient of one problem.
-
-    For the short-memory regime (mean-change CUSUM) the partial sums scale by
-    sqrt(n) and `sigma` carries the Brownian scale instead of `coeff`.
-    """
-
-    m: int
-    coeff: float
-    short_memory: bool = False
-    sigma: float | None = None
-
-
-def hermite_rank_and_coeff(problem: TestingProblem) -> HermiteSetup:
-    """Rank m and coefficient of the limit law for each testing problem.
+def limit_coefficient(problem: str, family: str, noise: NoiseSpec | None) -> float:
+    """Constant c of the limit law of the `family` statistic in `problem`.
 
     Mean-change CUSUM: conditionally centered observations, so the limit is
-    Brownian with sigma^2 = Var(eps) * E exp(2Y) and long memory drops out.
-    Variance change: rank 1 with J = 2 e^2 Var(eps). Tail change with the
-    log|x| convention: rank 1 with J = 1. The Wilcoxon problems carry the
-    numeric value of the double-integral factor.
+    Brownian and long memory drops out; the partial sums scale as c sqrt(n)
+    with c = sigma = sqrt(Var(eps) E exp(2Y)). Every other statistic has
+    Hermite rank 1 and scales as d_{n,1} c: c = 2 e^2 Var(eps) for the
+    variance CUSUM, 1 for the tail CUSUM with the log|x| convention, and the
+    double-integral factor of wilcoxon_limit_factor for the Wilcoxon tests.
+    Raises ValueError for a pair without a constant (the self-normalized
+    families, the tail Wilcoxon test) and for innovations outside the theory.
     """
-    if isinstance(problem, MeanChange):
-        moments = noise_moments(problem.noise)
-        if moments.mean != 0.0:
-            # With a nonzero innovation mean the observations are no longer
-            # conditionally centered and the Brownian regime does not apply.
-            raise ValueError("mean-change scaling needs mean-zero innovations")
-        if not math.isfinite(moments.variance):
-            raise ValueError("mean-change scaling needs a finite innovation variance")
-        return HermiteSetup(
-            m=1, coeff=0.0, short_memory=True, sigma=math.sqrt(moments.variance * E_EXP_2Y)
-        )
-    if isinstance(problem, VarianceChange):
-        variance = noise_moments(CenteredPareto(problem.alpha)).variance
-        if not math.isfinite(variance):
-            raise ValueError(f"variance change needs alpha > 2, got {problem.alpha}")
-        return HermiteSetup(m=1, coeff=2.0 * E_EXP_2Y * variance)
-    if isinstance(problem, TailChange):
-        return HermiteSetup(m=1, coeff=1.0)
-    if isinstance(problem, (MeanChangeWilcoxon, VarianceChangeWilcoxon)):
-        return HermiteSetup(m=1, coeff=wilcoxon_limit_factor(problem).value)
-    raise TypeError(f"unrecognized testing problem {problem!r}")
+    if (problem, family) == ("tail", "cusum"):
+        return 1.0
+    if family not in ("cusum", "wilcoxon") or problem not in ("mean", "variance"):
+        raise ValueError(f"no limit constant for the {problem} {family} test")
+    if noise is None or family == "wilcoxon" and noise.kind != CenteredPareto.kind:
+        raise ValueError(f"no {problem} {family} constant for the innovations {noise}")
+    if family == "wilcoxon":
+        return wilcoxon_limit_factor(problem, noise.alpha).value
+    moments = noise_moments(noise)
+    if moments.mean != 0.0 or not math.isfinite(moments.variance):
+        # With a nonzero innovation mean the observations are no longer
+        # conditionally centered (no Brownian regime) and E eps^2 != Var(eps).
+        raise ValueError(f"{problem}-change scaling needs mean-zero innovations with a "
+                         f"finite variance, got {noise}")
+    if problem == "mean":
+        return math.sqrt(moments.variance * E_EXP_2Y)
+    return 2.0 * E_EXP_2Y * moments.variance
 
 
 # ---------------------------------------------------------------------------
@@ -199,87 +146,55 @@ class QuadratureResult:
     abs_error: float
 
 
-def _pareto_mean(alpha: float) -> float:
-    return alpha / (alpha - 1.0)
-
-
 def _inner_kernel(alpha: float, mu: float, w: float, lower: float, upper: float) -> float:
-    # int_lower^upper alpha u^(-alpha-1) phi(log|u - mu| - w) du with a split
-    # at u = mu where the integrand pinches to zero non-smoothly.
+    # int_lower^upper alpha u^(-alpha-1) phi(log|u - mu| - w) du on one side of
+    # u = mu, where the integrand pinches to zero non-smoothly.
     def f(u: float) -> float:
         return alpha * u ** (-alpha - 1.0) * _phi(math.log(abs(u - mu)) - w)
 
-    pieces = []
-    if lower < mu < upper:
-        pieces.extend([(lower, mu), (mu, upper)])
-    else:
-        pieces.append((lower, upper))
-    total = 0.0
-    for a, b in pieces:
-        # full_output swallows the roundoff warning quad raises when the
-        # integrand is numerically zero on the whole piece; accuracy is
-        # enforced at the outer integral.
-        total += integrate.quad(
-            f, a, b, epsabs=1e-13, epsrel=1e-9, limit=200, full_output=1
-        )[0]
-    return total
+    # full_output swallows the roundoff warning quad raises when the
+    # integrand is numerically zero on the whole piece; accuracy is
+    # enforced at the outer integral.
+    return integrate.quad(f, lower, upper, epsabs=1e-13, epsrel=1e-9, limit=200,
+                          full_output=1)[0]
 
 
-def _checked_quad(f, lo: float, hi: float, rel_target: float = 1e-4) -> QuadratureResult:
+def _checked_quad(f, lo: float, hi: float) -> QuadratureResult:
     out = integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-7, limit=400, full_output=1)
     value, abs_err = out[0], out[1]
     if len(out) > 3:  # warning message present
         raise QuadratureError(f"outer quadrature did not converge: {out[3]}", value)
-    if value != 0.0 and abs_err > rel_target * abs(value):
+    if value != 0.0 and abs_err > 1e-4 * abs(value):
         raise QuadratureError(
             f"outer quadrature achieved {abs_err:.2e} absolute, above the "
-            f"{rel_target:g} relative target",
+            f"1e-4 relative target",
             value,
         )
     return QuadratureResult(value=value, abs_error=abs_err)
 
 
 @lru_cache(maxsize=None)
-def _variance_factor(alpha: float) -> QuadratureResult:
-    if not alpha > 2:
-        raise ValueError(f"variance Wilcoxon factor needs alpha > 2, got {alpha}")
-    mu = _pareto_mean(alpha)
+def _factor(problem: str, alpha: float) -> QuadratureResult:
+    least = 1 if problem == "mean" else 2  # a finite mean, a finite variance
+    if not alpha > least:
+        raise ValueError(f"{problem} Wilcoxon factor needs alpha > {least}, got {alpha}")
+    mu = CenteredPareto(alpha).mean_shift
 
     def integrand(w: float) -> float:
-        inner = _inner_kernel(alpha, mu, w, 1.0, math.inf)
-        return inner * inner
-
-    upper = 60.0 / min(1.0, alpha)
-    return _checked_quad(integrand, -60.0, upper)
-
-
-@lru_cache(maxsize=None)
-def _mean_factor(alpha: float) -> QuadratureResult:
-    if not alpha > 1:
-        raise ValueError(f"mean Wilcoxon factor needs alpha > 1, got {alpha}")
-    mu = _pareto_mean(alpha)
-
-    def integrand(w: float) -> float:
+        # The mean kernel is signed by the side of mu the two Pareto draws fall on.
         below = _inner_kernel(alpha, mu, w, 1.0, mu)
         above = _inner_kernel(alpha, mu, w, mu, math.inf)
-        return below * below - above * above
+        if problem == "mean":
+            return below * below - above * above
+        return (below + above) * (below + above)
 
-    upper = 60.0 / min(1.0, alpha)
-    result = _checked_quad(integrand, -60.0, upper, rel_target=math.inf)
-    value = abs(result.value)
-    if value != 0.0 and result.abs_error > 1e-4 * value:
-        raise QuadratureError(
-            f"mean factor achieved {result.abs_error:.2e} absolute, above the "
-            f"1e-4 relative target",
-            value,
-        )
-    return QuadratureResult(value=value, abs_error=result.abs_error)
+    result = _checked_quad(integrand, -60.0, 60.0)
+    return QuadratureResult(value=abs(result.value), abs_error=result.abs_error)
 
 
-def wilcoxon_limit_factor(
-    problem: MeanChangeWilcoxon | VarianceChangeWilcoxon,
-) -> QuadratureResult:
-    """Multiplicative factor |int J_1 dF| in the Wilcoxon limit law.
+def wilcoxon_limit_factor(problem: str, alpha: float) -> QuadratureResult:
+    """Multiplicative factor |int J_1 dF| in the Wilcoxon limit law of a
+    "mean" or "variance" change under centered Pareto(alpha) innovations.
 
     Both factors are double integrals of a Pareto-weighted lognormal kernel;
     the outer variable is integrated on the log scale with Gauss-Kronrod
@@ -287,11 +202,9 @@ def wilcoxon_limit_factor(
     Relative error target 1e-4; failure raises QuadratureError with the
     partial estimate attached.
     """
-    if isinstance(problem, MeanChangeWilcoxon):
-        return _mean_factor(problem.alpha)
-    if isinstance(problem, VarianceChangeWilcoxon):
-        return _variance_factor(problem.alpha)
-    raise TypeError(f"no Wilcoxon factor for {problem!r}")
+    if problem not in ("mean", "variance"):
+        raise ValueError(f"no Wilcoxon factor for the {problem} problem")
+    return _factor(problem, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +417,7 @@ def _sn_ratio_sup(paths: np.ndarray, trim: TrimSpec) -> np.ndarray:
     cr2 = _cumtrapz(r * r * ones, dr)[0]
     c1 = _cumtrapz(ones, dr)[0]
 
-    lo = int(math.floor(trim.tau1 * n))
-    hi = int(math.floor(trim.tau2 * n))
-    lo = max(lo, 1)
-    hi = min(hi, n - 1)
+    lo, hi = trim.window(n)
     js = np.arange(lo, hi + 1)
     t = r[js]
     span = 1.0 - t
@@ -590,8 +500,10 @@ def critical_values(
     levels = tuple(sorted(set(round(float(lv), 6) for lv in levels)))
     if any(not 0.0 < lv < 1.0 for lv in levels):
         raise ValueError(f"levels must lie in (0, 1), got {levels}")
-    if family is TableFamily.SN_RATIO and trim is None:
-        raise ValueError("SN_RATIO tables need a trimming specification")
+    if family is TableFamily.SN_RATIO:
+        if trim is None:
+            raise ValueError("SN_RATIO tables need a trimming specification")
+        trim.window(budget.path_length)  # refuses an empty window before any path
 
     values = np.empty(budget.path_count)
     done = 0

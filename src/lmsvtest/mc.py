@@ -37,17 +37,13 @@ import numpy as np
 from . import asymp, fgn, lmsv, stats
 from .asymp import (
     CriticalValueTable,
-    MeanChange,
-    MeanChangeWilcoxon,
     TableBudget,
     TableFamily,
-    VarianceChange,
-    VarianceChangeWilcoxon,
     dnm_exact,
-    hermite_rank_and_coeff,
     kolmogorov_quantile,
+    limit_coefficient,
 )
-from .dist import NoiseSpec, RngStream, make_noise
+from .dist import NoiseSpec, RngStream, make_noise, noise_moments
 from .stats import Transform, TrimSpec
 
 FAMILIES = ("cusum", "wilcoxon", "sn_cusum", "sn_wilcoxon")
@@ -284,16 +280,16 @@ def required_tables(cfg: ExperimentConfig) -> list[tuple[TableFamily, int, float
 
 
 def ensure_tables(cfg: ExperimentConfig, existing: TableSet | None = None) -> TableSet:
-    """The tables of `existing` plus every table the experiment still needs.
+    """Every table the experiment needs, and no other.
 
     Each needed table is looked up by resolve_table at cfg.budget: first in
     `existing` (refused when below the budget), then in the package grid
     (exact key, budget and levels), and otherwise simulated from
     table_stream(cfg.seed, ...). A package table is a seed-0 table, so at
-    the package budget the tables do not depend on cfg.seed.
+    the package budget the tables do not depend on cfg.seed. Tables of
+    `existing` that the experiment does not need are left out.
     """
     out = TableSet([])
-    out._entries = {} if existing is None else dict(existing._entries)
     for key in required_tables(cfg):
         out._entries[_table_key(*key)] = resolve_table(
             *key, seed=cfg.seed, budget=cfg.budget, levels=table_levels(cfg.level),
@@ -330,12 +326,6 @@ class Plan:
 _PROBLEM_NOISE = {"mean": ("normal", "centered_pareto"), "variance": ("centered_pareto",),
                   "tail": ("pareto",)}
 
-_LIMIT_PROBLEMS = {
-    ("mean", "wilcoxon"): MeanChangeWilcoxon,
-    ("variance", "cusum"): VarianceChange,
-    ("variance", "wilcoxon"): VarianceChangeWilcoxon,
-}
-
 
 def resolve_plan(
     problem: str,
@@ -358,7 +348,10 @@ def resolve_plan(
     innovation law, or None when it is unknown: a plan that needs it (a mean
     Wilcoxon plan, or a normalization that uses alpha) is then refused with
     UnknownNoiseError. `sigma` replaces the mean CUSUM's Brownian scale that
-    the noise law implies. With `n` the plan carries its normalization; with
+    the noise law implies. At alpha <= 2, where E X^2 is infinite, every
+    variance plan and the mean cusum plan without `sigma` are refused. The
+    normalization is sqrt(n) or d_{n,1} times asymp.limit_coefficient (times
+    n for the rank sums). With `n` the plan carries its normalization; with
     `level` and `lookup`, a callable from a table key to its
     CriticalValueTable, its critical value.
     Raises PlanError for what the limit theory does not cover.
@@ -383,9 +376,13 @@ def resolve_plan(
     if not brownian and (hurst is None or hurst <= 0.5):
         raise PlanError(f"the {problem} {family} test needs long memory, H > 1/2, got H = "
                         f"{hurst}; only the mean cusum and sn_cusum tests do not use H")
+    if noise is not None and not math.isfinite(noise_moments(noise).variance) and (
+            problem == "variance" or ((problem, family) == ("mean", "cusum") and sigma is None)):
+        raise PlanError(f"the {problem} {family} test needs a finite innovation variance, "
+                        f"alpha > 2, got alpha = {noise.alpha}")
 
     if family in ("cusum", "wilcoxon"):
-        # Every problem here has Hermite rank 1 (asymp.hermite_rank_and_coeff).
+        # Every problem here has Hermite rank 1 (asymp.limit_coefficient).
         table = None if brownian else (TableFamily.CUSUM_BRIDGE_SUP, 1, hurst, None)
     else:
         table = (TableFamily.SN_RATIO, 1, 0.5 if brownian else hurst, trim)
@@ -397,17 +394,15 @@ def resolve_plan(
             if sigma is None and noise is None:
                 raise PlanError("the mean cusum test needs sigma or the innovation law")
             if sigma is None:
-                sigma = hermite_rank_and_coeff(MeanChange(noise)).sigma
+                sigma = limit_coefficient(problem, family, noise)
             normalization = math.sqrt(n) * sigma
         else:
             if problem != "tail" and noise is None:
                 raise UnknownNoiseError(f"the {problem} {family} test needs the innovation "
                                         f"tail index alpha")
-            setup = hermite_rank_and_coeff(asymp.TailChange() if problem == "tail" else
-                                           _LIMIT_PROBLEMS[problem, family](noise.alpha))
             scale = n if family == "wilcoxon" else 1  # the rank sums carry a factor n
-            normalization = (scale * dnm_exact(hurst, setup.m, n) * setup.coeff
-                             / math.factorial(setup.m))
+            coeff = limit_coefficient(problem, family, noise)
+            normalization = scale * dnm_exact(hurst, 1, n) * coeff
     if lookup is not None:
         q = round(1.0 - level, 6)
         critical_value = kolmogorov_quantile(q) if table is None else lookup(*table).quantile(q)

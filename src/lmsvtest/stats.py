@@ -1,8 +1,11 @@
 """Change-point test statistics: CUSUM, Wilcoxon, and self-normalized variants.
 
 Each optimized kernel has a definitional counterpart (suffix `_by_definition`)
-that evaluates the formulas by direct summation; the optimized paths are
-required to agree with them to 1e-10 relative error.
+that evaluates the formulas by direct summation. The tests hold the kernels to
+1e-10 relative error against them on i.i.d. normal series (n <= 128) and, for
+the SN sup and argmax, on random walks with an offset of 50 and shifts up to
+10 (n = 500, 2000). Elsewhere the SN algebra, which cancels terms of size
+sum_t P_t^2, can miss: i.i.d. rows with a 10 sigma shift at n = 2000 gave 1.4e-10.
 
 The self-normalized kernel works on the bridge partial sums
 P_t = S_t - (t/n) S_n, on which the statistic is shift-invariant. Its

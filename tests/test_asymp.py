@@ -9,21 +9,16 @@ import pytest
 from lmsvtest import asymp
 from lmsvtest.asymp import (
     CriticalValueTable,
-    MeanChange,
-    MeanChangeWilcoxon,
     TableBudget,
     TableFamily,
-    TailChange,
-    VarianceChange,
-    VarianceChangeWilcoxon,
     critical_values,
     dnm_asymptotic,
     dnm_double_sum,
     dnm_exact,
     hermite,
-    hermite_rank_and_coeff,
     kolmogorov_cdf,
     kolmogorov_quantile,
+    limit_coefficient,
     simulate_hermite_paths,
     wilcoxon_limit_factor,
 )
@@ -129,35 +124,47 @@ class TestDnm:
 
 
 class TestHermiteRankAndCoeff:
+    """The rank-1 (or Brownian) limit constant of each test, limit_coefficient."""
+
     def test_mean_change_is_short_memory(self):
-        setup = hermite_rank_and_coeff(MeanChange(StandardNormal()))
-        assert setup.short_memory
-        assert setup.sigma == pytest.approx(math.exp(1.0))  # sqrt(1 * e^2)
+        sigma = limit_coefficient("mean", "cusum", StandardNormal())
+        assert sigma == pytest.approx(math.exp(1.0))  # sqrt(1 * e^2)
 
     def test_mean_change_pareto_scale(self):
-        setup = hermite_rank_and_coeff(MeanChange(CenteredPareto(4.0)))
-        assert setup.sigma == pytest.approx(math.sqrt(4.0 / 18.0 * math.exp(2.0)))
+        sigma = limit_coefficient("mean", "cusum", CenteredPareto(4.0))
+        assert sigma == pytest.approx(math.sqrt(4.0 / 18.0 * math.exp(2.0)))
 
     def test_variance_change_coefficient(self):
         # 2 e^2 alpha / ((alpha - 2)(alpha - 1)^2) at alpha = 4.5.
-        setup = hermite_rank_and_coeff(VarianceChange(4.5))
-        assert setup.m == 1
-        assert setup.coeff == pytest.approx(2.171478, abs=1e-5)
+        coeff = limit_coefficient("variance", "cusum", CenteredPareto(4.5))
+        assert coeff == pytest.approx(2.171478, abs=1e-5)
 
     def test_variance_change_rejects_heavy_tail(self):
         with pytest.raises(ValueError):
-            hermite_rank_and_coeff(VarianceChange(2.0))
+            limit_coefficient("variance", "cusum", CenteredPareto(2.0))
 
     def test_tail_change(self):
-        setup = hermite_rank_and_coeff(TailChange())
-        assert (setup.m, setup.coeff) == (1, 1.0)
+        assert limit_coefficient("tail", "cusum", None) == 1.0
+
+    @pytest.mark.parametrize("problem, family", [("tail", "wilcoxon"), ("mean", "sn_cusum"),
+                                                 ("variance", "sn_wilcoxon"), ("level", "cusum")])
+    def test_pairs_without_a_constant_are_refused(self, problem, family):
+        with pytest.raises(ValueError, match="no limit constant"):
+            limit_coefficient(problem, family, CenteredPareto(4.5))
+
+    def test_wilcoxon_constant_is_the_factor(self):
+        noise = CenteredPareto(4.5)
+        assert (limit_coefficient("variance", "wilcoxon", noise)
+                == wilcoxon_limit_factor("variance", 4.5).value)
+        with pytest.raises(ValueError, match="innovations StandardNormal"):
+            limit_coefficient("mean", "wilcoxon", StandardNormal())
 
 
 class TestWilcoxonLimitFactor:
     def test_variance_factor_against_monte_carlo(self):
         # factor = E[phi(log|U - mu| - log|V - mu| - Z)] with U, V Pareto.
         alpha = 4.5
-        quad = wilcoxon_limit_factor(VarianceChangeWilcoxon(alpha))
+        quad = wilcoxon_limit_factor("variance", alpha)
         rng = RngStream(99).generator()
         n = 10_000_000
         mu = alpha / (alpha - 1.0)
@@ -173,7 +180,7 @@ class TestWilcoxonLimitFactor:
         # Same kernel, signed by which side of the innovation mean the two
         # Pareto draws fall on.
         alpha = 2.5
-        quad = wilcoxon_limit_factor(MeanChangeWilcoxon(alpha))
+        quad = wilcoxon_limit_factor("mean", alpha)
         rng = RngStream(98).generator()
         n = 10_000_000
         mu = alpha / (alpha - 1.0)
@@ -189,16 +196,21 @@ class TestWilcoxonLimitFactor:
 
     def test_mean_factor_continuity_at_large_alpha(self):
         # The factor converges as alpha grows; adjacent large alphas agree.
-        f100 = wilcoxon_limit_factor(MeanChangeWilcoxon(100.0)).value
-        f200 = wilcoxon_limit_factor(MeanChangeWilcoxon(200.0)).value
+        f100 = wilcoxon_limit_factor("mean", 100.0).value
+        f200 = wilcoxon_limit_factor("mean", 200.0).value
         assert abs(f100 / f200 - 1.0) < 0.10
 
     def test_variance_factor_positive(self):
-        assert wilcoxon_limit_factor(VarianceChangeWilcoxon(6.0)).value > 0.0
+        assert wilcoxon_limit_factor("variance", 6.0).value > 0.0
 
     def test_error_target_reported(self):
-        quad = wilcoxon_limit_factor(VarianceChangeWilcoxon(4.5))
+        quad = wilcoxon_limit_factor("variance", 4.5)
         assert quad.abs_error < 1e-4 * quad.value
+
+    @pytest.mark.parametrize("problem, alpha", [("tail", 4.5), ("variance", 2.0), ("mean", 1.0)])
+    def test_refuses_outside_its_problems_and_alpha_domain(self, problem, alpha):
+        with pytest.raises(ValueError):
+            wilcoxon_limit_factor(problem, alpha)
 
 
 class TestKolmogorov:

@@ -216,6 +216,15 @@ class TestTest:
         assert out == ""
         assert "(0, 1)" in err
 
+    @pytest.mark.parametrize("family", ["cusum", "wilcoxon", "sn_cusum"])
+    def test_infinite_variance_is_usage_error(self, capsys, null_series, family):
+        # E X^2 is infinite at alpha <= 2: the variance problem has no limit theory.
+        code, out, err = run(capsys, "test", "--input", str(null_series), "--family", family,
+                             "--problem", "variance", "--hurst", "0.8", "--alpha", "2.0")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "finite innovation variance" in err
+
     def test_missing_input_is_computation_error(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "test", "--input", str(tmp_path / "nope.csv"), "--family", "cusum",
@@ -253,6 +262,15 @@ class TestCritvals:
         for level, value in shipped["quantiles"].items():
             assert fresh["quantiles"][level] == pytest.approx(value, rel=1e-12)
         assert fresh["meta"]["stream_id"] == shipped["meta"]["stream_id"]
+
+    def test_empty_trimmed_window_is_refused(self, capsys, tmp_path):
+        # floor(0.15 * 6) = 0: the SN window is empty, as ExperimentConfig refuses it.
+        out = tmp_path / "sn.json"
+        code, _, err = run(capsys, "critvals", "--family", "sn", "--hurst", "0.5",
+                           "--paths", "20", "--grid", "6", "--out", str(out))
+        assert code == EXIT_COMPUTATION
+        assert "trimmed window" in err
+        assert not out.exists()
 
     def test_never_reads_package_grid(self, capsys, tmp_path, monkeypatch):
         from lmsvtest import mc
@@ -378,6 +396,21 @@ class TestTableResolution:
         [entry] = json.loads((tmp_path / "run" / "meta.json").read_text())["tables"]
         assert entry["source"] == "loaded"
         assert (entry["meta"]["path_count"], entry["meta"]["path_length"]) == (400, 512)
+
+    def test_meta_records_only_the_tables_the_run_uses(self, capsys, tmp_path):
+        # Given all ten shipped tables, a mean sn_cusum run uses the H 0.5 SN table.
+        from importlib import resources
+
+        with resources.as_file(resources.files("lmsvtest.data") / "tables") as tables:
+            assert len(list(tables.glob("*.json"))) == 10
+            config = _write_config(tmp_path / "config.json", problem="mean", noise="normal",
+                                   alphas=[], hursts=[0.7], lengths=[100], shifts=[0.0],
+                                   families=["sn_cusum"])
+            code, _, _ = run(capsys, "experiment", "--config", str(config),
+                             "--out-dir", str(tmp_path / "run"), "--tables", str(tables))
+        assert code == EXIT_OK
+        [entry] = json.loads((tmp_path / "run" / "meta.json").read_text())["tables"]
+        assert (entry["family"], entry["hurst"], entry["source"]) == ("sn_ratio", 0.5, "loaded")
 
     def test_alphas_with_normal_noise_are_refused(self, capsys, tmp_path):
         config = _write_config(tmp_path / "config.json", problem="mean", noise="normal",

@@ -130,6 +130,42 @@ class TestConfig:
                        **(pareto if problem == "variance" else {}))
 
 
+    # E X^2 is infinite at alpha <= 2. Such a grid is refused here, not after its tables.
+    @pytest.mark.parametrize("problem, family, alpha", [
+        ("variance", "cusum", 2.0), ("variance", "wilcoxon", 2.0), ("variance", "sn_cusum", 1.5),
+        ("variance", "sn_wilcoxon", 2.0), ("mean", "cusum", 1.5), ("mean", "cusum", 2.0),
+    ])
+    def test_rejects_infinite_variance_plans(self, problem, family, alpha):
+        with pytest.raises(mc.PlanError, match="finite innovation variance"):
+            _small_cfg(problem=problem, noise_kind="centered_pareto", alphas=(alpha,),
+                       shifts=(1.0,), families=(family,))
+
+    def test_heavy_tailed_mean_tests_without_sigma_are_kept(self):
+        cfg = _small_cfg(noise_kind="centered_pareto", alphas=(1.5,),
+                         families=("wilcoxon", "sn_cusum", "sn_wilcoxon"))
+        assert cfg.alphas == (1.5,)
+
+
+class TestResolvePlan:
+    # Normalizations at H 0.7 and n 1000, pinned to the bit.
+    @pytest.mark.parametrize("problem, family, kind, alpha, expected", [
+        ("mean", "cusum", "normal", None, 85.95961900177693),
+        ("mean", "cusum", "centered_pareto", 4.0, 40.52175300291232),
+        ("mean", "wilcoxon", "centered_pareto", 4.0, 11618.265081056581),
+        ("variance", "cusum", "centered_pareto", 4.5, 273.37284711525956),
+        ("variance", "wilcoxon", "centered_pareto", 4.5, 26387.68505376583),
+        ("tail", "cusum", "pareto", 1.0, 125.89254117941668),
+    ])
+    def test_normalizations_are_pinned(self, problem, family, kind, alpha, expected):
+        plan = mc.resolve_plan(problem, family, 0.7, make_noise(kind, alpha), TrimSpec(), n=1000)
+        assert plan.normalization == expected
+
+    def test_given_sigma_skips_the_variance_check(self):
+        plan = mc.resolve_plan("mean", "cusum", None, make_noise("centered_pareto", 1.5),
+                               TrimSpec(), n=100, sigma=2.0)
+        assert plan.normalization == 20.0
+
+
 class TestTables:
     def test_run_experiment_completes_a_partial_table_set(self, monkeypatch):
         # A provided set follows the rule of `experiment --tables`: the tables
