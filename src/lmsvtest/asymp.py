@@ -11,7 +11,6 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy import integrate, optimize, special
 
 from . import fgn
 from .dist import CenteredPareto, NoiseSpec, RngStream, noise_moments
@@ -25,13 +24,6 @@ _BATCH = 512
 
 #: Coverage of the order-statistic interval recorded for each table quantile.
 _INTERVAL_COVERAGE = 0.99
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-def _phi(z: np.ndarray | float) -> np.ndarray | float:
-    return np.exp(-0.5 * np.square(z)) / _SQRT_2PI
-
 
 # ---------------------------------------------------------------------------
 # Hermite polynomials and the subordinated-sum normalization d_{n,m}
@@ -129,11 +121,20 @@ def limit_coefficient(problem: str, family: str, noise: NoiseSpec | None) -> flo
 
 
 # ---------------------------------------------------------------------------
-# Wilcoxon limit factor |int J_1 dF| by adaptive quadrature
+# Wilcoxon limit factor |int J_1 dF| by a tanh-sinh tensor rule
+
+#: Step h of the tanh-sinh rule and the range |t| <= _TS_RANGE of its nodes
+#: t = k h; past it a node's weight is below 1e-15 of the largest.
+_TS_STEP = 1.0 / 16.0
+_TS_RANGE = 3.25
+
+#: A factor whose error estimate |I_h - I_2h| exceeds this share of its value
+#: is refused.
+_FACTOR_RTOL = 1e-9
 
 
 class QuadratureError(RuntimeError):
-    """Quadrature did not converge; carries the partial estimate."""
+    """A quadrature's error estimate exceeds its bound; carries the value."""
 
     def __init__(self, message: str, partial: float):
         super().__init__(message)
@@ -146,61 +147,63 @@ class QuadratureResult:
     abs_error: float
 
 
-def _inner_kernel(alpha: float, mu: float, w: float, lower: float, upper: float) -> float:
-    # int_lower^upper alpha u^(-alpha-1) phi(log|u - mu| - w) du on one side of
-    # u = mu, where the integrand pinches to zero non-smoothly.
-    def f(u: float) -> float:
-        return alpha * u ** (-alpha - 1.0) * _phi(math.log(abs(u - mu)) - w)
-
-    # full_output swallows the roundoff warning quad raises when the
-    # integrand is numerically zero on the whole piece; accuracy is
-    # enforced at the outer integral.
-    return integrate.quad(f, lower, upper, epsabs=1e-13, epsrel=1e-9, limit=200,
-                          full_output=1)[0]
-
-
-def _checked_quad(f, lo: float, hi: float) -> QuadratureResult:
-    out = integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-7, limit=400, full_output=1)
-    value, abs_err = out[0], out[1]
-    if len(out) > 3:  # warning message present
-        raise QuadratureError(f"outer quadrature did not converge: {out[3]}", value)
-    if value != 0.0 and abs_err > 1e-4 * abs(value):
-        raise QuadratureError(
-            f"outer quadrature achieved {abs_err:.2e} absolute, above the "
-            f"1e-4 relative target",
-            value,
-        )
-    return QuadratureResult(value=value, abs_error=abs_err)
-
-
 @lru_cache(maxsize=None)
 def _factor(problem: str, alpha: float) -> QuadratureResult:
     least = 1 if problem == "mean" else 2  # a finite mean, a finite variance
     if not alpha > least:
         raise ValueError(f"{problem} Wilcoxon factor needs alpha > {least}, got {alpha}")
     mu = CenteredPareto(alpha).mean_shift
+    q_star = mu ** -alpha  # q = P^(-alpha) is uniform on (0, 1]; P < mu iff q > q_star
 
-    def integrand(w: float) -> float:
-        # The mean kernel is signed by the side of mu the two Pareto draws fall on.
-        below = _inner_kernel(alpha, mu, w, 1.0, mu)
-        above = _inner_kernel(alpha, mu, w, mu, math.inf)
-        if problem == "mean":
-            return below * below - above * above
-        return (below + above) * (below + above)
+    # Tanh-sinh nodes s in (0, 1) with log s and 1 - s kept to full relative
+    # precision at both ends, and the weights of the rule on [0, 1].
+    k = np.arange(-round(_TS_RANGE / _TS_STEP), round(_TS_RANGE / _TS_STEP) + 1)
+    u = math.pi * np.sinh(k * _TS_STEP)
+    log_s = -np.logaddexp(0.0, -u)
+    s = np.exp(log_s)
+    weight = _TS_STEP * math.pi * np.cosh(k * _TS_STEP) * s * s[::-1]
 
-    result = _checked_quad(integrand, -60.0, 60.0)
-    return QuadratureResult(value=abs(result.value), abs_error=result.abs_error)
+    # Side P < mu maps s to q = q_star + (1 - q_star) s, side P > mu to q = q_star s.
+    # log(q / q_star) comes from the node's distance to q_star, so that
+    # P - mu = mu expm1(-log(q / q_star) / alpha) keeps its precision at the pinch.
+    log_ratio = np.concatenate([np.log1p((1.0 / q_star - 1.0) * s), log_s])
+    with np.errstate(divide="ignore", over="ignore"):
+        log_gap = math.log(mu) + np.log(np.abs(np.expm1(-log_ratio / alpha)))
+    # Rows: the rule at step h, and at 2h (the even nodes at twice the weight).
+    weights = np.concatenate([(1.0 - q_star) * weight, q_star * weight])
+    weights = np.stack([weights, np.where(np.tile(k % 2 == 0, 2), 2.0 * weights, 0.0)])
+    side = np.repeat([1.0, -1.0], k.size)
+    keep = np.isfinite(log_gap)
+    log_gap, weights, side = log_gap[keep], weights[:, keep], side[keep]
+
+    # int phi(a - w) phi(b - w) dw = exp(-(a - b)^2 / 4) / (2 sqrt(pi)), so the
+    # variance factor is E kernel(L - L') with L = log|P - mu|, and the mean factor
+    # weighs it by 1{P, P' < mu} - 1{P, P' > mu}, which the kernel's symmetry
+    # turns into (side + side') / 2 and then into one signed weight.
+    diff = log_gap[:, None] - log_gap[None, :]
+    kernel = np.exp(-0.25 * diff * diff) / (2.0 * math.sqrt(math.pi))
+    right = weights * side if problem == "mean" else weights
+    fine, coarse = np.sum((weights @ kernel) * right, axis=1)
+    value, abs_error = abs(float(fine)), abs(float(fine - coarse))
+    if not abs_error <= _FACTOR_RTOL * value:
+        raise QuadratureError(
+            f"{problem} Wilcoxon factor at alpha = {alpha}: error estimate "
+            f"{abs_error:.2e} above the {_FACTOR_RTOL:.0e} relative bound",
+            value,
+        )
+    return QuadratureResult(value=value, abs_error=abs_error)
 
 
 def wilcoxon_limit_factor(problem: str, alpha: float) -> QuadratureResult:
     """Multiplicative factor |int J_1 dF| in the Wilcoxon limit law of a
     "mean" or "variance" change under centered Pareto(alpha) innovations.
 
-    Both factors are double integrals of a Pareto-weighted lognormal kernel;
-    the outer variable is integrated on the log scale with Gauss-Kronrod
-    adaptivity, the inner Pareto integral is split at its pinch point.
-    Relative error target 1e-4; failure raises QuadratureError with the
-    partial estimate attached.
+    The double integral of the Pareto-weighted lognormal kernel collapses to
+    E[phi_sqrt2(L - L')] over two independent L = log|P - mu| (signed by the
+    side of mu the draws fall on, for the mean problem), computed with a
+    tanh-sinh tensor rule in q = P^(-alpha), split at the pinch P = mu.
+    `abs_error` is the rule's estimate |I_h - I_2h|; a value whose estimate
+    exceeds 1e-9 relative raises QuadratureError with the value attached.
     """
     if problem not in ("mean", "variance"):
         raise ValueError(f"no Wilcoxon factor for the {problem} problem")
@@ -231,7 +234,14 @@ def kolmogorov_quantile(p: float) -> float:
     """Inverse of the Kolmogorov distribution function."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"need p in (0, 1), got {p}")
-    return float(optimize.brentq(lambda x: kolmogorov_cdf(x) - p, 1e-8, 10.0, xtol=1e-12))
+    lo, hi = 1e-8, 10.0  # bisection: the distribution function is increasing
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if kolmogorov_cdf(mid) < p:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +464,15 @@ def _sn_ratio_sup(paths: np.ndarray, trim: TrimSpec) -> np.ndarray:
     return sup
 
 
+def _binomial_cdf(count: int, p: float) -> np.ndarray:
+    """P(B <= k) for B ~ binomial(count, p), k = 0..count."""
+    log_factorial = np.array([math.lgamma(k + 1.0) for k in range(count + 1)])
+    k = np.arange(count + 1)
+    log_pmf = (log_factorial[-1] - log_factorial - log_factorial[::-1]
+               + k * math.log(p) + (count - k) * math.log1p(-p))
+    return np.cumsum(np.exp(log_pmf))
+
+
 def _quantile_intervals(values: np.ndarray, levels: tuple[float, ...]) -> dict:
     """Distribution-free interval for each quantile of the simulated law.
 
@@ -470,7 +489,7 @@ def _quantile_intervals(values: np.ndarray, levels: tuple[float, ...]) -> dict:
     for level in levels:
         # With k(q) the least k where P(B <= k) >= q, the interval is
         # [X_(l), X_(u)] for the 1-based ranks l = k(tail), u = k(1 - tail) + 1.
-        cdf = special.bdtr(np.arange(count + 1), count, level)
+        cdf = _binomial_cdf(count, level)
         lo, hi = np.searchsorted(cdf, [tail, 1.0 - tail])
         lo -= 1
         intervals[f"{level:.6f}"] = [

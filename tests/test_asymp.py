@@ -160,6 +160,32 @@ class TestHermiteRankAndCoeff:
             limit_coefficient("mean", "wilcoxon", StandardNormal())
 
 
+def wilcoxon_limit_factor_by_quadrature(problem, alpha):
+    """The factor as the nested adaptive quadrature of its outer form.
+
+    int (below(w) +- above(w))^2 dw over the log scale w, where below and
+    above integrate the Pareto density times phi(log|u - mu| - w) on either
+    side of the pinch u = mu. Its own error holds for alpha <= 20.
+    """
+    from scipy import integrate
+
+    mu = alpha / (alpha - 1.0)
+
+    def inner(w, lower, upper):
+        def f(u):
+            z = math.log(abs(u - mu)) - w
+            return alpha * u ** (-alpha - 1.0) * math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
+
+        return integrate.quad(f, lower, upper, epsabs=1e-13, epsrel=1e-9, limit=200,
+                              full_output=1)[0]
+
+    def outer(w):
+        below, above = inner(w, 1.0, mu), inner(w, mu, math.inf)
+        return below * below - above * above if problem == "mean" else (below + above) ** 2
+
+    return abs(integrate.quad(outer, -60.0, 60.0, epsabs=0.0, epsrel=1e-7, limit=400)[0])
+
+
 class TestWilcoxonLimitFactor:
     def test_variance_factor_against_monte_carlo(self):
         # factor = E[phi(log|U - mu| - log|V - mu| - Z)] with U, V Pareto.
@@ -199,6 +225,42 @@ class TestWilcoxonLimitFactor:
         f100 = wilcoxon_limit_factor("mean", 100.0).value
         f200 = wilcoxon_limit_factor("mean", 200.0).value
         assert abs(f100 / f200 - 1.0) < 0.10
+
+    # 25-digit references from the outer form in q = P^(-alpha), computed with
+    # mpmath 1.3.0 (not a test dependency; alpha given as a string):
+    #   import mpmath as mp; mp.mp.dps = 25; a = mp.mpf(alpha); mu = a / (a - 1); qs = mu**-a
+    #   phi = lambda z: mp.exp(-z * z / 2) / mp.sqrt(2 * mp.pi)
+    #   side = lambda w, lo, hi: mp.quad(lambda q: phi(mp.log(abs(q**(-1 / a) - mu)) - w), [lo, hi])
+    #   f = lambda w: side(w, qs, 1)**2 - side(w, 0, qs)**2        # mean
+    #   f = lambda w: (side(w, qs, 1) + side(w, 0, qs))**2         # variance
+    #   print(abs(mp.quad(f, [-mp.inf, -10, -3, 0, 3, 10, mp.inf])))
+    @pytest.mark.parametrize("problem, alpha, reference", [
+        ("mean", 1.001, 0.281250426428207103),
+        ("mean", 2.5, 0.111227960265086479),
+        ("mean", 4.0, 0.0922871599187971705),
+        ("mean", 100.0, 0.0675854098950856536),
+        ("mean", 1000.0, 0.0667593074796081056),
+        ("variance", 4.5, 0.209604832894944211),
+        ("variance", 20.0, 0.208343712618396614),
+        ("variance", 100.0, 0.208252426896409487),
+        ("variance", 1000.0, 0.208240266268006359),
+    ])
+    def test_matches_high_precision_references(self, problem, alpha, reference):
+        value = wilcoxon_limit_factor(problem, alpha).value
+        assert value == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("problem, alpha", [("mean", 1.5), ("mean", 4.0), ("variance", 2.5),
+                                                ("variance", 4.5), ("variance", 20.0)])
+    def test_matches_nested_quadrature(self, problem, alpha):
+        assert wilcoxon_limit_factor(problem, alpha).value == pytest.approx(
+            wilcoxon_limit_factor_by_quadrature(problem, alpha), rel=1e-8)
+
+    def test_refuses_a_value_above_its_error_bound(self, monkeypatch):
+        # At step 1/2 the half-step difference is far above the 1e-9 bound.
+        monkeypatch.setattr(asymp, "_TS_STEP", 0.5)
+        with pytest.raises(asymp.QuadratureError, match="relative bound") as err:
+            asymp._factor.__wrapped__("variance", 4.5)
+        assert err.value.partial == pytest.approx(0.2096, rel=0.05)
 
     def test_variance_factor_positive(self):
         assert wilcoxon_limit_factor("variance", 6.0).value > 0.0
@@ -276,6 +338,22 @@ class TestTableFunctionals:
             for i in range(len(paths))
         ]
         assert np.array_equal(whole, np.concatenate(rows))
+
+    def test_binomial_cdf_selects_the_ranks_of_scipy(self):
+        # The interval ranks searchsorted finds at 0.005 and 0.995 agree with
+        # scipy.special.bdtr for every count and level below.
+        from scipy import special
+
+        counts = list(range(1, 600)) + [1000, 2000, 4096, 10_000, 20_000, 60_000]
+        mismatches = []
+        for count in counts:
+            for p in (0.01, 0.05, 0.1, 0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.995):
+                ranks = np.searchsorted(asymp._binomial_cdf(count, p), [0.005, 0.995])
+                expected = np.searchsorted(special.bdtr(np.arange(count + 1), count, p),
+                                           [0.005, 0.995])
+                if not np.array_equal(ranks, expected):
+                    mismatches.append((count, p, ranks, expected))
+        assert mismatches == []
 
     def test_quantile_interval_coverage(self):
         # Over 2000 uniform samples of 200 values, the 99 % interval of the

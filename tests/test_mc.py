@@ -151,9 +151,9 @@ class TestResolvePlan:
     @pytest.mark.parametrize("problem, family, kind, alpha, expected", [
         ("mean", "cusum", "normal", None, 85.95961900177693),
         ("mean", "cusum", "centered_pareto", 4.0, 40.52175300291232),
-        ("mean", "wilcoxon", "centered_pareto", 4.0, 11618.265081056581),
+        ("mean", "wilcoxon", "centered_pareto", 4.0, 11618.265080408588),
         ("variance", "cusum", "centered_pareto", 4.5, 273.37284711525956),
-        ("variance", "wilcoxon", "centered_pareto", 4.5, 26387.68505376583),
+        ("variance", "wilcoxon", "centered_pareto", 4.5, 26387.685056631522),
         ("tail", "cusum", "pareto", 1.0, 125.89254117941668),
     ])
     def test_normalizations_are_pinned(self, problem, family, kind, alpha, expected):
@@ -326,6 +326,42 @@ class TestPackageGrid:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env=env).stdout
         assert out.strip() == "0"
+
+    def test_runs_without_scipy(self, tmp_path):
+        # The import, and each path that used scipy: the Kolmogorov quantile
+        # (a mean cusum run), the Wilcoxon factor (a variance wilcoxon test)
+        # and the quantile intervals (a critvals table).
+        code = f"""if True:
+            import json, sys
+            import lmsvtest, lmsvtest.cli as cli, lmsvtest.mc as mc
+            def scipy_modules():
+                return sorted(m for m in sys.modules if m.startswith("scipy"))
+            found = {{"import": scipy_modules()}}
+            mc.run_experiment(mc.ExperimentConfig(
+                problem="mean", noise_kind="normal", hursts=(0.6,), lengths=(120,),
+                shifts=(0.0,), families=("cusum",), replications=100, seed=7))
+            found["mean cusum"] = scipy_modules()
+            series = r"{tmp_path / 'variance.csv'}"
+            codes = [cli.main(["simulate", "--n", "500", "--hurst", "0.7", "--noise",
+                               "centered-pareto", "--alpha", "4.5", "--seed", "1",
+                               "--out", series])]
+            codes.append(cli.main(["test", "--input", series, "--problem", "variance",
+                                   "--family", "wilcoxon", "--hurst", "0.7", "--alpha", "4.5"]))
+            found["variance wilcoxon"] = scipy_modules()
+            codes.append(cli.main(["critvals", "--family", "bridge", "--hurst", "0.8",
+                                   "--paths", "200", "--grid", "64",
+                                   "--out", r"{tmp_path / 'bridge.json'}"]))
+            found["critvals"] = scipy_modules()
+            print(json.dumps({{"codes": codes, "found": found}}))
+        """
+        src = str(Path(mc.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=env).stdout
+        result = json.loads(out.strip().splitlines()[-1])
+        assert result["codes"] == [0, 0, 0]
+        assert result["found"] == {"import": [], "mean cusum": [], "variance wilcoxon": [],
+                                   "critvals": []}
 
 
 class TestRunExperiment:
