@@ -14,7 +14,7 @@ import numpy as np
 
 from . import fgn
 from .dist import CenteredPareto, NoiseSpec, RngStream, noise_moments
-from .stats import TrimSpec, row_blocks
+from .stats import TrimSpec, _sn_ratio, row_blocks
 
 TABLE_FORMAT_VERSION = 1
 
@@ -255,17 +255,17 @@ def simulate_hermite_paths(
     path_count: int,
     stream: RngStream,
 ) -> np.ndarray:
-    """Normalized subordinated partial-sum paths on the grid j/N, j = 1..N.
+    """Normalized partial-sum paths on the grid j/N, j = 1..N.
 
-    Each path is cumsum(H_m(Y)) / d_{N,m}; for m = 1 this is an exact
-    fractional Brownian motion skeleton with unit endpoint variance, for
-    m = 2 it is the pre-limit approximation of the second-order law.
+    Each path is cumsum(Y) / d_{N,1}, an exact fractional Brownian motion
+    skeleton with unit endpoint variance. Every testing problem has Hermite
+    rank 1, so m = 1 is the only rank; any other m is refused.
     Returns an array of shape (path_count, path_length).
     """
-    if m not in (1, 2):
-        raise ValueError(f"only Hermite ranks 1 and 2 are supported, got {m}")
+    if m != 1:
+        raise ValueError(f"only Hermite rank 1 is supported, got {m}")
     params = fgn.FgnParams(hurst=hurst, n=path_length)
-    norm = dnm_exact(hurst, m, path_length)
+    norm = dnm_exact(hurst, 1, path_length)
     out = np.empty((path_count, path_length))
     done = 0
     chunk_index = 0
@@ -273,7 +273,7 @@ def simulate_hermite_paths(
         take = min(_BATCH, path_count - done)
         y = fgn.sample(params, stream.substream(chunk_index), size=take)
         rows = out[done:done + take]
-        np.cumsum(y if m == 1 else hermite(m, y), axis=1, out=rows)
+        np.cumsum(y, axis=1, out=rows)
         rows /= norm
         done += take
         chunk_index += 1
@@ -401,65 +401,17 @@ def _refine_brownian_bridge_sup(
     return np.maximum(refined, sup_grid)
 
 
-def _cumtrapz(values: np.ndarray, dr: float) -> np.ndarray:
-    # Cumulative trapezoid along the last axis, with a leading zero column.
-    inner = 0.5 * (values[:, 1:] + values[:, :-1]) * dr
-    out = np.zeros_like(values)
-    np.cumsum(inner, axis=1, out=out[:, 1:])
-    return out
+def _sn_sup(paths: np.ndarray, trim: TrimSpec) -> np.ndarray:
+    """Trimmed supremum of the self-normalized ratio of each path: the kernel
+    of the SN statistics, entered at the partial sums Z that the paths are.
 
-
-def _sn_ratio_sup(paths: np.ndarray, trim: TrimSpec) -> np.ndarray:
-    """Trimmed supremum of |bridge| / sqrt(trapezoid residual integrals).
-
-    The two residual-bridge integrals expand into cumulative trapezoid sums
-    of Z^2, rZ and polynomial weight arrays, so the whole profile is O(N)
-    per path; the expansion is algebraically identical to applying the
-    trapezoid rule to the squared residual bridge itself.
+    On the grid j/N the sums of the kernel's denominator equal the trapezoid
+    integrals of the squared residual bridges, which vanish at both ends.
     """
-    count, n = paths.shape
-    r = np.arange(n + 1) / n
-    dr = 1.0 / n
-
-    # Deterministic weight integrals share the same trapezoid discretization.
-    ones = np.ones((1, n + 1))
-    cr = _cumtrapz(r * ones, dr)[0]
-    cr2 = _cumtrapz(r * r * ones, dr)[0]
-    c1 = _cumtrapz(ones, dr)[0]
-
-    lo, hi = trim.window(n)
-    js = np.arange(lo, hi + 1)
-    t = r[js]
-    span = 1.0 - t
-    tail1 = c1[-1] - c1[js]
-    tail_r = (cr[-1] - cr[js]) - t * tail1
-    wgt = (cr2[-1] - cr2[js]) - 2.0 * t * (cr[-1] - cr[js]) + t**2 * tail1
-
-    sup = np.empty(count)
+    lo, hi = trim.window(paths.shape[1])
+    sup = np.empty(paths.shape[0])
     for rows in row_blocks(paths.shape):
-        block = paths[rows]
-        z = np.concatenate([np.zeros((block.shape[0], 1)), block], axis=1)
-        cz = _cumtrapz(z, dr)
-        cz2 = _cumtrapz(z * z, dr)
-        crz = _cumtrapz(r * z, dr)
-        zt = z[:, js]
-        z1 = z[:, -1:]
-
-        numer = np.abs(zt - t * z1)
-
-        slope_left = zt / t
-        left = cz2[:, js] - 2.0 * slope_left * crz[:, js] + slope_left**2 * cr2[js]
-
-        tail_z = cz[:, -1:] - cz[:, js]
-        w2 = (cz2[:, -1:] - cz2[:, js]) - 2.0 * zt * tail_z + zt**2 * tail1
-        lin = (crz[:, -1:] - crz[:, js]) - t * tail_z - zt * tail_r
-        slope_right = (z1 - zt) / span
-        right = w2 - 2.0 * slope_right * lin + slope_right**2 * wgt
-
-        denom = np.sqrt(np.maximum(left + right, 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = numer / denom
-        ratio[denom == 0.0] = np.inf
+        ratio, _ = _sn_ratio(paths[rows], lo, hi)
         sup[rows] = np.max(ratio, axis=1)
     return sup
 
@@ -511,8 +463,8 @@ def critical_values(
     """Simulate quantiles of a limiting functional on Hermite-path ensembles.
 
     CUSUM_BRIDGE_SUP tabulates sup |Z(t) - t Z(1)|; SN_RATIO tabulates the
-    trimmed self-normalized ratio built from the same paths with trapezoid
-    integrals. Tables are deterministic given (stream, budget). The meta
+    trimmed self-normalized ratio of the same paths, by the kernel of the SN
+    statistics. Tables are deterministic given (stream, budget). The meta
     block records the provenance and, for each level, a distribution-free
     99 % interval for the true quantile (`quantile_intervals`).
     """
@@ -527,7 +479,7 @@ def critical_values(
     values = np.empty(budget.path_count)
     done = 0
     chunk_index = 0
-    brownian = family is TableFamily.CUSUM_BRIDGE_SUP and m == 1 and hurst == 0.5
+    brownian = family is TableFamily.CUSUM_BRIDGE_SUP and hurst == 0.5
     while done < budget.path_count:
         take = min(4 * _BATCH, budget.path_count - done)
         paths = simulate_hermite_paths(
@@ -540,7 +492,7 @@ def critical_values(
                 sup = _refine_brownian_bridge_sup(paths, sup, rng)
             values[done:done + take] = sup
         else:
-            values[done:done + take] = _sn_ratio_sup(paths, trim)
+            values[done:done + take] = _sn_sup(paths, trim)
         done += take
         chunk_index += 1
 

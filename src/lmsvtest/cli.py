@@ -77,7 +77,6 @@ def _build_parser() -> _Parser:
 
     crit = sub.add_parser("critvals", help="simulate a critical-value table")
     crit.add_argument("--family", choices=["bridge", "sn"], required=True)
-    crit.add_argument("--m", type=int, default=1, choices=[1, 2])
     crit.add_argument("--hurst", type=float, required=True)
     crit.add_argument("--tau1", type=float, default=0.15)
     crit.add_argument("--tau2", type=float, default=0.85)
@@ -216,9 +215,9 @@ def _cmd_critvals(args) -> int:
     trim = TrimSpec(tau1=args.tau1, tau2=args.tau2) if family is asymp.TableFamily.SN_RATIO else None
     table = asymp.critical_values(
         family,
-        args.m,
+        1,
         args.hurst,
-        mc.table_stream(args.seed, family, args.m, args.hurst),
+        mc.table_stream(args.seed, family, 1, args.hurst),
         trim=trim,
         levels=tuple(args.levels),
         budget=asymp.TableBudget(path_count=args.paths, path_length=args.grid),

@@ -177,11 +177,6 @@ class TableSet:
         """(table, source) of a key, or None when the set has no such table."""
         return self._entries.get(_table_key(family, m, hurst, trim))
 
-    def get(
-        self, family: TableFamily, m: int, hurst: float, trim: TrimSpec | None
-    ) -> CriticalValueTable:
-        return self._entries[_table_key(family, m, hurst, trim)][0]
-
     def versions(self) -> list[dict]:
         return [
             {
@@ -414,7 +409,7 @@ def _plans_for_row(
 ) -> list[Plan]:
     noise = make_noise(cfg.noise_kind, alpha)
     return [resolve_plan(cfg.problem, family, hurst, noise, cfg.trim, n=n, level=cfg.level,
-                         lookup=tables.get)
+                         lookup=lambda *key: tables.find(*key)[0])
             for family in cfg.families]
 
 

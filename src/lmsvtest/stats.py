@@ -11,13 +11,15 @@ The self-normalized kernel works on the bridge partial sums
 P_t = S_t - (t/n) S_n, on which the statistic is shift-invariant. Its
 denominator at cut k is n denom^2(k) = A + gamma_k P_k^2
 + (2/u) P_k ((n/k) CC_{k-1} - CC_{n-1}), with u = n - k, A = sum_t P_t^2 and
-CC the prefix sums of the prefix sums of P (see _sn_profile): three prefix
+CC the prefix sums of the prefix sums of P (see _sn_ratio): three prefix
 passes and one row dot product per series.
 
 The self-normalized kernel evaluates a batch in the row blocks of
 row_blocks, the rule the table functionals of asymp use too: as many whole
 rows as fit in _BLOCK doubles. Rows are independent, so a row's result is
-bitwise the same alone, in any batch and in any block.
+bitwise the same alone, in any batch and in any block. The SN table
+functional of asymp is this kernel too: _sn_ratio entered at the partial
+sums that the simulated paths already are, with no differencing.
 """
 
 from __future__ import annotations
@@ -317,10 +319,32 @@ def wilcoxon_by_definition(
 def _sn_profile(x: np.ndarray, trim: TrimSpec) -> ProfileStat:
     """Trimmed supremum of the self-normalized CUSUM ratio of each row of x.
 
-    The statistic is shift-invariant, so it is evaluated on the bridge
-    partial sums P_t = S_t - (t/n) S_n of the centered row, with P_n = 0.
-    The numerator at cut k is |P_k|. Within-segment demeaning makes the
-    left residuals P_t - (t/k) P_k and the right residuals
+    The statistic is shift-invariant, so _sn_ratio evaluates it on the
+    partial sums of the centered row, in the blocks of row_blocks.
+    """
+    n = x.shape[-1]
+    lo, hi = trim.window(n)
+    k_grid = _sn_weights(n, lo, hi)[1]
+    profile = np.empty((x.shape[0], k_grid.size))
+    degenerate = np.empty(x.shape[0], dtype=bool)
+    for rows in row_blocks(x.shape):
+        block = x[rows]
+        s = block - block.mean(axis=-1, keepdims=True)
+        np.cumsum(s, axis=-1, out=s)
+        _, zero = _sn_ratio(s, lo, hi, out=profile[rows])
+        degenerate[rows] = np.any(zero, axis=-1)
+    return _finish_batch(profile, k_grid, degenerate)
+
+
+def _sn_ratio(
+    s: np.ndarray, lo: int, hi: int, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Self-normalized ratio at the cuts k = lo..hi of each row of partial
+    sums s, and which cuts are a degenerate zero.
+
+    The ratio is evaluated on the bridge partial sums P_t = S_t - (t/n) S_n,
+    with P_n = 0. The numerator at cut k is |P_k|. Within-segment demeaning
+    makes the left residuals P_t - (t/k) P_k and the right residuals
     P_t - ((n-t)/u) P_k with u = n - k, so the sum of P_t^2 over t <= k
     cancels between the two sides and only its total A = sum_t P_t^2 is
     left:
@@ -330,51 +354,39 @@ def _sn_profile(x: np.ndarray, trim: TrimSpec) -> ProfileStat:
     with C_j = sum_{t<=j} P_t, CC_j = sum_{i<=j} C_i (so that
     sum_{t<=k} (k-t) P_t = CC_{k-1}) and
     gamma_k = S2(k)/k^2 - 1 + S2(u)/u^2, S2(j) = j(j+1)(2j+1)/6. That is
-    three prefix passes and one row dot product per row; the per-cut
-    weights are cached per (n, window), and the rows are evaluated in the
-    blocks of row_blocks. A denominator within rounding of the cancelled
-    magnitude A (piecewise-constant input) yields +inf and sets the row's
-    degenerate flag.
+    two prefix passes and one row dot product per row; the per-cut
+    weights are cached per (n, window). A denominator within rounding of
+    the cancelled magnitude A (piecewise-constant input) yields +inf.
     """
-    n = x.shape[-1]
-    lo, hi = trim.window(n)
-    t, k_grid, gamma, w_left, w_right = _sn_weights(n, lo, hi)
-    floor = 4.0 * n * np.finfo(float).eps
-    profile = np.empty((x.shape[0], k_grid.size))
-    degenerate = np.empty(x.shape[0], dtype=bool)
-    for rows in row_blocks(x.shape):
-        block = x[rows]
-        p = block - block.mean(axis=-1, keepdims=True)
-        np.cumsum(p, axis=-1, out=p)
-        p -= t * (p[:, -1:] / n)
-        a = np.einsum("ij,ij->i", p, p)[:, None] / n
-        cc = np.zeros_like(p)
-        np.cumsum(np.cumsum(p[:, :-1], axis=-1), axis=-1, out=cc[:, 1:])
+    n = s.shape[-1]
+    t, _, gamma, w_left, w_right = _sn_weights(n, lo, hi)
+    p = s - t * (s[:, -1:] / n)
+    a = np.einsum("ij,ij->i", p, p)[:, None] / n
+    cc = np.zeros_like(p)
+    np.cumsum(np.cumsum(p[:, :-1], axis=-1), axis=-1, out=cc[:, 1:])
 
-        pk = p[:, lo - 1:hi]
-        denom_sq = gamma * pk
-        denom_sq += w_left * cc[:, lo - 1:hi]
-        denom_sq -= w_right * cc[:, -1:]
-        denom_sq *= pk
-        denom_sq += a
-        # The cancellation against A leaves rounding of up to about
-        # 2 sqrt(n) eps A / n (measured on two-level rows, n = 20..10 000) in
-        # the denominator of a piecewise-constant row, within the
-        # recursive-summation bound n eps A / n; up to 4 n eps A / n it
-        # counts as an exact zero. A constant row has P = 0 exactly.
-        zero = denom_sq <= floor * a
-        out = profile[rows]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(np.abs(pk), np.sqrt(denom_sq), out=out)
-        out[zero] = np.inf
-        degenerate[rows] = np.any(zero, axis=-1)
-    return _finish_batch(profile, k_grid, degenerate)
+    pk = p[:, lo - 1:hi]
+    denom_sq = gamma * pk
+    denom_sq += w_left * cc[:, lo - 1:hi]
+    denom_sq -= w_right * cc[:, -1:]
+    denom_sq *= pk
+    denom_sq += a
+    # The cancellation against A leaves rounding of up to about
+    # 2 sqrt(n) eps A / n (measured on two-level rows, n = 20..10 000) in
+    # the denominator of a piecewise-constant row, within the
+    # recursive-summation bound n eps A / n; up to 4 n eps A / n it
+    # counts as an exact zero. A constant row has P = 0 exactly.
+    zero = denom_sq <= 4.0 * n * np.finfo(float).eps * a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.divide(np.abs(pk), np.sqrt(denom_sq), out=out)
+    ratio[zero] = np.inf
+    return ratio, zero
 
 
 @lru_cache(maxsize=32)
 def _sn_weights(n: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
     """Time index t = 1..n, cut grid k = lo..hi and the per-cut weights of
-    the bridge algebra in _sn_profile, divided by n: gamma_k / n,
+    the bridge algebra in _sn_ratio, divided by n: gamma_k / n,
     2 / (k u) and 2 / (n u)."""
     k = np.arange(lo, hi + 1, dtype=float)
     u = n - k

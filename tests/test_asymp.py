@@ -300,11 +300,10 @@ class TestHermitePaths:
         assert var_full == pytest.approx(1.0, abs=0.05)
         assert var_half / var_full == pytest.approx(0.5**1.6, abs=0.05)
 
-    def test_second_order_law_is_skewed(self):
-        from scipy import stats as spstats
-
-        paths = simulate_hermite_paths(0.9, 2, 1024, 10_000, RngStream(62))
-        assert abs(spstats.skew(paths[:, -1])) > 0.5
+    @pytest.mark.parametrize("m", [0, 2, 3])
+    def test_refuses_ranks_other_than_one(self, m):
+        with pytest.raises(ValueError, match="only Hermite rank 1"):
+            simulate_hermite_paths(0.9, m, 64, 4, RngStream(62))
 
     def test_deterministic_in_stream(self):
         a = simulate_hermite_paths(0.7, 1, 256, 600, RngStream(63))
@@ -317,13 +316,13 @@ class TestTableFunctionals:
     @pytest.mark.parametrize("hurst", [0.5, 0.8])
     def test_sn_ratio_matches_definition(self, hurst, trim):
         paths = simulate_hermite_paths(hurst, 1, 128, 24, RngStream(72))
-        fast = asymp._sn_ratio_sup(paths, trim)
+        fast = asymp._sn_sup(paths, trim)
         assert np.allclose(fast, sn_ratio_by_definition(paths, trim), rtol=1e-10, atol=0.0)
 
     def test_sn_ratio_blocks_are_bitwise_row_by_row(self):
         paths = simulate_hermite_paths(0.7, 1, 256, 2048, RngStream(73))
-        whole = asymp._sn_ratio_sup(paths, TrimSpec())
-        rows = [asymp._sn_ratio_sup(paths[i:i + 1], TrimSpec()) for i in range(len(paths))]
+        whole = asymp._sn_sup(paths, TrimSpec())
+        rows = [asymp._sn_sup(paths[i:i + 1], TrimSpec()) for i in range(len(paths))]
         assert np.array_equal(whole, np.concatenate(rows))
 
     def test_bridge_refinement_blocks_are_bitwise_row_by_row(self):

@@ -244,19 +244,21 @@ class TestCritvals:
         assert payload["family"] == "cusum_bridge_sup"
         assert 1.2 < payload["quantiles"]["0.950000"] < 1.5
 
-    def test_regenerates_shipped_table(self, capsys, tmp_path):
-        # The cheapest table of the package grid, from its documented command.
+    @pytest.mark.parametrize("family, hurst", [("bridge", "0.8"), ("sn", "0.5")],
+                             ids=["bridge_h0.8", "sn_h0.5"])
+    def test_regenerates_shipped_table(self, capsys, tmp_path, family, hurst):
+        # The cheapest bridge table of the package grid, and the SN table of
+        # the mean problem, from the documented command.
         from importlib import resources
 
-        out = tmp_path / "bridge_h0.8.json"
+        name = f"{family}_h{hurst}.json"
+        out = tmp_path / name
         code, _, _ = run(
-            capsys, "critvals", "--family", "bridge", "--hurst", "0.8", "--paths", "10000",
+            capsys, "critvals", "--family", family, "--hurst", hurst, "--paths", "10000",
             "--grid", "2048", "--seed", "0", "--out", str(out),
         )
         assert code == EXIT_OK
-        shipped = json.loads(
-            (resources.files("lmsvtest.data") / "tables" / "bridge_h0.8.json").read_text()
-        )
+        shipped = json.loads((resources.files("lmsvtest.data") / "tables" / name).read_text())
         fresh = json.loads(out.read_text())
         assert fresh["quantiles"].keys() == shipped["quantiles"].keys()
         for level, value in shipped["quantiles"].items():

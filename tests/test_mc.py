@@ -175,7 +175,7 @@ class TestTables:
                          shifts=(1.0,), families=("cusum", "sn_cusum"), replications=100,
                          budget=TableBudget())
         complete = mc.ensure_tables(cfg)
-        bridge = complete.get(TableFamily.CUSUM_BRIDGE_SUP, 1, 0.6, None)
+        bridge = complete.find(TableFamily.CUSUM_BRIDGE_SUP, 1, 0.6, None)[0]
         monkeypatch.setattr(asymp, "critical_values", _refuse_simulation)
         partial = mc.run_experiment(cfg, tables=mc.TableSet([bridge]))
         sources = {v["family"]: v["source"] for v in partial.meta["tables"]}
