@@ -213,8 +213,11 @@ def wilcoxon_limit_factor(problem: str, alpha: float) -> QuadratureResult:
 # ---------------------------------------------------------------------------
 # Kolmogorov distribution (Brownian-bridge supremum law)
 
+#: Terms of either series below; both reach double precision within ten.
+_KOLMOGOROV_TERMS = 100
 
-def kolmogorov_cdf(x: float, terms: int = 100) -> float:
+
+def kolmogorov_cdf(x: float) -> float:
     """P(sup |bridge| <= x) = 1 - 2 sum_k (-1)^(k-1) exp(-2 k^2 x^2).
 
     For x < 1 the alternating series converges too slowly, so the dual
@@ -222,7 +225,7 @@ def kolmogorov_cdf(x: float, terms: int = 100) -> float:
     """
     if x <= 0:
         return 0.0
-    k = np.arange(1, terms + 1)
+    k = np.arange(1, _KOLMOGOROV_TERMS + 1)
     if x < 1.0:
         series = np.sum(np.exp(-((2 * k - 1) ** 2) * math.pi**2 / (8.0 * x * x)))
         return float(math.sqrt(2.0 * math.pi) / x * series)

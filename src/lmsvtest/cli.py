@@ -200,10 +200,8 @@ def _cmd_test(args) -> int:
     stat = stats.evaluate((family,), xs, transform, trim)[family]
     outcome = stats.decide(stat, family, normalization=norm, critical_value=cv)
     if args.profile_out is not None:
-        rows = stats.profile_to_rows(stat)
-        args.profile_out.write_text(
-            "k,value\n" + "\n".join(f"{k},{v:.17g}" for k, v in rows) + "\n"
-        )
+        rows = "".join(f"{k},{v:.17g}\n" for k, v in zip(stat.k_grid, stat.profile))
+        args.profile_out.write_text("k,value\n" + rows)
     sys.stdout.write(json.dumps(outcome.to_dict()) + "\n")
     return EXIT_OK
 
@@ -250,10 +248,11 @@ def _cmd_compare(args) -> int:
     result = mc.compare_to_reference(cells, reference, max_z=args.max_z)
     lines = ["family,hurst,n,alpha,h,local_rate,reference_rate,z,flagged"]
     for r in result.rows:
-        alpha = "" if r.alpha is None else f"{r.alpha:g}"
+        c = r.cell
+        alpha = "" if c.alpha is None else f"{c.alpha:g}"
         lines.append(
-            f"{r.family},{r.hurst:g},{r.n},{alpha},{r.h:g},{r.local_rate:.4f},"
-            f"{r.reference_rate:.4f},{r.z_score:.3f},{int(r.flagged)}"
+            f"{c.family},{c.hurst:g},{c.n},{alpha},{c.h:g},{c.rate:.4f},"
+            f"{r.reference.rate:.4f},{r.z_score:.3f},{int(r.flagged)}"
         )
     text = "\n".join(lines) + "\n"
     if args.out is not None:
@@ -263,9 +262,10 @@ def _cmd_compare(args) -> int:
         f"{len(result.flagged)} flagged\n"
     )
     for r in result.flagged:
+        c = r.cell
         sys.stdout.write(
-            f"FLAGGED {r.family} H={r.hurst:g} n={r.n} alpha={r.alpha} h={r.h:g}: "
-            f"local {r.local_rate:.3f} vs reference {r.reference_rate:.3f} (z={r.z_score:.2f})\n"
+            f"FLAGGED {c.family} H={c.hurst:g} n={c.n} alpha={c.alpha} h={c.h:g}: "
+            f"local {c.rate:.3f} vs reference {r.reference.rate:.3f} (z={r.z_score:.2f})\n"
         )
     return EXIT_FLAGGED if result.flagged else EXIT_OK
 

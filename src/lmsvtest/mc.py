@@ -98,6 +98,10 @@ class ExperimentConfig:
             raise ValueError(f"level must lie in (0, 1), got {self.level}")
         if not self.families or not self.hursts or not self.lengths or not self.shifts:
             raise ValueError("families, hursts, lengths, and shifts must be non-empty")
+        for name in ("families", "hursts", "lengths", "shifts", "alphas"):
+            values = getattr(self, name)  # a repeat would run, and count, its cells twice
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} repeats an entry: {list(values)}")
         if self.alphas and self.noise_kind == "normal":
             raise ValueError(f"normal noise has no tail index, got alphas {list(self.alphas)}")
         for alpha in self.alpha_grid:
@@ -134,13 +138,13 @@ class ExperimentConfig:
         names = {key: name for name, key in _JSON_KEYS.items()}
         kwargs = {names.get(key, key): tuple(value) if isinstance(value, list) else value
                   for key, value in json.loads(text).items()}
-        if "trim" in kwargs:
-            kwargs["trim"] = TrimSpec(*kwargs["trim"])
-        if "budget" in kwargs:
-            kwargs["budget"] = TableBudget(*kwargs["budget"])
         try:
+            if "trim" in kwargs:
+                kwargs["trim"] = TrimSpec(*kwargs["trim"])
+            if "budget" in kwargs:
+                kwargs["budget"] = TableBudget(*kwargs["budget"])
             return ExperimentConfig(**kwargs)
-        except TypeError as err:  # a missing or an unknown key
+        except TypeError as err:  # a missing or an unknown key, or a malformed trim or budget
             raise ValueError(f"invalid experiment config: {err}") from None
 
     @staticmethod
@@ -548,6 +552,12 @@ def run_experiment(cfg: ExperimentConfig, tables: TableSet | None = None) -> Exp
 
 
 _CELLS_HEADER = "problem,family,hurst,n,alpha,h,tau,level,replications,rejections,rate,se"
+_REFERENCE_HEADER = "problem,family,hurst,n,alpha,h,tau,rate,replications"
+
+#: How _read_cells parses each numeric column; the others stay strings.
+_CELL_PARSERS = {"hurst": float, "n": int, "alpha": lambda s: None if s == "" else float(s),
+                 "h": float, "tau": float, "level": float, "replications": int,
+                 "rejections": int}
 
 
 def cells_to_csv(cells: list[CellResult], path: str | Path) -> None:
@@ -564,29 +574,33 @@ def cells_to_csv(cells: list[CellResult], path: str | Path) -> None:
 
 
 def cells_from_csv(path: str | Path) -> list[CellResult]:
-    lines = Path(path).read_text().strip().splitlines()
-    header = lines[0].split(",")
-    if header != _CELLS_HEADER.split(","):
-        raise ValueError(f"unexpected cells CSV header {header}")
+    return _read_cells(path, _CELLS_HEADER)
+
+
+def _read_cells(path, header: str) -> list[CellResult]:
+    """The cells of a CSV in the cells format or in the published-table format.
+
+    `header` names the format. A published table has no rejections column:
+    its count is round(rate x replications), at level 0.05. An empty file,
+    another header and a row whose field count differs from the header's
+    are refused with ValueError.
+    """
+    lines = (Path(path) if isinstance(path, str) else path).read_text().strip().splitlines()
+    if not lines:
+        raise ValueError(f"{path} is empty; expected the header {header}")
+    names = header.split(",")
+    if lines[0].split(",") != names:
+        raise ValueError(f"unexpected header {lines[0].split(',')} in {path}; expected {names}")
     cells = []
-    for line in lines[1:]:
-        problem, family, hurst, n, alpha, h, tau, level, reps, rejections, _, _ = (
-            line.split(",")
-        )
-        cells.append(
-            CellResult(
-                problem=problem,
-                family=family,
-                hurst=float(hurst),
-                n=int(n),
-                alpha=None if alpha == "" else float(alpha),
-                h=float(h),
-                tau=float(tau),
-                level=float(level),
-                replications=int(reps),
-                rejections=int(rejections),
-            )
-        )
+    for number, line in enumerate(lines[1:], start=2):
+        values = line.split(",")
+        if len(values) != len(names):
+            raise ValueError(f"line {number} of {path} has {len(values)} fields, the header "
+                             f"{len(names)}: {line!r}")
+        row = {name: _CELL_PARSERS.get(name, str)(value) for name, value in zip(names, values)}
+        if "rejections" not in row:  # a published table gives the rate alone
+            row.update(level=0.05, rejections=round(float(row["rate"]) * row["replications"]))
+        cells.append(CellResult(**{f.name: row[f.name] for f in fields(CellResult)}))
     return cells
 
 
@@ -618,13 +632,10 @@ def report_to_csv(report: ExperimentReport, path: str | Path) -> None:
 
 @dataclass(frozen=True)
 class CellComparison:
-    family: str
-    hurst: float
-    n: int
-    alpha: float | None
-    h: float
-    local_rate: float
-    reference_rate: float
+    """A local cell, its reference partner and the z-score between their rates."""
+
+    cell: CellResult
+    reference: CellResult
     z_score: float
     flagged: bool
 
@@ -672,19 +683,7 @@ def compare_to_reference(
         if ref is None:
             raise ValueError(f"reference table has no cell for {key}")
         z = _two_proportion_z(c.rate, c.replications, ref.rate, ref.replications)
-        rows.append(
-            CellComparison(
-                family=c.family,
-                hurst=c.hurst,
-                n=c.n,
-                alpha=c.alpha,
-                h=c.h,
-                local_rate=c.rate,
-                reference_rate=ref.rate,
-                z_score=z,
-                flagged=abs(z) > max_z,
-            )
-        )
+        rows.append(CellComparison(c, ref, z, abs(z) > max_z))
     return ComparisonResult(rows=rows)
 
 
@@ -705,28 +704,4 @@ def load_reference(name: str) -> list[CellResult]:
 
 
 def reference_from_csv(path) -> list[CellResult]:
-    text = Path(path).read_text() if isinstance(path, (str, Path)) else path.read_text()
-    lines = text.strip().splitlines()
-    header = lines[0].split(",")
-    expected = "problem,family,hurst,n,alpha,h,tau,rate,replications".split(",")
-    if header != expected:
-        raise ValueError(f"unexpected reference CSV header {header}")
-    cells = []
-    for line in lines[1:]:
-        problem, family, hurst, n, alpha, h, tau, rate, reps = line.split(",")
-        reps = int(reps)
-        cells.append(
-            CellResult(
-                problem=problem,
-                family=family,
-                hurst=float(hurst),
-                n=int(n),
-                alpha=None if alpha == "" else float(alpha),
-                h=float(h),
-                tau=float(tau),
-                level=0.05,
-                replications=reps,
-                rejections=round(float(rate) * reps),
-            )
-        )
-    return cells
+    return _read_cells(path, _REFERENCE_HEADER)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -118,15 +118,7 @@ class TestOutcome:
     degenerate: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "statistic": self.statistic,
-            "normalization": self.normalization,
-            "argmax_k": self.argmax_k,
-            "critical_value": self.critical_value,
-            "reject": self.reject,
-            "degenerate": self.degenerate,
-        }
+        return asdict(self)
 
 
 def decide(
@@ -500,8 +492,3 @@ def sn_wilcoxon_by_definition(
     trim: TrimSpec = TrimSpec(),
 ) -> ProfileStat:
     return _sn_profile_by_definition(ranks(transform.apply(xs)), trim)
-
-
-def profile_to_rows(stat: ProfileStat) -> list[tuple[int, float]]:
-    """(k, value) pairs for CSV export of a profile."""
-    return [(int(k), float(v)) for k, v in zip(stat.k_grid, stat.profile)]

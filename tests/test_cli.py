@@ -544,5 +544,31 @@ class TestExperimentAndCompare:
             "--out", str(tmp_path / "diff.csv"),
         )
         assert code == EXIT_FLAGGED
-        assert "FLAGGED" in out
-        assert (tmp_path / "diff.csv").exists()
+        assert [line for line in out.splitlines() if line.startswith("FLAGGED")] == [
+            "FLAGGED cusum H=0.6 n=500 alpha=None h=0: local 0.246 vs reference 0.046 (z=28.32)"
+        ]
+        header, first, *_ = (tmp_path / "diff.csv").read_text().splitlines()
+        assert header == "family,hurst,n,alpha,h,local_rate,reference_rate,z,flagged"
+        assert first == "cusum,0.6,500,,0,0.2460,0.0460,28.320,1"
+
+    def test_empty_report_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "cells.csv"
+        path.write_text("")
+        code, _, err = run(capsys, "compare", "--report", str(path),
+                           "--reference", "builtin:mean_normal")
+        assert code == EXIT_COMPUTATION
+        assert f"{path} is empty" in err
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"trim": None}, "invalid experiment config"),
+        ({"trim": [0.1, 0.5, 0.9]}, "invalid experiment config"),
+        ({"table_budget": 5}, "invalid experiment config"),
+        ({"shifts": [1.0, 1.0]}, "shifts repeats an entry"),
+    ], ids=["trim-null", "trim-three-values", "budget-scalar", "repeated-shift"])
+    def test_malformed_config_is_refused(self, capsys, tmp_path, overrides, message):
+        config = _write_config(tmp_path / "config.json", **overrides)
+        code, _, err = run(capsys, "experiment", "--config", str(config),
+                           "--out-dir", str(tmp_path / "run"))
+        assert code == EXIT_COMPUTATION
+        assert message in err
+        assert not (tmp_path / "run").exists()

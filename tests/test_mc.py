@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -81,6 +82,20 @@ class TestConfig:
         text = json.dumps({"noise": "normal", **required})
         assert mc.ExperimentConfig.from_json(text) == mc.ExperimentConfig(
             noise_kind="normal", **required)
+
+    @pytest.mark.parametrize("name, overrides", [
+        ("families", {"families": ("cusum", "sn_cusum", "cusum")}),
+        ("hursts", {"hursts": (0.7, 0.7)}),
+        ("lengths", {"lengths": (120, 120)}),
+        ("shifts", {"shifts": (0.0, 1.0, 0.0)}),
+        ("alphas", {"problem": "variance", "noise_kind": "centered_pareto",
+                    "alphas": (4.5, 4.5), "shifts": (1.0,), "hursts": (0.7,)}),
+    ], ids=["families", "hursts", "lengths", "shifts", "alphas"])
+    def test_rejects_a_repeated_grid_entry(self, name, overrides):
+        # A repeated family or shift ran twice into one cell and doubled its
+        # count; a repeated H, n or alpha gave two cells with one key.
+        with pytest.raises(ValueError, match=f"{name} repeats an entry"):
+            _small_cfg(**overrides)
 
     def test_from_json_refuses_an_unknown_key(self):
         text = _small_cfg().to_json().replace('"replications"', '"replicatons"')
@@ -479,6 +494,24 @@ class TestSerialization:
         fields = dict(zip(header.split(","), row.split(",")))
         assert (fields["rejections"], fields["rate"]) == ("3333333", "0.333333")
 
+    @pytest.mark.parametrize("read", [mc.cells_from_csv, mc.reference_from_csv],
+                             ids=["cells", "reference"])
+    def test_refuses_an_empty_file_and_a_short_row(self, tmp_path, read):
+        path = tmp_path / "table.csv"
+        if read is mc.cells_from_csv:
+            mc.cells_to_csv(mc.load_reference("mean_normal"), path)
+        else:
+            path.write_text((resources.files("lmsvtest.data") / "table1_mean_normal.csv")
+                            .read_text())
+        header, row, *_ = path.read_text().splitlines()
+        assert len(read(path)) == 96
+        path.write_text("")
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))} is empty"):
+            read(path)
+        path.write_text(f"{header}\n{row}\n{row.rsplit(',', 1)[0]}\n")
+        with pytest.raises(ValueError, match="line 3 of .* fields"):
+            read(path)
+
     def test_report_csv_shape(self, tmp_path):
         report = mc.run_experiment(_small_cfg())
         path = tmp_path / "report.csv"
@@ -542,7 +575,7 @@ class TestComparison:
         local[0] = corrupted
         result = mc.compare_to_reference(local, reference)
         assert len(result.flagged) == 1
-        assert result.flagged[0].family == victim.family
+        assert result.flagged[0].cell.family == victim.family
 
     def test_grid_mismatch_raises(self):
         reference = mc.load_reference("mean_normal")
