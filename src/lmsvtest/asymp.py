@@ -6,6 +6,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -14,7 +15,7 @@ import numpy as np
 
 from . import fgn
 from .dist import CenteredPareto, NoiseSpec, RngStream, noise_moments
-from .stats import TrimSpec, _sn_ratio, row_blocks
+from .stats import TrimSpec, _bridge, _sn_ratio, _sn_terms, row_blocks
 
 TABLE_FORMAT_VERSION = 1
 
@@ -289,8 +290,16 @@ class TableBudget:
     path_length: int = 2_048
 
     def __post_init__(self) -> None:
+        require_integer("path_count", self.path_count)
+        require_integer("path_length", self.path_length)
         if self.path_count < 1 or self.path_length < 2:
             raise ValueError("table budget must be positive")
+
+
+def require_integer(name: str, value) -> None:
+    """Refuse (TypeError) a value that is not an integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 class TableFamily(enum.Enum):
@@ -411,10 +420,11 @@ def _sn_sup(paths: np.ndarray, trim: TrimSpec) -> np.ndarray:
     On the grid j/N the sums of the kernel's denominator equal the trapezoid
     integrals of the squared residual bridges, which vanish at both ends.
     """
-    lo, hi = trim.window(paths.shape[1])
+    n = paths.shape[1]
+    lo, hi = trim.window(n)
     sup = np.empty(paths.shape[0])
     for rows in row_blocks(paths.shape):
-        ratio, _ = _sn_ratio(paths[rows], lo, hi)
+        ratio, _ = _sn_ratio(*_sn_terms(_bridge(paths[rows]), lo, hi), n)
         sup[rows] = np.max(ratio, axis=1)
     return sup
 

@@ -13,6 +13,19 @@ from lmsv.simulate_batch, which keeps each replication on its own streams,
 so the counts are those of evaluating one replication at a time, whatever
 the chunk size.
 
+In a mean row, cusum and sn_cusum see every shift through one bridge of the
+chunk's null paths x0 (stats.mean_shift_sups). The shifted path is
+x0 + h 1{t > floor(n tau)}, and the bridge P_t = S_t - (t/n) S_n is linear
+in the path, so with B the bridge of the step (a fixed tent):
+P(h) = P0 + h B, its double prefix sums CC(h) = CC0 + h CC_B, and
+A(h) = sum_t P_t(h)^2 = A0 + 2h <P0, B> + h^2 <B, B>. These are all the
+SN ratio needs, so a shift costs no prefix pass. The counts equal those of
+evaluating each shifted path unless a statistic lies within rounding of
+its critical value. The rank families rank each shifted path. Variance and
+tail rows evaluate each shift: a scale change splits only into
+pre + h^2 post terms of the squares, and a tail shift into pre and
+post-change draws, and at two shifts that decomposition saves no pass.
+
 Every test follows one rule, resolve_plan: the problem and the family fix
 the transform, the normalization and the limit table. Every table comes
 from one rule too, ensure_tables: a table the caller provides first (refused
@@ -42,6 +55,7 @@ from .asymp import (
     dnm_exact,
     kolmogorov_quantile,
     limit_coefficient,
+    require_integer,
 )
 from .dist import NoiseSpec, RngStream, make_noise, noise_moments
 from .stats import Transform, TrimSpec
@@ -90,6 +104,10 @@ class ExperimentConfig:
     max_workers: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("replications", "seed", "max_workers"):
+            require_integer(name, getattr(self, name))  # a float fails only deep in a run
+        for n in self.lengths:
+            require_integer("lengths", n)
         if self.replications < 100:
             raise ValueError("need at least 100 replications")
         if not 0.0 < self.tau < 1.0:
@@ -473,17 +491,32 @@ def _row_stream(cfg: ExperimentConfig, hurst: float, n: int, alpha: float | None
 def _evaluate_row(cfg: ExperimentConfig, hurst: float, n: int, alpha: float | None,
                   plans: list[Plan]) -> list[CellResult]:
     families = tuple(plan.family for plan in plans)
+    # A mean shift adds h times a fixed step, so the sum families take every
+    # shift from the bridge of the null chunk; the others see each shift.
+    linear = tuple(f for f in families if cfg.problem == "mean" and f in ("cusum", "sn_cusum"))
+    rest = tuple(f for f in families if f not in linear)
     params = fgn.FgnParams(hurst, n)
     noise = make_noise(cfg.noise_kind, alpha)
-    changes = [lmsv.CHANGES[cfg.problem](h, cfg.tau) for h in cfg.shifts]
+    changes = [lmsv.NoChange()] * bool(linear) + [
+        lmsv.CHANGES[cfg.problem](h, cfg.tau) for h in cfg.shifts]
+    cut = lmsv.change_point_index(n, cfg.tau)
     base = _row_stream(cfg, hurst, n, alpha)
     rejections = {(p.family, h): 0 for p in plans for h in cfg.shifts}
     for start in range(0, cfg.replications, _CHUNK):
         streams = base.substreams(range(start, min(start + _CHUNK, cfg.replications)))
-        for h, (_, _, x) in zip(cfg.shifts, lmsv.simulate_batch(params, noise, changes, streams)):
-            results = stats.evaluate(families, x, plans[0].transform, cfg.trim)
-            for plan in plans:
-                value = results[plan.family].sup_value / plan.normalization
+        paths = lmsv.simulate_batch(params, noise, changes, streams)
+        sups = {}
+        if linear:
+            x0 = next(paths)[2]
+            if not rest:  # free the chunk's draws before the statistics run
+                paths.close()
+            sups = stats.mean_shift_sups(linear, x0, cut, cfg.shifts, cfg.trim)
+        for h, (_, _, x) in zip(cfg.shifts, paths):
+            results = stats.evaluate(rest, x, plans[0].transform, cfg.trim)
+            sups.update({(family, h): results[family].sup_value for family in rest})
+        for plan in plans:
+            for h in cfg.shifts:
+                value = sups[plan.family, h] / plan.normalization
                 rejections[(plan.family, h)] += int(np.count_nonzero(value > plan.critical_value))
 
     return [
@@ -582,8 +615,8 @@ def _read_cells(path, header: str) -> list[CellResult]:
 
     `header` names the format. A published table has no rejections column:
     its count is round(rate x replications), at level 0.05. An empty file,
-    another header and a row whose field count differs from the header's
-    are refused with ValueError.
+    another header, a header with no rows and a row whose field count
+    differs from the header's are refused with ValueError.
     """
     lines = (Path(path) if isinstance(path, str) else path).read_text().strip().splitlines()
     if not lines:
@@ -591,6 +624,8 @@ def _read_cells(path, header: str) -> list[CellResult]:
     names = header.split(",")
     if lines[0].split(",") != names:
         raise ValueError(f"unexpected header {lines[0].split(',')} in {path}; expected {names}")
+    if len(lines) == 1:
+        raise ValueError(f"{path} has a header and no cells")
     cells = []
     for number, line in enumerate(lines[1:], start=2):
         values = line.split(",")

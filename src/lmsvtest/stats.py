@@ -7,19 +7,28 @@ the SN sup and argmax, on random walks with an offset of 50 and shifts up to
 10 (n = 500, 2000). Elsewhere the SN algebra, which cancels terms of size
 sum_t P_t^2, can miss: i.i.d. rows with a 10 sigma shift at n = 2000 gave 1.4e-10.
 
-The self-normalized kernel works on the bridge partial sums
-P_t = S_t - (t/n) S_n, on which the statistic is shift-invariant. Its
-denominator at cut k is n denom^2(k) = A + gamma_k P_k^2
-+ (2/u) P_k ((n/k) CC_{k-1} - CC_{n-1}), with u = n - k, A = sum_t P_t^2 and
-CC the prefix sums of the prefix sums of P (see _sn_ratio): three prefix
-passes and one row dot product per series.
+All four statistics are functionals of one bridge, the partial sums
+P_t = S_t - (t/n) S_n of the values (cusum, sn_cusum) or of their ranks
+(wilcoxon, sn_wilcoxon). cusum and wilcoxon are |P_k| over k = 1..n. The
+self-normalized ratio at cut k is |P_k| / denom(k), with
+n denom^2(k) = A + gamma_k P_k^2 + (2/u) P_k ((n/k) CC_{k-1} - CC_{n-1}),
+u = n - k, A = sum_t P_t^2 and CC the prefix sums of the prefix sums of P
+(see _sn_terms). evaluate builds the bridge of each input once, from the
+centered row (P does not depend on the row's offset): three prefix passes
+and one row dot product serve both families of the input. The ranks of a
+tie-free row average (n+1)/2 exactly, so the Wilcoxon profile is bitwise
+|sum_{i<=k} R_i - k(n+1)/2|.
 
-The self-normalized kernel evaluates a batch in the row blocks of
-row_blocks, the rule the table functionals of asymp use too: as many whole
-rows as fit in _BLOCK doubles. Rows are independent, so a row's result is
-bitwise the same alone, in any batch and in any block. The SN table
-functional of asymp is this kernel too: _sn_ratio entered at the partial
-sums that the simulated paths already are, with no differencing.
+A mean shift adds h 1{t > cut} to a series, and the bridge is linear in the
+series, so mean_shift_sups takes the sum families at every h from the
+bridge of the unshifted series and that of the step (derivation there).
+
+The bridge is built in the row blocks of row_blocks, the rule the table
+functionals of asymp use too: as many whole rows as fit in _BLOCK doubles.
+Rows are independent, so a row's result is bitwise the same alone, in any
+batch and in any block. The SN table functional of asymp is this kernel
+too: _bridge, _sn_terms and _sn_ratio entered at the partial sums that the
+simulated paths already are, with no differencing.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 
-#: Doubles per row block: the self-normalized kernel and the table functionals
+#: Doubles per row block: the bridge of the statistics and the table functionals
 #: evaluate as many whole rows as fit in 256 kB (at least one) at a time, so
 #: that each temporary stays in cache. Rows are independent, so the block size
 #: does not change a bit of any result.
@@ -223,16 +232,8 @@ def _finish(profile: np.ndarray, k_grid: np.ndarray, degenerate: bool = False) -
 # CUSUM
 
 
-def _cusum(batch: _Batch, trim: TrimSpec) -> ProfileStat:
-    y = batch.finite_values()
-    n = y.shape[-1]
-    s = np.cumsum(y, axis=-1)
-    k = np.arange(1, n + 1)
-    return _finish_batch(np.abs(s - k * (s[:, -1:] / n)), k)
-
-
 def cusum(xs: np.ndarray, transform: Transform = Transform.IDENTITY) -> ProfileStat:
-    """Supremum of |S_k - (k/n) S_n| over cut points k = 1..n, one prefix pass.
+    """Supremum of |S_k - (k/n) S_n|, the bridge |P_k|, over cut points k = 1..n.
 
     `xs` is one series or a batch of series along the last axis.
     """
@@ -252,19 +253,6 @@ def cusum_by_definition(xs: np.ndarray, transform: Transform = Transform.IDENTIT
 
 # ---------------------------------------------------------------------------
 # Wilcoxon
-
-
-def _wilcoxon(batch: _Batch, trim: TrimSpec) -> ProfileStat:
-    # The rank identity holds only for tie-free rows; a tied row falls back to
-    # the O(n^2) pair counts (a null event under continuous generators, so
-    # speed there does not matter).
-    r, tied = batch.ranked
-    n = r.shape[-1]
-    k = np.arange(1, n + 1)
-    profile = np.abs(np.cumsum(r, axis=-1) - k * (n + 1) / 2.0)
-    for row in np.flatnonzero(tied):
-        profile[row] = np.abs(_wilcoxon_pair_counts(batch.values[row]))
-    return _finish_batch(profile, k)
 
 
 def wilcoxon(xs: np.ndarray, transform: Transform = Transform.IDENTITY) -> ProfileStat:
@@ -308,31 +296,10 @@ def wilcoxon_by_definition(
 # Self-normalized statistics
 
 
-def _sn_profile(x: np.ndarray, trim: TrimSpec) -> ProfileStat:
-    """Trimmed supremum of the self-normalized CUSUM ratio of each row of x.
-
-    The statistic is shift-invariant, so _sn_ratio evaluates it on the
-    partial sums of the centered row, in the blocks of row_blocks.
-    """
-    n = x.shape[-1]
-    lo, hi = trim.window(n)
-    k_grid = _sn_weights(n, lo, hi)[1]
-    profile = np.empty((x.shape[0], k_grid.size))
-    degenerate = np.empty(x.shape[0], dtype=bool)
-    for rows in row_blocks(x.shape):
-        block = x[rows]
-        s = block - block.mean(axis=-1, keepdims=True)
-        np.cumsum(s, axis=-1, out=s)
-        _, zero = _sn_ratio(s, lo, hi, out=profile[rows])
-        degenerate[rows] = np.any(zero, axis=-1)
-    return _finish_batch(profile, k_grid, degenerate)
-
-
-def _sn_ratio(
-    s: np.ndarray, lo: int, hi: int, out: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Self-normalized ratio at the cuts k = lo..hi of each row of partial
-    sums s, and which cuts are a degenerate zero.
+def _sn_terms(p: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, ...]:
+    """The terms of the self-normalized ratio at the cuts k = lo..hi of each
+    row of bridge partial sums p: P_k, the part L_k of the denominator that
+    is linear in the bridge, and A / n, so that denom^2(k) = P_k L_k + A / n.
 
     The ratio is evaluated on the bridge partial sums P_t = S_t - (t/n) S_n,
     with P_n = 0. The numerator at cut k is |P_k|. Within-segment demeaning
@@ -347,21 +314,29 @@ def _sn_ratio(
     sum_{t<=k} (k-t) P_t = CC_{k-1}) and
     gamma_k = S2(k)/k^2 - 1 + S2(u)/u^2, S2(j) = j(j+1)(2j+1)/6. That is
     two prefix passes and one row dot product per row; the per-cut
-    weights are cached per (n, window). A denominator within rounding of
-    the cancelled magnitude A (piecewise-constant input) yields +inf.
+    weights are cached per (n, window).
     """
-    n = s.shape[-1]
-    t, _, gamma, w_left, w_right = _sn_weights(n, lo, hi)
-    p = s - t * (s[:, -1:] / n)
+    n = p.shape[-1]
+    gamma, w_left, w_right = _sn_weights(n, lo, hi)
     a = np.einsum("ij,ij->i", p, p)[:, None] / n
     cc = np.zeros_like(p)
     np.cumsum(np.cumsum(p[:, :-1], axis=-1), axis=-1, out=cc[:, 1:])
-
     pk = p[:, lo - 1:hi]
-    denom_sq = gamma * pk
-    denom_sq += w_left * cc[:, lo - 1:hi]
-    denom_sq -= w_right * cc[:, -1:]
-    denom_sq *= pk
+    linear = gamma * pk
+    linear += w_left * cc[:, lo - 1:hi]
+    linear -= w_right * cc[:, -1:]
+    return pk, linear, a
+
+
+def _sn_ratio(
+    pk: np.ndarray, linear: np.ndarray, a: np.ndarray, n: int, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Self-normalized ratio |P_k| / sqrt(P_k L_k + A / n) from the terms of
+    _sn_terms, and which cuts are a degenerate zero. A denominator within
+    rounding of the cancelled magnitude A (piecewise-constant input) yields
+    +inf.
+    """
+    denom_sq = linear * pk
     denom_sq += a
     # The cancellation against A leaves rounding of up to about
     # 2 sqrt(n) eps A / n (measured on two-level rows, n = 20..10 000) in
@@ -370,21 +345,19 @@ def _sn_ratio(
     # counts as an exact zero. A constant row has P = 0 exactly.
     zero = denom_sq <= 4.0 * n * np.finfo(float).eps * a
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.divide(np.abs(pk), np.sqrt(denom_sq), out=out)
+        ratio = np.divide(np.abs(pk), np.sqrt(denom_sq, out=denom_sq), out=out)
     ratio[zero] = np.inf
     return ratio, zero
 
 
 @lru_cache(maxsize=32)
 def _sn_weights(n: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
-    """Time index t = 1..n, cut grid k = lo..hi and the per-cut weights of
-    the bridge algebra in _sn_ratio, divided by n: gamma_k / n,
-    2 / (k u) and 2 / (n u)."""
+    """The per-cut weights of the bridge algebra in _sn_terms at the cuts
+    k = lo..hi, divided by n: gamma_k / n, 2 / (k u) and 2 / (n u)."""
     k = np.arange(lo, hi + 1, dtype=float)
     u = n - k
     gamma = (_sum_sq(k) / (k * k) - 1.0 + _sum_sq(u) / (u * u)) / n
-    weights = (np.arange(1.0, n + 1.0), np.arange(lo, hi + 1), gamma,
-               2.0 / (k * u), 2.0 / (n * u))
+    weights = (gamma, 2.0 / (k * u), 2.0 / (n * u))
     for w in weights:
         w.flags.writeable = False
     return weights
@@ -392,14 +365,6 @@ def _sn_weights(n: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
 
 def _sum_sq(k: np.ndarray) -> np.ndarray:
     return k * (k + 1.0) * (2.0 * k + 1.0) / 6.0
-
-
-def _sn_cusum(batch: _Batch, trim: TrimSpec) -> ProfileStat:
-    return _sn_profile(batch.finite_values(), trim)
-
-
-def _sn_wilcoxon(batch: _Batch, trim: TrimSpec) -> ProfileStat:
-    return _sn_profile(batch.ranked[0], trim)
 
 
 def sn_cusum(
@@ -426,12 +391,48 @@ def sn_wilcoxon(
     return evaluate(("sn_wilcoxon",), xs, transform, trim)["sn_wilcoxon"]
 
 
-_KERNELS = {
-    "cusum": _cusum,
-    "wilcoxon": _wilcoxon,
-    "sn_cusum": _sn_cusum,
-    "sn_wilcoxon": _sn_wilcoxon,
-}
+# ---------------------------------------------------------------------------
+# The bridge: one pass per input serves the sup family and the SN family
+
+
+def _bridge(s: np.ndarray) -> np.ndarray:
+    """The bridge P_t = S_t - (t/n) S_n of each row of partial sums s."""
+    n = s.shape[-1]
+    return s - np.arange(1.0, n + 1.0) * (s[:, -1:] / n)
+
+
+def _centered_bridge(z: np.ndarray) -> np.ndarray:
+    """The bridge of the partial sums of each row of z less its mean. P does
+    not depend on the row's offset, and centering keeps S_n near zero."""
+    s = z - z.mean(axis=-1, keepdims=True)
+    np.cumsum(s, axis=-1, out=s)
+    return _bridge(s)
+
+
+def _bridge_stats(
+    z: np.ndarray, sup: bool, sn: bool, trim: TrimSpec
+) -> tuple[np.ndarray | None, ProfileStat | None]:
+    """The profile |P_k|, k = 1..n, of each row of z if `sup`, and the
+    trimmed self-normalized statistic if `sn`, from one bridge per row
+    block of row_blocks."""
+    count, n = z.shape
+    profile = np.empty((count, n)) if sup else None
+    if sn:
+        lo, hi = trim.window(n)
+        ratio, degenerate = np.empty((count, hi - lo + 1)), np.empty(count, dtype=bool)
+    for rows in row_blocks(z.shape):
+        p = _centered_bridge(z[rows])
+        if sup:
+            np.abs(p, out=profile[rows])
+        if sn:
+            _, zero = _sn_ratio(*_sn_terms(p, lo, hi), n, out=ratio[rows])
+            degenerate[rows] = np.any(zero, axis=-1)
+    return profile, _finish_batch(ratio, np.arange(lo, hi + 1), degenerate) if sn else None
+
+
+#: The families of each input of the bridge, the values and their ranks:
+#: the supremum of |P| and the self-normalized ratio.
+_INPUTS = (("cusum", "sn_cusum"), ("wilcoxon", "sn_wilcoxon"))
 
 
 def evaluate(
@@ -444,16 +445,89 @@ def evaluate(
 
     `xs` is one series or a batch of series along the last axis; for a
     batch every result holds one entry per series. The transform is applied
-    once, and the rank families share one ranking.
+    once, the rank families share one ranking, and the two families of
+    each input share its bridge.
     """
-    unknown = set(families) - set(_KERNELS)
+    unknown = set(families) - {family for pair in _INPUTS for family in pair}
     if unknown:
         raise ValueError(f"unknown families {sorted(unknown)}")
     batch = _Batch(xs, transform)
-    results = {family: _KERNELS[family](batch, trim) for family in families}
+    results = {}
+    for sup, sn in _INPUTS:
+        if sup not in families and sn not in families:
+            continue
+        z = batch.finite_values() if sup == "cusum" else batch.ranked[0]
+        profile, results[sn] = _bridge_stats(z, sup in families, sn in families, trim)
+        if profile is None:
+            continue
+        if sup == "wilcoxon":
+            # The rank identity holds only for tie-free rows; a tied row falls
+            # back to the O(n^2) pair counts (a null event under continuous
+            # generators, so speed there does not matter).
+            for row in np.flatnonzero(batch.ranked[1]):
+                profile[row] = np.abs(_wilcoxon_pair_counts(batch.values[row]))
+        results[sup] = _finish_batch(profile, np.arange(1, z.shape[-1] + 1))
     if batch.single:
-        return {family: _single(stat) for family, stat in results.items()}
-    return results
+        return {family: _single(results[family]) for family in families}
+    return {family: results[family] for family in families}
+
+
+def mean_shift_sups(
+    families: tuple[str, ...],
+    x0: np.ndarray,
+    cut: int,
+    shifts: tuple[float, ...],
+    trim: TrimSpec = TrimSpec(),
+) -> dict[tuple[str, float], np.ndarray]:
+    """Supremum of each sum family (cusum, sn_cusum) of every row of
+    x0 + h 1{t > cut}, for each h in `shifts`, keyed (family, h), from one
+    bridge pass over the rows of x0.
+
+    The bridge is linear in the series. With P0, CC0 and A0 those of x0,
+    and B, CC_B those of the step 1{t > cut} (cached per (n, cut)),
+
+        P(h) = P0 + h B,    CC(h) = CC0 + h CC_B,
+        A(h) = sum_t (P0_t + h B_t)^2 = A0 + 2h <P0, B> + h^2 <B, B>,
+
+    and the linear part of the SN denominator (see _sn_terms) is
+    L(h) = L0 + h L_B, so a shift costs a few vector operations over the
+    cuts and no prefix pass. The values agree with evaluate on each shifted series to rounding;
+    at h = 0 they are bitwise the same.
+    """
+    unknown = set(families) - {"cusum", "sn_cusum"}
+    if unknown:
+        raise ValueError(f"the mean-shift path covers cusum and sn_cusum, got {sorted(unknown)}")
+    z = _Batch(x0, Transform.IDENTITY).finite_values()
+    count, n = z.shape
+    window = trim.window(n) if "sn_cusum" in families else None
+    b, b_terms = _step_bridge(n, cut, window)
+    sups = {(family, h): np.empty(count) for family in families for h in shifts}
+    for rows in row_blocks(z.shape):
+        p = _centered_bridge(z[rows])
+        if window is not None:
+            pk, linear, a = _sn_terms(p, *window)
+            pb = (p @ b)[:, None] * (2.0 / n)
+        for h in shifts:
+            if "cusum" in families:
+                sups["cusum", h][rows] = np.max(np.abs(p + h * b), axis=-1)
+            if window is not None:
+                ratio, _ = _sn_ratio(pk + h * b_terms[0], linear + h * b_terms[1],
+                                     a + h * (pb + h * b_terms[2]), n)
+                sups["sn_cusum", h][rows] = np.max(ratio, axis=-1)
+    return sups
+
+
+@lru_cache(maxsize=32)
+def _step_bridge(n: int, cut: int, window: tuple[int, int] | None):
+    """The bridge B of the step 1{t > cut} of length n and, for a window,
+    its terms of _sn_terms (A / n is <B, B> / n); read-only."""
+    step = np.zeros((1, n))
+    step[0, cut:] = 1.0
+    b = _centered_bridge(step)
+    terms = None if window is None else _sn_terms(b, *window)
+    for array in (b, *(terms or ())):
+        array.flags.writeable = False
+    return b[0], terms
 
 
 def _sn_profile_by_definition(values: np.ndarray, trim: TrimSpec) -> ProfileStat:

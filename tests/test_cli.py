@@ -288,6 +288,10 @@ class TestCritvals:
         assert code == EXIT_OK
 
 
+#: sha256 of cells.csv of `lmsvtest experiment` on the bundled table1_desk.json.
+DESK_CELLS_SHA256 = "441760d266df1c5722736944bf13f8a387b7a2779012dd952166c54469dd7bd4"
+
+
 def _write_config(path, **overrides):
     config = {
         "problem": "variance", "noise": "centered_pareto", "alphas": [4.5],
@@ -525,6 +529,10 @@ class TestExperimentAndCompare:
             "--reference", "builtin:mean_normal",
         )
         assert code == EXIT_OK, out
+        # The bundled seed's counts, pinned byte for byte: a change to the
+        # engine that moves any count moves this digest.
+        digest = hashlib.sha256((out_dir / "cells.csv").read_bytes()).hexdigest()
+        assert digest == DESK_CELLS_SHA256
 
     def test_compare_flags_corruption(self, capsys, tmp_path):
         from lmsvtest import mc
@@ -559,12 +567,32 @@ class TestExperimentAndCompare:
         assert code == EXIT_COMPUTATION
         assert f"{path} is empty" in err
 
+    def test_header_only_report_is_refused(self, capsys, tmp_path):
+        # What a run that wrote no cells leaves: it compared 0 cells and passed.
+        from lmsvtest import mc
+
+        path = tmp_path / "cells.csv"
+        mc.cells_to_csv([], path)
+        code, out, err = run(capsys, "compare", "--report", str(path),
+                             "--reference", "builtin:mean_normal")
+        assert code == EXIT_COMPUTATION
+        assert f"{path} has a header and no cells" in err
+        assert "compared" not in out
+
     @pytest.mark.parametrize("overrides, message", [
         ({"trim": None}, "invalid experiment config"),
         ({"trim": [0.1, 0.5, 0.9]}, "invalid experiment config"),
         ({"table_budget": 5}, "invalid experiment config"),
         ({"shifts": [1.0, 1.0]}, "shifts repeats an entry"),
-    ], ids=["trim-null", "trim-three-values", "budget-scalar", "repeated-shift"])
+        ({"replications": 100.5}, "invalid experiment config: replications must be an integer"),
+        ({"lengths": [60.0]}, "invalid experiment config: lengths must be an integer"),
+        ({"max_workers": True}, "invalid experiment config: max_workers must be an integer"),
+        ({"seed": 1.5}, "invalid experiment config: seed must be an integer"),
+        ({"table_budget": [300.5, 64]}, "invalid experiment config: path_count must be an"),
+        ({"table_budget": [300, True]}, "invalid experiment config: path_length must be an"),
+    ], ids=["trim-null", "trim-three-values", "budget-scalar", "repeated-shift",
+            "replications-float", "length-float", "workers-bool", "seed-float",
+            "budget-count-float", "budget-length-bool"])
     def test_malformed_config_is_refused(self, capsys, tmp_path, overrides, message):
         config = _write_config(tmp_path / "config.json", **overrides)
         code, _, err = run(capsys, "experiment", "--config", str(config),

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lmsvtest import asymp, fgn, lmsv, mc
+from lmsvtest import asymp, fgn, lmsv, mc, stats
 from lmsvtest.asymp import CriticalValueTable, TableBudget, TableFamily
 from lmsvtest.dist import RngStream, make_noise
 from lmsvtest.stats import TrimSpec
@@ -96,6 +96,27 @@ class TestConfig:
         # count; a repeated H, n or alpha gave two cells with one key.
         with pytest.raises(ValueError, match=f"{name} repeats an entry"):
             _small_cfg(**overrides)
+
+    @pytest.mark.parametrize("overrides, name", [
+        ({"replications": 100.5}, "replications"),
+        ({"replications": True}, "replications"),
+        ({"lengths": (120, 240.0)}, "lengths"),
+        ({"max_workers": 2.0}, "max_workers"),
+        ({"seed": 7.5}, "seed"),
+    ], ids=["replications-float", "replications-bool", "length-float", "workers-float",
+            "seed-float"])
+    def test_rejects_a_non_integer_count(self, overrides, name):
+        # A float count passed the range checks and failed deep in a run.
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            _small_cfg(**overrides)
+
+    @pytest.mark.parametrize("budget, name", [
+        ((300.5, 64), "path_count"), ((True, 64), "path_count"), ((300, 64.0), "path_length"),
+    ], ids=["count-float", "count-bool", "length-float"])
+    def test_table_budget_rejects_a_non_integer_count(self, budget, name):
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            TableBudget(*budget)
+        assert TableBudget(np.int64(300), 64).path_count == 300
 
     def test_from_json_refuses_an_unknown_key(self):
         text = _small_cfg().to_json().replace('"replications"', '"replicatons"')
@@ -440,7 +461,7 @@ _CHANGES = {"mean": lmsv.MeanShift, "variance": lmsv.VarianceScale, "tail": lmsv
 
 
 class TestChunkedEngine:
-    @pytest.mark.parametrize("name", ["variance", "tail"])
+    @pytest.mark.parametrize("name", ["variance", "tail", "mean_normal", "mean_centered_pareto"])
     def test_counts_do_not_depend_on_chunk_size(self, monkeypatch, name):
         cfg = _small_cfg(replications=150, **_ENGINE_CASES[name])
         tables = mc.ensure_tables(cfg)
@@ -469,6 +490,53 @@ class TestChunkedEngine:
                                    _CHANGES[cfg.problem](h, cfg.tau))
             for rep in (0, 1, mc._CHUNK - 1):
                 assert np.array_equal(paths[rep], lmsv.simulate_series(spec, base.substream(rep)))
+
+
+class TestMeanShiftReuse:
+    """Mean rows take every shift of cusum and sn_cusum from the bridge of
+    the null chunk (stats.mean_shift_sups)."""
+
+    @pytest.mark.parametrize("n", [500, 2000])
+    def test_sups_match_evaluate_on_each_shifted_series(self, n):
+        # 0 and 1 are the desk shifts; 0.37, 2.5 and -4 are not.
+        shifts, families, trim = (0.0, 1.0, 0.37, 2.5, -4.0), ("cusum", "sn_cusum"), TrimSpec()
+        cut = lmsv.change_point_index(n, 0.5)
+        [(_, _, x0)] = lmsv.simulate_batch(fgn.FgnParams(0.8, n), make_noise("normal"),
+                                           [lmsv.NoChange()], RngStream(31).substreams(range(64)))
+        sups = stats.mean_shift_sups(families, x0, cut, shifts, trim)
+        for h in shifts:
+            x = x0.copy()
+            x[:, cut:] += h
+            results = stats.evaluate(families, x, trim=trim)
+            for family in families:
+                np.testing.assert_allclose(sups[family, h], results[family].sup_value,
+                                           rtol=1e-10, atol=0)
+        at_zero = stats.evaluate(families, x0, trim=trim)
+        for family in families:
+            assert np.array_equal(sups[family, 0.0], at_zero[family].sup_value)
+        with pytest.raises(ValueError, match="covers cusum and sn_cusum"):
+            stats.mean_shift_sups(("wilcoxon",), x0, cut, shifts, trim)
+
+    @pytest.mark.parametrize("name", ["mean_normal", "mean_centered_pareto"])
+    @pytest.mark.parametrize("n", [500, 2000])
+    def test_row_counts_equal_per_shift_evaluation(self, name, n):
+        case = {**_ENGINE_CASES[name], "shifts": (0.0, 0.37, 1.0, 2.5)}
+        cfg = _small_cfg(lengths=(n,), **case)
+        hurst, alpha = cfg.hursts[0], cfg.alpha_grid[0]
+        plans = mc._plans_for_row(cfg, hurst, n, alpha, mc.ensure_tables(cfg))
+        changes = [lmsv.MeanShift(h, cfg.tau) for h in cfg.shifts]
+        streams = mc._row_stream(cfg, hurst, n, alpha).substreams(range(cfg.replications))
+        paths = lmsv.simulate_batch(fgn.FgnParams(hurst, n), make_noise(cfg.noise_kind, alpha),
+                                    changes, streams)
+        expected = {}
+        for h, (_, _, x) in zip(cfg.shifts, paths):
+            results = stats.evaluate(cfg.families, x, trim=cfg.trim)
+            for plan in plans:
+                value = results[plan.family].sup_value / plan.normalization
+                expected[plan.family, h] = int(np.count_nonzero(value > plan.critical_value))
+        cells = mc._evaluate_row(cfg, hurst, n, alpha, plans)
+        assert {(c.family, c.h): c.rejections for c in cells} == expected
+        assert len(set(expected.values())) > 2  # the shifts give different counts
 
 
 class TestSerialization:
@@ -507,6 +575,9 @@ class TestSerialization:
         assert len(read(path)) == 96
         path.write_text("")
         with pytest.raises(ValueError, match=f"{re.escape(str(path))} is empty"):
+            read(path)
+        path.write_text(f"{header}\n")
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))} has a header and no cells"):
             read(path)
         path.write_text(f"{header}\n{row}\n{row.rsplit(',', 1)[0]}\n")
         with pytest.raises(ValueError, match="line 3 of .* fields"):

@@ -104,6 +104,16 @@ class TestWilcoxon:
             fast, slow = wilcoxon(x), wilcoxon_by_definition(x)
             assert np.array_equal(fast.profile, slow.profile)
 
+    @pytest.mark.parametrize("n", [2, 61, 500, 2000])
+    def test_bridge_profile_is_bitwise_the_rank_sum_identity(self, n):
+        # The ranks of a tie-free row average (n+1)/2 exactly, so the bridge of
+        # the centered ranks is |sum_{i<=k} R_i - k(n+1)/2| without rounding.
+        x = RngStream(38).generator().standard_normal((8, n))
+        r = np.array([ranks(row) for row in x])
+        k = np.arange(1, n + 1)
+        expected = np.abs(np.cumsum(r, axis=-1) - k * (n + 1) / 2.0)
+        assert np.array_equal(wilcoxon(x).profile, expected)
+
     def test_tied_data_falls_back_to_double_sum(self):
         x = np.array([1.0, 2.0, 2.0, 0.5, 2.0, 3.0, 1.0, 4.0])
         fast, slow = wilcoxon(x), wilcoxon_by_definition(x)
