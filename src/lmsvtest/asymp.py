@@ -1,5 +1,5 @@
 """Normalizing sequences, the limit constant of each test, and simulated
-critical-value tables for the four test families."""
+critical-value tables, each read off one functional of a path's bridge."""
 
 from __future__ import annotations
 
@@ -271,16 +271,10 @@ def simulate_hermite_paths(
     params = fgn.FgnParams(hurst=hurst, n=path_length)
     norm = dnm_exact(hurst, 1, path_length)
     out = np.empty((path_count, path_length))
-    done = 0
-    chunk_index = 0
-    while done < path_count:
-        take = min(_BATCH, path_count - done)
-        y = fgn.sample(params, stream.substream(chunk_index), size=take)
-        rows = out[done:done + take]
-        np.cumsum(y, axis=1, out=rows)
+    for chunk, start in enumerate(range(0, path_count, _BATCH)):
+        rows = out[start:start + _BATCH]
+        np.cumsum(fgn.sample(params, stream.substream(chunk), size=len(rows)), axis=1, out=rows)
         rows /= norm
-        done += take
-        chunk_index += 1
     return out
 
 
@@ -372,60 +366,44 @@ class CriticalValueTable:
             raise ValueError(f"{path}: {err}") from None
 
 
-def _bridge_sup(paths: np.ndarray) -> np.ndarray:
-    count, n = paths.shape
-    t = np.arange(1, n + 1) / n
-    sup = np.empty(count)
-    for rows in row_blocks(paths.shape):
-        block = paths[rows]
-        sup[rows] = np.max(np.abs(block - t * block[:, -1:]), axis=1)
-    return sup
-
-
-def _refine_brownian_bridge_sup(
-    paths: np.ndarray, sup_grid: np.ndarray, rng: np.random.Generator
+def _table_sup(
+    paths: np.ndarray, trim: TrimSpec | None = None, rng: np.random.Generator | None = None
 ) -> np.ndarray:
-    """Sharpen the grid supremum using exact within-segment bridge maxima.
+    """Supremum of a functional of the bridge P = Z - (t/N) Z(1) of each
+    partial-sum path Z on the grid j/N, from one stats._bridge per row block.
 
+    With `trim`, the trimmed self-normalized ratio, by the kernel of the SN
+    statistics. On the grid its denominator sums equal the trapezoid
+    integrals of the squared residual bridges, which vanish at both ends.
+
+    Otherwise max |P|, and with `rng` that maximum sharpened by exact
+    within-segment extremes, valid only for the Brownian member H = 1/2.
     Between grid points a Brownian path conditioned on its endpoints is a
     Brownian bridge whose running maximum has the closed reflection-principle
-    law M = (a + b + sqrt((a-b)^2 - 2 dt log U)) / 2. Sampling the upper and
-    lower segment extremes (independently; their joint exceedance at the
-    relevant levels is negligible) removes the O(1/sqrt(N)) discretization
-    bias of the supremum. Only valid for the Brownian member H = 1/2, m = 1.
-    The uniforms of all upper extremes are drawn before those of all lower
-    extremes, one per (path, segment).
+    law M = (a + b + sqrt((a-b)^2 - 2 dt log U)) / 2, dt = 1/N. Sampling the
+    upper and lower segment extremes (independently; their joint exceedance
+    at the relevant levels is negligible) removes the O(1/sqrt(N))
+    discretization bias of the supremum. The uniforms of all upper extremes
+    are drawn before those of all lower extremes, one per (path, segment).
     """
     count, n = paths.shape
-    t = np.arange(1, n + 1) / n
-    dt = 1.0 / n
-    u_hi = rng.random((count, n))
-    u_lo = rng.random((count, n))
-    refined = np.empty(count)
+    if trim is not None:
+        lo, hi = trim.window(n)
+    elif rng is not None:
+        u_hi, u_lo = rng.random((count, n)), rng.random((count, n))
+    sup = np.empty(count)
     for rows in row_blocks(paths.shape):
-        block = paths[rows]
-        bridge = block - t * block[:, -1:]
-        padded = np.concatenate([np.zeros((bridge.shape[0], 1)), bridge], axis=1)
-        a, b = padded[:, :-1], padded[:, 1:]
-        seg_max = 0.5 * (a + b + np.sqrt((a - b) ** 2 - 2.0 * dt * np.log(u_hi[rows])))
-        seg_min = 0.5 * (a + b - np.sqrt((a - b) ** 2 - 2.0 * dt * np.log(u_lo[rows])))
-        refined[rows] = np.maximum(seg_max.max(axis=1), -seg_min.min(axis=1))
-    return np.maximum(refined, sup_grid)
-
-
-def _sn_sup(paths: np.ndarray, trim: TrimSpec) -> np.ndarray:
-    """Trimmed supremum of the self-normalized ratio of each path: the kernel
-    of the SN statistics, entered at the partial sums Z that the paths are.
-
-    On the grid j/N the sums of the kernel's denominator equal the trapezoid
-    integrals of the squared residual bridges, which vanish at both ends.
-    """
-    n = paths.shape[1]
-    lo, hi = trim.window(n)
-    sup = np.empty(paths.shape[0])
-    for rows in row_blocks(paths.shape):
-        ratio, _ = _sn_ratio(*_sn_terms(_bridge(paths[rows]), lo, hi), n)
-        sup[rows] = np.max(ratio, axis=1)
+        p = _bridge(paths[rows])
+        if trim is not None:
+            sup[rows] = np.max(_sn_ratio(*_sn_terms(p, lo, hi), n)[0], axis=1)
+            continue
+        sup[rows] = np.max(np.abs(p), axis=1)
+        if rng is not None:
+            # Twice the segment maxima of P and of -P, a = P at the left end.
+            a = np.concatenate([np.zeros((p.shape[0], 1)), p[:, :-1]], axis=1)
+            up = a + p + np.sqrt((a - p) ** 2 - 2.0 / n * np.log(u_hi[rows]))
+            down = np.sqrt((a - p) ** 2 - 2.0 / n * np.log(u_lo[rows])) - (a + p)
+            sup[rows] = np.maximum(sup[rows], 0.5 * np.max(np.maximum(up, down), axis=1))
     return sup
 
 
@@ -475,11 +453,12 @@ def critical_values(
 ) -> CriticalValueTable:
     """Simulate quantiles of a limiting functional on Hermite-path ensembles.
 
-    CUSUM_BRIDGE_SUP tabulates sup |Z(t) - t Z(1)|; SN_RATIO tabulates the
-    trimmed self-normalized ratio of the same paths, by the kernel of the SN
-    statistics. Tables are deterministic given (stream, budget). The meta
-    block records the provenance and, for each level, a distribution-free
-    99 % interval for the true quantile (`quantile_intervals`).
+    CUSUM_BRIDGE_SUP tabulates sup |Z(t) - t Z(1)| (refined between grid
+    points at H = 1/2), SN_RATIO the trimmed self-normalized ratio: one
+    functional reads either off one bridge per row block of the same paths.
+    Tables are deterministic given (stream, budget). The meta block records
+    the provenance and, for each level, a distribution-free 99 % interval
+    for the true quantile (`quantile_intervals`).
     """
     levels = tuple(sorted(set(round(float(lv), 6) for lv in levels)))
     if any(not 0.0 < lv < 1.0 for lv in levels):
@@ -488,26 +467,17 @@ def critical_values(
         if trim is None:
             raise ValueError("SN_RATIO tables need a trimming specification")
         trim.window(budget.path_length)  # refuses an empty window before any path
+    else:
+        trim = None
 
     values = np.empty(budget.path_count)
-    done = 0
-    chunk_index = 0
     brownian = family is TableFamily.CUSUM_BRIDGE_SUP and hurst == 0.5
-    while done < budget.path_count:
-        take = min(4 * _BATCH, budget.path_count - done)
-        paths = simulate_hermite_paths(
-            hurst, m, budget.path_length, take, stream.substream(0, chunk_index)
-        )
-        if family is TableFamily.CUSUM_BRIDGE_SUP:
-            sup = _bridge_sup(paths)
-            if brownian:
-                rng = stream.substream(1, chunk_index).generator()
-                sup = _refine_brownian_bridge_sup(paths, sup, rng)
-            values[done:done + take] = sup
-        else:
-            values[done:done + take] = _sn_sup(paths, trim)
-        done += take
-        chunk_index += 1
+    for chunk, start in enumerate(range(0, budget.path_count, 4 * _BATCH)):
+        take = min(4 * _BATCH, budget.path_count - start)
+        paths = simulate_hermite_paths(hurst, m, budget.path_length, take,
+                                       stream.substream(0, chunk))
+        rng = stream.substream(1, chunk).generator() if brownian else None
+        values[start:start + take] = _table_sup(paths, trim, rng)
 
     quantiles = {lv: float(np.quantile(values, lv)) for lv in levels}
     meta = {
@@ -523,7 +493,7 @@ def critical_values(
         family=family,
         m=m,
         hurst=hurst,
-        trim=trim if family is TableFamily.SN_RATIO else None,
+        trim=trim,
         quantiles=quantiles,
         meta=meta,
     )

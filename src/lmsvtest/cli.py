@@ -161,6 +161,8 @@ _ALPHA_NOISE = {"mean": "centered_pareto", "variance": "centered_pareto", "tail"
 
 def _resolve_test(args, xs: np.ndarray):
     """Transform, normalization and critical value for a single-series test."""
+    if args.critical_value is not None and not math.isfinite(args.critical_value):
+        raise UsageError(f"--critical-value must be finite, got {args.critical_value}")
     trim = TrimSpec(tau1=args.tau1, tau2=args.tau2)
     psi = None if args.psi is None else Transform(args.psi.replace("-", "_"))
     if args.problem is None:

@@ -116,6 +116,8 @@ class ExperimentConfig:
             raise ValueError(f"level must lie in (0, 1), got {self.level}")
         if not self.families or not self.hursts or not self.lengths or not self.shifts:
             raise ValueError("families, hursts, lengths, and shifts must be non-empty")
+        if not all(math.isfinite(h) for h in self.shifts):  # a NaN shift never rejects
+            raise ValueError(f"shifts must be finite, got {list(self.shifts)}")
         for name in ("families", "hursts", "lengths", "shifts", "alphas"):
             values = getattr(self, name)  # a repeat would run, and count, its cells twice
             if len(set(values)) != len(values):
@@ -365,12 +367,12 @@ def resolve_plan(
     innovation law, or None when it is unknown: a plan that needs it (a mean
     Wilcoxon plan, or a normalization that uses alpha) is then refused with
     UnknownNoiseError. `sigma` replaces the mean CUSUM's Brownian scale that
-    the noise law implies. At alpha <= 2, where E X^2 is infinite, every
-    variance plan and the mean cusum plan without `sigma` are refused. The
-    normalization is sqrt(n) or d_{n,1} times asymp.limit_coefficient (times
-    n for the rank sums). With `n` the plan carries its normalization; with
-    `level` and `lookup`, a callable from a table key to its
-    CriticalValueTable, its critical value.
+    the noise law implies, and must be finite and > 0. At alpha <= 2, where
+    E X^2 is infinite, every variance plan and the mean cusum plan without
+    `sigma` are refused. The normalization is sqrt(n) or d_{n,1} times
+    asymp.limit_coefficient (times n for the rank sums). With `n` the plan
+    carries its normalization; with `level` and `lookup`, a callable from a
+    table key to its CriticalValueTable, its critical value.
     Raises PlanError for what the limit theory does not cover.
     """
     if problem not in PROBLEMS or family not in FAMILIES:
@@ -393,6 +395,8 @@ def resolve_plan(
     if not brownian and (hurst is None or hurst <= 0.5):
         raise PlanError(f"the {problem} {family} test needs long memory, H > 1/2, got H = "
                         f"{hurst}; only the mean cusum and sn_cusum tests do not use H")
+    if sigma is not None and (problem, family) == ("mean", "cusum") and not 0.0 < sigma < math.inf:
+        raise PlanError(f"the mean cusum test needs a finite sigma > 0, got sigma = {sigma}")
     if noise is not None and not math.isfinite(noise_moments(noise).variance) and (
             problem == "variance" or ((problem, family) == ("mean", "cusum") and sigma is None)):
         raise PlanError(f"the {problem} {family} test needs a finite innovation variance, "
@@ -706,8 +710,11 @@ def compare_to_reference(
 
     Both sides are treated as independent binomial proportions; cells with
     |z| > max_z are flagged. Every local cell must have a reference partner,
-    otherwise the grids are considered mismatched.
+    otherwise the grids are considered mismatched. A max_z that is NaN or
+    negative is refused.
     """
+    if not max_z >= 0.0:  # NaN would flag no cell
+        raise ValueError(f"max_z must be a number >= 0, got {max_z}")
     indexed = {
         (r.problem, r.family, r.hurst, r.n, r.alpha, r.h, r.tau): r for r in reference
     }

@@ -1,5 +1,6 @@
 """Tests for normalizing constants, limit factors, and critical-value tables."""
 
+import hashlib
 import json
 import math
 
@@ -316,19 +317,19 @@ class TestTableFunctionals:
     @pytest.mark.parametrize("hurst", [0.5, 0.8])
     def test_sn_ratio_matches_definition(self, hurst, trim):
         paths = simulate_hermite_paths(hurst, 1, 128, 24, RngStream(72))
-        fast = asymp._sn_sup(paths, trim)
+        fast = asymp._table_sup(paths, trim)
         assert np.allclose(fast, sn_ratio_by_definition(paths, trim), rtol=1e-10, atol=0.0)
 
     def test_sn_ratio_blocks_are_bitwise_row_by_row(self):
         paths = simulate_hermite_paths(0.7, 1, 256, 2048, RngStream(73))
-        whole = asymp._sn_sup(paths, TrimSpec())
-        rows = [asymp._sn_sup(paths[i:i + 1], TrimSpec()) for i in range(len(paths))]
+        whole = asymp._table_sup(paths, TrimSpec())
+        rows = [asymp._table_sup(paths[i:i + 1], TrimSpec()) for i in range(len(paths))]
         assert np.array_equal(whole, np.concatenate(rows))
 
     def test_bridge_refinement_blocks_are_bitwise_row_by_row(self):
         paths = simulate_hermite_paths(0.5, 1, 256, 2048, RngStream(74))
-        grid = asymp._bridge_sup(paths)
-        whole = asymp._refine_brownian_bridge_sup(paths, grid, RngStream(75).generator())
+        grid = asymp._table_sup(paths)
+        whole = asymp._table_sup(paths, rng=RngStream(75).generator())
         # Both uniform arrays cover the whole chunk, upper extremes first.
         rng = RngStream(75).generator()
         u_hi, u_lo = rng.random(paths.shape), rng.random(paths.shape)
@@ -409,6 +410,21 @@ class TestCriticalValues:
         a = critical_values(TableFamily.CUSUM_BRIDGE_SUP, 1, 0.7, RngStream(69), budget=budget)
         b = critical_values(TableFamily.CUSUM_BRIDGE_SUP, 1, 0.7, RngStream(69), budget=budget)
         assert a.quantiles == b.quantiles
+
+    @pytest.mark.parametrize("family, hurst, trim, digest", [
+        (TableFamily.CUSUM_BRIDGE_SUP, 0.5, None,
+         "5f8bf2fa95e626f9ef45c72bde5545dfce72814df976d6d9952b9f59a4d73952"),
+        (TableFamily.CUSUM_BRIDGE_SUP, 0.8, None,
+         "1bca2bdf50db0286edb659576bf77f53f8ce8313ab6924ef5127cbf11b49e8d1"),
+        (TableFamily.SN_RATIO, 0.7, TrimSpec(),
+         "d737d24ef0b14c8f29f578bc10b091e0fb200a89bc609d0ed289569c86738dee"),
+    ], ids=["bridge_h0.5_refined", "bridge_h0.8", "sn_h0.7"])
+    def test_small_tables_are_pinned(self, family, hurst, trim, digest):
+        # sha256 of the table JSON: 2100 paths are two chunks of critical_values
+        # (one partial) and five of simulate_hermite_paths, on a 256-point grid.
+        budget = TableBudget(path_count=2_100, path_length=256)
+        table = critical_values(family, 1, hurst, RngStream(81), trim=trim, budget=budget)
+        assert hashlib.sha256(table.to_json().encode()).hexdigest() == digest
 
     def test_json_roundtrip(self, tmp_path):
         tab = critical_values(

@@ -225,6 +225,27 @@ class TestTest:
         assert out == ""
         assert "finite innovation variance" in err
 
+    @pytest.mark.parametrize("sigma", ["0", "-1", "nan", "inf"])
+    def test_sigma_not_finite_and_positive_is_usage_error(self, capsys, shifted_series, sigma):
+        # sigma = 0 divided by zero; -1 and nan never rejected.
+        code, out, err = run(capsys, "test", "--input", str(shifted_series), "--family", "cusum",
+                             "--problem", "mean", "--sigma", sigma)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "finite sigma > 0" in err
+
+    @pytest.mark.parametrize("problem", [None, "mean"])
+    @pytest.mark.parametrize("cv", ["nan", "inf"])
+    def test_non_finite_critical_value_is_usage_error(self, capsys, shifted_series, cv, problem):
+        argv = ["test", "--input", str(shifted_series), "--family", "cusum",
+                "--critical-value", cv]
+        if problem is not None:
+            argv += ["--problem", problem, "--sigma", "1"]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--critical-value must be finite" in err
+
     def test_missing_input_is_computation_error(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "test", "--input", str(tmp_path / "nope.csv"), "--family", "cusum",
@@ -579,6 +600,19 @@ class TestExperimentAndCompare:
         assert f"{path} has a header and no cells" in err
         assert "compared" not in out
 
+    @pytest.mark.parametrize("max_z", ["nan", "-1"])
+    def test_max_z_nan_or_negative_is_refused(self, capsys, tmp_path, max_z):
+        # A NaN bound flags no cell, so a comparison would always pass.
+        from lmsvtest import mc
+
+        path = tmp_path / "cells.csv"
+        mc.cells_to_csv(mc.load_reference("mean_normal"), path)
+        code, out, err = run(capsys, "compare", "--report", str(path),
+                             "--reference", "builtin:mean_normal", "--max-z", max_z)
+        assert code == EXIT_COMPUTATION
+        assert "max_z must be a number >= 0" in err
+        assert "compared" not in out
+
     @pytest.mark.parametrize("overrides, message", [
         ({"trim": None}, "invalid experiment config"),
         ({"trim": [0.1, 0.5, 0.9]}, "invalid experiment config"),
@@ -590,9 +624,11 @@ class TestExperimentAndCompare:
         ({"seed": 1.5}, "invalid experiment config: seed must be an integer"),
         ({"table_budget": [300.5, 64]}, "invalid experiment config: path_count must be an"),
         ({"table_budget": [300, True]}, "invalid experiment config: path_length must be an"),
+        ({"shifts": [1.0, math.nan]}, "shifts must be finite"),
+        ({"shifts": [1.0, math.inf]}, "shifts must be finite"),
     ], ids=["trim-null", "trim-three-values", "budget-scalar", "repeated-shift",
             "replications-float", "length-float", "workers-bool", "seed-float",
-            "budget-count-float", "budget-length-bool"])
+            "budget-count-float", "budget-length-bool", "shift-nan", "shift-inf"])
     def test_malformed_config_is_refused(self, capsys, tmp_path, overrides, message):
         config = _write_config(tmp_path / "config.json", **overrides)
         code, _, err = run(capsys, "experiment", "--config", str(config),

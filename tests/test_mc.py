@@ -54,6 +54,12 @@ class TestConfig:
                 families=("cusum", "sn_wilcoxon"),
             )
 
+    @pytest.mark.parametrize("shift", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_a_non_finite_shift(self, shift):
+        # The mean-shift path would count no rejection at a NaN shift.
+        with pytest.raises(ValueError, match="shifts must be finite"):
+            _small_cfg(shifts=(0.0, shift))
+
     @pytest.mark.parametrize("h", [0.0, -1.0])
     def test_rejects_nonpositive_variance_shift(self, h):
         with pytest.raises(ValueError, match="positive"):
@@ -200,6 +206,17 @@ class TestResolvePlan:
         plan = mc.resolve_plan("mean", "cusum", None, make_noise("centered_pareto", 1.5),
                                TrimSpec(), n=100, sigma=2.0)
         assert plan.normalization == 20.0
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf")])
+    def test_sigma_not_finite_and_positive_is_refused(self, sigma):
+        with pytest.raises(mc.PlanError, match="finite sigma > 0"):
+            mc.resolve_plan("mean", "cusum", None, None, TrimSpec(), n=100, sigma=sigma)
+
+    def test_sigma_binds_only_the_mean_cusum(self):
+        # The CLI passes the series' standard deviation to every plan; it is
+        # zero for a constant series, which the SN plans still take.
+        plan = mc.resolve_plan("mean", "sn_cusum", None, None, TrimSpec(), n=100, sigma=0.0)
+        assert plan.normalization == 1.0
 
 
 class TestTables:
@@ -656,3 +673,9 @@ class TestComparison:
         )
         with pytest.raises(ValueError, match="no cell"):
             mc.compare_to_reference([stray], reference)
+
+    @pytest.mark.parametrize("max_z", [float("nan"), -1.0])
+    def test_max_z_nan_or_negative_is_refused(self, max_z):
+        reference = mc.load_reference("mean_normal")
+        with pytest.raises(ValueError, match="max_z must be a number >= 0"):
+            mc.compare_to_reference(reference, reference, max_z=max_z)
