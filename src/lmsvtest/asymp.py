@@ -7,6 +7,9 @@ import enum
 import json
 import math
 import numbers
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -19,9 +22,14 @@ from .stats import TrimSpec, _bridge, _sn_ratio, _sn_terms, row_blocks
 
 TABLE_FORMAT_VERSION = 1
 
-#: Paths per batch when simulating ensembles; fixed so that results are
-#: deterministic in (seed, budget) regardless of available memory.
+#: Paths per batch, the unit of table work: a batch draws from its own keyed
+#: substream and fills a fixed slice of the values, so a table is the same,
+#: bit for bit, whatever the memory and however many workers build it.
 _BATCH = 512
+
+#: Paths per chunk of a table, four batches. The stream layout keys paths by
+#: (chunk, batch) and the Brownian refinement's uniforms by chunk.
+_CHUNK = 4 * _BATCH
 
 #: Coverage of the order-statistic interval recorded for each table quantile.
 _INTERVAL_COVERAGE = 0.99
@@ -133,6 +141,13 @@ _TS_RANGE = 3.25
 #: is refused.
 _FACTOR_RTOL = 1e-9
 
+#: Largest tail index of a factor, 4.5e6. The rounding of mu = alpha /
+#: (alpha - 1) moves q* = mu^-alpha, and with it the factor, by up to about
+#: alpha * eps / 2 relative, which no error estimate sees: against 25-digit
+#: references the mean factor is off by 1.4e-11 at alpha = 1e6, by 1.2e-9 at
+#: 1e7, and by a factor of 2.7 at 1e17.
+_FACTOR_ALPHA_MAX = _FACTOR_RTOL / float(np.finfo(float).eps)
+
 
 class QuadratureError(RuntimeError):
     """A quadrature's error estimate exceeds its bound; carries the value."""
@@ -151,8 +166,9 @@ class QuadratureResult:
 @lru_cache(maxsize=None)
 def _factor(problem: str, alpha: float) -> QuadratureResult:
     least = 1 if problem == "mean" else 2  # a finite mean, a finite variance
-    if not alpha > least:
-        raise ValueError(f"{problem} Wilcoxon factor needs alpha > {least}, got {alpha}")
+    if not least < alpha <= _FACTOR_ALPHA_MAX:
+        raise ValueError(f"{problem} Wilcoxon factor needs {least} < alpha <= "
+                         f"{_FACTOR_ALPHA_MAX:.3g}, got {alpha}")
     mu = CenteredPareto(alpha).mean_shift
     q_star = mu ** -alpha  # q = P^(-alpha) is uniform on (0, 1]; P < mu iff q > q_star
 
@@ -252,6 +268,36 @@ def kolmogorov_quantile(p: float) -> float:
 # Hermite-process path ensembles and simulated critical values
 
 
+def _batch_synthesis(hurst: float, m: int, path_length: int):
+    """The one synthesis of ensemble paths: fill(stream, count) draws the
+    normals of `count` fGn rows Y of length N from one generator of
+    `stream`, a batch's substream, as fgn.sample does, and returns
+    cumsum(Y) / d_{N,1} in a view of the calling thread's workspace, valid
+    until the thread's next call. Only Hermite rank m = 1 is supported.
+
+    Each thread keeps its normals and half spectrum from batch to batch, so
+    no batch allocates or faults in an array of its size.
+    """
+    if m != 1:
+        raise ValueError(f"only Hermite rank 1 is supported, got {m}")
+    params = fgn.FgnParams(hurst=hurst, n=path_length)
+    norm = dnm_exact(hurst, 1, path_length)
+    width = fgn.embedding_size(path_length)
+    local = threading.local()
+
+    def fill(stream: RngStream, count: int) -> np.ndarray:
+        if len(getattr(local, "normals", ())) < count:
+            local.normals = np.empty((count, width))
+            local.half = np.zeros((count, width // 2 + 1), dtype=complex)
+        normals = stream.generator().standard_normal(out=local.normals[:count])
+        y = fgn.paths_from_normals(params, normals, local.half[:count])
+        np.cumsum(y, axis=1, out=y)
+        y /= norm
+        return y
+
+    return fill
+
+
 def simulate_hermite_paths(
     hurst: float,
     m: int,
@@ -263,18 +309,14 @@ def simulate_hermite_paths(
 
     Each path is cumsum(Y) / d_{N,1}, an exact fractional Brownian motion
     skeleton with unit endpoint variance. Every testing problem has Hermite
-    rank 1, so m = 1 is the only rank; any other m is refused.
+    rank 1, so m = 1 is the only rank; any other m is refused. Batch b of
+    _BATCH paths draws from stream.substream(b).
     Returns an array of shape (path_count, path_length).
     """
-    if m != 1:
-        raise ValueError(f"only Hermite rank 1 is supported, got {m}")
-    params = fgn.FgnParams(hurst=hurst, n=path_length)
-    norm = dnm_exact(hurst, 1, path_length)
+    fill = _batch_synthesis(hurst, m, path_length)
     out = np.empty((path_count, path_length))
-    for chunk, start in enumerate(range(0, path_count, _BATCH)):
-        rows = out[start:start + _BATCH]
-        np.cumsum(fgn.sample(params, stream.substream(chunk), size=len(rows)), axis=1, out=rows)
-        rows /= norm
+    for b, start in enumerate(range(0, path_count, _BATCH)):
+        out[start:start + _BATCH] = fill(stream.substream(b), min(_BATCH, path_count - start))
     return out
 
 
@@ -367,7 +409,9 @@ class CriticalValueTable:
 
 
 def _table_sup(
-    paths: np.ndarray, trim: TrimSpec | None = None, rng: np.random.Generator | None = None
+    paths: np.ndarray,
+    trim: TrimSpec | None = None,
+    refine: tuple[np.random.Generator, np.random.Generator] | None = None,
 ) -> np.ndarray:
     """Supremum of a functional of the bridge P = Z - (t/N) Z(1) of each
     partial-sum path Z on the grid j/N, from one stats._bridge per row block.
@@ -376,21 +420,21 @@ def _table_sup(
     statistics. On the grid its denominator sums equal the trapezoid
     integrals of the squared residual bridges, which vanish at both ends.
 
-    Otherwise max |P|, and with `rng` that maximum sharpened by exact
-    within-segment extremes, valid only for the Brownian member H = 1/2.
-    Between grid points a Brownian path conditioned on its endpoints is a
-    Brownian bridge whose running maximum has the closed reflection-principle
-    law M = (a + b + sqrt((a-b)^2 - 2 dt log U)) / 2, dt = 1/N. Sampling the
+    Otherwise max |P|, and with `refine`, generators (upper, lower) of
+    uniforms, that maximum sharpened by exact within-segment extremes,
+    valid only for the Brownian member H = 1/2. Between grid points a
+    Brownian path conditioned on its endpoints is a Brownian bridge whose
+    running maximum has the closed reflection-principle law
+    M = (a + b + sqrt((a-b)^2 - 2 dt log U)) / 2, dt = 1/N. Sampling the
     upper and lower segment extremes (independently; their joint exceedance
     at the relevant levels is negligible) removes the O(1/sqrt(N))
-    discretization bias of the supremum. The uniforms of all upper extremes
-    are drawn before those of all lower extremes, one per (path, segment).
+    discretization bias of the supremum. Each row block draws one uniform
+    per (path, segment) from each generator, so each generator's draws
+    follow the rows; _refinement_generators gives a table's.
     """
     count, n = paths.shape
     if trim is not None:
         lo, hi = trim.window(n)
-    elif rng is not None:
-        u_hi, u_lo = rng.random((count, n)), rng.random((count, n))
     sup = np.empty(count)
     for rows in row_blocks(paths.shape):
         p = _bridge(paths[rows])
@@ -398,13 +442,28 @@ def _table_sup(
             sup[rows] = np.max(_sn_ratio(*_sn_terms(p, lo, hi), n)[0], axis=1)
             continue
         sup[rows] = np.max(np.abs(p), axis=1)
-        if rng is not None:
+        if refine is not None:
+            u_hi, u_lo = (rng.random(p.shape) for rng in refine)
             # Twice the segment maxima of P and of -P, a = P at the left end.
             a = np.concatenate([np.zeros((p.shape[0], 1)), p[:, :-1]], axis=1)
-            up = a + p + np.sqrt((a - p) ** 2 - 2.0 / n * np.log(u_hi[rows]))
-            down = np.sqrt((a - p) ** 2 - 2.0 / n * np.log(u_lo[rows])) - (a + p)
+            up = a + p + np.sqrt((a - p) ** 2 - 2.0 / n * np.log(u_hi))
+            down = np.sqrt((a - p) ** 2 - 2.0 / n * np.log(u_lo)) - (a + p)
             sup[rows] = np.maximum(sup[rows], 0.5 * np.max(np.maximum(up, down), axis=1))
     return sup
+
+
+def _refinement_generators(
+    stream: RngStream, chunk_shape: tuple[int, int], start: int
+) -> tuple[np.random.Generator, np.random.Generator]:
+    """Generators (upper, lower) of a chunk's refinement uniforms, at row
+    `start`.
+
+    The chunk of chunk_shape paths reads one array of that shape from
+    `stream` for the upper extremes, then one for the lower extremes. A batch
+    reads its own rows alone, from generators skipped to them.
+    """
+    count, n = chunk_shape
+    return stream.generator(skip=start * n), stream.generator(skip=(count + start) * n)
 
 
 def _binomial_cdf(count: int, p: float) -> np.ndarray:
@@ -450,19 +509,26 @@ def critical_values(
     trim: TrimSpec | None = None,
     levels: tuple[float, ...] = (0.90, 0.95, 0.99),
     budget: TableBudget = TableBudget(),
+    workers: int | None = None,
 ) -> CriticalValueTable:
     """Simulate quantiles of a limiting functional on Hermite-path ensembles.
 
     CUSUM_BRIDGE_SUP tabulates sup |Z(t) - t Z(1)| (refined between grid
     points at H = 1/2), SN_RATIO the trimmed self-normalized ratio: one
     functional reads either off one bridge per row block of the same paths.
-    Tables are deterministic given (stream, budget). The meta block records
-    the provenance and, for each level, a distribution-free 99 % interval
-    for the true quantile (`quantile_intervals`).
+    Each batch of _BATCH paths is synthesized and reduced on its own, on
+    `workers` threads (default: the CPUs this process may use). Tables are
+    deterministic given (stream, budget), whatever `workers`. The meta
+    block records the provenance and, for each level, a distribution-free
+    99 % interval for the true quantile (`quantile_intervals`).
     """
     levels = tuple(sorted(set(round(float(lv), 6) for lv in levels)))
     if any(not 0.0 < lv < 1.0 for lv in levels):
         raise ValueError(f"levels must lie in (0, 1), got {levels}")
+    if workers is not None:
+        require_integer("workers", workers)
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
     if family is TableFamily.SN_RATIO:
         if trim is None:
             raise ValueError("SN_RATIO tables need a trimming specification")
@@ -470,19 +536,37 @@ def critical_values(
     else:
         trim = None
 
-    values = np.empty(budget.path_count)
+    count, n = budget.path_count, budget.path_length
+    fill = _batch_synthesis(hurst, m, n)
     brownian = family is TableFamily.CUSUM_BRIDGE_SUP and hurst == 0.5
-    for chunk, start in enumerate(range(0, budget.path_count, 4 * _BATCH)):
-        take = min(4 * _BATCH, budget.path_count - start)
-        paths = simulate_hermite_paths(hurst, m, budget.path_length, take,
-                                       stream.substream(0, chunk))
-        rng = stream.substream(1, chunk).generator() if brownian else None
-        values[start:start + take] = _table_sup(paths, trim, rng)
+    values = np.empty(count)
+
+    def batch(start: int) -> None:
+        # Batch b of chunk c draws its paths from substream(0, c).substream(b),
+        # the layout of simulate_hermite_paths on substream(0, c), and its rows
+        # of the chunk's refinement uniforms from substream(1, c).
+        chunk, offset = divmod(start, _CHUNK)
+        rows = min(_BATCH, count - start)
+        paths = fill(stream.substream(0, chunk).substream(offset // _BATCH), rows)
+        refine = None
+        if brownian:
+            chunk_shape = (min(_CHUNK, count - start + offset), n)
+            refine = _refinement_generators(stream.substream(1, chunk), chunk_shape, offset)
+        values[start:start + rows] = _table_sup(paths, trim, refine)
+
+    if workers is None:  # the CPUs this process may use
+        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
+    starts = range(0, count, _BATCH)
+    # numpy releases the GIL in the draws, the FFT and the reductions, so the
+    # batches run at once; each fills only its own slice of the values.
+    with ThreadPoolExecutor(max_workers=min(workers, len(starts))) as pool:
+        list(pool.map(batch, starts))
 
     quantiles = {lv: float(np.quantile(values, lv)) for lv in levels}
     meta = {
-        "path_count": budget.path_count,
-        "path_length": budget.path_length,
+        "path_count": count,
+        "path_length": n,
         "seed": stream.seed,
         "stream_id": stream.stream_id,
         "brownian_segment_refinement": brownian,

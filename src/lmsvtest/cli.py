@@ -36,6 +36,29 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _seed(text: str) -> int:
+    """A seed or stream id: RngStream reads it modulo 2^64, so one outside
+    [0, 2^64) would alias another."""
+    try:
+        value = int(text)
+        if 0 <= value < 2**64:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer in [0, 2^64), got {text!r}")
+
+
+def _level(text: str) -> float:
+    """A probability strictly between 0 and 1; NaN is not one."""
+    try:
+        value = float(text)
+        if 0.0 < value < 1.0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text!r}")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="lmsvtest", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -49,8 +72,8 @@ def _build_parser() -> _Parser:
     sim.add_argument("--change", choices=["none", "mean", "variance", "tail"], default="none")
     sim.add_argument("--h", type=float, default=0.0, help="change height")
     sim.add_argument("--tau", type=float, default=0.5, help="change location as a proportion")
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--stream-id", type=int, default=0)
+    sim.add_argument("--seed", type=_seed, default=0)
+    sim.add_argument("--stream-id", type=_seed, default=0)
     sim.add_argument("--latent", action="store_true", help="emit y,eps,x columns instead of x")
     sim.add_argument("--out", type=Path, help="output CSV path (default stdout)")
 
@@ -65,12 +88,12 @@ def _build_parser() -> _Parser:
     test.add_argument("--alpha", type=float, help="innovation tail index (Pareto problems)")
     test.add_argument("--sigma", type=float,
                       help="known noise scale for the mean-problem CUSUM; estimated when omitted")
-    test.add_argument("--level", type=float, default=0.05)
+    test.add_argument("--level", type=_level, default=0.05)
     test.add_argument("--tau1", type=float, default=0.15)
     test.add_argument("--tau2", type=float, default=0.85)
     test.add_argument("--critical-value", type=float, help="override the critical value")
     test.add_argument("--tables", type=Path, help="directory of critical-value table JSON files")
-    test.add_argument("--table-seed", type=int, default=0,
+    test.add_argument("--table-seed", type=_seed, default=0,
                       help="seed of a needed table that is neither in --tables nor in "
                            "the package grid, and so is simulated")
     test.add_argument("--profile-out", type=Path, help="write the (k, value) profile as CSV")
@@ -82,8 +105,8 @@ def _build_parser() -> _Parser:
     crit.add_argument("--tau2", type=float, default=0.85)
     crit.add_argument("--paths", type=int, default=10_000)
     crit.add_argument("--grid", type=int, default=2_048)
-    crit.add_argument("--levels", type=float, nargs="+", default=[0.90, 0.95, 0.99])
-    crit.add_argument("--seed", type=int, default=0,
+    crit.add_argument("--levels", type=_level, nargs="+", default=[0.90, 0.95, 0.99])
+    crit.add_argument("--seed", type=_seed, default=0,
                       help="table seed; the same seed and key give the table an experiment "
                            "or `test` simulates")
     crit.add_argument("--out", type=Path, required=True)
@@ -155,6 +178,13 @@ def _load_tables(directory: Path | None) -> mc.TableSet:
     return mc.TableSet(tables)
 
 
+def _trim(args) -> TrimSpec:
+    try:
+        return TrimSpec(tau1=args.tau1, tau2=args.tau2)
+    except ValueError as err:
+        raise UsageError(f"--tau1 and --tau2: {err}")
+
+
 #: The innovation law --alpha stands for under each problem.
 _ALPHA_NOISE = {"mean": "centered_pareto", "variance": "centered_pareto", "tail": "pareto"}
 
@@ -163,7 +193,7 @@ def _resolve_test(args, xs: np.ndarray):
     """Transform, normalization and critical value for a single-series test."""
     if args.critical_value is not None and not math.isfinite(args.critical_value):
         raise UsageError(f"--critical-value must be finite, got {args.critical_value}")
-    trim = TrimSpec(tau1=args.tau1, tau2=args.tau2)
+    trim = _trim(args)
     psi = None if args.psi is None else Transform(args.psi.replace("-", "_"))
     if args.problem is None:
         return psi or Transform.IDENTITY, trim, 1.0, args.critical_value
@@ -171,6 +201,10 @@ def _resolve_test(args, xs: np.ndarray):
     if psi not in (None, problem_psi):
         raise UsageError(f"--psi {args.psi} contradicts --problem {args.problem}, which sets "
                          f"--psi {problem_psi.value.replace('_', '-')}")
+    try:
+        noise = None if args.alpha is None else make_noise(_ALPHA_NOISE[args.problem], args.alpha)
+    except ValueError as err:
+        raise UsageError(f"--alpha: {err}")
     loaded = _load_tables(args.tables)
 
     def lookup(*key):
@@ -180,9 +214,7 @@ def _resolve_test(args, xs: np.ndarray):
 
     try:
         plan = mc.resolve_plan(
-            args.problem, args.family, args.hurst,
-            None if args.alpha is None else make_noise(_ALPHA_NOISE[args.problem], args.alpha),
-            trim, n=xs.size, level=args.level,
+            args.problem, args.family, args.hurst, noise, trim, n=xs.size, level=args.level,
             lookup=lookup if args.critical_value is None else None,
             # The mean problem's transform is the identity.
             sigma=args.sigma if args.sigma is not None else float(np.std(xs)),
@@ -212,13 +244,12 @@ def _cmd_critvals(args) -> int:
     family = (
         asymp.TableFamily.CUSUM_BRIDGE_SUP if args.family == "bridge" else asymp.TableFamily.SN_RATIO
     )
-    trim = TrimSpec(tau1=args.tau1, tau2=args.tau2) if family is asymp.TableFamily.SN_RATIO else None
     table = asymp.critical_values(
         family,
         1,
         args.hurst,
         mc.table_stream(args.seed, family, 1, args.hurst),
-        trim=trim,
+        trim=_trim(args),  # refused when malformed, and unused by bridge tables
         levels=tuple(args.levels),
         budget=asymp.TableBudget(path_count=args.paths, path_length=args.grid),
     )

@@ -42,11 +42,24 @@ class RngStream:
     seed: int
     stream_id: int = 0
 
-    def generator(self) -> np.random.Generator:
+    def generator(self, skip: int = 0) -> np.random.Generator:
+        """A fresh generator of the stream; with `skip`, the one in the state
+        that `skip` doubles of Generator.random leave it in.
+
+        Generator.random takes one uint64 of Philox per double, and Philox
+        makes four per counter step, so the skip is a counter advance and
+        at most three discarded doubles.
+        """
+        if skip < 0:
+            raise ValueError(f"skip must be >= 0, got {skip}")
         key = np.array(
             [self.seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64
         )
-        return np.random.Generator(np.random.Philox(key=key))
+        rng = np.random.Generator(np.random.Philox(key=key))
+        if skip:
+            rng.bit_generator.advance(skip // 4)
+            rng.random(skip % 4)
+        return rng
 
     def substream(self, *indices: int) -> "RngStream":
         """Derive a child stream from integer coordinates.
@@ -117,8 +130,8 @@ class Pareto:
     kind = "pareto"
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0:
-            raise ValueError(f"Pareto tail index must be positive, got {self.alpha}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"Pareto tail index must be positive and finite, got {self.alpha}")
         if not self.scale > 0:
             raise ValueError(f"Pareto scale must be positive, got {self.scale}")
 
@@ -135,9 +148,9 @@ class CenteredPareto:
     kind = "centered_pareto"
 
     def __post_init__(self) -> None:
-        if not self.alpha > 1:
+        if not 1 < self.alpha < math.inf:
             raise ValueError(
-                f"CenteredPareto needs alpha > 1 for a finite mean, got {self.alpha}"
+                f"CenteredPareto needs a finite alpha > 1 for a finite mean, got {self.alpha}"
             )
         if not self.scale > 0:
             raise ValueError(f"CenteredPareto scale must be positive, got {self.scale}")
@@ -213,7 +226,12 @@ def noise_moments(spec: NoiseSpec) -> Moments:
     if isinstance(spec, StandardNormal):
         return Moments(mean=0.0, variance=1.0)
     a, c = spec.alpha, spec.scale
-    variance = c * c * a / ((a - 2.0) * (a - 1.0) ** 2) if a > 2 else math.inf
+    variance = math.inf
+    if a > 2:
+        try:
+            variance = c * c * a / ((a - 2.0) * (a - 1.0) ** 2)
+        except OverflowError:  # (a - 1)^2 is beyond the doubles, about c^2 / a^2 is not
+            variance = (c / (a - 1.0)) ** 2 * (a / (a - 2.0))
     if isinstance(spec, CenteredPareto):
         return Moments(mean=0.0, variance=variance)
     mean = c * a / (a - 1.0) if a > 1 else math.inf

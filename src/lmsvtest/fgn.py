@@ -116,7 +116,9 @@ def _half_spectrum_scales(n: int, hurst: float) -> tuple[np.ndarray, np.ndarray]
     return re, im
 
 
-def paths_from_normals(params: FgnParams, normals: np.ndarray) -> np.ndarray:
+def paths_from_normals(
+    params: FgnParams, normals: np.ndarray, half: np.ndarray | None = None
+) -> np.ndarray:
     """Turn standard normals of shape (B, embedding_size(n)) into B paths.
 
     Davies-Harte construction on the half spectrum: row b of `normals` gives
@@ -126,16 +128,27 @@ def paths_from_normals(params: FgnParams, normals: np.ndarray) -> np.ndarray:
     batch yields the paths as the first n coordinates. Each row is
     transformed on its own, so a path does not depend on the rows stacked
     with it. Returns shape (B, n).
+
+    With `half`, a complex (B, m + 1) array whose imaginary parts in columns
+    0 and m are zero, the spectrum is assembled there and the inverse FFT
+    overwrites `normals`; the paths are its first n columns, scaled in
+    place, and no array is allocated. The numbers are the same.
     """
     n = params.n
     if n == 1:
         return normals
     re, im = _half_spectrum_scales(n, params.hurst)
     m = re.size - 1
-    half = np.zeros((normals.shape[0], m + 1), dtype=complex)
+    in_place = half is not None
+    if not in_place:
+        half = np.zeros((normals.shape[0], m + 1), dtype=complex)
     np.multiply(normals[:, :m + 1], re, out=half.real)
     np.multiply(normals[:, m + 1:], im, out=half.imag[:, 1:m])
-    return np.fft.irfft(half, n=2 * m, axis=1)[:, :n] * np.sqrt(2 * m)
+    if not in_place:
+        return np.fft.irfft(half, n=2 * m, axis=1)[:, :n] * np.sqrt(2 * m)
+    paths = np.fft.irfft(half, n=2 * m, axis=1, out=normals)[:, :n]
+    paths *= np.sqrt(2 * m)
+    return paths
 
 
 def sample(params: FgnParams, stream: RngStream, size: int | None = None) -> np.ndarray:

@@ -106,6 +106,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         for name in ("replications", "seed", "max_workers"):
             require_integer(name, getattr(self, name))  # a float fails only deep in a run
+        if not 0 <= self.seed < 2**64:  # RngStream reads a seed modulo 2^64
+            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
+        if self.max_workers < 1:
+            raise ValueError(f"max_workers must be >= 1, got {self.max_workers}")
         for n in self.lengths:
             require_integer("lengths", n)
         if self.replications < 100:
@@ -256,6 +260,7 @@ def resolve_table(
     budget: TableBudget,
     levels: tuple[float, ...],
     loaded: TableSet | None = None,
+    workers: int | None = None,
 ) -> tuple[CriticalValueTable, str]:
     """Find or simulate one critical-value table; returns (table, source).
 
@@ -266,7 +271,8 @@ def resolve_table(
     2. the package table of the same key, when its budget equals `budget`
        exactly and it has every level in `levels`. The package grid is read
        at most once per process, here, on first need.
-    3. otherwise a table simulated from table_stream(seed, family, m, hurst).
+    3. otherwise a table simulated from table_stream(seed, family, m, hurst)
+       on `workers` threads (default: the CPUs this process may use).
     """
     entry = None if loaded is None else loaded.find(family, m, hurst, trim)
     if entry is not None:
@@ -285,7 +291,7 @@ def resolve_table(
             return entry
     table = asymp.critical_values(
         family, m, hurst, table_stream(seed, family, m, hurst),
-        trim=trim, levels=levels, budget=budget,
+        trim=trim, levels=levels, budget=budget, workers=workers,
     )
     return table, "simulated"
 
@@ -305,14 +311,15 @@ def ensure_tables(cfg: ExperimentConfig, existing: TableSet | None = None) -> Ta
     `existing` (refused when below the budget), then in the package grid
     (exact key, budget and levels), and otherwise simulated from
     table_stream(cfg.seed, ...). A package table is a seed-0 table, so at
-    the package budget the tables do not depend on cfg.seed. Tables of
-    `existing` that the experiment does not need are left out.
+    the package budget the tables do not depend on cfg.seed. A simulated
+    table runs on cfg.max_workers threads. Tables of `existing` that the
+    experiment does not need are left out.
     """
     out = TableSet([])
     for key in required_tables(cfg):
         out._entries[_table_key(*key)] = resolve_table(
             *key, seed=cfg.seed, budget=cfg.budget, levels=table_levels(cfg.level),
-            loaded=existing)
+            loaded=existing, workers=cfg.max_workers)
     return out
 
 
@@ -397,10 +404,12 @@ def resolve_plan(
                         f"{hurst}; only the mean cusum and sn_cusum tests do not use H")
     if sigma is not None and (problem, family) == ("mean", "cusum") and not 0.0 < sigma < math.inf:
         raise PlanError(f"the mean cusum test needs a finite sigma > 0, got sigma = {sigma}")
-    if noise is not None and not math.isfinite(noise_moments(noise).variance) and (
+    variance = None if noise is None else noise_moments(noise).variance
+    if not (variance is None or 0.0 < variance < math.inf) and (
             problem == "variance" or ((problem, family) == ("mean", "cusum") and sigma is None)):
-        raise PlanError(f"the {problem} {family} test needs a finite innovation variance, "
-                        f"alpha > 2, got alpha = {noise.alpha}")
+        # Infinite at alpha <= 2, and 0.0 where c^2 / alpha^2 underflows.
+        raise PlanError(f"the {problem} {family} test needs a finite innovation variance "
+                        f"above 0, got {variance} at alpha = {noise.alpha}")
 
     if family in ("cusum", "wilcoxon"):
         # Every problem here has Hermite rank 1 (asymp.limit_coefficient).

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -250,6 +251,16 @@ class TestWilcoxonLimitFactor:
         value = wilcoxon_limit_factor(problem, alpha).value
         assert value == pytest.approx(reference, rel=1e-12, abs=0.0)
 
+    def test_refuses_a_tail_index_its_rounding_moves(self):
+        # mpmath 1.3.0, as for the references above: 0.06666798918701119572 at
+        # alpha = 1e6. At 1e7 the rule is off by 1.2e-9, at 1e17 by 2.7 times.
+        assert wilcoxon_limit_factor("mean", 1e6).value == pytest.approx(
+            0.06666798918701119572, rel=1e-9, abs=0.0)
+        for problem in ("mean", "variance"):
+            for alpha in (1e7, 1e308):
+                with pytest.raises(ValueError, match="alpha <= 4.5e"):
+                    wilcoxon_limit_factor(problem, alpha)
+
     @pytest.mark.parametrize("problem, alpha", [("mean", 1.5), ("mean", 4.0), ("variance", 2.5),
                                                 ("variance", 4.5), ("variance", 20.0)])
     def test_matches_nested_quadrature(self, problem, alpha):
@@ -329,7 +340,11 @@ class TestTableFunctionals:
     def test_bridge_refinement_blocks_are_bitwise_row_by_row(self):
         paths = simulate_hermite_paths(0.5, 1, 256, 2048, RngStream(74))
         grid = asymp._table_sup(paths)
-        whole = asymp._table_sup(paths, rng=RngStream(75).generator())
+        whole = np.concatenate([  # the chunk's four batches, each drawing only its rows
+            asymp._table_sup(paths[start:start + 512], refine=asymp._refinement_generators(
+                RngStream(75), paths.shape, start))
+            for start in range(0, len(paths), 512)
+        ])
         # Both uniform arrays cover the whole chunk, upper extremes first.
         rng = RngStream(75).generator()
         u_hi, u_lo = rng.random(paths.shape), rng.random(paths.shape)
@@ -425,6 +440,33 @@ class TestCriticalValues:
         budget = TableBudget(path_count=2_100, path_length=256)
         table = critical_values(family, 1, hurst, RngStream(81), trim=trim, budget=budget)
         assert hashlib.sha256(table.to_json().encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("family, hurst, trim", [
+        (TableFamily.CUSUM_BRIDGE_SUP, 0.5, None),
+        (TableFamily.CUSUM_BRIDGE_SUP, 0.8, None),
+        (TableFamily.SN_RATIO, 0.7, TrimSpec()),
+    ], ids=["bridge_h0.5_refined", "bridge_h0.8", "sn_h0.7"])
+    def test_tables_do_not_depend_on_the_worker_count(self, family, hurst, trim):
+        # 2100 paths: a full chunk, then a partial one whose last batch is partial.
+        # Short switch intervals interleave the threads as often as they can.
+        budget = TableBudget(path_count=2_100, path_length=256)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            one, two, three = (
+                critical_values(family, 1, hurst, RngStream(82), trim=trim, budget=budget,
+                                workers=workers).to_json()
+                for workers in (1, 2, 3)
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert two == one and three == one
+
+    @pytest.mark.parametrize("workers", [0, -2, 1.5, True])
+    def test_refuses_a_worker_count_that_is_not_a_positive_integer(self, workers):
+        with pytest.raises((TypeError, ValueError), match="workers must be"):
+            critical_values(TableFamily.CUSUM_BRIDGE_SUP, 1, 0.8, RngStream(83),
+                            budget=TableBudget(100, 64), workers=workers)
 
     def test_json_roundtrip(self, tmp_path):
         tab = critical_values(

@@ -246,6 +246,38 @@ class TestTest:
         assert out == ""
         assert "--critical-value must be finite" in err
 
+    @pytest.mark.parametrize("level", ["1.5", "nan", "0", "-0.5"])
+    def test_level_outside_the_unit_interval_is_usage_error(self, capsys, shifted_series,
+                                                            level):
+        # It was a computation error naming the table levels 1 - level, 0.9, 0.95, 0.99.
+        code, out, err = run(capsys, "test", "--input", str(shifted_series), "--family",
+                             "sn_cusum", "--problem", "mean", "--level", level)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--level" in err and "0.95" not in err
+
+    def test_reversed_trim_is_usage_error(self, capsys, shifted_series):
+        code, out, err = run(capsys, "test", "--input", str(shifted_series), "--family",
+                             "sn_cusum", "--problem", "mean", "--tau1", "0.9", "--tau2", "0.1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--tau1 and --tau2" in err
+
+    def test_infinite_alpha_is_usage_error(self, capsys, shifted_series):
+        code, out, err = run(capsys, "test", "--input", str(shifted_series), "--family", "cusum",
+                             "--problem", "mean", "--alpha", "inf")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--alpha" in err and "finite alpha > 1" in err
+
+    def test_huge_alpha_is_refused_by_name(self, capsys, shifted_series):
+        # (alpha - 1)^2 raised OverflowError in dist.noise_moments, a traceback.
+        code, out, err = run(capsys, "test", "--input", str(shifted_series), "--family",
+                             "wilcoxon", "--problem", "mean", "--hurst", "0.7", "--alpha", "1e308")
+        assert code == EXIT_COMPUTATION
+        assert out == ""
+        assert "Wilcoxon factor needs 1 < alpha <= 4.5e+06, got 1e+308" in err
+
     def test_missing_input_is_computation_error(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "test", "--input", str(tmp_path / "nope.csv"), "--family", "cusum",
@@ -295,6 +327,15 @@ class TestCritvals:
         assert "trimmed window" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("family", ["sn", "bridge"])
+    def test_reversed_trim_is_usage_error(self, capsys, tmp_path, family):
+        out = tmp_path / "table.json"
+        code, _, err = run(capsys, "critvals", "--family", family, "--hurst", "0.7",
+                           "--tau1", "0.9", "--tau2", "0.1", "--out", str(out))
+        assert code == EXIT_USAGE
+        assert "--tau1 and --tau2" in err
+        assert not out.exists()
+
     def test_never_reads_package_grid(self, capsys, tmp_path, monkeypatch):
         from lmsvtest import mc
 
@@ -307,6 +348,38 @@ class TestCritvals:
             "--grid", "64", "--seed", "0", "--out", str(tmp_path / "sn.json"),
         )
         assert code == EXIT_OK
+
+
+class TestSeedFlags:
+    @pytest.mark.parametrize("flag", ["--seed", "--stream-id"])
+    @pytest.mark.parametrize("value", ["-1", str(2**64), "1.5"])
+    def test_simulate_refuses_a_seed_outside_64_bits(self, capsys, flag, value):
+        # RngStream reads seeds modulo 2^64: --seed -1 gave the draws of 2^64 - 1.
+        code, out, err = run(capsys, "simulate", "--n", "20", "--hurst", "0.7", flag, value)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"argument {flag}: must be an integer in [0, 2^64)" in err
+
+    def test_critvals_refuses_a_seed_outside_64_bits(self, capsys, tmp_path):
+        out = tmp_path / "sn.json"
+        code, _, err = run(capsys, "critvals", "--family", "sn", "--hurst", "0.5",
+                           "--paths", "200", "--grid", "64", "--seed", "-1", "--out", str(out))
+        assert code == EXIT_USAGE
+        assert "argument --seed" in err
+        assert not out.exists()
+
+    def test_test_refuses_a_table_seed_outside_64_bits(self, capsys, shifted_series):
+        code, out, err = run(capsys, "test", "--input", str(shifted_series), "--family",
+                             "sn_cusum", "--problem", "mean", "--table-seed", str(2**64))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "argument --table-seed" in err
+
+    def test_largest_seed_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "simulate", "--n", "20", "--hurst", "0.7",
+                           "--seed", str(2**64 - 1), "--stream-id", str(2**64 - 1))
+        assert code == EXIT_OK
+        assert len(out.splitlines()) == 20
 
 
 #: sha256 of cells.csv of `lmsvtest experiment` on the bundled table1_desk.json.
@@ -626,9 +699,13 @@ class TestExperimentAndCompare:
         ({"table_budget": [300, True]}, "invalid experiment config: path_length must be an"),
         ({"shifts": [1.0, math.nan]}, "shifts must be finite"),
         ({"shifts": [1.0, math.inf]}, "shifts must be finite"),
+        ({"seed": -1}, "seed must lie in [0, 2^64), got -1"),
+        ({"seed": 2**64}, "seed must lie in [0, 2^64)"),
+        ({"max_workers": 0}, "max_workers must be >= 1"),
     ], ids=["trim-null", "trim-three-values", "budget-scalar", "repeated-shift",
             "replications-float", "length-float", "workers-bool", "seed-float",
-            "budget-count-float", "budget-length-bool", "shift-nan", "shift-inf"])
+            "budget-count-float", "budget-length-bool", "shift-nan", "shift-inf",
+            "seed-negative", "seed-2^64", "workers-zero"])
     def test_malformed_config_is_refused(self, capsys, tmp_path, overrides, message):
         config = _write_config(tmp_path / "config.json", **overrides)
         code, _, err = run(capsys, "experiment", "--config", str(config),

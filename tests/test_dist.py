@@ -49,6 +49,17 @@ class TestRngStream:
         assert RngStream(3, 5).substream() == RngStream(3, 5)
 
 
+    @pytest.mark.parametrize("skip", [0, 1, 3, 4, 5, 4097])
+    def test_generator_skip_discards_that_many_doubles(self, skip):
+        stream = RngStream(5, 23)
+        assert np.array_equal(stream.generator(skip=skip).random(37),
+                              stream.generator().random(skip + 37)[skip:])
+
+    def test_generator_refuses_a_negative_skip(self):
+        with pytest.raises(ValueError, match="skip"):
+            RngStream(5).generator(skip=-1)
+
+
 class TestBatchedStreams:
     @pytest.mark.parametrize("stream_id", [0, 5, _TOP])
     def test_substreams_equal_scalar_substream(self, stream_id):
@@ -108,6 +119,12 @@ class TestSampling:
         with pytest.raises(ValueError):
             Pareto(0.0)
 
+    @pytest.mark.parametrize("law", [Pareto, CenteredPareto])
+    def test_refuses_an_infinite_tail_index(self, law):
+        # alpha = inf is a point mass, whose moments read NaN.
+        with pytest.raises(ValueError, match="finite"):
+            law(math.inf)
+
     def test_kolmogorov_smirnov_against_pareto_cdf(self):
         from scipy import stats as spstats
 
@@ -133,6 +150,14 @@ class TestMoments:
         assert math.isinf(noise_moments(CenteredPareto(2.0)).variance)
         assert math.isinf(noise_moments(Pareto(1.0)).variance)
         assert math.isinf(noise_moments(Pareto(0.5)).mean)
+
+    @pytest.mark.parametrize("alpha", [1e160, 1e308])
+    def test_variance_at_a_huge_tail_index_is_finite(self, alpha):
+        # (alpha - 1)^2 overflows the doubles, which raised OverflowError;
+        # the variance is about 1 / alpha^2.
+        assert noise_moments(CenteredPareto(alpha)).variance == pytest.approx(
+            alpha**-2, rel=1e-12, abs=1e-320)
+        assert noise_moments(Pareto(alpha)).variance == pytest.approx(alpha**-2, abs=1e-320)
 
     def test_pareto_mean(self):
         assert noise_moments(Pareto(4.0)).mean == pytest.approx(4.0 / 3.0)

@@ -116,6 +116,12 @@ class TestConfig:
         with pytest.raises(TypeError, match=f"{name} must be an integer"):
             _small_cfg(**overrides)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_a_seed_outside_64_bits(self, seed):
+        # RngStream reads a seed modulo 2^64: -1 gave the tables of 2^64 - 1.
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^64\)"):
+            _small_cfg(seed=seed)
+
     @pytest.mark.parametrize("budget, name", [
         ((300.5, 64), "path_count"), ((True, 64), "path_count"), ((300, 64.0), "path_length"),
     ], ids=["count-float", "count-bool", "length-float"])
@@ -182,6 +188,18 @@ class TestConfig:
             _small_cfg(problem=problem, noise_kind="centered_pareto", alphas=(alpha,),
                        shifts=(1.0,), families=(family,))
 
+    def test_infinite_tail_index_is_refused_for_what_it_is(self):
+        # It was refused for "a finite innovation variance, alpha > 2", and inf > 2.
+        with pytest.raises(ValueError, match="finite alpha > 1") as err:
+            _small_cfg(noise_kind="centered_pareto", alphas=(float("inf"),))
+        assert "alpha > 2" not in str(err.value)
+
+    def test_variance_that_underflows_is_refused(self):
+        # At alpha = 1e308 the variance c^2 / alpha^2 reads 0.0, and (alpha - 1)^2
+        # raised OverflowError.
+        with pytest.raises(mc.PlanError, match="finite innovation variance above 0, got 0.0"):
+            _small_cfg(noise_kind="centered_pareto", alphas=(1e308,))
+
     def test_heavy_tailed_mean_tests_without_sigma_are_kept(self):
         cfg = _small_cfg(noise_kind="centered_pareto", alphas=(1.5,),
                          families=("wilcoxon", "sn_cusum", "sn_wilcoxon"))
@@ -234,6 +252,18 @@ class TestTables:
         sources = {v["family"]: v["source"] for v in partial.meta["tables"]}
         assert sources == {"cusum_bridge_sup": "loaded", "sn_ratio": "package"}
         assert partial.cells == mc.run_experiment(cfg, tables=complete).cells
+
+    def test_simulated_tables_run_on_max_workers_threads(self, monkeypatch):
+        workers = []
+        simulate = asymp.critical_values
+
+        def spy(*args, **kwargs):
+            workers.append(kwargs["workers"])
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(asymp, "critical_values", spy)
+        mc.ensure_tables(_small_cfg(budget=TableBudget(200, 64), max_workers=2))
+        assert workers == [2]
 
     def test_required_tables_mean_problem(self):
         cfg = _small_cfg(hursts=(0.6, 0.9))
