@@ -8,7 +8,6 @@ import json
 import math
 import numbers
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -77,18 +76,15 @@ def dnm_double_sum(hurst: float, m: int, n: int) -> float:
     return math.sqrt(math.factorial(m) * float(np.sum(gamma**m)))
 
 
-def fclt_constant(m: int, memory: float) -> float:
-    """Constant c_m = 2 m! / ((1 - mD)(2 - mD)) in the d_{n,m}^2 asymptotics."""
+def dnm_asymptotic(hurst: float, m: int, n: int) -> float:
+    """Leading-order approximation sqrt(c_m n^(2-mD) L^m) with D = 2(1 - H),
+    c_m = 2 m! / ((1 - mD)(2 - mD)) and L = H(2H - 1), the limit of
+    gamma(k) k^D."""
+    memory = 2.0 * (1.0 - hurst)
     if not m * memory < 1:
         raise ValueError(f"long-memory scaling needs m*D < 1, got {m * memory}")
-    return 2.0 * math.factorial(m) / ((1.0 - memory * m) * (2.0 - memory * m))
-
-
-def dnm_asymptotic(hurst: float, m: int, n: int) -> float:
-    """Leading-order approximation sqrt(c_m n^(2-mD) L^m), L = H(2H-1)."""
-    memory = 2.0 * (1.0 - hurst)
-    c_m = fclt_constant(m, memory)
-    tail = fgn.autocov_tail_constant(hurst)
+    c_m = 2.0 * math.factorial(m) / ((1.0 - memory * m) * (2.0 - memory * m))
+    tail = hurst * (2.0 * hurst - 1.0)
     return math.sqrt(c_m * n ** (2.0 - m * memory) * tail**m)
 
 
@@ -269,28 +265,18 @@ def kolmogorov_quantile(p: float) -> float:
 
 
 def _batch_synthesis(hurst: float, m: int, path_length: int):
-    """The one synthesis of ensemble paths: fill(stream, count) draws the
-    normals of `count` fGn rows Y of length N from one generator of
-    `stream`, a batch's substream, as fgn.sample does, and returns
-    cumsum(Y) / d_{N,1} in a view of the calling thread's workspace, valid
-    until the thread's next call. Only Hermite rank m = 1 is supported.
-
-    Each thread keeps its normals and half spectrum from batch to batch, so
-    no batch allocates or faults in an array of its size.
-    """
+    """The one synthesis of ensemble paths: fill(stream, count) draws `count`
+    fGn rows Y of length N by fgn.sample on `stream`, a batch's substream,
+    and returns cumsum(Y) / d_{N,1} in the batch's normals array, which
+    paths_from_normals overwrites; no normals workspace is kept. Only
+    Hermite rank m = 1 is supported."""
     if m != 1:
         raise ValueError(f"only Hermite rank 1 is supported, got {m}")
     params = fgn.FgnParams(hurst=hurst, n=path_length)
     norm = dnm_exact(hurst, 1, path_length)
-    width = fgn.embedding_size(path_length)
-    local = threading.local()
 
     def fill(stream: RngStream, count: int) -> np.ndarray:
-        if len(getattr(local, "normals", ())) < count:
-            local.normals = np.empty((count, width))
-            local.half = np.zeros((count, width // 2 + 1), dtype=complex)
-        normals = stream.generator().standard_normal(out=local.normals[:count])
-        y = fgn.paths_from_normals(params, normals, local.half[:count])
+        y = fgn.sample(params, stream, size=count)
         np.cumsum(y, axis=1, out=y)
         y /= norm
         return y
@@ -517,7 +503,8 @@ def critical_values(
     points at H = 1/2), SN_RATIO the trimmed self-normalized ratio: one
     functional reads either off one bridge per row block of the same paths.
     Each batch of _BATCH paths is synthesized and reduced on its own, on
-    `workers` threads (default: the CPUs this process may use). Tables are
+    `workers` threads (default: the CPUs this process may use; one worker
+    is the calling thread). Tables are
     deterministic given (stream, budget), whatever `workers`. The meta
     block records the provenance and, for each level, a distribution-free
     99 % interval for the true quantile (`quantile_intervals`).
@@ -558,10 +545,14 @@ def critical_values(
         workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1)
     starts = range(0, count, _BATCH)
-    # numpy releases the GIL in the draws, the FFT and the reductions, so the
-    # batches run at once; each fills only its own slice of the values.
-    with ThreadPoolExecutor(max_workers=min(workers, len(starts))) as pool:
-        list(pool.map(batch, starts))
+    workers = min(workers, len(starts))
+    if workers == 1:  # a pool thread's malloc arena would keep its freed batches resident
+        list(map(batch, starts))
+    else:
+        # numpy releases the GIL in the draws, the FFT and the reductions, so the
+        # batches run at once; each fills only its own slice of the values.
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(batch, starts))
 
     quantiles = {lv: float(np.quantile(values, lv)) for lv in levels}
     meta = {

@@ -241,15 +241,28 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_critvals(args) -> int:
+    # Bad flag values, refused by name before any path is drawn.
+    if not 0.0 < args.hurst < 1.0:
+        raise UsageError(f"--hurst must lie in (0, 1), got {args.hurst}")
+    if args.paths < 1:
+        raise UsageError(f"--paths must be >= 1, got {args.paths}")
+    if args.grid < 2:
+        raise UsageError(f"--grid must be >= 2, got {args.grid}")
+    trim = _trim(args)  # refused when malformed, and unused by bridge tables
     family = (
         asymp.TableFamily.CUSUM_BRIDGE_SUP if args.family == "bridge" else asymp.TableFamily.SN_RATIO
     )
+    if family is asymp.TableFamily.SN_RATIO:
+        try:
+            trim.window(args.grid)
+        except ValueError as err:
+            raise UsageError(f"--grid with --tau1 and --tau2: {err}")
     table = asymp.critical_values(
         family,
         1,
         args.hurst,
         mc.table_stream(args.seed, family, 1, args.hurst),
-        trim=_trim(args),  # refused when malformed, and unused by bridge tables
+        trim=trim,
         levels=tuple(args.levels),
         budget=asymp.TableBudget(path_count=args.paths, path_length=args.grid),
     )

@@ -170,13 +170,6 @@ class Moments:
     variance: float
 
 
-def pareto_from_uniform(
-    u: np.ndarray, alpha: float | np.ndarray, scale: float = 1.0
-) -> np.ndarray:
-    """Map uniforms on (0, 1] to Pareto draws by the inverse CDF c * u^(-1/alpha)."""
-    return scale * np.power(u, -1.0 / np.asarray(alpha, dtype=float))
-
-
 def make_noise(kind: str, alpha: float | None = None, scale: float = 1.0) -> NoiseSpec:
     """The innovation law named `kind`: "normal", "pareto" or "centered_pareto"."""
     if kind == StandardNormal.kind:
@@ -205,8 +198,9 @@ def innovations(
     `alpha` (a scalar or one value per draw) replaces spec.alpha."""
     if isinstance(spec, StandardNormal):
         return raw
-    # 1 - U lies in (0, 1]; avoids u = 0 blowing up the inverse CDF.
-    draws = pareto_from_uniform(1.0 - raw, spec.alpha if alpha is None else alpha, spec.scale)
+    # The inverse CDF c * u^(-1/alpha) at u = 1 - U, which lies in (0, 1]; u = 0 would blow up.
+    alpha = np.asarray(spec.alpha if alpha is None else alpha, dtype=float)
+    draws = spec.scale * np.power(1.0 - raw, -1.0 / alpha)
     if isinstance(spec, CenteredPareto):
         draws -= spec.mean_shift
     return draws

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,11 +33,6 @@ class FgnParams:
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
 
-    @property
-    def memory_parameter(self) -> float:
-        """Covariance decay exponent D = 2(1 - H); in (0, 1) for H > 1/2."""
-        return 2.0 * (1.0 - self.hurst)
-
 
 def autocovariance(hurst: float, lags: int | np.ndarray) -> np.ndarray | float:
     """Exact autocovariance gamma(k) of unit-variance fractional Gaussian noise.
@@ -54,11 +50,6 @@ def autocovariance(hurst: float, lags: int | np.ndarray) -> np.ndarray | float:
     if np.isscalar(lags):
         return float(out)
     return out
-
-
-def autocov_tail_constant(hurst: float) -> float:
-    """Limit of gamma(k) * k^(2-2H): the constant H(2H - 1) for H > 1/2."""
-    return hurst * (2.0 * hurst - 1.0)
 
 
 def embedding_size(n: int) -> int:
@@ -116,10 +107,13 @@ def _half_spectrum_scales(n: int, hurst: float) -> tuple[np.ndarray, np.ndarray]
     return re, im
 
 
-def paths_from_normals(
-    params: FgnParams, normals: np.ndarray, half: np.ndarray | None = None
-) -> np.ndarray:
-    """Turn standard normals of shape (B, embedding_size(n)) into B paths.
+#: Each thread's half-spectrum array, reused by paths_from_normals.
+_workspace = threading.local()
+
+
+def paths_from_normals(params: FgnParams, normals: np.ndarray) -> np.ndarray:
+    """Turn standard normals of shape (B, embedding_size(n)) into B paths,
+    overwriting `normals`.
 
     Davies-Harte construction on the half spectrum: row b of `normals` gives
     the m + 1 coefficients of a Hermitian-symmetric complex normal vector
@@ -127,25 +121,25 @@ def paths_from_normals(
     scaled by sqrt(eigenvalues), and one real inverse FFT over the whole
     batch yields the paths as the first n coordinates. Each row is
     transformed on its own, so a path does not depend on the rows stacked
-    with it. Returns shape (B, n).
-
-    With `half`, a complex (B, m + 1) array whose imaginary parts in columns
-    0 and m are zero, the spectrum is assembled there and the inverse FFT
-    overwrites `normals`; the paths are its first n columns, scaled in
-    place, and no array is allocated. The numbers are the same.
+    with it. The spectrum is assembled in a complex array that each thread
+    keeps, and the inverse FFT is written over `normals`, which must be a
+    float64 array; the (B, n) paths returned are a view of it.
     """
     n = params.n
     if n == 1:
         return normals
     re, im = _half_spectrum_scales(n, params.hurst)
     m = re.size - 1
-    in_place = half is not None
-    if not in_place:
-        half = np.zeros((normals.shape[0], m + 1), dtype=complex)
+    rows = normals.shape[0]
+    buffer = getattr(_workspace, "half", None)
+    if buffer is None or buffer.size < rows * (m + 1):
+        buffer = _workspace.half = np.empty(rows * (m + 1), dtype=complex)
+    # The buffer is reshaped to each width, so a call of another width may
+    # have left values where this one has its real columns 0 and m.
+    half = buffer[:rows * (m + 1)].reshape(rows, m + 1)
+    half.imag[:, [0, m]] = 0.0
     np.multiply(normals[:, :m + 1], re, out=half.real)
     np.multiply(normals[:, m + 1:], im, out=half.imag[:, 1:m])
-    if not in_place:
-        return np.fft.irfft(half, n=2 * m, axis=1)[:, :n] * np.sqrt(2 * m)
     paths = np.fft.irfft(half, n=2 * m, axis=1, out=normals)[:, :n]
     paths *= np.sqrt(2 * m)
     return paths
@@ -155,8 +149,9 @@ def sample(params: FgnParams, stream: RngStream, size: int | None = None) -> np.
     """Sample fractional Gaussian noise paths with the exact target covariance.
 
     One generator of `stream` draws all normals, row by row, and
-    paths_from_normals turns them into paths with one real FFT.
-    Returns shape (n,) when size is None, else (size, n).
+    paths_from_normals turns them into paths in place, with one real FFT.
+    Returns shape (n,) when size is None, else (size, n), a view of the
+    normals array; no other array of the batch's size is allocated.
     """
     normals = stream.generator().standard_normal(
         (1 if size is None else size, embedding_size(params.n))

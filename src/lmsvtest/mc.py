@@ -128,17 +128,19 @@ class ExperimentConfig:
                 raise ValueError(f"{name} repeats an entry: {list(values)}")
         if self.alphas and self.noise_kind == "normal":
             raise ValueError(f"normal noise has no tail index, got alphas {list(self.alphas)}")
-        for alpha in self.alpha_grid:
-            noise = make_noise(self.noise_kind, alpha)
-            for hurst in self.hursts:
-                for family in self.families:
-                    resolve_plan(self.problem, family, hurst, noise, self.trim)
-        # A row that cannot run is refused here, not after the rows before it.
+        # A row that cannot run is refused here, not after the tables and the
+        # rows before it.
         for n in self.lengths:
             if n < 2:  # the statistics' minimum, above FgnParams' n >= 1
                 raise ValueError(f"need at least 2 observations, got n = {n}")
             if any(family.startswith("sn_") for family in self.families):
                 self.trim.window(n)
+        for alpha in self.alpha_grid:
+            noise = make_noise(self.noise_kind, alpha)
+            for hurst in self.hursts:
+                for family in self.families:
+                    for n in self.lengths:  # each row's own plan, without its table
+                        resolve_plan(self.problem, family, hurst, noise, self.trim, n=n)
         if self.problem == "variance" and min(self.shifts) <= 0:
             raise ValueError(
                 f"variance shifts scale the post-change segment and must be positive, "
@@ -606,15 +608,22 @@ _CELL_PARSERS = {"hurst": float, "n": int, "alpha": lambda s: None if s == "" el
                  "rejections": int}
 
 
+def _exact(x: float) -> str:
+    """x in the short %g form where that reads back as x, else in full."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(float(x))
+
+
 def cells_to_csv(cells: list[CellResult], path: str | Path) -> None:
-    """Tidy CSV: one row per (family, cell), with the exact rejection count."""
+    """Tidy CSV: one row per (family, cell), with the exact rejection count.
+    Every coordinate reads back as the same float."""
     lines = [_CELLS_HEADER]
     for c in cells:
-        alpha = "" if c.alpha is None else f"{c.alpha:g}"
+        alpha = "" if c.alpha is None else _exact(c.alpha)
         lines.append(
-            f"{c.problem},{c.family},{c.hurst:g},{c.n},{alpha},{c.h:g},{c.tau:g},"
-            f"{c.level:g},{c.replications},{c.rejections},{c.rate:.6f},"
-            f"{c.standard_error:.6f}"
+            f"{c.problem},{c.family},{_exact(c.hurst)},{c.n},{alpha},{_exact(c.h)},"
+            f"{_exact(c.tau)},{_exact(c.level)},{c.replications},{c.rejections},"
+            f"{c.rate:.6f},{c.standard_error:.6f}"
         )
     Path(path).write_text("\n".join(lines) + "\n")
 

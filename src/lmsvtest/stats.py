@@ -61,7 +61,6 @@ class Transform(enum.Enum):
     IDENTITY = "identity"
     SQUARE = "square"
     LOG_ABS = "log_abs"
-    LOG_SQUARE = "log_square"
 
     def apply(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -71,9 +70,7 @@ class Transform(enum.Enum):
             return xs * xs
         if np.any(xs == 0.0):
             raise ValueError(f"{self.value} transform is undefined at zero values")
-        if self is Transform.LOG_ABS:
-            return np.log(np.abs(xs))
-        return 2.0 * np.log(np.abs(xs))
+        return np.log(np.abs(xs))
 
 
 @dataclass(frozen=True)

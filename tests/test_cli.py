@@ -323,8 +323,21 @@ class TestCritvals:
         out = tmp_path / "sn.json"
         code, _, err = run(capsys, "critvals", "--family", "sn", "--hurst", "0.5",
                            "--paths", "20", "--grid", "6", "--out", str(out))
-        assert code == EXIT_COMPUTATION
-        assert "trimmed window" in err
+        assert code == EXIT_USAGE
+        assert "--grid with --tau1 and --tau2: trimmed window" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, named", [
+        (("--family", "bridge", "--hurst", "0.7", "--paths", "0"), "--paths"),
+        (("--family", "bridge", "--hurst", "0.7", "--grid", "1"), "--grid"),
+        (("--family", "bridge", "--hurst", "1.5"), "--hurst"),
+        (("--family", "sn", "--hurst", "0.5", "--grid", "4"), "--grid with --tau1 and --tau2"),
+    ], ids=["paths-0", "grid-1", "hurst-1.5", "sn-grid-4"])
+    def test_bad_flag_value_is_usage_error(self, capsys, tmp_path, flags, named):
+        out = tmp_path / "table.json"
+        code, _, err = run(capsys, "critvals", *flags, "--out", str(out))
+        assert code == EXIT_USAGE
+        assert named in err
         assert not out.exists()
 
     @pytest.mark.parametrize("family", ["sn", "bridge"])

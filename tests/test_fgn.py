@@ -104,14 +104,14 @@ class TestSampling:
         params = fgn.FgnParams(0.75, 300)
         normals = RngStream(16).generator().standard_normal((5, fgn.embedding_size(300)))
         assert np.array_equal(fgn.sample(params, RngStream(16), size=5),
-                              fgn.paths_from_normals(params, normals))
+                              fgn.paths_from_normals(params, normals.copy()))
         assert np.array_equal(fgn.sample(params, RngStream(16)),
                               fgn.paths_from_normals(params, normals[:1])[0])
 
     def test_paths_do_not_depend_on_batch_neighbours(self):
         params = fgn.FgnParams(0.85, 1000)
         normals = RngStream(17).generator().standard_normal((9, fgn.embedding_size(1000)))
-        together = fgn.paths_from_normals(params, normals)
+        together = fgn.paths_from_normals(params, normals.copy())
         for row in range(9):
             alone = fgn.paths_from_normals(params, normals[row:row + 1])
             assert np.array_equal(together[row], alone[0])
@@ -122,9 +122,23 @@ class TestSampling:
         # n = 2 embeds in 2m = 2, where the interior 1..m-1 is empty.
         params = fgn.FgnParams(hurst, n)
         normals = RngStream(19).generator().standard_normal((16, fgn.embedding_size(n)))
-        fast = fgn.paths_from_normals(params, normals)
+        fast = fgn.paths_from_normals(params, normals.copy())
         assert fast.shape == (16, n)
         assert np.max(np.abs(fast - complex_hermitian_paths(params, normals))) < 1e-12
+
+    def test_reused_half_spectrum_holds_no_stale_values(self):
+        # One thread's spectrum array serves every call: a wider or taller
+        # call leaves values where the next one has its real columns 0 and m.
+        # numpy's irfft happens to discard their imaginary parts, so the
+        # array is read as well as the paths.
+        for n, rows in ((300, 9), (2048, 2), (2, 16), (300, 1)):
+            params = fgn.FgnParams(0.7, n)
+            m = fgn.embedding_size(n) // 2
+            normals = RngStream(20, n).generator().standard_normal((rows, 2 * m))
+            expected = complex_hermitian_paths(params, normals)
+            assert np.max(np.abs(fgn.paths_from_normals(params, normals) - expected)) < 1e-12
+            half = fgn._workspace.half[:rows * (m + 1)].reshape(rows, m + 1)
+            assert not np.any(half.imag[:, [0, m]])
 
     def test_eigenvalues_cached_and_read_only(self):
         eig = fgn.embedding_eigenvalues(300, 0.65)
@@ -142,9 +156,6 @@ class TestSampling:
             fgn.FgnParams(1.0, 10)
         with pytest.raises(ValueError):
             fgn.FgnParams(0.7, 0)
-
-    def test_memory_parameter(self):
-        assert fgn.FgnParams(0.8, 2).memory_parameter == pytest.approx(0.4)
 
     def test_embedding_error_on_invalid_covariance(self, monkeypatch):
         # A covariance sequence that is not embeddable must fail loudly

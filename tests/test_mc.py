@@ -200,6 +200,14 @@ class TestConfig:
         with pytest.raises(mc.PlanError, match="finite innovation variance above 0, got 0.0"):
             _small_cfg(noise_kind="centered_pareto", alphas=(1e308,))
 
+    def test_out_of_domain_wilcoxon_factor_is_refused_before_a_table(self, monkeypatch):
+        # Resolved without n, the plan never reached the factor, which was
+        # refused only after the bridge table had been simulated.
+        monkeypatch.setattr(asymp, "critical_values", _refuse_simulation)
+        with pytest.raises(ValueError, match="mean Wilcoxon factor needs"):
+            _small_cfg(noise_kind="centered_pareto", alphas=(1e7,), families=("wilcoxon",),
+                       hursts=(0.75,), budget=TableBudget(3000, 1024))
+
     def test_heavy_tailed_mean_tests_without_sigma_are_kept(self):
         cfg = _small_cfg(noise_kind="centered_pareto", alphas=(1.5,),
                          families=("wilcoxon", "sn_cusum", "sn_wilcoxon"))
@@ -608,6 +616,20 @@ class TestSerialization:
         header, row = path.read_text().splitlines()
         fields = dict(zip(header.split(","), row.split(",")))
         assert (fields["rejections"], fields["rate"]) == ("3333333", "0.333333")
+
+    def test_cells_csv_reads_back_every_coordinate(self, tmp_path):
+        # %g wrote H = 0.6666666666 as 0.666667, a cell that no longer equals
+        # itself; a value %g keeps exactly is still written short.
+        cell = mc.CellResult(
+            problem="variance", family="cusum", hurst=0.6666666666, n=500, alpha=4.5,
+            h=1 / 3, tau=0.5, level=0.0123456789, replications=1000, rejections=7,
+        )
+        path = tmp_path / "cells.csv"
+        mc.cells_to_csv([cell], path)
+        assert mc.cells_from_csv(path) == [cell]
+        row = path.read_text().splitlines()[1]
+        assert row.startswith("variance,cusum,0.6666666666,500,4.5,0.3333333333333333,0.5,"
+                              "0.0123456789,1000,7,")
 
     @pytest.mark.parametrize("read", [mc.cells_from_csv, mc.reference_from_csv],
                              ids=["cells", "reference"])

@@ -28,15 +28,9 @@ def _rel_close(a, b, tol=1e-10):
 
 
 class TestTransforms:
-    def test_log_square_is_twice_log_abs(self):
-        x = np.array([0.5, -2.0, 3.0])
-        assert np.allclose(Transform.LOG_SQUARE.apply(x), 2 * Transform.LOG_ABS.apply(x))
-
     def test_log_transforms_reject_zero(self):
         with pytest.raises(ValueError):
             Transform.LOG_ABS.apply(np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            Transform.LOG_SQUARE.apply(np.array([0.0]))
 
 
 class TestCusum:
