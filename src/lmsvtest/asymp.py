@@ -21,14 +21,11 @@ from .stats import TrimSpec, _bridge, _sn_ratio, _sn_terms, row_blocks
 
 TABLE_FORMAT_VERSION = 1
 
-#: Paths per batch, the unit of table work: a batch draws from its own keyed
-#: substream and fills a fixed slice of the values, so a table is the same,
-#: bit for bit, whatever the memory and however many workers build it.
+#: Paths per batch, the unit of table work: batch g draws from its own keyed
+#: substreams (_batch_paths, critical_values) and fills a fixed slice of the
+#: values, so a table is the same, bit for bit, whatever the memory and
+#: however many workers build it.
 _BATCH = 512
-
-#: Paths per chunk of a table, four batches. The stream layout keys paths by
-#: (chunk, batch) and the Brownian refinement's uniforms by chunk.
-_CHUNK = 4 * _BATCH
 
 #: Coverage of the order-statistic interval recorded for each table quantile.
 _INTERVAL_COVERAGE = 0.99
@@ -264,24 +261,23 @@ def kolmogorov_quantile(p: float) -> float:
 # Hermite-process path ensembles and simulated critical values
 
 
-def _batch_synthesis(hurst: float, m: int, path_length: int):
-    """The one synthesis of ensemble paths: fill(stream, count) draws `count`
-    fGn rows Y of length N by fgn.sample on `stream`, a batch's substream,
-    and returns cumsum(Y) / d_{N,1} in the batch's normals array, which
-    paths_from_normals overwrites; no normals workspace is kept. Only
-    Hermite rank m = 1 is supported."""
+def _ensemble(hurst: float, m: int, path_length: int) -> tuple[fgn.FgnParams, float]:
+    """fGn parameters and d_{N,1} of an ensemble; every problem has Hermite rank m = 1."""
     if m != 1:
         raise ValueError(f"only Hermite rank 1 is supported, got {m}")
-    params = fgn.FgnParams(hurst=hurst, n=path_length)
-    norm = dnm_exact(hurst, 1, path_length)
+    return fgn.FgnParams(hurst=hurst, n=path_length), dnm_exact(hurst, 1, path_length)
 
-    def fill(stream: RngStream, count: int) -> np.ndarray:
-        y = fgn.sample(params, stream, size=count)
-        np.cumsum(y, axis=1, out=y)
-        y /= norm
-        return y
 
-    return fill
+def _batch_paths(
+    params: fgn.FgnParams, norm: float, stream: RngStream, g: int, count: int
+) -> np.ndarray:
+    """Batch g of an ensemble: `count` paths cumsum(Y) / d_{N,1}, with Y the
+    fGn rows fgn.sample draws from stream.substream(0, g // 4, g % 4), in
+    the array of their normals, which paths_from_normals overwrites."""
+    y = fgn.sample(params, stream.substream(0, g // 4, g % 4), size=count)
+    np.cumsum(y, axis=1, out=y)
+    y /= norm
+    return y
 
 
 def simulate_hermite_paths(
@@ -294,15 +290,16 @@ def simulate_hermite_paths(
     """Normalized partial-sum paths on the grid j/N, j = 1..N.
 
     Each path is cumsum(Y) / d_{N,1}, an exact fractional Brownian motion
-    skeleton with unit endpoint variance. Every testing problem has Hermite
-    rank 1, so m = 1 is the only rank; any other m is refused. Batch b of
-    _BATCH paths draws from stream.substream(b).
+    skeleton with unit endpoint variance; only m = 1 is supported. Batch g
+    of _BATCH paths is _batch_paths(..., g, ...), so these are the paths
+    critical_values reduces for the same stream and path budget.
     Returns an array of shape (path_count, path_length).
     """
-    fill = _batch_synthesis(hurst, m, path_length)
+    params, norm = _ensemble(hurst, m, path_length)
     out = np.empty((path_count, path_length))
-    for b, start in enumerate(range(0, path_count, _BATCH)):
-        out[start:start + _BATCH] = fill(stream.substream(b), min(_BATCH, path_count - start))
+    for g, start in enumerate(range(0, path_count, _BATCH)):
+        out[start:start + _BATCH] = _batch_paths(params, norm, stream, g,
+                                                 min(_BATCH, path_count - start))
     return out
 
 
@@ -397,7 +394,7 @@ class CriticalValueTable:
 def _table_sup(
     paths: np.ndarray,
     trim: TrimSpec | None = None,
-    refine: tuple[np.random.Generator, np.random.Generator] | None = None,
+    refine: list[np.random.Generator] | None = None,
 ) -> np.ndarray:
     """Supremum of a functional of the bridge P = Z - (t/N) Z(1) of each
     partial-sum path Z on the grid j/N, from one stats._bridge per row block.
@@ -416,7 +413,7 @@ def _table_sup(
     at the relevant levels is negligible) removes the O(1/sqrt(N))
     discretization bias of the supremum. Each row block draws one uniform
     per (path, segment) from each generator, so each generator's draws
-    follow the rows; _refinement_generators gives a table's.
+    follow the rows.
     """
     count, n = paths.shape
     if trim is not None:
@@ -436,20 +433,6 @@ def _table_sup(
             down = np.sqrt((a - p) ** 2 - 2.0 / n * np.log(u_lo)) - (a + p)
             sup[rows] = np.maximum(sup[rows], 0.5 * np.max(np.maximum(up, down), axis=1))
     return sup
-
-
-def _refinement_generators(
-    stream: RngStream, chunk_shape: tuple[int, int], start: int
-) -> tuple[np.random.Generator, np.random.Generator]:
-    """Generators (upper, lower) of a chunk's refinement uniforms, at row
-    `start`.
-
-    The chunk of chunk_shape paths reads one array of that shape from
-    `stream` for the upper extremes, then one for the lower extremes. A batch
-    reads its own rows alone, from generators skipped to them.
-    """
-    count, n = chunk_shape
-    return stream.generator(skip=start * n), stream.generator(skip=(count + start) * n)
 
 
 def _binomial_cdf(count: int, p: float) -> np.ndarray:
@@ -502,9 +485,9 @@ def critical_values(
     CUSUM_BRIDGE_SUP tabulates sup |Z(t) - t Z(1)| (refined between grid
     points at H = 1/2), SN_RATIO the trimmed self-normalized ratio: one
     functional reads either off one bridge per row block of the same paths.
-    Each batch of _BATCH paths is synthesized and reduced on its own, on
-    `workers` threads (default: the CPUs this process may use; one worker
-    is the calling thread). Tables are
+    Each batch of _BATCH paths draws from its own substreams and is
+    synthesized and reduced on its own, on `workers` threads (default: the
+    CPUs this process may use; one worker is the calling thread). Tables are
     deterministic given (stream, budget), whatever `workers`. The meta
     block records the provenance and, for each level, a distribution-free
     99 % interval for the true quantile (`quantile_intervals`).
@@ -524,22 +507,17 @@ def critical_values(
         trim = None
 
     count, n = budget.path_count, budget.path_length
-    fill = _batch_synthesis(hurst, m, n)
+    params, norm = _ensemble(hurst, m, n)
     brownian = family is TableFamily.CUSUM_BRIDGE_SUP and hurst == 0.5
     values = np.empty(count)
 
     def batch(start: int) -> None:
-        # Batch b of chunk c draws its paths from substream(0, c).substream(b),
-        # the layout of simulate_hermite_paths on substream(0, c), and its rows
-        # of the chunk's refinement uniforms from substream(1, c).
-        chunk, offset = divmod(start, _CHUNK)
-        rows = min(_BATCH, count - start)
-        paths = fill(stream.substream(0, chunk).substream(offset // _BATCH), rows)
-        refine = None
-        if brownian:
-            chunk_shape = (min(_CHUNK, count - start + offset), n)
-            refine = _refinement_generators(stream.substream(1, chunk), chunk_shape, offset)
-        values[start:start + rows] = _table_sup(paths, trim, refine)
+        # Batch g draws its paths by _batch_paths and its refinement's upper
+        # and lower uniforms from substream(1, g, 0) and substream(1, g, 1).
+        g, rows = start // _BATCH, min(_BATCH, count - start)
+        refine = [stream.substream(1, g, side).generator() for side in (0, 1)] if brownian else None
+        values[start:start + rows] = _table_sup(_batch_paths(params, norm, stream, g, rows),
+                                                trim, refine)
 
     if workers is None:  # the CPUs this process may use
         workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")

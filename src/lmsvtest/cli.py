@@ -8,6 +8,7 @@ flagged a cell.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -34,6 +35,15 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
         raise UsageError(message)
+
+
+@contextlib.contextmanager
+def _flags(names: str):
+    """Refuse a ValueError raised inside as a usage error that names the flags."""
+    try:
+        yield
+    except ValueError as err:
+        raise UsageError(f"{names}: {err}") from None
 
 
 def _seed(text: str) -> int:
@@ -129,17 +139,19 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_simulate(args) -> int:
-    try:
-        spec = SeriesSpec(
-            fgn=FgnParams(hurst=args.hurst, n=args.n),
-            noise=make_noise(args.noise.replace("-", "_"), args.alpha, args.scale),
-            change=(NoChange() if args.change == "none"
-                    else CHANGES[args.change](h=args.h, tau=args.tau)),
-        )
-    except ValueError as err:
-        # Bad flag values, caught before any computation starts.
-        raise UsageError(str(err))
-    y, eps, x = simulate_components(spec, RngStream(args.seed, args.stream_id))
+    # Bad flag values, refused by name before any computation starts.
+    with _flags("--hurst and --n"):
+        params = FgnParams(hurst=args.hurst, n=args.n)
+    with _flags("--noise, --alpha and --scale"):
+        noise = make_noise(args.noise.replace("-", "_"), args.alpha, args.scale)
+    with _flags("--h and --tau"):
+        change = NoChange() if args.change == "none" else CHANGES[args.change](args.h, args.tau)
+    with _flags("--alpha and --h"):
+        spec = SeriesSpec(params, noise, change)
+    with np.errstate(over="ignore"):  # finite flags can still draw values past the doubles
+        y, eps, x = simulate_components(spec, RngStream(args.seed, args.stream_id))
+    if not np.all(np.isfinite(x)):
+        raise UsageError("--scale, --alpha and --h: the series overflows the largest double")
     if args.latent:
         lines = [f"{yi:.17g},{ei:.17g},{xi:.17g}" for yi, ei, xi in zip(y, eps, x)]
     else:
@@ -179,10 +191,8 @@ def _load_tables(directory: Path | None) -> mc.TableSet:
 
 
 def _trim(args) -> TrimSpec:
-    try:
+    with _flags("--tau1 and --tau2"):
         return TrimSpec(tau1=args.tau1, tau2=args.tau2)
-    except ValueError as err:
-        raise UsageError(f"--tau1 and --tau2: {err}")
 
 
 #: The innovation law --alpha stands for under each problem.
@@ -201,10 +211,8 @@ def _resolve_test(args, xs: np.ndarray):
     if psi not in (None, problem_psi):
         raise UsageError(f"--psi {args.psi} contradicts --problem {args.problem}, which sets "
                          f"--psi {problem_psi.value.replace('_', '-')}")
-    try:
+    with _flags("--alpha"):
         noise = None if args.alpha is None else make_noise(_ALPHA_NOISE[args.problem], args.alpha)
-    except ValueError as err:
-        raise UsageError(f"--alpha: {err}")
     loaded = _load_tables(args.tables)
 
     def lookup(*key):
@@ -253,10 +261,8 @@ def _cmd_critvals(args) -> int:
         asymp.TableFamily.CUSUM_BRIDGE_SUP if args.family == "bridge" else asymp.TableFamily.SN_RATIO
     )
     if family is asymp.TableFamily.SN_RATIO:
-        try:
+        with _flags("--grid with --tau1 and --tau2"):
             trim.window(args.grid)
-        except ValueError as err:
-            raise UsageError(f"--grid with --tau1 and --tau2: {err}")
     table = asymp.critical_values(
         family,
         1,

@@ -42,24 +42,11 @@ class RngStream:
     seed: int
     stream_id: int = 0
 
-    def generator(self, skip: int = 0) -> np.random.Generator:
-        """A fresh generator of the stream; with `skip`, the one in the state
-        that `skip` doubles of Generator.random leave it in.
-
-        Generator.random takes one uint64 of Philox per double, and Philox
-        makes four per counter step, so the skip is a counter advance and
-        at most three discarded doubles.
-        """
-        if skip < 0:
-            raise ValueError(f"skip must be >= 0, got {skip}")
+    def generator(self) -> np.random.Generator:
         key = np.array(
             [self.seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64
         )
-        rng = np.random.Generator(np.random.Philox(key=key))
-        if skip:
-            rng.bit_generator.advance(skip // 4)
-            rng.random(skip % 4)
-        return rng
+        return np.random.Generator(np.random.Philox(key=key))
 
     def substream(self, *indices: int) -> "RngStream":
         """Derive a child stream from integer coordinates.
@@ -130,10 +117,11 @@ class Pareto:
     kind = "pareto"
 
     def __post_init__(self) -> None:
-        if not 0 < self.alpha < math.inf:
-            raise ValueError(f"Pareto tail index must be positive and finite, got {self.alpha}")
-        if not self.scale > 0:
-            raise ValueError(f"Pareto scale must be positive, got {self.scale}")
+        # The draws c * u^(-1/alpha) need a finite 1/alpha, which a denormal alpha lacks.
+        if not (0 < self.alpha < math.inf and 1.0 / self.alpha < math.inf):
+            raise ValueError(f"Pareto tail index must be positive and finite, and so must "
+                             f"its reciprocal, got {self.alpha}")
+        _check_scale("Pareto", self.scale)
 
 
 @dataclass(frozen=True)
@@ -152,13 +140,17 @@ class CenteredPareto:
             raise ValueError(
                 f"CenteredPareto needs a finite alpha > 1 for a finite mean, got {self.alpha}"
             )
-        if not self.scale > 0:
-            raise ValueError(f"CenteredPareto scale must be positive, got {self.scale}")
+        _check_scale("CenteredPareto", self.scale)
 
     @property
     def mean_shift(self) -> float:
         """Mean of the underlying Pareto draw that is subtracted."""
         return self.scale * self.alpha / (self.alpha - 1.0)
+
+
+def _check_scale(law: str, scale: float) -> None:
+    if not 0 < scale < math.inf:  # an infinite scale makes every draw infinite
+        raise ValueError(f"{law} scale must be positive and finite, got {scale}")
 
 
 NoiseSpec = StandardNormal | Pareto | CenteredPareto
@@ -171,8 +163,13 @@ class Moments:
 
 
 def make_noise(kind: str, alpha: float | None = None, scale: float = 1.0) -> NoiseSpec:
-    """The innovation law named `kind`: "normal", "pareto" or "centered_pareto"."""
+    """The innovation law named `kind`: "normal", "pareto" or "centered_pareto".
+    Normal noise takes neither a tail index nor a scale other than 1."""
     if kind == StandardNormal.kind:
+        if alpha is not None:
+            raise ValueError(f"normal noise has no tail index, got alpha {alpha}")
+        if scale != 1.0:
+            raise ValueError(f"normal noise is standard, got scale {scale}")
         return StandardNormal()
     law = {Pareto.kind: Pareto, CenteredPareto.kind: CenteredPareto}.get(kind)
     if law is None:

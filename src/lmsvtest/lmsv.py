@@ -45,7 +45,7 @@ class MeanShift:
     kind = "mean"
 
     def __post_init__(self) -> None:
-        _check_tau(self.tau)
+        _check_shift(self.h, self.tau)
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class VarianceScale:
     kind = "variance"
 
     def __post_init__(self) -> None:
-        _check_tau(self.tau)
+        _check_shift(self.h, self.tau)
         if not self.h > 0:
             raise ValueError(f"variance scale must be positive, got {self.h}")
 
@@ -75,7 +75,7 @@ class TailShift:
     kind = "tail"
 
     def __post_init__(self) -> None:
-        _check_tau(self.tau)
+        _check_shift(self.h, self.tau)
 
 
 ChangeSpec = NoChange | MeanShift | VarianceScale | TailShift
@@ -84,7 +84,9 @@ ChangeSpec = NoChange | MeanShift | VarianceScale | TailShift
 CHANGES = {change.kind: change for change in (MeanShift, VarianceScale, TailShift)}
 
 
-def _check_tau(tau: float) -> None:
+def _check_shift(h: float, tau: float) -> None:
+    if not math.isfinite(h):  # a NaN or infinite height fills the segment with NaN or inf
+        raise ValueError(f"change height h must be finite, got {h}")
     if not 0.0 < tau < 1.0:
         raise ValueError(f"change location tau must lie in (0, 1), got {tau}")
 
@@ -102,8 +104,15 @@ class SeriesSpec:
 
 
 def _check_change(noise: NoiseSpec, change: ChangeSpec) -> None:
-    if isinstance(change, TailShift) and not isinstance(noise, Pareto):
+    if not isinstance(change, TailShift):
+        return
+    if not isinstance(noise, Pareto):
         raise ValueError("tail-index changes require Pareto innovations")
+    try:  # the post-change law
+        Pareto(noise.alpha + change.h, noise.scale)
+    except ValueError as err:
+        raise ValueError(f"tail shift h = {change.h} from alpha = {noise.alpha}: "
+                         f"post-change {err}") from None
 
 
 def change_point_index(n: int, tau: float) -> int:

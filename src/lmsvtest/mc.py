@@ -126,8 +126,6 @@ class ExperimentConfig:
             values = getattr(self, name)  # a repeat would run, and count, its cells twice
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} repeats an entry: {list(values)}")
-        if self.alphas and self.noise_kind == "normal":
-            raise ValueError(f"normal noise has no tail index, got alphas {list(self.alphas)}")
         # A row that cannot run is refused here, not after the tables and the
         # rows before it.
         for n in self.lengths:
@@ -136,16 +134,13 @@ class ExperimentConfig:
             if any(family.startswith("sn_") for family in self.families):
                 self.trim.window(n)
         for alpha in self.alpha_grid:
-            noise = make_noise(self.noise_kind, alpha)
+            noise = make_noise(self.noise_kind, alpha)  # refuses alphas under normal noise
             for hurst in self.hursts:
                 for family in self.families:
                     for n in self.lengths:  # each row's own plan, without its table
                         resolve_plan(self.problem, family, hurst, noise, self.trim, n=n)
-        if self.problem == "variance" and min(self.shifts) <= 0:
-            raise ValueError(
-                f"variance shifts scale the post-change segment and must be positive, "
-                f"got {min(self.shifts)}"
-            )
+            for h in self.shifts:  # a variance scale h > 0, a tail index alpha + h > 0
+                lmsv._check_change(noise, lmsv.CHANGES[self.problem](h, self.tau))
 
     @property
     def alpha_grid(self) -> tuple[float | None, ...]:

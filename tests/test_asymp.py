@@ -340,19 +340,20 @@ class TestTableFunctionals:
     def test_bridge_refinement_blocks_are_bitwise_row_by_row(self):
         paths = simulate_hermite_paths(0.5, 1, 256, 2048, RngStream(74))
         grid = asymp._table_sup(paths)
-        whole = np.concatenate([  # the chunk's four batches, each drawing only its rows
-            asymp._table_sup(paths[start:start + 512], refine=asymp._refinement_generators(
-                RngStream(75), paths.shape, start))
-            for start in range(0, len(paths), 512)
-        ])
-        # Both uniform arrays cover the whole chunk, upper extremes first.
-        rng = RngStream(75).generator()
-        u_hi, u_lo = rng.random(paths.shape), rng.random(paths.shape)
-        rows = [
-            refined_sup_reference(paths[i:i + 1], grid[i:i + 1], u_hi[i:i + 1], u_lo[i:i + 1])
-            for i in range(len(paths))
-        ]
-        assert np.array_equal(whole, np.concatenate(rows))
+        whole, rows = [], []
+        for g, start in enumerate(range(0, len(paths), 512)):  # four batches
+            batch = paths[start:start + 512]
+            # The batch's upper and lower uniforms, each from its own generator,
+            # as critical_values keys them.
+            sides = [RngStream(75).substream(1, g, side) for side in (0, 1)]
+            whole.append(asymp._table_sup(batch, refine=[s.generator() for s in sides]))
+            u_hi, u_lo = (s.generator().random(batch.shape) for s in sides)
+            rows += [
+                refined_sup_reference(batch[i:i + 1], grid[start + i:start + i + 1],
+                                      u_hi[i:i + 1], u_lo[i:i + 1])
+                for i in range(len(batch))
+            ]
+        assert np.array_equal(np.concatenate(whole), np.concatenate(rows))
 
     def test_binomial_cdf_selects_the_ranks_of_scipy(self):
         # The interval ranks searchsorted finds at 0.005 and 0.995 agree with
@@ -428,15 +429,15 @@ class TestCriticalValues:
 
     @pytest.mark.parametrize("family, hurst, trim, digest", [
         (TableFamily.CUSUM_BRIDGE_SUP, 0.5, None,
-         "5f8bf2fa95e626f9ef45c72bde5545dfce72814df976d6d9952b9f59a4d73952"),
+         "7db2a9fad14dff9e20316ff5ccd669236e933a7217351ebb794765f0b89f5c6a"),
         (TableFamily.CUSUM_BRIDGE_SUP, 0.8, None,
          "1bca2bdf50db0286edb659576bf77f53f8ce8313ab6924ef5127cbf11b49e8d1"),
         (TableFamily.SN_RATIO, 0.7, TrimSpec(),
          "d737d24ef0b14c8f29f578bc10b091e0fb200a89bc609d0ed289569c86738dee"),
     ], ids=["bridge_h0.5_refined", "bridge_h0.8", "sn_h0.7"])
     def test_small_tables_are_pinned(self, family, hurst, trim, digest):
-        # sha256 of the table JSON: 2100 paths are two chunks of critical_values
-        # (one partial) and five of simulate_hermite_paths, on a 256-point grid.
+        # sha256 of the table JSON: 2100 paths are five batches, the last one
+        # partial, on a 256-point grid.
         budget = TableBudget(path_count=2_100, path_length=256)
         table = critical_values(family, 1, hurst, RngStream(81), trim=trim, budget=budget)
         assert hashlib.sha256(table.to_json().encode()).hexdigest() == digest
@@ -447,7 +448,7 @@ class TestCriticalValues:
         (TableFamily.SN_RATIO, 0.7, TrimSpec()),
     ], ids=["bridge_h0.5_refined", "bridge_h0.8", "sn_h0.7"])
     def test_tables_do_not_depend_on_the_worker_count(self, family, hurst, trim):
-        # 2100 paths: a full chunk, then a partial one whose last batch is partial.
+        # 2100 paths: four full batches, then a partial one.
         # Short switch intervals interleave the threads as often as they can.
         budget = TableBudget(path_count=2_100, path_length=256)
         interval = sys.getswitchinterval()
@@ -461,6 +462,27 @@ class TestCriticalValues:
         finally:
             sys.setswitchinterval(interval)
         assert two == one and three == one
+
+    @pytest.mark.parametrize("family, hurst, trim", [
+        (TableFamily.CUSUM_BRIDGE_SUP, 0.8, None),
+        (TableFamily.SN_RATIO, 0.7, TrimSpec()),
+        (TableFamily.CUSUM_BRIDGE_SUP, 0.5, None),
+    ], ids=["bridge_h0.8", "sn_h0.7", "bridge_h0.5_refined"])
+    def test_table_reduces_the_ensemble_of_simulate_hermite_paths(self, family, hurst, trim):
+        # 2100 paths: four full batches, then a partial one.
+        stream, levels = RngStream(84), (0.90, 0.95, 0.99)
+        paths = simulate_hermite_paths(hurst, 1, 256, 2_100, stream)
+        if hurst == 0.5:  # each batch refined by the uniforms of its own substreams
+            sup = np.concatenate([
+                asymp._table_sup(paths[start:start + 512], refine=[
+                    stream.substream(1, g, side).generator() for side in (0, 1)])
+                for g, start in enumerate(range(0, len(paths), 512))
+            ])
+        else:
+            sup = asymp._table_sup(paths, trim)
+        table = critical_values(family, 1, hurst, stream, trim=trim, levels=levels,
+                                budget=TableBudget(2_100, 256))
+        assert table.quantiles == {lv: float(np.quantile(sup, lv)) for lv in levels}
 
     @pytest.mark.parametrize("workers", [0, -2, 1.5, True])
     def test_refuses_a_worker_count_that_is_not_a_positive_integer(self, workers):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 import time
 
 import numpy as np
@@ -17,7 +18,53 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+#: simulate's numeric flags, each with the flags under which it is read, and
+#: the values of _BAD_VALUES with which it runs; it is refused at the others.
+_SIMULATE_FLAGS = [
+    ("--n", (), ()),
+    ("--hurst", (), ()),
+    ("--alpha", ("--noise", "pareto"), ("1e308",)),
+    ("--alpha", ("--noise", "centered-pareto"), ("1e308",)),
+    ("--scale", ("--noise", "pareto", "--alpha", "2"), ()),
+    ("--h", ("--change", "mean"), ("-1", "0", "1e308")),
+    ("--h", ("--change", "variance"), ()),
+    ("--h", ("--change", "tail", "--noise", "pareto", "--alpha", "2"), ("-1", "0", "1e308")),
+    ("--tau", ("--change", "mean", "--h", "1"), ()),
+]
+_BAD_VALUES = ("nan", "inf", "-1", "0", "1e308")
+_SIMULATE_CASES = [
+    (flag, value, context, value in runs)
+    for flag, context, runs in _SIMULATE_FLAGS for value in _BAD_VALUES
+] + [
+    # A tail shift to a tail index of -1 or 0, a tail index whose reciprocal
+    # overflows, and the flags normal noise has no use for.
+    ("--h", "-3", ("--change", "tail", "--noise", "pareto", "--alpha", "2"), False),
+    ("--h", "-2", ("--change", "tail", "--noise", "pareto", "--alpha", "2"), False),
+    ("--alpha", "1e-320", ("--noise", "pareto"), False),
+    ("--alpha", "3", ("--noise", "normal"), False),
+    ("--alpha", "3", ("--noise", "normal", "--scale", "-2"), False),
+    ("--scale", "2", ("--noise", "normal"), False),
+]
+
+
 class TestSimulate:
+    @pytest.mark.parametrize("flag, value, context, runs", _SIMULATE_CASES, ids=[
+        " ".join((flag, value) + context) for flag, value, context, _ in _SIMULATE_CASES])
+    def test_numeric_flag_runs_finite_or_is_refused_by_name(self, capsys, flag, value,
+                                                            context, runs):
+        # Exit 0 with every value finite, or exit 1 with one error line that
+        # names the flag; pytest turns any warning into a failure.
+        argv = {"--n": "64", "--hurst": "0.7", flag: value}
+        code, out, err = run(capsys, "simulate", *[a for item in argv.items() for a in item],
+                             *context)
+        if runs:
+            assert (code, err) == (EXIT_OK, "")
+            assert np.all(np.isfinite(np.array(out.split(), dtype=float)))
+        else:
+            assert (code, out) == (EXIT_USAGE, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert re.search(re.escape(flag) + r"\b", err), err
+
     def test_writes_requested_rows(self, capsys, tmp_path):
         out = tmp_path / "x.csv"
         code, _, _ = run(

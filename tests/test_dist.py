@@ -12,6 +12,7 @@ from lmsvtest.dist import (
     StandardNormal,
     hill_estimator,
     keyed_generators,
+    make_noise,
     noise_moments,
     sample_noise,
     stream_keys,
@@ -47,17 +48,6 @@ class TestRngStream:
         assert RngStream(0).substream(1).stream_id == 6791897765849424158
         assert RngStream(3, 5).substream(2, 5, -1, _TOP).stream_id == 13028306382665324259
         assert RngStream(3, 5).substream() == RngStream(3, 5)
-
-
-    @pytest.mark.parametrize("skip", [0, 1, 3, 4, 5, 4097])
-    def test_generator_skip_discards_that_many_doubles(self, skip):
-        stream = RngStream(5, 23)
-        assert np.array_equal(stream.generator(skip=skip).random(37),
-                              stream.generator().random(skip + 37)[skip:])
-
-    def test_generator_refuses_a_negative_skip(self):
-        with pytest.raises(ValueError, match="skip"):
-            RngStream(5).generator(skip=-1)
 
 
 class TestBatchedStreams:
@@ -124,6 +114,26 @@ class TestSampling:
         # alpha = inf is a point mass, whose moments read NaN.
         with pytest.raises(ValueError, match="finite"):
             law(math.inf)
+
+    @pytest.mark.parametrize("law", [Pareto, CenteredPareto])
+    def test_refuses_an_infinite_scale(self, law):
+        # Every draw c * u^(-1/alpha) would be infinite.
+        with pytest.raises(ValueError, match="scale must be positive and finite"):
+            law(3.0, math.inf)
+
+    def test_refuses_a_tail_index_whose_reciprocal_overflows(self):
+        # At alpha = 1e-320, -1/alpha is -inf and every draw below u = 1 is inf.
+        with pytest.raises(ValueError, match="reciprocal"):
+            Pareto(1e-320)
+
+    @pytest.mark.parametrize("alpha, scale, match", [
+        (3.0, 1.0, "no tail index"),
+        (None, 2.0, "normal noise is standard"),
+        (None, math.nan, "normal noise is standard"),
+    ])
+    def test_normal_noise_takes_no_tail_index_and_no_scale(self, alpha, scale, match):
+        with pytest.raises(ValueError, match=match):
+            make_noise("normal", alpha, scale)
 
     def test_kolmogorov_smirnov_against_pareto_cdf(self):
         from scipy import stats as spstats

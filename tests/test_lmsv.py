@@ -1,5 +1,7 @@
 """Tests for LMSV path synthesis and change injection."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,21 @@ class TestChangeInjection:
             _spec(noise=StandardNormal(), change=TailShift(h=0.5, tau=0.5))
         with pytest.raises(ValueError):
             _spec(noise=CenteredPareto(3.0), change=TailShift(h=0.5, tau=0.5))
+
+    @pytest.mark.parametrize("alpha, h", [
+        (2.0, -3.0), (2.0, -2.0), (1.0, -1.5), (3e-308, -2.9e-308),
+    ])
+    def test_tail_shift_keeps_a_positive_index(self, alpha, h):
+        # The post-change index alpha + h is a Pareto tail index too: positive,
+        # with a finite reciprocal (1e-309 is denormal).
+        with pytest.raises(ValueError, match="post-change Pareto tail index"):
+            _spec(noise=Pareto(alpha), change=TailShift(h=h, tau=0.5))
+
+    @pytest.mark.parametrize("change", [MeanShift, VarianceScale, TailShift])
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
+    def test_refuses_a_non_finite_height(self, change, h):
+        with pytest.raises(ValueError, match="change height h must be finite"):
+            change(h=h, tau=0.5)
 
     def test_tau_validation(self):
         with pytest.raises(ValueError):

@@ -66,6 +66,14 @@ class TestConfig:
             _small_cfg(problem="variance", noise_kind="centered_pareto", alphas=(4.5,),
                        shifts=(1.0, h))
 
+    @pytest.mark.parametrize("shift", [-1.5, -1.0])
+    def test_rejects_a_tail_shift_to_a_nonpositive_index(self, shift):
+        # At alpha + h = -0.5 the draws are no Pareto law, and at 0 they are
+        # infinite; both grids are refused when the config is built.
+        with pytest.raises(ValueError, match="post-change Pareto tail index"):
+            _small_cfg(problem="tail", noise_kind="pareto", alphas=(1.0,), shifts=(0.0, shift),
+                       hursts=(0.7,), lengths=(200,), replications=100)
+
     @pytest.mark.parametrize("hurst", [0.5, 0.3])
     @pytest.mark.parametrize("family", mc.FAMILIES)
     def test_rejects_short_memory_hurst(self, family, hurst):
