@@ -8,6 +8,7 @@ import json
 import math
 import numbers
 import os
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -26,6 +27,13 @@ TABLE_FORMAT_VERSION = 1
 #: values, so a table is the same, bit for bit, whatever the memory and
 #: however many workers build it.
 _BATCH = 512
+
+#: Normals per sub-block, 2 MiB: a batch is drawn, synthesized and reduced
+#: max(1, _SUB_BLOCK // embedding_size(N)) paths at a time (64 at N = 2048),
+#: so a worker holds one sub-block, not a batch. Smaller ones cost page
+#: faults under glibc's dynamic mmap threshold: four 10000 x 2048 tables took
+#: 26 k minor faults at 64 paths, 89 k at 32 and 390 k at 16.
+_SUB_BLOCK = 1 << 18
 
 #: Coverage of the order-statistic interval recorded for each table quantile.
 _INTERVAL_COVERAGE = 0.99
@@ -270,14 +278,24 @@ def _ensemble(hurst: float, m: int, path_length: int) -> tuple[fgn.FgnParams, fl
 
 def _batch_paths(
     params: fgn.FgnParams, norm: float, stream: RngStream, g: int, count: int
-) -> np.ndarray:
-    """Batch g of an ensemble: `count` paths cumsum(Y) / d_{N,1}, with Y the
-    fGn rows fgn.sample draws from stream.substream(0, g // 4, g % 4), in
-    the array of their normals, which paths_from_normals overwrites."""
-    y = fgn.sample(params, stream.substream(0, g // 4, g % 4), size=count)
-    np.cumsum(y, axis=1, out=y)
-    y /= norm
-    return y
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Batch g of an ensemble, `count` paths cumsum(Y) / d_{N,1}, yielded as
+    consecutive sub-blocks (offset, paths) of at most _SUB_BLOCK normals.
+
+    One generator, on stream.substream(0, g // 4, g % 4), draws the normals
+    of every sub-block in turn, into a fresh array that paths_from_normals
+    overwrites with the fGn rows Y. Its draws fill row after row, and each
+    row is transformed on its own, so the sub-blocks hold the paths of one
+    draw of the whole batch, bit for bit, whatever their size.
+    """
+    rng = stream.substream(0, g // 4, g % 4).generator()
+    width = fgn.embedding_size(params.n)
+    step = max(1, _SUB_BLOCK // width)
+    for offset in range(0, count, step):
+        y = fgn.paths_from_normals(params, rng.standard_normal((min(step, count - offset), width)))
+        np.cumsum(y, axis=1, out=y)
+        y /= norm
+        yield offset, y
 
 
 def simulate_hermite_paths(
@@ -291,15 +309,17 @@ def simulate_hermite_paths(
 
     Each path is cumsum(Y) / d_{N,1}, an exact fractional Brownian motion
     skeleton with unit endpoint variance; only m = 1 is supported. Batch g
-    of _BATCH paths is _batch_paths(..., g, ...), so these are the paths
-    critical_values reduces for the same stream and path budget.
+    of _BATCH paths is written sub-block by sub-block from
+    _batch_paths(..., g, ...), so these are the paths critical_values
+    reduces for the same stream and path budget.
     Returns an array of shape (path_count, path_length).
     """
     params, norm = _ensemble(hurst, m, path_length)
     out = np.empty((path_count, path_length))
     for g, start in enumerate(range(0, path_count, _BATCH)):
-        out[start:start + _BATCH] = _batch_paths(params, norm, stream, g,
-                                                 min(_BATCH, path_count - start))
+        for offset, paths in _batch_paths(params, norm, stream, g,
+                                          min(_BATCH, path_count - start)):
+            out[start + offset:start + offset + len(paths)] = paths
     return out
 
 
@@ -486,7 +506,8 @@ def critical_values(
     points at H = 1/2), SN_RATIO the trimmed self-normalized ratio: one
     functional reads either off one bridge per row block of the same paths.
     Each batch of _BATCH paths draws from its own substreams and is
-    synthesized and reduced on its own, on `workers` threads (default: the
+    synthesized and reduced on its own, one sub-block of about 2 MiB of
+    normals at a time (_batch_paths), on `workers` threads (default: the
     CPUs this process may use; one worker is the calling thread). Tables are
     deterministic given (stream, budget), whatever `workers`. The meta
     block records the provenance and, for each level, a distribution-free
@@ -513,11 +534,12 @@ def critical_values(
 
     def batch(start: int) -> None:
         # Batch g draws its paths by _batch_paths and its refinement's upper
-        # and lower uniforms from substream(1, g, 0) and substream(1, g, 1).
+        # and lower uniforms from substream(1, g, 0) and substream(1, g, 1);
+        # its sub-blocks share the two generators, which draw row after row.
         g, rows = start // _BATCH, min(_BATCH, count - start)
         refine = [stream.substream(1, g, side).generator() for side in (0, 1)] if brownian else None
-        values[start:start + rows] = _table_sup(_batch_paths(params, norm, stream, g, rows),
-                                                trim, refine)
+        for offset, paths in _batch_paths(params, norm, stream, g, rows):
+            values[start + offset:start + offset + len(paths)] = _table_sup(paths, trim, refine)
 
     if workers is None:  # the CPUs this process may use
         workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")

@@ -198,11 +198,17 @@ def _trim(args) -> TrimSpec:
 #: The innovation law --alpha stands for under each problem.
 _ALPHA_NOISE = {"mean": "centered_pareto", "variance": "centered_pareto", "tail": "pareto"}
 
+#: The flag behind each argument of mc.resolve_plan that a PlanError names.
+_PLAN_FLAGS = {"hurst": "--hurst", "noise": "--alpha", "sigma": "--sigma"}
+
 
 def _resolve_test(args, xs: np.ndarray):
     """Transform, normalization and critical value for a single-series test."""
     if args.critical_value is not None and not math.isfinite(args.critical_value):
         raise UsageError(f"--critical-value must be finite, got {args.critical_value}")
+    if args.sigma is not None and (args.problem, args.family) != ("mean", "cusum"):
+        raise UsageError("--sigma is read only by the mean cusum test, "
+                         "--problem mean --family cusum")
     trim = _trim(args)
     psi = None if args.psi is None else Transform(args.psi.replace("-", "_"))
     if args.problem is None:
@@ -230,7 +236,8 @@ def _resolve_test(args, xs: np.ndarray):
     except mc.UnknownNoiseError as err:
         raise UsageError(f"{err}: give --alpha")
     except mc.PlanError as err:
-        raise UsageError(str(err))
+        flag = _PLAN_FLAGS.get(err.argument)
+        raise UsageError(str(err) if flag is None else f"{flag}: {err}")
     cv = plan.critical_value if args.critical_value is None else args.critical_value
     return plan.transform, trim, plan.normalization, cv
 
@@ -342,7 +349,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_USAGE
-    except (ValueError, KeyError, OSError, asymp.QuadratureError) as err:
+    except (ValueError, KeyError, OSError, MemoryError, asymp.QuadratureError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_COMPUTATION
 

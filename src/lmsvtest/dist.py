@@ -117,11 +117,9 @@ class Pareto:
     kind = "pareto"
 
     def __post_init__(self) -> None:
-        # The draws c * u^(-1/alpha) need a finite 1/alpha, which a denormal alpha lacks.
-        if not (0 < self.alpha < math.inf and 1.0 / self.alpha < math.inf):
-            raise ValueError(f"Pareto tail index must be positive and finite, and so must "
-                             f"its reciprocal, got {self.alpha}")
-        _check_scale("Pareto", self.scale)
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"Pareto tail index must be positive and finite, got {self.alpha}")
+        _check_draws("Pareto", self.alpha, self.scale)
 
 
 @dataclass(frozen=True)
@@ -140,7 +138,7 @@ class CenteredPareto:
             raise ValueError(
                 f"CenteredPareto needs a finite alpha > 1 for a finite mean, got {self.alpha}"
             )
-        _check_scale("CenteredPareto", self.scale)
+        _check_draws("CenteredPareto", self.alpha, self.scale)
 
     @property
     def mean_shift(self) -> float:
@@ -148,9 +146,17 @@ class CenteredPareto:
         return self.scale * self.alpha / (self.alpha - 1.0)
 
 
-def _check_scale(law: str, scale: float) -> None:
+def _check_draws(law: str, alpha: float, scale: float) -> None:
+    """Refuse a scale, or a positive finite alpha, that draws a value past the doubles."""
     if not 0 < scale < math.inf:  # an infinite scale makes every draw infinite
         raise ValueError(f"{law} scale must be positive and finite, got {scale}")
+    # The largest draw c * u^(-1/alpha) is at u = 1 - U = 2^-53, as innovations
+    # computes it; a denormal alpha has no finite reciprocal.
+    with np.errstate(over="ignore"):
+        largest = scale * np.power(2.0**-53, -1.0 / alpha)
+    if not np.isfinite(largest):
+        raise ValueError(f"{law} tail index {alpha} at scale {scale}: its reciprocal, or its "
+                         f"largest draw c * 2^(53/alpha), is beyond the doubles")
 
 
 NoiseSpec = StandardNormal | Pareto | CenteredPareto

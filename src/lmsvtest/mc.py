@@ -325,7 +325,12 @@ def ensure_tables(cfg: ExperimentConfig, existing: TableSet | None = None) -> Ta
 
 
 class PlanError(ValueError):
-    """The limit theory does not cover a (problem, family, noise, H) combination."""
+    """The limit theory does not cover a (problem, family, noise, H) combination.
+    `argument` names the argument of resolve_plan at fault, when one alone is."""
+
+    def __init__(self, message: str, argument: str | None = None):
+        super().__init__(message)
+        self.argument = argument
 
 
 class UnknownNoiseError(PlanError):
@@ -382,7 +387,7 @@ def resolve_plan(
     if problem not in PROBLEMS or family not in FAMILIES:
         raise PlanError(f"unknown problem {problem!r} or family {family!r}")
     if hurst is not None and not 0.0 < hurst < 1.0:
-        raise PlanError(f"the Hurst index must lie in (0, 1), got H = {hurst}")
+        raise PlanError(f"the Hurst index must lie in (0, 1), got H = {hurst}", "hurst")
     kind = None if noise is None else noise.kind
     if kind not in (None, *_PROBLEM_NOISE[problem]):
         raise PlanError(f"the {problem} problem needs {' or '.join(_PROBLEM_NOISE[problem])} "
@@ -398,15 +403,16 @@ def resolve_plan(
     brownian = problem == "mean" and family in ("cusum", "sn_cusum")
     if not brownian and (hurst is None or hurst <= 0.5):
         raise PlanError(f"the {problem} {family} test needs long memory, H > 1/2, got H = "
-                        f"{hurst}; only the mean cusum and sn_cusum tests do not use H")
+                        f"{hurst}; only the mean cusum and sn_cusum tests do not use H", "hurst")
     if sigma is not None and (problem, family) == ("mean", "cusum") and not 0.0 < sigma < math.inf:
-        raise PlanError(f"the mean cusum test needs a finite sigma > 0, got sigma = {sigma}")
+        raise PlanError(f"the mean cusum test needs a finite sigma > 0, got sigma = {sigma}",
+                        "sigma")
     variance = None if noise is None else noise_moments(noise).variance
     if not (variance is None or 0.0 < variance < math.inf) and (
             problem == "variance" or ((problem, family) == ("mean", "cusum") and sigma is None)):
         # Infinite at alpha <= 2, and 0.0 where c^2 / alpha^2 underflows.
         raise PlanError(f"the {problem} {family} test needs a finite innovation variance "
-                        f"above 0, got {variance} at alpha = {noise.alpha}")
+                        f"above 0, got {variance} at alpha = {noise.alpha}", "noise")
 
     if family in ("cusum", "wilcoxon"):
         # Every problem here has Hermite rank 1 (asymp.limit_coefficient).
@@ -423,6 +429,9 @@ def resolve_plan(
             if sigma is None:
                 sigma = limit_coefficient(problem, family, noise)
             normalization = math.sqrt(n) * sigma
+            if normalization == math.inf:
+                raise PlanError(f"the mean cusum normalization sqrt(n) sigma overflows at "
+                                f"sigma = {sigma}, n = {n}", "sigma")
         else:
             if problem != "tail" and noise is None:
                 raise UnknownNoiseError(f"the {problem} {family} test needs the innovation "

@@ -4,11 +4,12 @@ import hashlib
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from lmsvtest import asymp
+from lmsvtest import asymp, fgn
 from lmsvtest.asymp import (
     CriticalValueTable,
     TableBudget,
@@ -483,6 +484,43 @@ class TestCriticalValues:
         table = critical_values(family, 1, hurst, stream, trim=trim, levels=levels,
                                 budget=TableBudget(2_100, 256))
         assert table.quantiles == {lv: float(np.quantile(sup, lv)) for lv in levels}
+
+    @pytest.mark.parametrize("family, hurst, trim", [
+        (TableFamily.CUSUM_BRIDGE_SUP, 0.5, None),
+        (TableFamily.SN_RATIO, 0.7, TrimSpec()),
+    ], ids=["bridge_h0.5_refined", "sn_h0.7"])
+    def test_tables_do_not_depend_on_the_sub_block_size(self, monkeypatch, family, hurst,
+                                                         trim):
+        # At N = 256 the default sub-block is a whole batch; 1, 7 and 64 rows
+        # split every batch, and 7 rows leave a partial sub-block in each.
+        def table():
+            return critical_values(family, 1, hurst, RngStream(85), trim=trim,
+                                   budget=TableBudget(2_100, 256), workers=1).to_json()
+
+        whole = table()
+        for rows in (1, 7, 64):
+            monkeypatch.setattr(asymp, "_SUB_BLOCK", rows * fgn.embedding_size(256))
+            assert table() == whole, rows
+
+    @pytest.mark.parametrize("family, hurst, trim", [
+        (TableFamily.CUSUM_BRIDGE_SUP, 0.5, None),
+        (TableFamily.SN_RATIO, 0.8, TrimSpec()),
+    ], ids=["bridge_h0.5_refined", "sn_h0.8"])
+    def test_table_holds_one_sub_block_not_a_batch(self, family, hurst, trim):
+        # A 512-path batch at N = 2048 is 16 MiB of normals; its 64-path
+        # sub-blocks are 2 MiB, with as much again for their half spectrum.
+        def table():
+            critical_values(family, 1, hurst, RngStream(86), trim=trim,
+                            budget=TableBudget(1_024, 2_048), workers=1)
+
+        table()  # warm: the eigenvalues and this thread's spectrum array
+        tracemalloc.start()
+        try:
+            table()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak / 2**20
 
     @pytest.mark.parametrize("workers", [0, -2, 1.5, True])
     def test_refuses_a_worker_count_that_is_not_a_positive_integer(self, workers):

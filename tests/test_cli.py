@@ -153,7 +153,60 @@ def null_series(capsys, tmp_path):
     return path
 
 
+@pytest.fixture()
+def pareto_series(capsys, tmp_path):
+    path = tmp_path / "pareto.csv"
+    code, _, _ = run(
+        capsys, "simulate", "--n", "300", "--hurst", "0.7", "--noise", "centered-pareto",
+        "--alpha", "4.5", "--seed", "3", "--out", str(path),
+    )
+    assert code == EXIT_OK
+    return path
+
+
+#: test's numeric flags, each with a problem and family whose plan reads it,
+#: and the values of _BAD_VALUES with which it runs; it is refused at the others.
+_TEST_FLAGS = [
+    ("--hurst", ("--problem", "variance", "--family", "cusum", "--alpha", "4.5"), ()),
+    ("--alpha", ("--problem", "variance", "--family", "cusum", "--hurst", "0.7"), ()),
+    ("--sigma", ("--problem", "mean", "--family", "cusum"), ()),
+    ("--tau1", ("--problem", "mean", "--family", "sn_cusum"), ()),
+    ("--tau2", ("--problem", "mean", "--family", "sn_cusum"), ()),
+    ("--critical-value", ("--problem", "mean", "--family", "cusum"), ("-1", "0", "1e308")),
+]
+_TEST_CASES = [
+    (flag, value, context, value in runs)
+    for flag, context, runs in _TEST_FLAGS for value in _BAD_VALUES
+] + [
+    # --sigma where no plan reads it: another family, another problem, no problem.
+    ("--sigma", "1", ("--problem", "mean", "--family", "sn_cusum"), False),
+    ("--sigma", "1", ("--problem", "variance", "--family", "cusum", "--alpha", "4.5",
+                      "--hurst", "0.7"), False),
+    ("--sigma", "1", ("--family", "cusum"), False),
+    # H at or below 1/2 where the plan needs long memory.
+    ("--hurst", "0.3", ("--problem", "variance", "--family", "sn_cusum", "--alpha", "4.5"),
+     False),
+]
+
+
 class TestTest:
+    @pytest.mark.parametrize("flag, value, context, runs", _TEST_CASES, ids=[
+        " ".join((flag, value) + context) for flag, value, context, _ in _TEST_CASES])
+    def test_numeric_flag_runs_finite_or_is_refused_by_name(self, capsys, pareto_series, flag,
+                                                            value, context, runs):
+        # Exit 0 with every number of the outcome finite, or exit 1 with one
+        # error line that names the flag.
+        code, out, err = run(capsys, "test", "--input", str(pareto_series), flag, value,
+                             *context)
+        if runs:
+            assert (code, err) == (EXIT_OK, "")
+            numbers = [v for v in json.loads(out).values() if isinstance(v, float)]
+            assert numbers and all(math.isfinite(v) for v in numbers)
+        else:
+            assert (code, out) == (EXIT_USAGE, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert re.search(re.escape(flag) + r"\b", err), err
+
     def test_cusum_rejects_large_shift(self, capsys, shifted_series):
         code, out, _ = run(
             capsys, "test", "--input", str(shifted_series), "--family", "cusum",
@@ -385,6 +438,16 @@ class TestCritvals:
         code, _, err = run(capsys, "critvals", *flags, "--out", str(out))
         assert code == EXIT_USAGE
         assert named in err
+        assert not out.exists()
+
+    def test_unallocatable_budget_is_computation_error(self, capsys, tmp_path):
+        # The values of 1e14 paths, 800 TB, fail to allocate at once; numpy's
+        # MemoryError was a traceback.
+        out = tmp_path / "x.json"
+        code, stdout, err = run(capsys, "critvals", "--family", "bridge", "--hurst", "0.7",
+                                "--paths", "100000000000000", "--grid", "64", "--out", str(out))
+        assert (code, stdout) == (EXIT_COMPUTATION, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("family", ["sn", "bridge"])

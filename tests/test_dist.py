@@ -11,6 +11,7 @@ from lmsvtest.dist import (
     RngStream,
     StandardNormal,
     hill_estimator,
+    innovations,
     keyed_generators,
     make_noise,
     noise_moments,
@@ -125,6 +126,23 @@ class TestSampling:
         # At alpha = 1e-320, -1/alpha is -inf and every draw below u = 1 is inf.
         with pytest.raises(ValueError, match="reciprocal"):
             Pareto(1e-320)
+
+    # 1 - U >= 2^-53, so the largest draw is c * 2^(53/alpha): 1.008e308 at
+    # alpha = 0.0518 and inf at 0.0517, 9.5e307 at c = 1e300 and alpha = 2.
+    @pytest.mark.parametrize("law, alpha, scale", [
+        (Pareto, 0.0518, 1.0), (Pareto, 2.0, 1e300), (CenteredPareto, 2.0, 1e300),
+    ])
+    def test_largest_draw_of_a_law_is_finite(self, law, alpha, scale):
+        top = innovations(law(alpha, scale), np.array([1.0 - 2.0**-53]))
+        assert np.all(np.isfinite(top))
+
+    @pytest.mark.parametrize("law, alpha, scale", [
+        (Pareto, 0.0517, 1.0), (Pareto, 0.001, 1.0), (Pareto, 2.0, 1e308),
+        (CenteredPareto, 2.0, 1e308),
+    ])
+    def test_refuses_a_law_whose_largest_draw_overflows(self, law, alpha, scale):
+        with pytest.raises(ValueError, match="largest draw"):
+            law(alpha, scale)
 
     @pytest.mark.parametrize("alpha, scale, match", [
         (3.0, 1.0, "no tail index"),

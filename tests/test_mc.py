@@ -74,6 +74,13 @@ class TestConfig:
             _small_cfg(problem="tail", noise_kind="pareto", alphas=(1.0,), shifts=(0.0, shift),
                        hursts=(0.7,), lengths=(200,), replications=100)
 
+    def test_rejects_a_tail_shift_whose_draws_overflow(self):
+        # alpha + h = 0.001 is a tail index, but its draws c * u^(-1000) pass
+        # the largest double below u = 0.5; the run failed after its tables.
+        with pytest.raises(ValueError, match="post-change .* largest draw"):
+            _small_cfg(problem="tail", noise_kind="pareto", alphas=(2.0,), shifts=(0.0, -1.999),
+                       hursts=(0.7,), lengths=(200,), families=("cusum",), replications=100)
+
     @pytest.mark.parametrize("hurst", [0.5, 0.3])
     @pytest.mark.parametrize("family", mc.FAMILIES)
     def test_rejects_short_memory_hurst(self, family, hurst):
