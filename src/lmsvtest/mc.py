@@ -5,13 +5,16 @@ execution order, so cells are independent, and within a grid row the same
 replication reuses the same base stream for every shift height (common
 random numbers across h).
 
-A grid row is evaluated in fixed-size chunks of replications: each
+A grid row is evaluated in chunks of replications sized by their normals
+(_CHUNK_NORMALS, 1 MiB: 128 replications at n = 500, 32 at n = 2000): each
 replication draws from its own two keyed streams into its row of the chunk,
 one FFT turns the chunk's normals into FGN paths, and each statistic is
-evaluated along the last axis of the whole chunk. The chunk's paths come
-from lmsv.simulate_batch, which keeps each replication on its own streams,
-so the counts are those of evaluating one replication at a time, whatever
-the chunk size.
+reduced to its per-row suprema (stats.row_sups) in the row blocks of the
+kernels, so no profile of the chunk is kept. The chunk's paths come from
+lmsv.simulate_batch, which keeps each replication on its own streams, so
+the counts are those of evaluating one replication at a time, whatever the
+chunk size. A NaN supremum, which a shift that overflows the doubles
+leaves, is refused by its h.
 
 In a mean row, cusum and sn_cusum see every shift through one bridge of the
 chunk's null paths x0 (stats.mean_shift_sups). The shifted path is
@@ -38,6 +41,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import platform
 import struct
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -47,7 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import asymp, fgn, lmsv, stats
+from . import __version__, asymp, fgn, lmsv, stats
 from .asymp import (
     CriticalValueTable,
     TableBudget,
@@ -74,10 +78,17 @@ _PROBLEM_KEY = {"mean": 1, "variance": 2, "tail": 3}
 #: JSON keys of the ExperimentConfig fields whose names differ.
 _JSON_KEYS = {"noise_kind": "noise", "budget": "table_budget"}
 
-#: Replications per chunk of a grid row. Every replication keeps its own
-#: streams, so the counts do not depend on this; it only trades per-call
-#: overhead against the chunk's transient memory (about 22 MB at n = 2000).
-_CHUNK = 64
+#: Normals per chunk of a grid row, 1 MiB: a row is evaluated
+#: max(1, _CHUNK_NORMALS // embedding_size(n)) replications at a time (128 at
+#: n = 500, 64 at 1000, 32 at 2000), so a worker's working set does not grow
+#: with n. Every replication keeps its own streams, so the counts do not
+#: depend on this; it only trades per-call overhead against memory.
+_CHUNK_NORMALS = 1 << 17
+
+
+def _chunk_rows(n: int) -> int:
+    """Replications per chunk of a grid row of length n."""
+    return max(1, _CHUNK_NORMALS // fgn.embedding_size(n))
 
 
 def _float_key(x: float) -> int:
@@ -148,9 +159,19 @@ class ExperimentConfig:
 
     def to_json(self) -> str:
         payload = {_JSON_KEYS.get(f.name, f.name): getattr(self, f.name) for f in fields(self)}
+        for name in ("hursts", "shifts", "alphas"):  # 1 and 1.0 are one value, one text
+            payload[name] = [float(value) for value in payload[name]]
+        payload["tau"], payload["level"] = float(self.tau), float(self.level)
         payload["trim"] = [self.trim.tau1, self.trim.tau2]
         payload["table_budget"] = [self.budget.path_count, self.budget.path_length]
         return json.dumps(payload, indent=2)
+
+    def sha256(self) -> str:
+        """The hex sha256 of to_json(), which names the configuration in a
+        run's meta: equal configurations share it."""
+        import hashlib  # it loads OpenSSL, about 5 ms: not at import
+
+        return hashlib.sha256(self.to_json().encode()).hexdigest()
 
     @staticmethod
     def from_json(text: str) -> "ExperimentConfig":
@@ -521,18 +542,27 @@ def _evaluate_row(cfg: ExperimentConfig, hurst: float, n: int, alpha: float | No
     cut = lmsv.change_point_index(n, cfg.tau)
     base = _row_stream(cfg, hurst, n, alpha)
     rejections = {(p.family, h): 0 for p in plans for h in cfg.shifts}
-    for start in range(0, cfg.replications, _CHUNK):
-        streams = base.substreams(range(start, min(start + _CHUNK, cfg.replications)))
+    step = _chunk_rows(n)
+    for start in range(0, cfg.replications, step):
+        streams = base.substreams(range(start, min(start + step, cfg.replications)))
         paths = lmsv.simulate_batch(params, noise, changes, streams)
         sups = {}
+        # The statistics refuse a NaN supremum, which a shift that overflows
+        # leaves; the refusal names the shift.
         if linear:
             x0 = next(paths)[2]
             if not rest:  # free the chunk's draws before the statistics run
                 paths.close()
-            sups = stats.mean_shift_sups(linear, x0, cut, cfg.shifts, cfg.trim)
+            try:
+                sups = stats.mean_shift_sups(linear, x0, cut, cfg.shifts, cfg.trim)
+            except ValueError as err:  # names its h
+                raise ValueError(f"shifts: {err}") from None
         for h, (_, _, x) in zip(cfg.shifts, paths):
-            results = stats.evaluate(rest, x, plans[0].transform, cfg.trim)
-            sups.update({(family, h): results[family].sup_value for family in rest})
+            try:
+                results = stats.row_sups(rest, x, plans[0].transform, cfg.trim)
+            except ValueError as err:
+                raise ValueError(f"shifts: at h = {h:g}, {err}") from None
+            sups.update({(family, h): results[family] for family in rest})
         for plan in plans:
             for h in cfg.shifts:
                 value = sups[plan.family, h] / plan.normalization
@@ -587,6 +617,9 @@ def run_experiment(cfg: ExperimentConfig, tables: TableSet | None = None) -> Exp
             cells.extend(_row_task(row))
 
     meta = {
+        "config_sha256": cfg.sha256(),
+        "versions": {"lmsvtest": __version__, "python": platform.python_version(),
+                     "numpy": np.__version__},
         "seed": cfg.seed,
         "problem": cfg.problem,
         "noise": cfg.noise_kind,

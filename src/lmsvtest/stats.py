@@ -26,9 +26,12 @@ bridge of the unshifted series and that of the step (derivation there).
 The bridge is built in the row blocks of row_blocks, the rule the table
 functionals of asymp use too: as many whole rows as fit in _BLOCK doubles.
 Rows are independent, so a row's result is bitwise the same alone, in any
-batch and in any block. The SN table functional of asymp is this kernel
-too: _bridge, _sn_terms and _sn_ratio entered at the partial sums that the
-simulated paths already are, with no differencing.
+batch and in any block. row_sups reduces each block to its rows' suprema,
+so a batch of replications keeps no profile. A NaN supremum, which terms
+past the doubles leave, is refused by every reduction. The SN table
+functional of asymp is this kernel too: _bridge, _sn_terms and _sn_ratio
+entered at the partial sums that the simulated paths already are, with no
+differencing.
 """
 
 from __future__ import annotations
@@ -169,7 +172,6 @@ class _Batch:
             raise ValueError(f"need at least 2 observations, got {y.shape[-1]}")
         if np.isnan(y).any():
             raise ValueError("the series contains NaN")
-        self.single = y.ndim == 1
         self.values = y.reshape(-1, y.shape[-1])
 
     def finite_values(self) -> np.ndarray:
@@ -197,13 +199,25 @@ class _Batch:
         return r, tied
 
 
+def _row_sup(values: np.ndarray, family: str, h: float | None = None) -> np.ndarray:
+    """The supremum of each row of values, refusing a NaN one: terms that
+    overflow double precision leave inf - inf = NaN, and NaN exceeds no
+    critical value."""
+    sup = np.max(values, axis=-1)
+    if np.isnan(sup).any():
+        at = "" if h is None else f" at h = {h:g}"
+        raise ValueError(f"the {family} supremum{at} is NaN: "
+                         "the statistic overflows double precision")
+    return sup
+
+
 def _finish_batch(
-    profile: np.ndarray, k_grid: np.ndarray, degenerate: np.ndarray | None = None
+    profile: np.ndarray, k_grid: np.ndarray, degenerate: np.ndarray | None = None,
+    family: str = "statistic",
 ) -> ProfileStat:
-    arg = np.argmax(profile, axis=-1)
     return ProfileStat(
-        sup_value=profile[np.arange(profile.shape[0]), arg],
-        argmax_k=k_grid[arg],
+        sup_value=_row_sup(profile, family),
+        argmax_k=k_grid[np.argmax(profile, axis=-1)],
         k_grid=k_grid,
         profile=profile,
         degenerate=np.zeros(profile.shape[0], dtype=bool) if degenerate is None else degenerate,
@@ -407,29 +421,78 @@ def _centered_bridge(z: np.ndarray) -> np.ndarray:
 
 
 def _bridge_stats(
-    z: np.ndarray, sup: bool, sn: bool, trim: TrimSpec
-) -> tuple[np.ndarray | None, ProfileStat | None]:
-    """The profile |P_k|, k = 1..n, of each row of z if `sup`, and the
-    trimmed self-normalized statistic if `sn`, from one bridge per row
-    block of row_blocks."""
+    z: np.ndarray, sup: str | None, sn: str | None, trim: TrimSpec, profiles: bool
+) -> dict[str, ProfileStat | np.ndarray]:
+    """The statistic `sup`, the profile |P_k| over k = 1..n, and `sn`, the
+    trimmed self-normalized ratio, of each row of z (None leaves a family
+    out), from one bridge per row block of row_blocks. With `profiles`, sup
+    maps to its (rows, n) profile and sn to its ProfileStat; without, each
+    maps to the per-row suprema, reduced block by block, so no profile
+    outlives its block."""
     count, n = z.shape
-    profile = np.empty((count, n)) if sup else None
+    out = {}
+    if sup:
+        out[sup] = np.empty((count, n) if profiles else count)
     if sn:
         lo, hi = trim.window(n)
-        ratio, degenerate = np.empty((count, hi - lo + 1)), np.empty(count, dtype=bool)
+        out[sn] = np.empty((count, hi - lo + 1) if profiles else count)
+        degenerate = np.empty(count, dtype=bool)
     for rows in row_blocks(z.shape):
         p = _centered_bridge(z[rows])
-        if sup:
-            np.abs(p, out=profile[rows])
         if sn:
-            _, zero = _sn_ratio(*_sn_terms(p, lo, hi), n, out=ratio[rows])
-            degenerate[rows] = np.any(zero, axis=-1)
-    return profile, _finish_batch(ratio, np.arange(lo, hi + 1), degenerate) if sn else None
+            ratio, zero = _sn_ratio(*_sn_terms(p, lo, hi), n,
+                                    out=out[sn][rows] if profiles else None)
+            if profiles:
+                degenerate[rows] = np.any(zero, axis=-1)
+            else:
+                out[sn][rows] = _row_sup(ratio, sn)
+        if sup:
+            if profiles:
+                np.abs(p, out=out[sup][rows])
+            else:
+                out[sup][rows] = _row_sup(np.abs(p, out=p), sup)
+    if sn and profiles:
+        out[sn] = _finish_batch(out[sn], np.arange(lo, hi + 1), degenerate, sn)
+    return out
 
 
 #: The families of each input of the bridge, the values and their ranks:
 #: the supremum of |P| and the self-normalized ratio.
 _INPUTS = (("cusum", "sn_cusum"), ("wilcoxon", "sn_wilcoxon"))
+
+
+# Terms past the doubles leave inf or inf - inf = NaN, not a warning: the
+# reductions refuse a NaN supremum (_row_sup) and keep an infinite one.
+@np.errstate(over="ignore", invalid="ignore")
+def _evaluate(
+    families: tuple[str, ...], xs: np.ndarray, transform: Transform, trim: TrimSpec,
+    profiles: bool,
+) -> dict[str, ProfileStat | np.ndarray]:
+    """The families of the batch xs by _bridge_stats, as ProfileStats or as
+    per-row suprema."""
+    unknown = set(families) - {family for pair in _INPUTS for family in pair}
+    if unknown:
+        raise ValueError(f"unknown families {sorted(unknown)}")
+    batch = _Batch(xs, transform)
+    results = {}
+    for sup, sn in _INPUTS:
+        if sup not in families and sn not in families:
+            continue
+        z = batch.finite_values() if sup == "cusum" else batch.ranked[0]
+        results.update(_bridge_stats(z, sup if sup in families else None,
+                                     sn if sn in families else None, trim, profiles))
+        if sup not in families:
+            continue
+        if sup == "wilcoxon":
+            # The rank identity holds only for tie-free rows; a tied row falls
+            # back to the O(n^2) pair counts (a null event under continuous
+            # generators, so speed there does not matter).
+            for row in np.flatnonzero(batch.ranked[1]):
+                counts = np.abs(_wilcoxon_pair_counts(batch.values[row]))
+                results[sup][row] = counts if profiles else np.max(counts)
+        if profiles:
+            results[sup] = _finish_batch(results[sup], np.arange(1, z.shape[-1] + 1), family=sup)
+    return results
 
 
 def evaluate(
@@ -443,32 +506,29 @@ def evaluate(
     `xs` is one series or a batch of series along the last axis; for a
     batch every result holds one entry per series. The transform is applied
     once, the rank families share one ranking, and the two families of
-    each input share its bridge.
+    each input share its bridge. A NaN supremum, left by terms that
+    overflow, is refused.
     """
-    unknown = set(families) - {family for pair in _INPUTS for family in pair}
-    if unknown:
-        raise ValueError(f"unknown families {sorted(unknown)}")
-    batch = _Batch(xs, transform)
-    results = {}
-    for sup, sn in _INPUTS:
-        if sup not in families and sn not in families:
-            continue
-        z = batch.finite_values() if sup == "cusum" else batch.ranked[0]
-        profile, results[sn] = _bridge_stats(z, sup in families, sn in families, trim)
-        if profile is None:
-            continue
-        if sup == "wilcoxon":
-            # The rank identity holds only for tie-free rows; a tied row falls
-            # back to the O(n^2) pair counts (a null event under continuous
-            # generators, so speed there does not matter).
-            for row in np.flatnonzero(batch.ranked[1]):
-                profile[row] = np.abs(_wilcoxon_pair_counts(batch.values[row]))
-        results[sup] = _finish_batch(profile, np.arange(1, z.shape[-1] + 1))
-    if batch.single:
+    results = _evaluate(families, xs, transform, trim, profiles=True)
+    if np.ndim(xs) == 1:
         return {family: _single(results[family]) for family in families}
     return {family: results[family] for family in families}
 
 
+def row_sups(
+    families: tuple[str, ...],
+    xs: np.ndarray,
+    transform: Transform = Transform.IDENTITY,
+    trim: TrimSpec = TrimSpec(),
+) -> dict[str, np.ndarray]:
+    """The supremum of each family of each row of the batch xs: the
+    sup_value of evaluate, bit for bit, reduced in each row block, so that
+    no (rows, n) profile is kept. A NaN supremum is refused.
+    """
+    return _evaluate(families, xs, transform, trim, profiles=False)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # as _evaluate
 def mean_shift_sups(
     families: tuple[str, ...],
     x0: np.ndarray,
@@ -489,7 +549,7 @@ def mean_shift_sups(
     and the linear part of the SN denominator (see _sn_terms) is
     L(h) = L0 + h L_B, so a shift costs a few vector operations over the
     cuts and no prefix pass. The values agree with evaluate on each shifted series to rounding;
-    at h = 0 they are bitwise the same.
+    at h = 0 they are bitwise the same. A NaN supremum is refused with its h.
     """
     unknown = set(families) - {"cusum", "sn_cusum"}
     if unknown:
@@ -506,11 +566,11 @@ def mean_shift_sups(
             pb = (p @ b)[:, None] * (2.0 / n)
         for h in shifts:
             if "cusum" in families:
-                sups["cusum", h][rows] = np.max(np.abs(p + h * b), axis=-1)
+                sups["cusum", h][rows] = _row_sup(np.abs(p + h * b), "cusum", h)
             if window is not None:
                 ratio, _ = _sn_ratio(pk + h * b_terms[0], linear + h * b_terms[1],
                                      a + h * (pb + h * b_terms[2]), n)
-                sups["sn_cusum", h][rows] = np.max(ratio, axis=-1)
+                sups["sn_cusum", h][rows] = _row_sup(ratio, "sn_cusum", h)
     return sups
 
 

@@ -252,6 +252,18 @@ class TestTest:
         assert lines[0] == "k,value"
         assert len(lines) == 1 + 500
 
+    def test_an_overflowing_series_is_computation_error(self, capsys, tmp_path):
+        # The SN terms of values near 1e160 overflow to a NaN statistic,
+        # which was printed as NaN with exit 0.
+        x = np.random.default_rng(1).standard_normal(200)
+        x[100:] *= 1e160
+        path = tmp_path / "overflow.csv"
+        path.write_text("\n".join(f"{v:.17g}" for v in x) + "\n")
+        code, out, err = run(capsys, "test", "--input", str(path), "--family", "sn_cusum")
+        assert (code, out) == (EXIT_COMPUTATION, "")
+        assert err == "error: the sn_cusum supremum is NaN: " \
+                      "the statistic overflows double precision\n"
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("family", ["cusum", "wilcoxon", "sn_cusum", "sn_wilcoxon"])
     def test_non_finite_input_is_usage_error(self, capsys, tmp_path, family, bad):
@@ -808,6 +820,31 @@ class TestExperimentAndCompare:
         assert code == EXIT_COMPUTATION
         assert "max_z must be a number >= 0" in err
         assert "compared" not in out
+
+    @pytest.mark.parametrize("overrides, h", [
+        ({"shifts": [0.0, 1e160]}, "1e+160"),
+        ({"problem": "variance", "noise": "centered_pareto", "alphas": [4.5],
+          "families": ["cusum", "wilcoxon", "sn_cusum", "sn_wilcoxon"],
+          "shifts": [1.0, 1e150]}, "1e+150"),
+    ], ids=["mean-normal", "variance-centered-pareto"])
+    def test_an_overflowing_shift_is_refused_by_its_h(self, capsys, tmp_path, overrides, h):
+        # The desk grid at one small row. sn_cusum read a NaN supremum at
+        # this h, which exceeds no critical value: 0 of 100 rejections next
+        # to cusum's 100 of 100, with exit 0.
+        from importlib import resources
+
+        config = json.loads((resources.files("lmsvtest.data") / "table1_desk.json").read_text())
+        config.update(hursts=[0.7], lengths=[100], replications=100, table_budget=[200, 64],
+                      **overrides)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run(capsys, "experiment", "--config", str(path),
+                             "--out-dir", str(tmp_path / "run"))
+        assert (code, out) == (EXIT_COMPUTATION, "")
+        [line] = err.splitlines()
+        assert line.startswith("error: shifts: ") and f"h = {h}" in line, line
+        assert "sn_cusum supremum" in line and "is NaN" in line, line
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("overrides, message", [
         ({"trim": None}, "invalid experiment config"),

@@ -2,15 +2,18 @@
 
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lmsvtest
 from lmsvtest import asymp, fgn, lmsv, mc, stats
 from lmsvtest.asymp import CriticalValueTable, TableBudget, TableFamily
 from lmsvtest.dist import RngStream, make_noise
@@ -38,6 +41,15 @@ class TestConfig:
         cfg = _small_cfg()
         again = mc.ExperimentConfig.from_json(cfg.to_json())
         assert again == cfg
+
+    def test_sha256_names_the_configuration(self):
+        cfg = _small_cfg()
+        assert cfg.sha256() == _small_cfg().sha256()
+        assert cfg.sha256() == mc.ExperimentConfig.from_json(cfg.to_json()).sha256()
+        assert re.fullmatch("[0-9a-f]{64}", cfg.sha256())
+        assert _small_cfg(shifts=(0, 1)).sha256() == cfg.sha256()  # equal to (0.0, 1.0)
+        assert _small_cfg(seed=8).sha256() != cfg.sha256()
+        assert _small_cfg(shifts=(0.0, 2.0)).sha256() != cfg.sha256()
 
     def test_rejects_too_few_replications(self):
         with pytest.raises(ValueError):
@@ -517,6 +529,14 @@ class TestRunExperiment:
         assert report.meta["tables"]
         assert report.meta["wall_time_seconds"] >= 0
 
+    def test_meta_records_versions_and_config_hash(self):
+        cfg = _small_cfg()
+        meta = mc.run_experiment(cfg).meta
+        assert meta["config_sha256"] == cfg.sha256()
+        assert meta["versions"] == {"lmsvtest": lmsvtest.__version__,
+                                    "python": platform.python_version(),
+                                    "numpy": np.__version__}
+
 
 _ENGINE_CASES = {
     "mean_normal": dict(shifts=(0.0, 1.0)),
@@ -540,9 +560,38 @@ class TestChunkedEngine:
             return [(c.family, c.h, c.rejections) for c in mc.run_experiment(cfg, tables).cells]
 
         default = counts()
-        for chunk in (1, 7):
-            monkeypatch.setattr(mc, "_CHUNK", chunk)
+        width = fgn.embedding_size(cfg.lengths[0])
+        for normals, rows in ((1, 1), (7 * width, 7)):
+            monkeypatch.setattr(mc, "_CHUNK_NORMALS", normals)
+            assert mc._chunk_rows(cfg.lengths[0]) == rows
             assert counts() == default
+
+    def test_chunk_rule(self):
+        assert [mc._chunk_rows(n) for n in (120, 300, 500, 1000, 2000)] == [512, 128, 128, 64, 32]
+        assert mc._chunk_rows(300_000) == 1
+        # tests/test_golden.py runs 150 replications at n = 300: one full
+        # chunk, then a partial one.
+        rows = mc._chunk_rows(300)
+        assert rows < 150 < 2 * rows
+
+    def test_a_row_holds_one_chunk_not_its_profiles(self):
+        # One n = 2000 variance row, all four families, at one worker: 32
+        # replications of 4096 normals per chunk, and per-row suprema. Chunks
+        # of 64 that kept every (64, 2000) profile peaked at 15.6 MiB.
+        cfg = mc.ExperimentConfig(
+            problem="variance", noise_kind="centered_pareto", alphas=(4.5,), hursts=(0.7,),
+            lengths=(2000,), shifts=(1.0, 2.0), families=mc.FAMILIES, replications=100,
+            seed=3, budget=TableBudget(500, 256))
+        plans = mc._plans_for_row(cfg, 0.7, 2000, 4.5, mc.ensure_tables(cfg))
+        row = lambda: mc._evaluate_row(cfg, 0.7, 2000, 4.5, plans)
+        counts = row()  # warm: the eigenvalues, the weights and the FFT plans
+        tracemalloc.start()
+        try:
+            assert row() == counts
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak / 2**20
 
     @pytest.mark.parametrize("name", sorted(_ENGINE_CASES))
     def test_paths_follow_simulate_series_layout(self, name):
@@ -551,14 +600,15 @@ class TestChunkedEngine:
         alpha = cfg.alpha_grid[0]
         base = mc._row_stream(cfg, hurst, n, alpha)
         changes = [_CHANGES[cfg.problem](h, cfg.tau) for h in cfg.shifts]
+        rows = mc._chunk_rows(n)
         chunk = lmsv.simulate_batch(fgn.FgnParams(hurst, n), make_noise(cfg.noise_kind, alpha),
-                                    changes, [base.substream(rep) for rep in range(mc._CHUNK)])
+                                    changes, [base.substream(rep) for rep in range(rows)])
         for h, change in zip(cfg.shifts, changes):
             _, _, paths = next(chunk)
             assert change.h == h
             spec = lmsv.SeriesSpec(fgn.FgnParams(hurst, n), make_noise(cfg.noise_kind, alpha),
                                    _CHANGES[cfg.problem](h, cfg.tau))
-            for rep in (0, 1, mc._CHUNK - 1):
+            for rep in (0, 1, rows - 1):
                 assert np.array_equal(paths[rep], lmsv.simulate_series(spec, base.substream(rep)))
 
 

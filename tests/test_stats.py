@@ -13,6 +13,7 @@ from lmsvtest.stats import (
     evaluate,
     ranks,
     row_blocks,
+    row_sups,
     sn_cusum,
     sn_cusum_by_definition,
     sn_wilcoxon,
@@ -268,6 +269,28 @@ class TestBatch:
         assert np.array_equal(results["cusum"].sup_value, cusum(x, Transform.SQUARE).sup_value)
         with pytest.raises(ValueError, match="unknown"):
             evaluate(("bogus",), x)
+
+    @pytest.mark.parametrize("transform", [Transform.IDENTITY, Transform.SQUARE, Transform.LOG_ABS])
+    def test_row_sups_are_the_sup_values_of_evaluate(self, transform):
+        # Tied, constant and piecewise-constant rows included (_mixed_batch).
+        families = ("cusum", "wilcoxon", "sn_cusum", "sn_wilcoxon")
+        for x in (_mixed_batch(), _random_walks(48, 40, 2000, h=1.0)):
+            sups = row_sups(families, x, transform)
+            results = evaluate(families, x, transform)
+            assert set(sups) == set(families)
+            for family in families:
+                assert np.array_equal(sups[family], results[family].sup_value)
+        assert set(row_sups(("sn_wilcoxon",), x)) == {"sn_wilcoxon"}
+
+    def test_a_nan_supremum_is_refused(self):
+        # Terms of about 1e300^2 overflow: inf - inf leaves a NaN ratio,
+        # which would exceed no critical value.
+        x = RngStream(49).generator().standard_normal((3, 200))
+        x[1, 100:] *= 1e160
+        for reduce in (row_sups, evaluate):
+            with pytest.raises(ValueError, match="the sn_cusum supremum is NaN"):
+                reduce(("cusum", "sn_cusum"), x)
+        assert np.isfinite(row_sups(("cusum",), x)["cusum"]).all()  # |P| stays finite
 
 
 def _random_walks(seed, count, n, h, offset=50.0):
