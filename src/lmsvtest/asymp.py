@@ -8,7 +8,7 @@ import json
 import math
 import numbers
 import os
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -62,10 +62,8 @@ def dnm_exact(hurst: float, m: int, n: int) -> float:
     Uses the Toeplitz collapse of the covariance double sum,
     d^2 = m! (n + 2 sum_{k=1}^{n-1} (n-k) gamma(k)^m), which is O(n).
     """
-    if m < 1:
-        raise ValueError(f"Hermite rank must be >= 1, got {m}")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    COUNT.require("Hermite rank m", m)
+    COUNT.require("n", n)
     if n == 1:
         return math.sqrt(math.factorial(m))
     k = np.arange(1, n)
@@ -253,8 +251,7 @@ def kolmogorov_cdf(x: float) -> float:
 
 def kolmogorov_quantile(p: float) -> float:
     """Inverse of the Kolmogorov distribution function."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"need p in (0, 1), got {p}")
+    UNIT_INTERVAL.require("p", p)
     lo, hi = 1e-8, 10.0  # bisection: the distribution function is increasing
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
@@ -329,16 +326,42 @@ class TableBudget:
     path_length: int = 2_048
 
     def __post_init__(self) -> None:
-        require_integer("path_count", self.path_count)
-        require_integer("path_length", self.path_length)
-        if self.path_count < 1 or self.path_length < 2:
-            raise ValueError("table budget must be positive")
+        COUNT.require("path_count", self.path_count)
+        LENGTH.require("path_length", self.path_length)
 
 
 def require_integer(name: str, value) -> None:
     """Refuse (TypeError) a value that is not an integer; a bool is not one."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+@dataclass(frozen=True)
+class Domain:
+    """The values of a numeric input, declared once for a flag, a config key
+    and an argument alike: those `holds` accepts, never NaN. `text` says
+    them after "must" in a refusal."""
+
+    text: str
+    holds: Callable[[float], bool]
+    integer: bool = False
+
+    def require(self, name: str, value) -> None:
+        """Refuse by `name` a value outside: TypeError for a non-integer
+        where one is needed, else ValueError."""
+        if self.integer:
+            require_integer(name, value)
+        if not self.holds(value):
+            raise ValueError(f"{name} must {self.text}, got {value}")
+
+
+UNIT_INTERVAL = Domain("lie in (0, 1)", lambda x: 0.0 < x < 1.0)  # H, levels, change locations
+FINITE = Domain("be finite", math.isfinite)  # change heights, critical values
+NONNEGATIVE = Domain("be finite and >= 0", lambda x: 0.0 <= x < math.inf)  # comparison bounds
+#: RngStream reads a seed modulo 2^64, so one outside [0, 2^64) would alias another.
+SEED = Domain("be an integer in [0, 2^64)", lambda x: 0 <= x < 2**64, integer=True)
+COUNT = Domain("be an integer >= 1", lambda x: x >= 1, integer=True)  # paths, workers
+LENGTH = Domain("be an integer >= 2", lambda x: x >= 2, integer=True)  # the shortest series
 
 
 class TableFamily(enum.Enum):
@@ -514,12 +537,10 @@ def critical_values(
     99 % interval for the true quantile (`quantile_intervals`).
     """
     levels = tuple(sorted(set(round(float(lv), 6) for lv in levels)))
-    if any(not 0.0 < lv < 1.0 for lv in levels):
-        raise ValueError(f"levels must lie in (0, 1), got {levels}")
+    for lv in levels:
+        UNIT_INTERVAL.require("levels", lv)
     if workers is not None:
-        require_integer("workers", workers)
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
+        COUNT.require("workers", workers)
     if family is TableFamily.SN_RATIO:
         if trim is None:
             raise ValueError("SN_RATIO tables need a trimming specification")

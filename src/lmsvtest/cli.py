@@ -37,36 +37,34 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+#: The flag behind each argument of mc.resolve_plan that a PlanError names.
+_PLAN_FLAGS = {"hurst": "--hurst", "noise": "--alpha", "sigma": "--sigma"}
+
+
 @contextlib.contextmanager
-def _flags(names: str):
-    """Refuse a ValueError raised inside as a usage error that names the flags."""
+def _flags(names: str, refused: type[ValueError] = ValueError):
+    """Refuse an error raised inside, of type `refused`, as a usage error that
+    names the flags: the flag of the argument a PlanError names, else `names`."""
     try:
         yield
-    except ValueError as err:
+    except refused as err:
+        names = _PLAN_FLAGS.get(getattr(err, "argument", None), names)
         raise UsageError(f"{names}: {err}") from None
 
 
-def _seed(text: str) -> int:
-    """A seed or stream id: RngStream reads it modulo 2^64, so one outside
-    [0, 2^64) would alias another."""
-    try:
-        value = int(text)
-        if 0 <= value < 2**64:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be an integer in [0, 2^64), got {text!r}")
+def _value(domain: asymp.Domain):
+    """The type= of a flag whose value alone has a domain: a value outside
+    it is refused by the flag's name."""
+    def parse(text: str):
+        try:
+            value = int(text) if domain.integer else float(text)
+            if domain.holds(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must {domain.text}, got {text!r}")
 
-
-def _level(text: str) -> float:
-    """A probability strictly between 0 and 1; NaN is not one."""
-    try:
-        value = float(text)
-        if 0.0 < value < 1.0:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text!r}")
+    return parse
 
 
 def _build_parser() -> _Parser:
@@ -74,16 +72,17 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", parents=[], help="simulate one LMSV path as CSV")
-    sim.add_argument("--n", type=int, required=True)
-    sim.add_argument("--hurst", type=float, required=True)
+    sim.add_argument("--n", type=_value(asymp.COUNT), required=True)
+    sim.add_argument("--hurst", type=_value(asymp.UNIT_INTERVAL), required=True)
     sim.add_argument("--noise", choices=["normal", "pareto", "centered-pareto"], default="normal")
     sim.add_argument("--alpha", type=float, help="tail index for Pareto-type noise")
     sim.add_argument("--scale", type=float, default=1.0)
     sim.add_argument("--change", choices=["none", "mean", "variance", "tail"], default="none")
-    sim.add_argument("--h", type=float, default=0.0, help="change height")
-    sim.add_argument("--tau", type=float, default=0.5, help="change location as a proportion")
-    sim.add_argument("--seed", type=_seed, default=0)
-    sim.add_argument("--stream-id", type=_seed, default=0)
+    sim.add_argument("--h", type=_value(asymp.FINITE), default=0.0, help="change height")
+    sim.add_argument("--tau", type=_value(asymp.UNIT_INTERVAL), default=0.5,
+                     help="change location as a proportion")
+    sim.add_argument("--seed", type=_value(asymp.SEED), default=0)
+    sim.add_argument("--stream-id", type=_value(asymp.SEED), default=0)
     sim.add_argument("--latent", action="store_true", help="emit y,eps,x columns instead of x")
     sim.add_argument("--out", type=Path, help="output CSV path (default stdout)")
 
@@ -94,29 +93,32 @@ def _build_parser() -> _Parser:
                       help="transform without --problem (default identity)")
     test.add_argument("--problem", choices=list(mc.PROBLEMS),
                       help="resolve transform, normalization and critical value for this problem")
-    test.add_argument("--hurst", type=float, help="Hurst index for normalization/tables")
+    test.add_argument("--hurst", type=_value(asymp.UNIT_INTERVAL),
+                      help="Hurst index for normalization/tables")
     test.add_argument("--alpha", type=float, help="innovation tail index (Pareto problems)")
     test.add_argument("--sigma", type=float,
                       help="known noise scale for the mean-problem CUSUM; estimated when omitted")
-    test.add_argument("--level", type=_level, default=0.05)
+    test.add_argument("--level", type=_value(asymp.UNIT_INTERVAL), default=0.05)
     test.add_argument("--tau1", type=float, default=0.15)
     test.add_argument("--tau2", type=float, default=0.85)
-    test.add_argument("--critical-value", type=float, help="override the critical value")
+    test.add_argument("--critical-value", type=_value(asymp.FINITE),
+                      help="override the critical value")
     test.add_argument("--tables", type=Path, help="directory of critical-value table JSON files")
-    test.add_argument("--table-seed", type=_seed, default=0,
+    test.add_argument("--table-seed", type=_value(asymp.SEED), default=0,
                       help="seed of a needed table that is neither in --tables nor in "
                            "the package grid, and so is simulated")
     test.add_argument("--profile-out", type=Path, help="write the (k, value) profile as CSV")
 
     crit = sub.add_parser("critvals", help="simulate a critical-value table")
     crit.add_argument("--family", choices=["bridge", "sn"], required=True)
-    crit.add_argument("--hurst", type=float, required=True)
+    crit.add_argument("--hurst", type=_value(asymp.UNIT_INTERVAL), required=True)
     crit.add_argument("--tau1", type=float, default=0.15)
     crit.add_argument("--tau2", type=float, default=0.85)
-    crit.add_argument("--paths", type=int, default=10_000)
-    crit.add_argument("--grid", type=int, default=2_048)
-    crit.add_argument("--levels", type=_level, nargs="+", default=[0.90, 0.95, 0.99])
-    crit.add_argument("--seed", type=_seed, default=0,
+    crit.add_argument("--paths", type=_value(asymp.COUNT), default=10_000)
+    crit.add_argument("--grid", type=_value(asymp.LENGTH), default=2_048)
+    crit.add_argument("--levels", type=_value(asymp.UNIT_INTERVAL), nargs="+",
+                      default=[0.90, 0.95, 0.99])
+    crit.add_argument("--seed", type=_value(asymp.SEED), default=0,
                       help="table seed; the same seed and key give the table an experiment "
                            "or `test` simulates")
     crit.add_argument("--out", type=Path, required=True)
@@ -132,7 +134,7 @@ def _build_parser() -> _Parser:
     cmp_.add_argument("--reference", required=True,
                       help="reference CSV path or builtin:<name> "
                            f"with name in {sorted(mc._REFERENCE_FILES)}")
-    cmp_.add_argument("--max-z", type=float, default=3.0)
+    cmp_.add_argument("--max-z", type=_value(asymp.NONNEGATIVE), default=3.0)
     cmp_.add_argument("--out", type=Path, help="write the per-cell comparison CSV here")
 
     return parser
@@ -140,14 +142,12 @@ def _build_parser() -> _Parser:
 
 def _cmd_simulate(args) -> int:
     # Bad flag values, refused by name before any computation starts.
-    with _flags("--hurst and --n"):
-        params = FgnParams(hurst=args.hurst, n=args.n)
     with _flags("--noise, --alpha and --scale"):
         noise = make_noise(args.noise.replace("-", "_"), args.alpha, args.scale)
-    with _flags("--h and --tau"):
+    with _flags("--h"):  # a variance scale h > 0
         change = NoChange() if args.change == "none" else CHANGES[args.change](args.h, args.tau)
     with _flags("--alpha and --h"):
-        spec = SeriesSpec(params, noise, change)
+        spec = SeriesSpec(FgnParams(hurst=args.hurst, n=args.n), noise, change)
     with np.errstate(over="ignore"):  # finite flags can still draw values past the doubles
         y, eps, x = simulate_components(spec, RngStream(args.seed, args.stream_id))
     if not np.all(np.isfinite(x)):
@@ -198,14 +198,9 @@ def _trim(args) -> TrimSpec:
 #: The innovation law --alpha stands for under each problem.
 _ALPHA_NOISE = {"mean": "centered_pareto", "variance": "centered_pareto", "tail": "pareto"}
 
-#: The flag behind each argument of mc.resolve_plan that a PlanError names.
-_PLAN_FLAGS = {"hurst": "--hurst", "noise": "--alpha", "sigma": "--sigma"}
-
 
 def _resolve_test(args, xs: np.ndarray):
     """Transform, normalization and critical value for a single-series test."""
-    if args.critical_value is not None and not math.isfinite(args.critical_value):
-        raise UsageError(f"--critical-value must be finite, got {args.critical_value}")
     if args.sigma is not None and (args.problem, args.family) != ("mean", "cusum"):
         raise UsageError("--sigma is read only by the mean cusum test, "
                          "--problem mean --family cusum")
@@ -226,18 +221,14 @@ def _resolve_test(args, xs: np.ndarray):
         return mc.resolve_table(*key, seed=args.table_seed, budget=asymp.TableBudget(),
                                 levels=mc.table_levels(args.level), loaded=loaded)[0]
 
-    try:
+    # A plan's refusal alone: a table's or the Wilcoxon factor's is exit 2.
+    with _flags("--problem and --family", mc.PlanError):
         plan = mc.resolve_plan(
             args.problem, args.family, args.hurst, noise, trim, n=xs.size, level=args.level,
             lookup=lookup if args.critical_value is None else None,
             # The mean problem's transform is the identity.
             sigma=args.sigma if args.sigma is not None else float(np.std(xs)),
         )
-    except mc.UnknownNoiseError as err:
-        raise UsageError(f"{err}: give --alpha")
-    except mc.PlanError as err:
-        flag = _PLAN_FLAGS.get(err.argument)
-        raise UsageError(str(err) if flag is None else f"{flag}: {err}")
     cv = plan.critical_value if args.critical_value is None else args.critical_value
     return plan.transform, trim, plan.normalization, cv
 
@@ -256,13 +247,6 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_critvals(args) -> int:
-    # Bad flag values, refused by name before any path is drawn.
-    if not 0.0 < args.hurst < 1.0:
-        raise UsageError(f"--hurst must lie in (0, 1), got {args.hurst}")
-    if args.paths < 1:
-        raise UsageError(f"--paths must be >= 1, got {args.paths}")
-    if args.grid < 2:
-        raise UsageError(f"--grid must be >= 2, got {args.grid}")
     trim = _trim(args)  # refused when malformed, and unused by bridge tables
     family = (
         asymp.TableFamily.CUSUM_BRIDGE_SUP if args.family == "bridge" else asymp.TableFamily.SN_RATIO
@@ -330,22 +314,11 @@ def _cmd_compare(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as err:
-        sys.stderr.write(f"error: {err}\n")
-        return EXIT_USAGE
-    try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "test":
-            return _cmd_test(args)
-        if args.command == "critvals":
-            return _cmd_critvals(args)
-        if args.command == "experiment":
-            return _cmd_experiment(args)
-        return _cmd_compare(args)
+        args = _build_parser().parse_args(argv)
+        command = {"simulate": _cmd_simulate, "test": _cmd_test, "critvals": _cmd_critvals,
+                   "experiment": _cmd_experiment, "compare": _cmd_compare}[args.command]
+        return command(args)
     except UsageError as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_USAGE

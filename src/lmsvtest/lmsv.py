@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fgn
+from .asymp import FINITE, UNIT_INTERVAL
 from .dist import (
     NoiseSpec,
     Pareto,
@@ -37,58 +38,52 @@ class NoChange:
 
 
 @dataclass(frozen=True)
-class MeanShift:
-    """Add h to every observation after the break at proportion tau."""
+class _Change:
+    """A change of height h at proportion tau of the series."""
 
     h: float
     tau: float
-    kind = "mean"
 
     def __post_init__(self) -> None:
-        _check_shift(self.h, self.tau)
+        # A NaN or infinite height fills the segment with NaN or inf.
+        FINITE.require("change height h", self.h)
+        UNIT_INTERVAL.require("change location tau", self.tau)
 
 
 @dataclass(frozen=True)
-class VarianceScale:
+class MeanShift(_Change):
+    """Add h to every observation after the break at proportion tau."""
+
+    kind = "mean"
+
+
+@dataclass(frozen=True)
+class VarianceScale(_Change):
     """Multiply observations after the break by h (variance scales by h^2)."""
 
-    h: float
-    tau: float
     kind = "variance"
 
     def __post_init__(self) -> None:
-        _check_shift(self.h, self.tau)
+        super().__post_init__()
         if not self.h > 0:
             raise ValueError(f"variance scale must be positive, got {self.h}")
 
 
 @dataclass(frozen=True)
-class TailShift:
+class TailShift(_Change):
     """Replace the innovation tail index alpha by alpha + h after the break.
 
     Only valid for (non-centered) Pareto innovations; post-change draws reuse
     the same uniforms through the inverse CDF so paths couple across h.
     """
 
-    h: float
-    tau: float
     kind = "tail"
-
-    def __post_init__(self) -> None:
-        _check_shift(self.h, self.tau)
 
 
 ChangeSpec = NoChange | MeanShift | VarianceScale | TailShift
 
 #: The change classes by kind, which is also the problem each one alternates.
 CHANGES = {change.kind: change for change in (MeanShift, VarianceScale, TailShift)}
-
-
-def _check_shift(h: float, tau: float) -> None:
-    if not math.isfinite(h):  # a NaN or infinite height fills the segment with NaN or inf
-        raise ValueError(f"change height h must be finite, got {h}")
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"change location tau must lie in (0, 1), got {tau}")
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,7 @@ resolves every row's plans once, before any replication.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -59,7 +60,6 @@ from .asymp import (
     dnm_exact,
     kolmogorov_quantile,
     limit_coefficient,
-    require_integer,
 )
 from .dist import NoiseSpec, RngStream, make_noise, noise_moments
 from .stats import Transform, TrimSpec
@@ -77,6 +77,32 @@ _PROBLEM_KEY = {"mean": 1, "variance": 2, "tail": 3}
 
 #: JSON keys of the ExperimentConfig fields whose names differ.
 _JSON_KEYS = {"noise_kind": "noise", "budget": "table_budget"}
+
+#: The domain of each numeric key that has one of its own, checked entry by
+#: entry on a grid. hursts, alphas, trim and table_budget follow the rules
+#: of the plans and the types that own them, and are refused by key too.
+_KEY_DOMAINS = {
+    "lengths": asymp.LENGTH, "shifts": asymp.FINITE, "tau": asymp.UNIT_INTERVAL,
+    "level": asymp.UNIT_INTERVAL, "seed": asymp.SEED, "max_workers": asymp.COUNT,
+    "replications": asymp.Domain("be an integer >= 100", lambda r: r >= 100, integer=True),
+}
+
+#: The config key behind each argument of resolve_plan that a PlanError names.
+_PLAN_KEYS = {"hurst": "hursts", "noise": "alphas"}
+
+
+@contextlib.contextmanager
+def _key(name: str | None = None):
+    """Name the config key at fault in a refusal raised inside: the key of
+    the argument a PlanError names, else `name`."""
+    try:
+        yield
+    except (TypeError, ValueError) as err:
+        key = _PLAN_KEYS.get(getattr(err, "argument", None), name)
+        if key is None:
+            raise
+        raise type(err)(f"{key}: {err}") from None
+
 
 #: Normals per chunk of a grid row, 1 MiB: a row is evaluated
 #: max(1, _CHUNK_NORMALS // embedding_size(n)) replications at a time (128 at
@@ -115,43 +141,33 @@ class ExperimentConfig:
     max_workers: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("replications", "seed", "max_workers"):
-            require_integer(name, getattr(self, name))  # a float fails only deep in a run
-        if not 0 <= self.seed < 2**64:  # RngStream reads a seed modulo 2^64
-            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
-        if self.max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {self.max_workers}")
-        for n in self.lengths:
-            require_integer("lengths", n)
-        if self.replications < 100:
-            raise ValueError("need at least 100 replications")
-        if not 0.0 < self.tau < 1.0:
-            raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
-        if not 0.0 < self.level < 1.0:
-            raise ValueError(f"level must lie in (0, 1), got {self.level}")
+        # A float count fails only deep in a run, and a NaN shift never rejects.
+        for key, domain in _KEY_DOMAINS.items():
+            values = getattr(self, key)
+            for value in values if isinstance(values, (tuple, list)) else (values,):
+                domain.require(key, value)
         if not self.families or not self.hursts or not self.lengths or not self.shifts:
             raise ValueError("families, hursts, lengths, and shifts must be non-empty")
-        if not all(math.isfinite(h) for h in self.shifts):  # a NaN shift never rejects
-            raise ValueError(f"shifts must be finite, got {list(self.shifts)}")
         for name in ("families", "hursts", "lengths", "shifts", "alphas"):
             values = getattr(self, name)  # a repeat would run, and count, its cells twice
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} repeats an entry: {list(values)}")
         # A row that cannot run is refused here, not after the tables and the
         # rows before it.
-        for n in self.lengths:
-            if n < 2:  # the statistics' minimum, above FgnParams' n >= 1
-                raise ValueError(f"need at least 2 observations, got n = {n}")
-            if any(family.startswith("sn_") for family in self.families):
+        if any(family.startswith("sn_") for family in self.families):
+            for n in self.lengths:
                 self.trim.window(n)
         for alpha in self.alpha_grid:
-            noise = make_noise(self.noise_kind, alpha)  # refuses alphas under normal noise
-            for hurst in self.hursts:
-                for family in self.families:
-                    for n in self.lengths:  # each row's own plan, without its table
-                        resolve_plan(self.problem, family, hurst, noise, self.trim, n=n)
-            for h in self.shifts:  # a variance scale h > 0, a tail index alpha + h > 0
-                lmsv._check_change(noise, lmsv.CHANGES[self.problem](h, self.tau))
+            with _key("alphas"):
+                noise = make_noise(self.noise_kind, alpha)  # refuses alphas under normal noise
+            with _key():
+                for hurst in self.hursts:
+                    for family in self.families:
+                        for n in self.lengths:  # each row's own plan, without its table
+                            resolve_plan(self.problem, family, hurst, noise, self.trim, n=n)
+            with _key("shifts"):
+                for h in self.shifts:  # a variance scale h > 0, a tail index alpha + h > 0
+                    lmsv._check_change(noise, lmsv.CHANGES[self.problem](h, self.tau))
 
     @property
     def alpha_grid(self) -> tuple[float | None, ...]:
@@ -181,10 +197,10 @@ class ExperimentConfig:
         kwargs = {names.get(key, key): tuple(value) if isinstance(value, list) else value
                   for key, value in json.loads(text).items()}
         try:
-            if "trim" in kwargs:
-                kwargs["trim"] = TrimSpec(*kwargs["trim"])
-            if "budget" in kwargs:
-                kwargs["budget"] = TableBudget(*kwargs["budget"])
+            for name, build in (("trim", TrimSpec), ("budget", TableBudget)):
+                if name in kwargs:
+                    with _key(_JSON_KEYS.get(name, name)):
+                        kwargs[name] = build(*kwargs[name])
             return ExperimentConfig(**kwargs)
         except TypeError as err:  # a missing or an unknown key, or a malformed trim or budget
             raise ValueError(f"invalid experiment config: {err}") from None
@@ -354,10 +370,6 @@ class PlanError(ValueError):
         self.argument = argument
 
 
-class UnknownNoiseError(PlanError):
-    """The plan needs the innovation law, and it is not given."""
-
-
 @dataclass(frozen=True)
 class Plan:
     """How one family tests one problem. `table` is the key (family, m,
@@ -396,7 +408,7 @@ def resolve_plan(
     d_{n,m} normalizations and the fBm tables hold. `noise` is the
     innovation law, or None when it is unknown: a plan that needs it (a mean
     Wilcoxon plan, or a normalization that uses alpha) is then refused with
-    UnknownNoiseError. `sigma` replaces the mean CUSUM's Brownian scale that
+    a PlanError that names `noise`. `sigma` replaces the mean CUSUM's Brownian scale that
     the noise law implies, and must be finite and > 0. At alpha <= 2, where
     E X^2 is infinite, every variance plan and the mean cusum plan without
     `sigma` are refused. The normalization is sqrt(n) or d_{n,1} times
@@ -407,7 +419,7 @@ def resolve_plan(
     """
     if problem not in PROBLEMS or family not in FAMILIES:
         raise PlanError(f"unknown problem {problem!r} or family {family!r}")
-    if hurst is not None and not 0.0 < hurst < 1.0:
+    if hurst is not None and not asymp.UNIT_INTERVAL.holds(hurst):
         raise PlanError(f"the Hurst index must lie in (0, 1), got H = {hurst}", "hurst")
     kind = None if noise is None else noise.kind
     if kind not in (None, *_PROBLEM_NOISE[problem]):
@@ -419,8 +431,8 @@ def resolve_plan(
         raise PlanError("Wilcoxon families for the mean problem need centered Pareto "
                         "innovations (the limit factor degenerates under normal noise)")
     if "wilcoxon" in family and problem == "mean" and kind is None:
-        raise UnknownNoiseError(f"the mean {family} test needs centered Pareto innovations "
-                                f"and their tail index alpha")
+        raise PlanError(f"the mean {family} test needs centered Pareto innovations and their "
+                        f"tail index alpha", "noise")
     brownian = problem == "mean" and family in ("cusum", "sn_cusum")
     if not brownian and (hurst is None or hurst <= 0.5):
         raise PlanError(f"the {problem} {family} test needs long memory, H > 1/2, got H = "
@@ -455,8 +467,8 @@ def resolve_plan(
                                 f"sigma = {sigma}, n = {n}", "sigma")
         else:
             if problem != "tail" and noise is None:
-                raise UnknownNoiseError(f"the {problem} {family} test needs the innovation "
-                                        f"tail index alpha")
+                raise PlanError(f"the {problem} {family} test needs the innovation tail index "
+                                f"alpha", "noise")
             scale = n if family == "wilcoxon" else 1  # the rank sums carry a factor n
             coeff = limit_coefficient(problem, family, noise)
             normalization = scale * dnm_exact(hurst, 1, n) * coeff
@@ -585,10 +597,6 @@ def _evaluate_row(cfg: ExperimentConfig, hurst: float, n: int, alpha: float | No
     ]
 
 
-def _row_task(args) -> list[CellResult]:
-    return _evaluate_row(*args)
-
-
 def run_experiment(cfg: ExperimentConfig, tables: TableSet | None = None) -> ExperimentReport:
     """Run the full rejection-rate grid of an experiment configuration.
 
@@ -610,11 +618,11 @@ def run_experiment(cfg: ExperimentConfig, tables: TableSet | None = None) -> Exp
     cells: list[CellResult] = []
     if cfg.max_workers > 1 and len(rows) > 1:
         with ProcessPoolExecutor(max_workers=cfg.max_workers) as pool:
-            for result in pool.map(_row_task, rows):
+            for result in pool.map(_evaluate_row, *zip(*rows)):  # one iterable per argument
                 cells.extend(result)
     else:
         for row in rows:
-            cells.extend(_row_task(row))
+            cells.extend(_evaluate_row(*row))
 
     meta = {
         "config_sha256": cfg.sha256(),
@@ -765,11 +773,11 @@ def compare_to_reference(
 
     Both sides are treated as independent binomial proportions; cells with
     |z| > max_z are flagged. Every local cell must have a reference partner,
-    otherwise the grids are considered mismatched. A max_z that is NaN or
-    negative is refused.
+    otherwise the grids are considered mismatched. A max_z that is NaN,
+    infinite or negative is refused: no z exceeds NaN, and a bound of inf
+    passes even an infinite z.
     """
-    if not max_z >= 0.0:  # NaN would flag no cell
-        raise ValueError(f"max_z must be a number >= 0, got {max_z}")
+    asymp.NONNEGATIVE.require("max_z", max_z)
     indexed = {
         (r.problem, r.family, r.hurst, r.n, r.alpha, r.h, r.tau): r for r in reference
     }

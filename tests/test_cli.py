@@ -1,15 +1,19 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
+import dataclasses
 import hashlib
 import json
 import math
 import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lmsvtest.cli import EXIT_COMPUTATION, EXIT_FLAGGED, EXIT_OK, EXIT_USAGE, main
+from lmsvtest import mc
+from lmsvtest.cli import EXIT_COMPUTATION, EXIT_FLAGGED, EXIT_OK, EXIT_USAGE, _build_parser, main
 
 
 def run(capsys, *argv):
@@ -30,6 +34,8 @@ _SIMULATE_FLAGS = [
     ("--h", ("--change", "variance"), ()),
     ("--h", ("--change", "tail", "--noise", "pareto", "--alpha", "2"), ("-1", "0", "1e308")),
     ("--tau", ("--change", "mean", "--h", "1"), ()),
+    ("--seed", (), ("0",)),
+    ("--stream-id", (), ("0",)),
 ]
 _BAD_VALUES = ("nan", "inf", "-1", "0", "1e308")
 _SIMULATE_CASES = [
@@ -173,6 +179,8 @@ _TEST_FLAGS = [
     ("--tau1", ("--problem", "mean", "--family", "sn_cusum"), ()),
     ("--tau2", ("--problem", "mean", "--family", "sn_cusum"), ()),
     ("--critical-value", ("--problem", "mean", "--family", "cusum"), ("-1", "0", "1e308")),
+    ("--level", ("--problem", "mean", "--family", "sn_cusum"), ()),
+    ("--table-seed", ("--problem", "mean", "--family", "sn_cusum"), ("0",)),
 ]
 _TEST_CASES = [
     (flag, value, context, value in runs)
@@ -356,7 +364,7 @@ class TestTest:
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE
         assert out == ""
-        assert "--critical-value must be finite" in err
+        assert "argument --critical-value: must be finite" in err
 
     @pytest.mark.parametrize("level", ["1.5", "nan", "0", "-0.5"])
     def test_level_outside_the_unit_interval_is_usage_error(self, capsys, shifted_series,
@@ -810,15 +818,16 @@ class TestExperimentAndCompare:
 
     @pytest.mark.parametrize("max_z", ["nan", "-1"])
     def test_max_z_nan_or_negative_is_refused(self, capsys, tmp_path, max_z):
-        # A NaN bound flags no cell, so a comparison would always pass.
+        # A NaN bound flags no cell, so a comparison would always pass. A bad
+        # flag value, refused by the flag's name before any file is read.
         from lmsvtest import mc
 
         path = tmp_path / "cells.csv"
         mc.cells_to_csv(mc.load_reference("mean_normal"), path)
         code, out, err = run(capsys, "compare", "--report", str(path),
                              "--reference", "builtin:mean_normal", "--max-z", max_z)
-        assert code == EXIT_COMPUTATION
-        assert "max_z must be a number >= 0" in err
+        assert code == EXIT_USAGE
+        assert "argument --max-z: must be finite and >= 0" in err
         assert "compared" not in out
 
     @pytest.mark.parametrize("overrides, h", [
@@ -855,13 +864,15 @@ class TestExperimentAndCompare:
         ({"lengths": [60.0]}, "invalid experiment config: lengths must be an integer"),
         ({"max_workers": True}, "invalid experiment config: max_workers must be an integer"),
         ({"seed": 1.5}, "invalid experiment config: seed must be an integer"),
-        ({"table_budget": [300.5, 64]}, "invalid experiment config: path_count must be an"),
-        ({"table_budget": [300, True]}, "invalid experiment config: path_length must be an"),
+        ({"table_budget": [300.5, 64]},
+         "invalid experiment config: table_budget: path_count must be an"),
+        ({"table_budget": [300, True]},
+         "invalid experiment config: table_budget: path_length must be an"),
         ({"shifts": [1.0, math.nan]}, "shifts must be finite"),
         ({"shifts": [1.0, math.inf]}, "shifts must be finite"),
-        ({"seed": -1}, "seed must lie in [0, 2^64), got -1"),
-        ({"seed": 2**64}, "seed must lie in [0, 2^64)"),
-        ({"max_workers": 0}, "max_workers must be >= 1"),
+        ({"seed": -1}, "seed must be an integer in [0, 2^64), got -1"),
+        ({"seed": 2**64}, "seed must be an integer in [0, 2^64)"),
+        ({"max_workers": 0}, "max_workers must be an integer >= 1"),
     ], ids=["trim-null", "trim-three-values", "budget-scalar", "repeated-shift",
             "replications-float", "length-float", "workers-bool", "seed-float",
             "budget-count-float", "budget-length-bool", "shift-nan", "shift-inf",
@@ -873,3 +884,124 @@ class TestExperimentAndCompare:
         assert code == EXIT_COMPUTATION
         assert message in err
         assert not (tmp_path / "run").exists()
+
+
+def _refused_by_name(code, out, err, exit_code, name):
+    """Exit `exit_code` with one error line that names the flag or key, and no output."""
+    assert (code, out) == (exit_code, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert re.search(r"(?<![\w-])" + re.escape(name) + r"\b", err), err
+
+
+#: critvals' and compare's numeric flags, and the values of _BAD_VALUES with
+#: which each runs; it is refused at the others.
+_CRITVALS_FLAGS = [("--hurst", ()), ("--tau1", ()), ("--tau2", ()), ("--paths", ()),
+                   ("--grid", ()), ("--levels", ()), ("--seed", ("0",))]
+_CRITVALS_CASES = [(flag, value, value in runs)
+                   for flag, runs in _CRITVALS_FLAGS for value in _BAD_VALUES]
+_COMPARE_CASES = [("--max-z", value, value in ("0", "1e308")) for value in _BAD_VALUES]
+
+#: Every numeric key of an experiment config, with the entry a case sets
+#: (None for a scalar, the only entry of a grid, or the index in a pair),
+#: and the values of _BAD_VALUES with which the run ends in exit 0.
+_CONFIG_KEYS = [
+    ("hursts", None, ()), ("lengths", None, ()), ("shifts", None, ("-1", "0")),
+    ("alphas", None, ()), ("tau", None, ()), ("level", None, ()), ("replications", None, ()),
+    ("seed", None, ("0",)), ("max_workers", None, ()), ("trim", 0, ()), ("trim", 1, ()),
+    ("table_budget", 0, ()), ("table_budget", 1, ()),
+]
+_CONFIG_CASES = [(key, entry, value, value in runs)
+                 for key, entry, runs in _CONFIG_KEYS for value in _BAD_VALUES]
+
+#: The mean problem under centered Pareto noise, at one small row; its
+#: sn_cusum table is the package's.
+_WALKER_CONFIG = {
+    "problem": "mean", "noise": "centered_pareto", "alphas": [4.5], "hursts": [0.7],
+    "lengths": [60], "shifts": [1.0], "families": ["cusum", "sn_cusum"],
+    "replications": 100, "seed": 5, "trim": [0.15, 0.85], "table_budget": [10000, 2048],
+}
+
+
+class TestEveryNumericInput:
+    """Each numeric flag of every command and each numeric config key, at
+    NaN, inf, -1, 0 and 1e308: it runs with finite output, or it is refused
+    with one error line that names it, with exit 1 for a flag and 2 for a
+    config key, and never with a traceback."""
+
+    def test_every_numeric_flag_and_key_has_its_cases(self):
+        # The parser's numeric flags: those whose type is neither a path nor a string.
+        [commands] = [a for a in _build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+        cases = {"simulate": _SIMULATE_CASES, "test": _TEST_CASES,
+                 "critvals": _CRITVALS_CASES, "compare": _COMPARE_CASES}
+        for command, parser in commands.choices.items():
+            numeric = {action.option_strings[0] for action in parser._actions
+                       if action.type not in (None, Path)}
+            covered = {(flag, value) for flag, value, *_ in cases.get(command, ())}
+            assert {(flag, value) for flag in numeric for value in _BAD_VALUES} <= covered, command
+        # A config's numeric keys: every field but the strings.
+        keys = {mc._JSON_KEYS.get(f.name, f.name) for f in dataclasses.fields(mc.ExperimentConfig)
+                if "str" not in f.type}
+        assert keys == {key for key, _, _ in _CONFIG_KEYS}
+
+    @pytest.mark.parametrize("flag, value, runs", _CRITVALS_CASES,
+                             ids=[f"{flag} {value}" for flag, value, _ in _CRITVALS_CASES])
+    def test_critvals(self, capsys, tmp_path, flag, value, runs):
+        out = tmp_path / "table.json"
+        argv = {"--family": "sn", "--hurst": "0.7", "--paths": "200", "--grid": "64",
+                "--out": str(out), flag: value}
+        code, stdout, err = run(capsys, "critvals", *[a for item in argv.items() for a in item])
+        if runs:
+            assert (code, err) == (EXIT_OK, "")
+            quantiles = json.loads(out.read_text())["quantiles"]
+            assert quantiles and all(math.isfinite(q) for q in quantiles.values())
+        else:
+            _refused_by_name(code, stdout, err, EXIT_USAGE, flag)
+            assert not out.exists()
+
+    def test_critvals_reads_repeated_levels_as_one(self, capsys, tmp_path):
+        # critical_values reads its levels as a set: one 0.9 quantile.
+        out = tmp_path / "table.json"
+        code, _, err = run(capsys, "critvals", "--family", "sn", "--hurst", "0.7", "--paths",
+                           "200", "--grid", "64", "--levels", "0.9", "0.9", "--out", str(out))
+        assert (code, err) == (EXIT_OK, "")
+        assert list(json.loads(out.read_text())["quantiles"]) == ["0.900000"]
+
+    @pytest.mark.parametrize("flag, value, runs", _COMPARE_CASES,
+                             ids=[f"{flag} {value}" for flag, value, _ in _COMPARE_CASES])
+    def test_compare(self, capsys, tmp_path, flag, value, runs):
+        # The reference against itself: every z is 0, so no bound flags a cell.
+        report = tmp_path / "cells.csv"
+        mc.cells_to_csv(mc.load_reference("mean_normal"), report)
+        code, out, err = run(capsys, "compare", "--report", str(report),
+                             "--reference", "builtin:mean_normal", flag, value)
+        if runs:
+            assert (code, err) == (EXIT_OK, "")
+            assert out == "96 cells compared, max |z| = 0.000, 0 flagged\n"
+        else:
+            _refused_by_name(code, out, err, EXIT_USAGE, flag)
+
+    @pytest.mark.parametrize("key, entry, value, runs", _CONFIG_CASES, ids=[
+        f"{key}{'' if entry is None else f'[{entry}]'} {value}"
+        for key, entry, value, _ in _CONFIG_CASES])
+    def test_config_key(self, capsys, tmp_path, key, entry, value, runs):
+        config = json.loads(json.dumps(_WALKER_CONFIG))
+        number = float(value) if value in ("nan", "inf", "1e308") else int(value)
+        if entry is None and isinstance(config.get(key), list):
+            config[key] = [number]
+        elif entry is None:
+            config[key] = number
+        else:
+            config[key][entry] = number
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run(capsys, "experiment", "--config", str(path),
+                             "--out-dir", str(tmp_path / "run"))
+        if runs:
+            assert (code, err) == (EXIT_OK, "")
+            rows = (tmp_path / "run" / "cells.csv").read_text().splitlines()[1:]
+            rates = [float(v) for row in rows for v in row.split(",")[-2:]]  # rate and se
+            assert rates and all(math.isfinite(v) for v in rates)
+        else:
+            _refused_by_name(code, out, err, EXIT_COMPUTATION, key)
+            assert not (tmp_path / "run").exists()

@@ -146,7 +146,7 @@ class TestConfig:
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_rejects_a_seed_outside_64_bits(self, seed):
         # RngStream reads a seed modulo 2^64: -1 gave the tables of 2^64 - 1.
-        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^64\)"):
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\^64\)"):
             _small_cfg(seed=seed)
 
     @pytest.mark.parametrize("budget, name", [
@@ -183,8 +183,8 @@ class TestConfig:
     # Each grid below cannot run; it is refused at construction, before a row
     # or a table is computed.
     @pytest.mark.parametrize("lengths, match", [((500, 5), "trimmed window starts below k=1"),
-                                                ((500, 1), "at least 2 observations"),
-                                                ((0,), "at least 2 observations")])
+                                                ((500, 1), "lengths must .* >= 2"),
+                                                ((0,), "lengths must .* >= 2")])
     def test_rejects_an_unrunnable_length(self, lengths, match):
         with pytest.raises(ValueError, match=match):
             _small_cfg(lengths=lengths)
@@ -791,8 +791,9 @@ class TestComparison:
         with pytest.raises(ValueError, match="no cell"):
             mc.compare_to_reference([stray], reference)
 
-    @pytest.mark.parametrize("max_z", [float("nan"), -1.0])
+    @pytest.mark.parametrize("max_z", [float("nan"), -1.0, float("inf")])
     def test_max_z_nan_or_negative_is_refused(self, max_z):
+        # inf flags no cell either, not even one whose z is infinite.
         reference = mc.load_reference("mean_normal")
-        with pytest.raises(ValueError, match="max_z must be a number >= 0"):
+        with pytest.raises(ValueError, match="max_z must be finite and >= 0"):
             mc.compare_to_reference(reference, reference, max_z=max_z)
