@@ -9,7 +9,6 @@ import math
 import numbers
 import os
 from collections.abc import Callable, Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -355,13 +354,22 @@ class Domain:
             raise ValueError(f"{name} must {self.text}, got {value}")
 
 
-UNIT_INTERVAL = Domain("lie in (0, 1)", lambda x: 0.0 < x < 1.0)  # H, levels, change locations
+UNIT_INTERVAL = Domain("lie in (0, 1)", lambda x: 0.0 < x < 1.0)  # H, change locations
+#: Tables key a level, and a test at level a its table's 1 - a, at six decimals.
+LEVEL = Domain("lie in (0, 1) at six decimals",
+               lambda x: 0.0 < round(x, 6) < 1.0 and 0.0 < round(1.0 - x, 6) < 1.0)
 FINITE = Domain("be finite", math.isfinite)  # change heights, critical values
 NONNEGATIVE = Domain("be finite and >= 0", lambda x: 0.0 <= x < math.inf)  # comparison bounds
 #: RngStream reads a seed modulo 2^64, so one outside [0, 2^64) would alias another.
 SEED = Domain("be an integer in [0, 2^64)", lambda x: 0 <= x < 2**64, integer=True)
 COUNT = Domain("be an integer >= 1", lambda x: x >= 1, integer=True)  # paths, workers
 LENGTH = Domain("be an integer >= 2", lambda x: x >= 2, integer=True)  # the shortest series
+
+
+def default_workers() -> int:
+    """The worker count of a command given none: the CPUs this process may use."""
+    affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 class TableFamily(enum.Enum):
@@ -478,13 +486,17 @@ def _table_sup(
     return sup
 
 
+@lru_cache(maxsize=16)
 def _binomial_cdf(count: int, p: float) -> np.ndarray:
-    """P(B <= k) for B ~ binomial(count, p), k = 0..count."""
+    """P(B <= k) for B ~ binomial(count, p), k = 0..count; read-only, as
+    every table of a count and level shares it."""
     log_factorial = np.array([math.lgamma(k + 1.0) for k in range(count + 1)])
     k = np.arange(count + 1)
     log_pmf = (log_factorial[-1] - log_factorial - log_factorial[::-1]
                + k * math.log(p) + (count - k) * math.log1p(-p))
-    return np.cumsum(np.exp(log_pmf))
+    cdf = np.cumsum(np.exp(log_pmf))
+    cdf.flags.writeable = False
+    return cdf
 
 
 def _quantile_intervals(values: np.ndarray, levels: tuple[float, ...]) -> dict:
@@ -530,17 +542,18 @@ def critical_values(
     functional reads either off one bridge per row block of the same paths.
     Each batch of _BATCH paths draws from its own substreams and is
     synthesized and reduced on its own, one sub-block of about 2 MiB of
-    normals at a time (_batch_paths), on `workers` threads (default: the
-    CPUs this process may use; one worker is the calling thread). Tables are
-    deterministic given (stream, budget), whatever `workers`. The meta
-    block records the provenance and, for each level, a distribution-free
-    99 % interval for the true quantile (`quantile_intervals`).
+    normals at a time (_batch_paths), on `workers` threads (default:
+    default_workers()): the calling thread and workers - 1 pool threads take
+    every workers-th batch. Tables are deterministic given (stream, budget),
+    whatever `workers`. The meta block records the provenance and, for each
+    level, a distribution-free 99 % interval for the true quantile
+    (`quantile_intervals`).
     """
-    levels = tuple(sorted(set(round(float(lv), 6) for lv in levels)))
     for lv in levels:
-        UNIT_INTERVAL.require("levels", lv)
-    if workers is not None:
-        COUNT.require("workers", workers)
+        LEVEL.require("levels", lv)
+    levels = tuple(sorted(set(round(float(lv), 6) for lv in levels)))
+    workers = default_workers() if workers is None else workers
+    COUNT.require("workers", workers)
     if family is TableFamily.SN_RATIO:
         if trim is None:
             raise ValueError("SN_RATIO tables need a trimming specification")
@@ -553,27 +566,30 @@ def critical_values(
     brownian = family is TableFamily.CUSUM_BRIDGE_SUP and hurst == 0.5
     values = np.empty(count)
 
-    def batch(start: int) -> None:
-        # Batch g draws its paths by _batch_paths and its refinement's upper
-        # and lower uniforms from substream(1, g, 0) and substream(1, g, 1);
-        # its sub-blocks share the two generators, which draw row after row.
-        g, rows = start // _BATCH, min(_BATCH, count - start)
-        refine = [stream.substream(1, g, side).generator() for side in (0, 1)] if brownian else None
-        for offset, paths in _batch_paths(params, norm, stream, g, rows):
-            values[start + offset:start + offset + len(paths)] = _table_sup(paths, trim, refine)
+    batches = -(-count // _BATCH)
+    workers = min(workers, batches)
 
-    if workers is None:  # the CPUs this process may use
-        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                   else os.cpu_count() or 1)
-    starts = range(0, count, _BATCH)
-    workers = min(workers, len(starts))
-    if workers == 1:  # a pool thread's malloc arena would keep its freed batches resident
-        list(map(batch, starts))
-    else:
-        # numpy releases the GIL in the draws, the FFT and the reductions, so the
-        # batches run at once; each fills only its own slice of the values.
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(batch, starts))
+    def share(w: int) -> None:
+        # Batches w, w + workers, ...: numpy releases the GIL in the draws, the
+        # FFT and the reductions, so the shares run at once, and batch g fills
+        # only its own slice. It draws its paths by _batch_paths and its
+        # refinement's upper and lower uniforms from substream(1, g, 0) and
+        # substream(1, g, 1); its sub-blocks share the two generators, which
+        # draw row after row.
+        for g in range(w, batches, workers):
+            start, rows = g * _BATCH, min(_BATCH, count - g * _BATCH)
+            refine = [stream.substream(1, g, u).generator() for u in (0, 1)] if brownian else None
+            for offset, paths in _batch_paths(params, norm, stream, g, rows):
+                values[start + offset:start + offset + len(paths)] = _table_sup(paths, trim, refine)
+
+    from concurrent.futures import ThreadPoolExecutor  # it loads logging: not at import
+
+    # The calling thread takes share 0, so one worker starts no thread and two
+    # start one: a pool thread's malloc arena keeps its freed batches resident.
+    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
+        helpers = pool.map(share, range(1, workers))
+        share(0)
+        list(helpers)  # raises a helper's error
 
     quantiles = {lv: float(np.quantile(values, lv)) for lv in levels}
     meta = {

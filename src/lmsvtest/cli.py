@@ -98,7 +98,7 @@ def _build_parser() -> _Parser:
     test.add_argument("--alpha", type=float, help="innovation tail index (Pareto problems)")
     test.add_argument("--sigma", type=float,
                       help="known noise scale for the mean-problem CUSUM; estimated when omitted")
-    test.add_argument("--level", type=_value(asymp.UNIT_INTERVAL), default=0.05)
+    test.add_argument("--level", type=_value(asymp.LEVEL), default=0.05)
     test.add_argument("--tau1", type=float, default=0.15)
     test.add_argument("--tau2", type=float, default=0.85)
     test.add_argument("--critical-value", type=_value(asymp.FINITE),
@@ -116,7 +116,7 @@ def _build_parser() -> _Parser:
     crit.add_argument("--tau2", type=float, default=0.85)
     crit.add_argument("--paths", type=_value(asymp.COUNT), default=10_000)
     crit.add_argument("--grid", type=_value(asymp.LENGTH), default=2_048)
-    crit.add_argument("--levels", type=_value(asymp.UNIT_INTERVAL), nargs="+",
+    crit.add_argument("--levels", type=_value(asymp.LEVEL), nargs="+",
                       default=[0.90, 0.95, 0.99])
     crit.add_argument("--seed", type=_value(asymp.SEED), default=0,
                       help="table seed; the same seed and key give the table an experiment "

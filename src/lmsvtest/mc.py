@@ -45,8 +45,7 @@ import math
 import platform
 import struct
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -83,7 +82,7 @@ _JSON_KEYS = {"noise_kind": "noise", "budget": "table_budget"}
 #: of the plans and the types that own them, and are refused by key too.
 _KEY_DOMAINS = {
     "lengths": asymp.LENGTH, "shifts": asymp.FINITE, "tau": asymp.UNIT_INTERVAL,
-    "level": asymp.UNIT_INTERVAL, "seed": asymp.SEED, "max_workers": asymp.COUNT,
+    "level": asymp.LEVEL, "seed": asymp.SEED, "max_workers": asymp.COUNT,
     "replications": asymp.Domain("be an integer >= 100", lambda r: r >= 100, integer=True),
 }
 
@@ -138,7 +137,7 @@ class ExperimentConfig:
     seed: int = 0
     trim: TrimSpec = field(default_factory=TrimSpec)
     budget: TableBudget = field(default_factory=TableBudget)
-    max_workers: int = 1
+    max_workers: int = field(default_factory=asymp.default_workers)
 
     def __post_init__(self) -> None:
         # A float count fails only deep in a run, and a NaN shift never rejects.
@@ -183,11 +182,12 @@ class ExperimentConfig:
         return json.dumps(payload, indent=2)
 
     def sha256(self) -> str:
-        """The hex sha256 of to_json(), which names the configuration in a
-        run's meta: equal configurations share it."""
+        """The hex sha256 of to_json() at max_workers = 1, which names the
+        configuration in a run's meta: the counts, and so the name, do not
+        depend on the worker count."""
         import hashlib  # it loads OpenSSL, about 5 ms: not at import
 
-        return hashlib.sha256(self.to_json().encode()).hexdigest()
+        return hashlib.sha256(replace(self, max_workers=1).to_json().encode()).hexdigest()
 
     @staticmethod
     def from_json(text: str) -> "ExperimentConfig":
@@ -306,7 +306,7 @@ def resolve_table(
        exactly and it has every level in `levels`. The package grid is read
        at most once per process, here, on first need.
     3. otherwise a table simulated from table_stream(seed, family, m, hurst)
-       on `workers` threads (default: the CPUs this process may use).
+       on `workers` threads (default: asymp.default_workers()).
     """
     entry = None if loaded is None else loaded.find(family, m, hurst, trim)
     if entry is not None:
@@ -617,7 +617,14 @@ def run_experiment(cfg: ExperimentConfig, tables: TableSet | None = None) -> Exp
 
     cells: list[CellResult] = []
     if cfg.max_workers > 1 and len(rows) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.max_workers) as pool:
+        import multiprocessing  # with the pool, about 10 ms: not at import
+        from concurrent.futures import ProcessPoolExecutor
+
+        # spawn on every platform and Python: a fork copies a process with
+        # threads (numpy's BLAS pool), which can deadlock the child and which
+        # Python 3.12+ warns of. A spawned worker sees no patch of the parent.
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=cfg.max_workers, mp_context=context) as pool:
             for result in pool.map(_evaluate_row, *zip(*rows)):  # one iterable per argument
                 cells.extend(result)
     else:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -448,21 +449,32 @@ class TestCriticalValues:
         (TableFamily.CUSUM_BRIDGE_SUP, 0.8, None),
         (TableFamily.SN_RATIO, 0.7, TrimSpec()),
     ], ids=["bridge_h0.5_refined", "bridge_h0.8", "sn_h0.7"])
-    def test_tables_do_not_depend_on_the_worker_count(self, family, hurst, trim):
+    def test_tables_do_not_depend_on_the_worker_count(self, monkeypatch, family, hurst, trim):
         # 2100 paths: four full batches, then a partial one.
         # Short switch intervals interleave the threads as often as they can.
+        # The calling thread builds batches beside at most workers - 1 pool threads.
         budget = TableBudget(path_count=2_100, path_length=256)
+        threads = set()
+        table_sup = asymp._table_sup
+
+        def recording(*args):
+            threads.add(threading.get_ident())
+            return table_sup(*args)
+
+        monkeypatch.setattr(asymp, "_table_sup", recording)
+        tables = {}
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            one, two, three = (
-                critical_values(family, 1, hurst, RngStream(82), trim=trim, budget=budget,
-                                workers=workers).to_json()
-                for workers in (1, 2, 3)
-            )
+            for workers in (1, 2, 3):
+                threads.clear()
+                tables[workers] = critical_values(family, 1, hurst, RngStream(82), trim=trim,
+                                                  budget=budget, workers=workers).to_json()
+                others = threads - {threading.get_ident()}
+                assert len(others) <= workers - 1, (workers, len(others))
         finally:
             sys.setswitchinterval(interval)
-        assert two == one and three == one
+        assert tables[2] == tables[1] and tables[3] == tables[1]
 
     @pytest.mark.parametrize("family, hurst, trim", [
         (TableFamily.CUSUM_BRIDGE_SUP, 0.8, None),
@@ -521,6 +533,12 @@ class TestCriticalValues:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20, peak / 2**20
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, math.nan, 1e-9, 0.9999999])
+    def test_refuses_a_level_outside_the_unit_interval_at_six_decimals(self, level):
+        with pytest.raises(ValueError, match=r"levels must lie in \(0, 1\) at six decimals"):
+            critical_values(TableFamily.CUSUM_BRIDGE_SUP, 1, 0.8, RngStream(83),
+                            levels=(0.9, level), budget=TableBudget(100, 64))
 
     @pytest.mark.parametrize("workers", [0, -2, 1.5, True])
     def test_refuses_a_worker_count_that_is_not_a_positive_integer(self, workers):

@@ -194,6 +194,9 @@ _TEST_CASES = [
     # H at or below 1/2 where the plan needs long memory.
     ("--hurst", "0.3", ("--problem", "variance", "--family", "sn_cusum", "--alpha", "4.5"),
      False),
+    # Levels in (0, 1) that are 0 or 1 at six decimals, the precision of a table.
+    ("--level", "1e-7", ("--problem", "mean", "--family", "sn_cusum"), False),
+    ("--level", "0.9999999", ("--problem", "mean", "--family", "sn_cusum"), False),
 ]
 
 
@@ -753,6 +756,8 @@ class TestExperimentAndCompare:
         config.write_text(
             (resources.files("lmsvtest.data") / "table1_desk.json").read_text()
         )
+        # It runs at the default worker count, every CPU of the process.
+        assert "max_workers" not in json.loads(config.read_text())
         out_dir = tmp_path / "desk"
         code, _, _ = run(
             capsys, "experiment", "--config", str(config), "--out-dir", str(out_dir),
@@ -898,7 +903,9 @@ def _refused_by_name(code, out, err, exit_code, name):
 _CRITVALS_FLAGS = [("--hurst", ()), ("--tau1", ()), ("--tau2", ()), ("--paths", ()),
                    ("--grid", ()), ("--levels", ()), ("--seed", ("0",))]
 _CRITVALS_CASES = [(flag, value, value in runs)
-                   for flag, runs in _CRITVALS_FLAGS for value in _BAD_VALUES]
+                   for flag, runs in _CRITVALS_FLAGS for value in _BAD_VALUES] + [
+    # Levels in (0, 1) that are 0 or 1 at six decimals, the precision of a table.
+    ("--levels", "1e-9", False), ("--levels", "0.9999999", False)]
 _COMPARE_CASES = [("--max-z", value, value in ("0", "1e308")) for value in _BAD_VALUES]
 
 #: Every numeric key of an experiment config, with the entry a case sets
@@ -911,7 +918,8 @@ _CONFIG_KEYS = [
     ("table_budget", 0, ()), ("table_budget", 1, ()),
 ]
 _CONFIG_CASES = [(key, entry, value, value in runs)
-                 for key, entry, runs in _CONFIG_KEYS for value in _BAD_VALUES]
+                 for key, entry, runs in _CONFIG_KEYS for value in _BAD_VALUES] + [
+    ("level", None, "1e-7", False), ("level", None, "0.9999999", False)]
 
 #: The mean problem under centered Pareto noise, at one small row; its
 #: sn_cusum table is the package's.
@@ -986,7 +994,7 @@ class TestEveryNumericInput:
         for key, entry, value, _ in _CONFIG_CASES])
     def test_config_key(self, capsys, tmp_path, key, entry, value, runs):
         config = json.loads(json.dumps(_WALKER_CONFIG))
-        number = float(value) if value in ("nan", "inf", "1e308") else int(value)
+        number = int(value) if value.lstrip("-").isdigit() else float(value)
         if entry is None and isinstance(config.get(key), list):
             config[key] = [number]
         elif entry is None:

@@ -50,6 +50,8 @@ class TestConfig:
         assert _small_cfg(shifts=(0, 1)).sha256() == cfg.sha256()  # equal to (0.0, 1.0)
         assert _small_cfg(seed=8).sha256() != cfg.sha256()
         assert _small_cfg(shifts=(0.0, 2.0)).sha256() != cfg.sha256()
+        # The counts do not depend on the worker count, nor does the name.
+        assert {_small_cfg(max_workers=w).sha256() for w in (1, 2, 3)} == {cfg.sha256()}
 
     def test_rejects_too_few_replications(self):
         with pytest.raises(ValueError):
@@ -445,6 +447,17 @@ class TestPackageGrid:
                              check=True, env=env).stdout
         assert out.strip() == "0"
 
+    def test_import_loads_no_pool_machinery(self):
+        # multiprocessing pulls in socket and subprocess, concurrent.futures
+        # pulls in logging: only a pool needs them.
+        code = ("import sys, lmsvtest.cli; "
+                "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+        src = str(Path(mc.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=env).stdout
+        assert out.strip() == "[]"
+
     def test_runs_without_scipy(self, tmp_path):
         # The import, and each path that used scipy: the Kolmogorov quantile
         # (a mean cusum run), the Wilcoxon factor (a variance wilcoxon test)
@@ -515,13 +528,15 @@ class TestRunExperiment:
         assert rates == sorted(rates)
 
     def test_worker_pool_matches_serial(self):
-        cfg = _small_cfg(lengths=(80, 120))
-        serial = mc.run_experiment(cfg)
-        parallel = mc.run_experiment(_small_cfg(lengths=(80, 120), max_workers=2))
-        key = lambda c: (c.family, c.n, c.h)
-        assert sorted(
-            [(c.family, c.n, c.h, c.rejections) for c in serial.cells]
-        ) == sorted([(c.family, c.n, c.h, c.rejections) for c in parallel.cells])
+        # Four rows on one, two and three workers: the same cells, in grid order.
+        cells = [mc.run_experiment(_small_cfg(hursts=(0.6, 0.8), lengths=(80, 120),
+                                              max_workers=workers)).cells
+                 for workers in (1, 2, 3)]
+        assert len(cells[0]) == 16
+        assert cells[1] == cells[0] and cells[2] == cells[0]
+
+    def test_max_workers_defaults_to_the_cpus_of_the_process(self):
+        assert _small_cfg().max_workers == asymp.default_workers() >= 1
 
     def test_meta_records_tables_and_seed(self):
         report = mc.run_experiment(_small_cfg())
