@@ -6,7 +6,6 @@ from __future__ import annotations
 import enum
 import json
 import math
-import numbers
 import os
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -16,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import fgn
-from .dist import CenteredPareto, NoiseSpec, RngStream, noise_moments
+from .dist import (COUNT, LENGTH, LEVEL, UNIT_INTERVAL, CenteredPareto, NoiseSpec, RngStream,
+                   noise_moments)
 from .stats import TrimSpec, _bridge, _sn_ratio, _sn_terms, row_blocks
 
 TABLE_FORMAT_VERSION = 1
@@ -329,47 +329,47 @@ class TableBudget:
         LENGTH.require("path_length", self.path_length)
 
 
-def require_integer(name: str, value) -> None:
-    """Refuse (TypeError) a value that is not an integer; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-
-
-@dataclass(frozen=True)
-class Domain:
-    """The values of a numeric input, declared once for a flag, a config key
-    and an argument alike: those `holds` accepts, never NaN. `text` says
-    them after "must" in a refusal."""
-
-    text: str
-    holds: Callable[[float], bool]
-    integer: bool = False
-
-    def require(self, name: str, value) -> None:
-        """Refuse by `name` a value outside: TypeError for a non-integer
-        where one is needed, else ValueError."""
-        if self.integer:
-            require_integer(name, value)
-        if not self.holds(value):
-            raise ValueError(f"{name} must {self.text}, got {value}")
-
-
-UNIT_INTERVAL = Domain("lie in (0, 1)", lambda x: 0.0 < x < 1.0)  # H, change locations
-#: Tables key a level, and a test at level a its table's 1 - a, at six decimals.
-LEVEL = Domain("lie in (0, 1) at six decimals",
-               lambda x: 0.0 < round(x, 6) < 1.0 and 0.0 < round(1.0 - x, 6) < 1.0)
-FINITE = Domain("be finite", math.isfinite)  # change heights, critical values
-NONNEGATIVE = Domain("be finite and >= 0", lambda x: 0.0 <= x < math.inf)  # comparison bounds
-#: RngStream reads a seed modulo 2^64, so one outside [0, 2^64) would alias another.
-SEED = Domain("be an integer in [0, 2^64)", lambda x: 0 <= x < 2**64, integer=True)
-COUNT = Domain("be an integer >= 1", lambda x: x >= 1, integer=True)  # paths, workers
-LENGTH = Domain("be an integer >= 2", lambda x: x >= 2, integer=True)  # the shortest series
-
-
 def default_workers() -> int:
     """The worker count of a command given none: the CPUs this process may use."""
     affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
     return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _deal(task: Callable[[int], object], count: int, workers: int) -> list:
+    """[task(i) for i in range(count)] on `workers` threads: the calling
+    thread and workers - 1 pool threads take every workers-th item in turn,
+    and the results come back in item order. Once a task raises, in any
+    thread (KeyboardInterrupt too), every share stops before its next item,
+    and that error is raised."""
+    import threading
+    from concurrent.futures import ThreadPoolExecutor  # it loads logging: not at import
+
+    workers = min(workers, count)
+    results = [None] * count
+    stop = threading.Event()
+
+    def share(w: int) -> None:
+        try:
+            for i in range(w, count, workers):
+                if stop.is_set():
+                    return
+                results[i] = task(i)
+        except BaseException:
+            stop.set()
+            raise
+
+    # The calling thread takes share 0, so one worker starts no thread and two
+    # start one: a pool thread's malloc arena keeps its freed work resident.
+    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
+        helpers = [pool.submit(share, w) for w in range(1, workers)]
+        try:
+            share(0)
+            for helper in helpers:
+                helper.result()  # raises a helper's error
+        except BaseException:  # an interrupt while waiting stops the helpers too
+            stop.set()
+            raise
+    return results
 
 
 class TableFamily(enum.Enum):
@@ -542,10 +542,11 @@ def critical_values(
     functional reads either off one bridge per row block of the same paths.
     Each batch of _BATCH paths draws from its own substreams and is
     synthesized and reduced on its own, one sub-block of about 2 MiB of
-    normals at a time (_batch_paths), on `workers` threads (default:
-    default_workers()): the calling thread and workers - 1 pool threads take
-    every workers-th batch. Tables are deterministic given (stream, budget),
-    whatever `workers`. The meta block records the provenance and, for each
+    normals at a time (_batch_paths). The batches are dealt to `workers`
+    threads (default: default_workers()) by _deal, the rule that deals an
+    experiment's rows, so an interrupt stops the table after the batches
+    under way. Tables are deterministic given (stream, budget), whatever
+    `workers`. The meta block records the provenance and, for each
     level, a distribution-free 99 % interval for the true quantile
     (`quantile_intervals`).
     """
@@ -566,30 +567,18 @@ def critical_values(
     brownian = family is TableFamily.CUSUM_BRIDGE_SUP and hurst == 0.5
     values = np.empty(count)
 
-    batches = -(-count // _BATCH)
-    workers = min(workers, batches)
+    def batch(g: int) -> None:
+        # numpy releases the GIL in the draws, the FFT and the reductions, so
+        # batches run at once, and batch g fills only its own slice. It draws
+        # its paths by _batch_paths and its refinement's upper and lower
+        # uniforms from substream(1, g, 0) and substream(1, g, 1); its
+        # sub-blocks share the two generators, which draw row after row.
+        start, rows = g * _BATCH, min(_BATCH, count - g * _BATCH)
+        refine = [stream.substream(1, g, u).generator() for u in (0, 1)] if brownian else None
+        for offset, paths in _batch_paths(params, norm, stream, g, rows):
+            values[start + offset:start + offset + len(paths)] = _table_sup(paths, trim, refine)
 
-    def share(w: int) -> None:
-        # Batches w, w + workers, ...: numpy releases the GIL in the draws, the
-        # FFT and the reductions, so the shares run at once, and batch g fills
-        # only its own slice. It draws its paths by _batch_paths and its
-        # refinement's upper and lower uniforms from substream(1, g, 0) and
-        # substream(1, g, 1); its sub-blocks share the two generators, which
-        # draw row after row.
-        for g in range(w, batches, workers):
-            start, rows = g * _BATCH, min(_BATCH, count - g * _BATCH)
-            refine = [stream.substream(1, g, u).generator() for u in (0, 1)] if brownian else None
-            for offset, paths in _batch_paths(params, norm, stream, g, rows):
-                values[start + offset:start + offset + len(paths)] = _table_sup(paths, trim, refine)
-
-    from concurrent.futures import ThreadPoolExecutor  # it loads logging: not at import
-
-    # The calling thread takes share 0, so one worker starts no thread and two
-    # start one: a pool thread's malloc arena keeps its freed batches resident.
-    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
-        helpers = pool.map(share, range(1, workers))
-        share(0)
-        list(helpers)  # raises a helper's error
+    _deal(batch, -(-count // _BATCH), workers)
 
     quantiles = {lv: float(np.quantile(values, lv)) for lv in levels}
     meta = {

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import asymp, mc, stats
+from . import asymp, dist, mc, stats
 from .dist import RngStream, make_noise
 from .fgn import FgnParams
 from .lmsv import CHANGES, NoChange, SeriesSpec, simulate_components
@@ -52,7 +52,7 @@ def _flags(names: str, refused: type[ValueError] = ValueError):
         raise UsageError(f"{names}: {err}") from None
 
 
-def _value(domain: asymp.Domain):
+def _value(domain: dist.Domain):
     """The type= of a flag whose value alone has a domain: a value outside
     it is refused by the flag's name."""
     def parse(text: str):
@@ -72,17 +72,17 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", parents=[], help="simulate one LMSV path as CSV")
-    sim.add_argument("--n", type=_value(asymp.COUNT), required=True)
-    sim.add_argument("--hurst", type=_value(asymp.UNIT_INTERVAL), required=True)
+    sim.add_argument("--n", type=_value(dist.COUNT), required=True)
+    sim.add_argument("--hurst", type=_value(dist.UNIT_INTERVAL), required=True)
     sim.add_argument("--noise", choices=["normal", "pareto", "centered-pareto"], default="normal")
     sim.add_argument("--alpha", type=float, help="tail index for Pareto-type noise")
     sim.add_argument("--scale", type=float, default=1.0)
     sim.add_argument("--change", choices=["none", "mean", "variance", "tail"], default="none")
-    sim.add_argument("--h", type=_value(asymp.FINITE), default=0.0, help="change height")
-    sim.add_argument("--tau", type=_value(asymp.UNIT_INTERVAL), default=0.5,
+    sim.add_argument("--h", type=_value(dist.FINITE), default=0.0, help="change height")
+    sim.add_argument("--tau", type=_value(dist.UNIT_INTERVAL), default=0.5,
                      help="change location as a proportion")
-    sim.add_argument("--seed", type=_value(asymp.SEED), default=0)
-    sim.add_argument("--stream-id", type=_value(asymp.SEED), default=0)
+    sim.add_argument("--seed", type=_value(dist.SEED), default=0)
+    sim.add_argument("--stream-id", type=_value(dist.SEED), default=0)
     sim.add_argument("--latent", action="store_true", help="emit y,eps,x columns instead of x")
     sim.add_argument("--out", type=Path, help="output CSV path (default stdout)")
 
@@ -93,32 +93,32 @@ def _build_parser() -> _Parser:
                       help="transform without --problem (default identity)")
     test.add_argument("--problem", choices=list(mc.PROBLEMS),
                       help="resolve transform, normalization and critical value for this problem")
-    test.add_argument("--hurst", type=_value(asymp.UNIT_INTERVAL),
+    test.add_argument("--hurst", type=_value(dist.UNIT_INTERVAL),
                       help="Hurst index for normalization/tables")
     test.add_argument("--alpha", type=float, help="innovation tail index (Pareto problems)")
     test.add_argument("--sigma", type=float,
                       help="known noise scale for the mean-problem CUSUM; estimated when omitted")
-    test.add_argument("--level", type=_value(asymp.LEVEL), default=0.05)
+    test.add_argument("--level", type=_value(dist.LEVEL), default=0.05)
     test.add_argument("--tau1", type=float, default=0.15)
     test.add_argument("--tau2", type=float, default=0.85)
-    test.add_argument("--critical-value", type=_value(asymp.FINITE),
+    test.add_argument("--critical-value", type=_value(dist.FINITE),
                       help="override the critical value")
     test.add_argument("--tables", type=Path, help="directory of critical-value table JSON files")
-    test.add_argument("--table-seed", type=_value(asymp.SEED), default=0,
+    test.add_argument("--table-seed", type=_value(dist.SEED), default=0,
                       help="seed of a needed table that is neither in --tables nor in "
                            "the package grid, and so is simulated")
     test.add_argument("--profile-out", type=Path, help="write the (k, value) profile as CSV")
 
     crit = sub.add_parser("critvals", help="simulate a critical-value table")
     crit.add_argument("--family", choices=["bridge", "sn"], required=True)
-    crit.add_argument("--hurst", type=_value(asymp.UNIT_INTERVAL), required=True)
+    crit.add_argument("--hurst", type=_value(dist.UNIT_INTERVAL), required=True)
     crit.add_argument("--tau1", type=float, default=0.15)
     crit.add_argument("--tau2", type=float, default=0.85)
-    crit.add_argument("--paths", type=_value(asymp.COUNT), default=10_000)
-    crit.add_argument("--grid", type=_value(asymp.LENGTH), default=2_048)
-    crit.add_argument("--levels", type=_value(asymp.LEVEL), nargs="+",
+    crit.add_argument("--paths", type=_value(dist.COUNT), default=10_000)
+    crit.add_argument("--grid", type=_value(dist.LENGTH), default=2_048)
+    crit.add_argument("--levels", type=_value(dist.LEVEL), nargs="+",
                       default=[0.90, 0.95, 0.99])
-    crit.add_argument("--seed", type=_value(asymp.SEED), default=0,
+    crit.add_argument("--seed", type=_value(dist.SEED), default=0,
                       help="table seed; the same seed and key give the table an experiment "
                            "or `test` simulates")
     crit.add_argument("--out", type=Path, required=True)
@@ -134,7 +134,7 @@ def _build_parser() -> _Parser:
     cmp_.add_argument("--reference", required=True,
                       help="reference CSV path or builtin:<name> "
                            f"with name in {sorted(mc._REFERENCE_FILES)}")
-    cmp_.add_argument("--max-z", type=_value(asymp.NONNEGATIVE), default=3.0)
+    cmp_.add_argument("--max-z", type=_value(dist.NONNEGATIVE), default=3.0)
     cmp_.add_argument("--out", type=Path, help="write the per-cell comparison CSV here")
 
     return parser

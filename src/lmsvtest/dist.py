@@ -1,12 +1,52 @@
-"""Innovation distributions, their moments, and reproducible random streams."""
+"""The domains of numeric inputs, innovation distributions, their moments,
+and reproducible random streams."""
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
+import numbers
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def require_integer(name: str, value) -> None:
+    """Refuse (TypeError) a value that is not an integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+@dataclass(frozen=True)
+class Domain:
+    """The values of a numeric input, declared once for a flag, a config key
+    and an argument alike: those `holds` accepts, never NaN. `text` says
+    them after "must" in a refusal."""
+
+    text: str
+    holds: Callable[[float], bool]
+    integer: bool = False
+
+    def require(self, name: str, value) -> None:
+        """Refuse by `name` a value outside: TypeError for a non-integer
+        where one is needed, else ValueError."""
+        if self.integer:
+            require_integer(name, value)
+        if not self.holds(value):
+            raise ValueError(f"{name} must {self.text}, got {value}")
+
+
+UNIT_INTERVAL = Domain("lie in (0, 1)", lambda x: 0.0 < x < 1.0)  # H, change locations
+#: Tables key a level, and a test at level a its table's 1 - a, at six decimals.
+LEVEL = Domain("lie in (0, 1) at six decimals",
+               lambda x: 0.0 < round(x, 6) < 1.0 and 0.0 < round(1.0 - x, 6) < 1.0)
+FINITE = Domain("be finite", math.isfinite)  # change heights, critical values
+NONNEGATIVE = Domain("be finite and >= 0", lambda x: 0.0 <= x < math.inf)  # comparison bounds
+#: RngStream reads a seed modulo 2^64, so one outside [0, 2^64) would alias another.
+SEED = Domain("be an integer in [0, 2^64)", lambda x: 0 <= x < 2**64, integer=True)
+COUNT = Domain("be an integer >= 1", lambda x: x >= 1, integer=True)  # paths, workers
+LENGTH = Domain("be an integer >= 2", lambda x: x >= 2, integer=True)  # the shortest series
+
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -211,8 +251,7 @@ def innovations(
 
 def sample_noise(spec: NoiseSpec, n: int, stream: RngStream) -> np.ndarray:
     """Draw n i.i.d. innovations from the given law."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    COUNT.require("n", n)
     raw = np.empty(n)
     draw_raw(spec, stream.generator(), raw)
     return innovations(spec, raw)
@@ -241,8 +280,7 @@ def hill_estimator(xs: np.ndarray, tail_fraction: float = 0.01) -> float:
     Uses the top ceil(tail_fraction * n) positive values; the estimate is the
     reciprocal of the mean log-excess over the threshold order statistic.
     """
-    if not 0 < tail_fraction < 1:
-        raise ValueError(f"tail_fraction must lie in (0, 1), got {tail_fraction}")
+    UNIT_INTERVAL.require("tail_fraction", tail_fraction)
     xs = np.asarray(xs, dtype=float)
     positive = xs[xs > 0]
     k = int(math.ceil(tail_fraction * positive.size))

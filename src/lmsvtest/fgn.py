@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dist import RngStream
+from .dist import COUNT, UNIT_INTERVAL, RngStream
 
 #: Largest tolerated negative circulant eigenvalue; the fractional Gaussian
 #: noise embedding is nonnegative definite in exact arithmetic, so anything
@@ -28,10 +28,8 @@ class FgnParams:
     n: int
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.hurst < 1.0:
-            raise ValueError(f"Hurst index must lie in (0, 1), got {self.hurst}")
-        if self.n < 1:
-            raise ValueError(f"need n >= 1, got {self.n}")
+        UNIT_INTERVAL.require("Hurst index", self.hurst)
+        COUNT.require("n", self.n)
 
 
 def autocovariance(hurst: float, lags: int | np.ndarray) -> np.ndarray | float:
@@ -40,8 +38,7 @@ def autocovariance(hurst: float, lags: int | np.ndarray) -> np.ndarray | float:
     gamma(k) = (|k+1|^2H - 2|k|^2H + |k-1|^2H) / 2, so gamma(0) = 1 and the
     H = 1/2 case degenerates to white noise.
     """
-    if not 0.0 < hurst < 1.0:
-        raise ValueError(f"Hurst index must lie in (0, 1), got {hurst}")
+    UNIT_INTERVAL.require("Hurst index", hurst)
     k = np.abs(np.asarray(lags, dtype=float))
     two_h = 2.0 * hurst
     out = 0.5 * (

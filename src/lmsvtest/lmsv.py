@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fgn
-from .asymp import FINITE, UNIT_INTERVAL
 from .dist import (
+    FINITE,
+    UNIT_INTERVAL,
     NoiseSpec,
     Pareto,
     RngStream,

@@ -51,7 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, asymp, fgn, lmsv, stats
+from . import __version__, asymp, dist, fgn, lmsv, stats
 from .asymp import (
     CriticalValueTable,
     TableBudget,
@@ -81,9 +81,9 @@ _JSON_KEYS = {"noise_kind": "noise", "budget": "table_budget"}
 #: entry on a grid. hursts, alphas, trim and table_budget follow the rules
 #: of the plans and the types that own them, and are refused by key too.
 _KEY_DOMAINS = {
-    "lengths": asymp.LENGTH, "shifts": asymp.FINITE, "tau": asymp.UNIT_INTERVAL,
-    "level": asymp.LEVEL, "seed": asymp.SEED, "max_workers": asymp.COUNT,
-    "replications": asymp.Domain("be an integer >= 100", lambda r: r >= 100, integer=True),
+    "lengths": dist.LENGTH, "shifts": dist.FINITE, "tau": dist.UNIT_INTERVAL,
+    "level": dist.LEVEL, "seed": dist.SEED, "max_workers": dist.COUNT,
+    "replications": dist.Domain("be an integer >= 100", lambda r: r >= 100, integer=True),
 }
 
 #: The config key behind each argument of resolve_plan that a PlanError names.
@@ -419,7 +419,7 @@ def resolve_plan(
     """
     if problem not in PROBLEMS or family not in FAMILIES:
         raise PlanError(f"unknown problem {problem!r} or family {family!r}")
-    if hurst is not None and not asymp.UNIT_INTERVAL.holds(hurst):
+    if hurst is not None and not dist.UNIT_INTERVAL.holds(hurst):
         raise PlanError(f"the Hurst index must lie in (0, 1), got H = {hurst}", "hurst")
     kind = None if noise is None else noise.kind
     if kind not in (None, *_PROBLEM_NOISE[problem]):
@@ -604,7 +604,11 @@ def run_experiment(cfg: ExperimentConfig, tables: TableSet | None = None) -> Exp
     `lmsvtest experiment --tables`: a provided table first (ValueError when
     below cfg.budget), then the package grid, then simulation. Every row's
     plans are resolved before any replication runs, and the wall time in
-    the report's meta covers the tables.
+    the report's meta covers the tables. The rows are dealt to
+    cfg.max_workers threads by the rule that deals a table's batches
+    (asymp._deal), so an interrupt stops the run after the rows under way;
+    the cells come back in grid order, and no count depends on the worker
+    count.
     """
     start = time.monotonic()
     tables = ensure_tables(cfg, existing=tables)
@@ -615,21 +619,8 @@ def run_experiment(cfg: ExperimentConfig, tables: TableSet | None = None) -> Exp
         for alpha in cfg.alpha_grid
     ]
 
-    cells: list[CellResult] = []
-    if cfg.max_workers > 1 and len(rows) > 1:
-        import multiprocessing  # with the pool, about 10 ms: not at import
-        from concurrent.futures import ProcessPoolExecutor
-
-        # spawn on every platform and Python: a fork copies a process with
-        # threads (numpy's BLAS pool), which can deadlock the child and which
-        # Python 3.12+ warns of. A spawned worker sees no patch of the parent.
-        context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=cfg.max_workers, mp_context=context) as pool:
-            for result in pool.map(_evaluate_row, *zip(*rows)):  # one iterable per argument
-                cells.extend(result)
-    else:
-        for row in rows:
-            cells.extend(_evaluate_row(*row))
+    cells = [cell for row in asymp._deal(lambda g: _evaluate_row(*rows[g]), len(rows),
+                                         cfg.max_workers) for cell in row]
 
     meta = {
         "config_sha256": cfg.sha256(),
@@ -784,7 +775,7 @@ def compare_to_reference(
     infinite or negative is refused: no z exceeds NaN, and a bound of inf
     passes even an infinite z.
     """
-    asymp.NONNEGATIVE.require("max_z", max_z)
+    dist.NONNEGATIVE.require("max_z", max_z)
     indexed = {
         (r.problem, r.family, r.hurst, r.n, r.alpha, r.h, r.tau): r for r in reference
     }

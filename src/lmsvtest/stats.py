@@ -440,8 +440,19 @@ def _bridge_stats(
     for rows in row_blocks(z.shape):
         p = _centered_bridge(z[rows])
         if sn:
-            ratio, zero = _sn_ratio(*_sn_terms(p, lo, hi), n,
-                                    out=out[sn][rows] if profiles else None)
+            pk, linear, a = _sn_terms(p, lo, hi)
+            # The ratio does not depend on the scale of P, but A = sum_t P_t^2
+            # overflows (inf - inf = NaN) or underflows (a zero denominator)
+            # far from 1. Such rows are evaluated at P 2^-e, e the exponent of
+            # their largest |P|: a power of two scales every term exactly, so a
+            # row reads the same bits at any scale.
+            far = ~((a[:, 0] >= 2.0**-500) & (a[:, 0] <= 2.0**500))
+            if far.any():
+                pk = pk.copy()  # a view of p, whose |P| the sup family reads next
+                e = np.frexp(np.max(np.abs(p[far]), axis=-1, keepdims=True))[1]
+                for term, scaled in zip((pk, linear, a), _sn_terms(np.ldexp(p[far], -e), lo, hi)):
+                    term[far] = scaled
+            ratio, zero = _sn_ratio(pk, linear, a, n, out=out[sn][rows] if profiles else None)
             if profiles:
                 degenerate[rows] = np.any(zero, axis=-1)
             else:

@@ -5,6 +5,7 @@ import json
 import math
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -383,6 +384,36 @@ class TestTableFunctionals:
             lo, hi = asymp._quantile_intervals(values, (0.9,))["0.900000"]
             hits += lo <= 0.9 <= hi
         assert hits / len(samples) >= 0.98
+
+
+class TestDeal:
+    def test_results_come_back_in_item_order(self):
+        for workers in (1, 2, 3, 7):
+            assert asymp._deal(lambda i: i * i, 5, workers) == [0, 1, 4, 9, 16]
+
+    @pytest.mark.parametrize("raiser, error", [(0, KeyboardInterrupt), (1, ValueError)],
+                             ids=["calling-thread", "pool-thread"])
+    def test_a_raise_stops_every_share(self, raiser, error):
+        # At two workers item 0 is the calling thread's and item 1 the pool
+        # thread's. One raises while the other's item is under way, and neither
+        # share takes another of the ten items; the 0.2 s is the raising
+        # share's time to set the stop before the other asks for its next item.
+        taken = []
+        started, raised = threading.Event(), threading.Event()
+
+        def task(i):
+            taken.append(i)
+            if i == raiser:
+                started.wait(10)
+                raised.set()
+                raise error(f"item {i}")
+            started.set()
+            raised.wait(10)
+            time.sleep(0.2)
+
+        with pytest.raises(error, match=f"item {raiser}"):
+            asymp._deal(task, 10, 2)
+        assert sorted(taken) == [0, 1]
 
 
 class TestCriticalValues:

@@ -264,10 +264,10 @@ class TestTest:
         assert len(lines) == 1 + 500
 
     def test_an_overflowing_series_is_computation_error(self, capsys, tmp_path):
-        # The SN terms of values near 1e160 overflow to a NaN statistic,
+        # The partial sums of values near 1e307 overflow to a NaN statistic,
         # which was printed as NaN with exit 0.
         x = np.random.default_rng(1).standard_normal(200)
-        x[100:] *= 1e160
+        x[100:] += 1e307
         path = tmp_path / "overflow.csv"
         path.write_text("\n".join(f"{v:.17g}" for v in x) + "\n")
         code, out, err = run(capsys, "test", "--input", str(path), "--family", "sn_cusum")
@@ -837,9 +837,13 @@ class TestExperimentAndCompare:
 
     @pytest.mark.parametrize("overrides, h", [
         ({"shifts": [0.0, 1e160]}, "1e+160"),
+        # Every squared value of this row stays finite at h = 5.6e152, but the
+        # sum of some replication's squares overflows and leaves a NaN bridge.
+        # The SN terms of a finite bridge no longer overflow: at h = 1e150
+        # this row now runs.
         ({"problem": "variance", "noise": "centered_pareto", "alphas": [4.5],
           "families": ["cusum", "wilcoxon", "sn_cusum", "sn_wilcoxon"],
-          "shifts": [1.0, 1e150]}, "1e+150"),
+          "shifts": [1.0, 5.6e152]}, "5.6e+152"),
     ], ids=["mean-normal", "variance-centered-pareto"])
     def test_an_overflowing_shift_is_refused_by_its_h(self, capsys, tmp_path, overrides, h):
         # The desk grid at one small row. sn_cusum read a NaN supremum at

@@ -96,6 +96,12 @@ class TestSampling:
         assert abs(x.mean()) < 0.02
         assert abs(x.var() / target_var - 1.0) < 0.05
 
+    @pytest.mark.parametrize("n, error", [(2.5, TypeError), (True, TypeError), (0, ValueError)])
+    def test_sample_noise_refuses_a_count_that_is_not_a_positive_integer(self, n, error):
+        # A float n raised numpy's TypeError, which named no argument.
+        with pytest.raises(error, match="n must be an integer"):
+            sample_noise(StandardNormal(), n, RngStream(5))
+
     def test_pareto_support(self):
         x = sample_noise(Pareto(0.5, scale=2.0), 10_000, RngStream(5))
         assert np.all(x >= 2.0)

@@ -1,5 +1,7 @@
 """Tests for fractional Gaussian noise generation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,11 @@ class TestAutocovariance:
     def test_lag_one_closed_form(self):
         # (2^(2H) - 2) / 2 at k = 1; 0.74110 for H = 0.9.
         assert fgn.autocovariance(0.9, 1) == pytest.approx(0.7411011, abs=5e-7)
+
+    @pytest.mark.parametrize("hurst", [0.0, 1.0, math.nan])
+    def test_refuses_a_hurst_index_outside_the_unit_interval(self, hurst):
+        with pytest.raises(ValueError, match=r"Hurst index must lie in \(0, 1\)"):
+            fgn.autocovariance(hurst, 3)
 
     def test_vectorized_lags(self):
         lags = np.arange(6)
@@ -156,6 +163,16 @@ class TestSampling:
             fgn.FgnParams(1.0, 10)
         with pytest.raises(ValueError):
             fgn.FgnParams(0.7, 0)
+
+    @pytest.mark.parametrize("hurst, n, error, match", [
+        (0.7, 2.5, TypeError, "n must be an integer, got 2.5"),
+        (0.7, True, TypeError, "n must be an integer, got True"),
+        (math.nan, 10, ValueError, r"Hurst index must lie in \(0, 1\), got nan"),
+    ], ids=["n-float", "n-bool", "hurst-nan"])
+    def test_params_are_checked_by_the_shared_domains(self, hurst, n, error, match):
+        # A float n failed later in numpy, and n = True ran as n = 1.
+        with pytest.raises(error, match=match):
+            fgn.FgnParams(hurst, n)
 
     def test_embedding_error_on_invalid_covariance(self, monkeypatch):
         # A covariance sequence that is not embeddable must fail loudly

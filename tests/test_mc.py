@@ -6,6 +6,7 @@ import platform
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from importlib import resources
 from pathlib import Path
@@ -527,13 +528,44 @@ class TestRunExperiment:
         rates = [report.cell(family="cusum", h=h).rate for h in (0.0, 0.5, 1.0, 2.0)]
         assert rates == sorted(rates)
 
-    def test_worker_pool_matches_serial(self):
+    def test_worker_pool_matches_serial(self, monkeypatch):
         # Four rows on one, two and three workers: the same cells, in grid order.
-        cells = [mc.run_experiment(_small_cfg(hursts=(0.6, 0.8), lengths=(80, 120),
-                                              max_workers=workers)).cells
-                 for workers in (1, 2, 3)]
+        # Every row runs in this process, on the calling thread and at most
+        # workers - 1 others.
+        ran = []
+        evaluate_row = mc._evaluate_row
+
+        def recording(*args):
+            ran.append((os.getpid(), threading.get_ident()))
+            return evaluate_row(*args)
+
+        monkeypatch.setattr(mc, "_evaluate_row", recording)
+        cells = []
+        for workers in (1, 2, 3):
+            ran.clear()
+            cells.append(mc.run_experiment(_small_cfg(hursts=(0.6, 0.8), lengths=(80, 120),
+                                                      max_workers=workers)).cells)
+            assert len(ran) == 4 and {pid for pid, _ in ran} == {os.getpid()}
+            others = {thread for _, thread in ran} - {threading.get_ident()}
+            assert len(others) <= workers - 1, (workers, len(others))
         assert len(cells[0]) == 16
         assert cells[1] == cells[0] and cells[2] == cells[0]
+
+    def test_rows_on_two_workers_run_from_standard_input(self, tmp_path):
+        # A script read from standard input has no importable __main__: a
+        # process pool that spawned its workers failed there (BrokenProcessPool).
+        script = f"""if True:
+            from lmsvtest import asymp, mc
+            cfg = mc.ExperimentConfig(
+                problem="mean", noise_kind="normal", hursts=(0.6, 0.8), lengths=(120,),
+                shifts=(0.0, 1.0), families=("cusum", "sn_cusum"), replications=200,
+                seed=7, budget=asymp.TableBudget(500, 256), max_workers=2)
+            mc.cells_to_csv(mc.run_experiment(cfg).cells, r"{tmp_path / 'cells.csv'}")
+        """
+        src = str(Path(mc.__file__).resolve().parents[1])
+        subprocess.run([sys.executable, "-"], input=script, capture_output=True, text=True,
+                       check=True, env={**os.environ, "PYTHONPATH": src})
+        assert len(mc.cells_from_csv(tmp_path / "cells.csv")) == 8
 
     def test_max_workers_defaults_to_the_cpus_of_the_process(self):
         assert _small_cfg().max_workers == asymp.default_workers() >= 1
@@ -568,18 +600,32 @@ _CHANGES = {"mean": lmsv.MeanShift, "variance": lmsv.VarianceScale, "tail": lmsv
 class TestChunkedEngine:
     @pytest.mark.parametrize("name", ["variance", "tail", "mean_normal", "mean_centered_pareto"])
     def test_counts_do_not_depend_on_chunk_size(self, monkeypatch, name):
-        cfg = _small_cfg(replications=150, **_ENGINE_CASES[name])
+        # Two rows at two workers; the chunks counted are those the rows ran,
+        # so the patched chunk size is seen on every worker.
+        cfg = _small_cfg(replications=150, hursts=(0.6, 0.8), max_workers=2,
+                         **_ENGINE_CASES[name])
         tables = mc.ensure_tables(cfg)
+        chunks = []
+        simulate_batch = lmsv.simulate_batch
+
+        def counting(params, noise, changes, streams):
+            chunks.append(len(streams))
+            return simulate_batch(params, noise, changes, streams)
+
+        monkeypatch.setattr(lmsv, "simulate_batch", counting)
 
         def counts():
+            chunks.clear()
             return [(c.family, c.h, c.rejections) for c in mc.run_experiment(cfg, tables).cells]
 
         default = counts()
+        assert chunks == [150, 150]
         width = fgn.embedding_size(cfg.lengths[0])
         for normals, rows in ((1, 1), (7 * width, 7)):
             monkeypatch.setattr(mc, "_CHUNK_NORMALS", normals)
             assert mc._chunk_rows(cfg.lengths[0]) == rows
             assert counts() == default
+            assert len(chunks) == 2 * -(-150 // rows) and max(chunks) == rows
 
     def test_chunk_rule(self):
         assert [mc._chunk_rows(n) for n in (120, 300, 500, 1000, 2000)] == [512, 128, 128, 64, 32]

@@ -181,6 +181,33 @@ class TestSnCusum:
         moved = sn_cusum(-2.5 * x + 3.75)
         assert np.max(np.abs(base.profile - moved.profile)) < 1e-9 * max(1.0, base.sup_value)
 
+    @pytest.mark.parametrize("scale", [2.0**520, 2.0**-520], ids=["2^520", "2^-520"])
+    def test_ratio_is_bitwise_scale_free(self, scale):
+        # A = sum_t P_t^2 of these rows overflows (2^520) or underflows
+        # (2^-520): the ratio read NaN, refused, or inf, a degenerate zero.
+        # Rows at every other index are scaled, so a block mixes both kinds.
+        x = np.concatenate([_random_walks(50, 16, 500, h=1.0),
+                            np.random.default_rng(0).standard_normal((16, 500))])
+        scaled = x.copy()
+        scaled[::2] *= scale
+        base, both = (evaluate(("cusum", "sn_cusum"), v) for v in (x, scaled))
+        assert np.array_equal(both["sn_cusum"].sup_value, base["sn_cusum"].sup_value)
+        assert np.array_equal(both["sn_cusum"].argmax_k, base["sn_cusum"].argmax_k)
+        assert not both["sn_cusum"].degenerate.any()
+        assert np.array_equal(row_sups(("sn_cusum",), scaled)["sn_cusum"],
+                              base["sn_cusum"].sup_value)
+        # The scaled rows' cusum reads their own |P|, which is exactly scaled.
+        assert np.array_equal(both["cusum"].sup_value[::2], base["cusum"].sup_value[::2] * scale)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e155])
+    def test_extreme_scales_give_the_unscaled_value(self, scale):
+        # 1e-170 read inf (degenerate), 1e-160 was off by 4e-7 relative,
+        # and 1e155 was refused as NaN.
+        x = np.random.default_rng(0).standard_normal(300)
+        base, far = sn_cusum(x), sn_cusum(x * scale)
+        assert not far.degenerate and far.argmax_k == base.argmax_k
+        assert _rel_close(far.sup_value, base.sup_value, tol=1e-13)
+
     def test_triple_loop_literal_small_case(self):
         # Pure-Python evaluation of the displayed formula on a tiny series,
         # double-checking the vectorized oracle itself.
@@ -283,14 +310,14 @@ class TestBatch:
         assert set(row_sups(("sn_wilcoxon",), x)) == {"sn_wilcoxon"}
 
     def test_a_nan_supremum_is_refused(self):
-        # Terms of about 1e300^2 overflow: inf - inf leaves a NaN ratio,
-        # which would exceed no critical value.
+        # The sum of a row near 1e307 overflows: inf - inf leaves a NaN
+        # bridge, and a NaN supremum, which would exceed no critical value.
         x = RngStream(49).generator().standard_normal((3, 200))
-        x[1, 100:] *= 1e160
+        x[1, 100:] += 1e307
         for reduce in (row_sups, evaluate):
-            with pytest.raises(ValueError, match="the sn_cusum supremum is NaN"):
-                reduce(("cusum", "sn_cusum"), x)
-        assert np.isfinite(row_sups(("cusum",), x)["cusum"]).all()  # |P| stays finite
+            for family in ("cusum", "sn_cusum"):
+                with pytest.raises(ValueError, match=f"the {family} supremum is NaN"):
+                    reduce((family,), x)
 
 
 def _random_walks(seed, count, n, h, offset=50.0):
