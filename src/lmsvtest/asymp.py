@@ -27,12 +27,8 @@ TABLE_FORMAT_VERSION = 1
 #: however many workers build it.
 _BATCH = 512
 
-#: Normals per sub-block, 2 MiB: a batch is drawn, synthesized and reduced
-#: max(1, _SUB_BLOCK // embedding_size(N)) paths at a time (64 at N = 2048),
-#: so a worker holds one sub-block, not a batch. Smaller ones cost page
-#: faults under glibc's dynamic mmap threshold: four 10000 x 2048 tables took
-#: 26 k minor faults at 64 paths, 89 k at 32 and 390 k at 16.
-_SUB_BLOCK = 1 << 18
+#: Bound on E = -log U of a refinement uniform U >= 2^-53: 53 log 2 = 36.74.
+_REFINE_E = 36.8
 
 #: Coverage of the order-statistic interval recorded for each table quantile.
 _INTERVAL_COVERAGE = 0.99
@@ -276,7 +272,8 @@ def _batch_paths(
     params: fgn.FgnParams, norm: float, stream: RngStream, g: int, count: int
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Batch g of an ensemble, `count` paths cumsum(Y) / d_{N,1}, yielded as
-    consecutive sub-blocks (offset, paths) of at most _SUB_BLOCK normals.
+    consecutive sub-blocks (offset, paths) of fgn.block_rows(N) paths, 1 MiB
+    of normals (32 paths at N = 2048).
 
     One generator, on stream.substream(0, g // 4, g % 4), draws the normals
     of every sub-block in turn, into a fresh array that paths_from_normals
@@ -286,7 +283,7 @@ def _batch_paths(
     """
     rng = stream.substream(0, g // 4, g % 4).generator()
     width = fgn.embedding_size(params.n)
-    step = max(1, _SUB_BLOCK // width)
+    step = fgn.block_rows(params.n)
     for offset in range(0, count, step):
         y = fgn.paths_from_normals(params, rng.standard_normal((min(step, count - offset), width)))
         np.cumsum(y, axis=1, out=y)
@@ -337,15 +334,16 @@ def default_workers() -> int:
 
 def _deal(task: Callable[[int], object], count: int, workers: int) -> list:
     """[task(i) for i in range(count)] on `workers` threads: the calling
-    thread and workers - 1 pool threads take every workers-th item in turn,
-    and the results come back in item order. Once a task raises, in any
-    thread (KeyboardInterrupt too), every share stops before its next item,
-    and that error is raised."""
+    thread and workers - 1 helper threads take every workers-th item in
+    turn, and the results come back in item order. Once a task raises, in
+    any thread (KeyboardInterrupt too), every share stops before its next
+    item, and the first error is raised. The calling thread takes share 0,
+    so one worker starts no thread: a thread's malloc arena keeps its freed
+    work resident."""
     import threading
-    from concurrent.futures import ThreadPoolExecutor  # it loads logging: not at import
 
     workers = min(workers, count)
-    results = [None] * count
+    results, errors = [None] * count, []
     stop = threading.Event()
 
     def share(w: int) -> None:
@@ -354,21 +352,23 @@ def _deal(task: Callable[[int], object], count: int, workers: int) -> list:
                 if stop.is_set():
                     return
                 results[i] = task(i)
-        except BaseException:
+        except BaseException as err:
+            errors.append(err)
             stop.set()
-            raise
 
-    # The calling thread takes share 0, so one worker starts no thread and two
-    # start one: a pool thread's malloc arena keeps its freed work resident.
-    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
-        helpers = [pool.submit(share, w) for w in range(1, workers)]
-        try:
-            share(0)
-            for helper in helpers:
-                helper.result()  # raises a helper's error
-        except BaseException:  # an interrupt while waiting stops the helpers too
-            stop.set()
-            raise
+    helpers = [threading.Thread(target=share, args=(w,)) for w in range(1, workers)]
+    for helper in helpers:
+        helper.start()
+    try:
+        share(0)
+        for helper in helpers:
+            helper.join()
+    finally:  # an interrupt while waiting stops the helpers too
+        stop.set()
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
     return results
 
 
@@ -459,30 +459,45 @@ def _table_sup(
     valid only for the Brownian member H = 1/2. Between grid points a
     Brownian path conditioned on its endpoints is a Brownian bridge whose
     running maximum has the closed reflection-principle law
-    M = (a + b + sqrt((a-b)^2 - 2 dt log U)) / 2, dt = 1/N. Sampling the
+    M = (a + b + sqrt((a-b)^2 + 2 E / N)) / 2, E = -log U. Sampling the
     upper and lower segment extremes (independently; their joint exceedance
     at the relevant levels is negligible) removes the O(1/sqrt(N))
     discretization bias of the supremum. Each row block draws one uniform
     per (path, segment) from each generator, so each generator's draws
-    follow the rows.
+    follow the rows. As M <= max(a, b) + sqrt(E / (2N)), and E <= 53 log 2
+    < _REFINE_E for every uniform U >= 2^-53, only the segments next to a
+    grid point with |P| > max |P| - sqrt(_REFINE_E / (2N)) can exceed the
+    grid maximum, and only those are evaluated: the supremum is the one
+    every segment gives, bit for bit. A block with an exact 0 uniform
+    evaluates every segment.
     """
     count, n = paths.shape
     if trim is not None:
         lo, hi = trim.window(n)
+    margin = math.sqrt(_REFINE_E / (2 * n))
     sup = np.empty(count)
     for rows in row_blocks(paths.shape):
         p = _bridge(paths[rows])
         if trim is not None:
             sup[rows] = np.max(_sn_ratio(*_sn_terms(p, lo, hi), n)[0], axis=1)
             continue
-        sup[rows] = np.max(np.abs(p), axis=1)
+        magnitude = np.abs(p)
+        peak = np.max(magnitude, axis=1)
         if refine is not None:
             u_hi, u_lo = (rng.random(p.shape) for rng in refine)
+            # Segment j runs from grid point j - 1 to j; the first, from P = 0,
+            # is near when its end is.
+            near = magnitude > (peak - margin)[:, None]
+            near[:, 1:] |= near[:, :-1].copy()
+            if not (u_hi.all() and u_lo.all()):
+                near[:] = True
+            r, j = np.nonzero(near)
+            a, b = np.where(j > 0, p[r, j - 1], 0.0), p[r, j]
             # Twice the segment maxima of P and of -P, a = P at the left end.
-            a = np.concatenate([np.zeros((p.shape[0], 1)), p[:, :-1]], axis=1)
-            up = a + p + np.sqrt((a - p) ** 2 - 2.0 / n * np.log(u_hi))
-            down = np.sqrt((a - p) ** 2 - 2.0 / n * np.log(u_lo)) - (a + p)
-            sup[rows] = np.maximum(sup[rows], 0.5 * np.max(np.maximum(up, down), axis=1))
+            up = a + b + np.sqrt((a - b) ** 2 - 2.0 / n * np.log(u_hi[r, j]))
+            down = np.sqrt((a - b) ** 2 - 2.0 / n * np.log(u_lo[r, j])) - (a + b)
+            np.maximum.at(peak, r, 0.5 * np.maximum(up, down))
+        sup[rows] = peak
     return sup
 
 
@@ -541,8 +556,8 @@ def critical_values(
     points at H = 1/2), SN_RATIO the trimmed self-normalized ratio: one
     functional reads either off one bridge per row block of the same paths.
     Each batch of _BATCH paths draws from its own substreams and is
-    synthesized and reduced on its own, one sub-block of about 2 MiB of
-    normals at a time (_batch_paths). The batches are dealt to `workers`
+    synthesized and reduced on its own, one sub-block of 1 MiB of normals
+    at a time (_batch_paths). The batches are dealt to `workers`
     threads (default: default_workers()) by _deal, the rule that deals an
     experiment's rows, so an interrupt stops the table after the batches
     under way. Tables are deterministic given (stream, budget), whatever

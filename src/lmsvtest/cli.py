@@ -2,7 +2,7 @@
 tables, run experiments, and diff reports against the bundled references.
 
 Exit codes: 0 success, 1 usage error, 2 computation error, 3 comparison
-flagged a cell.
+flagged a cell, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_COMPUTATION = 2
 EXIT_FLAGGED = 3
+EXIT_INTERRUPTED = 130  # the shell's code for SIGINT
 
 
 class UsageError(Exception):
@@ -325,6 +326,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError, OSError, MemoryError, asymp.QuadratureError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_COMPUTATION
+    except KeyboardInterrupt:
+        sys.stderr.write("error: interrupted\n")
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

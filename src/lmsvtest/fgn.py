@@ -63,6 +63,22 @@ def embedding_size(n: int) -> int:
     return 2 * m
 
 
+#: Normals per block, 1 MiB: a table batch is drawn, synthesized and reduced,
+#: and an experiment row evaluated, block_rows(n) paths at a time, so a worker
+#: holds one block whatever n; no result depends on it. Smaller blocks cost
+#: page faults under glibc's dynamic mmap threshold unless their temporaries
+#: are small: four 10000 x 2048 tables at two workers took 56 k minor faults
+#: at 2 MiB, 209 k at 1 MiB, and 31 k at 1 MiB once the Brownian refinement
+#: skipped the segments that cannot win (asymp._table_sup).
+BLOCK_NORMALS = 1 << 17
+
+
+def block_rows(n: int) -> int:
+    """Paths of length n per block: max(1, BLOCK_NORMALS // embedding_size(n)),
+    32 at n = 2048 and 128, 64 and 32 at n = 500, 1000 and 2000."""
+    return max(1, BLOCK_NORMALS // embedding_size(n))
+
+
 def _embedding_eigenvalues(n: int, hurst: float) -> np.ndarray:
     # Circulant first row: gamma(0..m), then mirrored gamma(m-1..1).
     m = embedding_size(n) // 2
@@ -104,7 +120,11 @@ def _half_spectrum_scales(n: int, hurst: float) -> tuple[np.ndarray, np.ndarray]
     return re, im
 
 
-#: Each thread's half-spectrum array, reused by paths_from_normals.
+#: Complex coefficients per slice of the half spectrum, 256 kB: the spectrum
+#: is assembled and inverted max(1, _SLICE // (m + 1)) rows at a time.
+_SLICE = 1 << 14
+
+#: Each thread's half-spectrum array, one slice, reused by paths_from_normals.
 _workspace = threading.local()
 
 
@@ -115,38 +135,43 @@ def paths_from_normals(params: FgnParams, normals: np.ndarray) -> np.ndarray:
     Davies-Harte construction on the half spectrum: row b of `normals` gives
     the m + 1 coefficients of a Hermitian-symmetric complex normal vector
     (real parts from columns 0..m, imaginary parts from columns m+1..2m-1),
-    scaled by sqrt(eigenvalues), and one real inverse FFT over the whole
-    batch yields the paths as the first n coordinates. Each row is
-    transformed on its own, so a path does not depend on the rows stacked
-    with it. The spectrum is assembled in a complex array that each thread
-    keeps, and the inverse FFT is written over `normals`, which must be a
-    float64 array; the (B, n) paths returned are a view of it.
+    scaled by sqrt(eigenvalues), and one real inverse FFT of each row yields
+    its path as the first n coordinates. The rows are taken in slices of at
+    most _SLICE coefficients (7 rows at n = 2048), assembled in a complex
+    array that each thread keeps, so that array does not grow with B. Each
+    row is transformed on its own, so a path does not depend on the rows
+    stacked or sliced with it. The inverse FFT is written over `normals`,
+    which must be a float64 array; the (B, n) paths returned are a view of it.
     """
     n = params.n
     if n == 1:
         return normals
     re, im = _half_spectrum_scales(n, params.hurst)
     m = re.size - 1
-    rows = normals.shape[0]
+    step = max(1, _SLICE // (m + 1))
+    size = min(step, normals.shape[0]) * (m + 1)
     buffer = getattr(_workspace, "half", None)
-    if buffer is None or buffer.size < rows * (m + 1):
-        buffer = _workspace.half = np.empty(rows * (m + 1), dtype=complex)
+    if buffer is None or buffer.size < size:
+        buffer = _workspace.half = np.empty(size, dtype=complex)
     # The buffer is reshaped to each width, so a call of another width may
     # have left values where this one has its real columns 0 and m.
-    half = buffer[:rows * (m + 1)].reshape(rows, m + 1)
-    half.imag[:, [0, m]] = 0.0
-    np.multiply(normals[:, :m + 1], re, out=half.real)
-    np.multiply(normals[:, m + 1:], im, out=half.imag[:, 1:m])
-    paths = np.fft.irfft(half, n=2 * m, axis=1, out=normals)[:, :n]
-    paths *= np.sqrt(2 * m)
-    return paths
+    spectrum = buffer[:size].reshape(-1, m + 1)
+    spectrum.imag[:, [0, m]] = 0.0
+    for start in range(0, normals.shape[0], step):
+        part = normals[start:start + step]
+        half = spectrum[:len(part)]
+        np.multiply(part[:, :m + 1], re, out=half.real)
+        np.multiply(part[:, m + 1:], im, out=half.imag[:, 1:m])
+        np.fft.irfft(half, n=2 * m, axis=1, out=part)
+        part[:, :n] *= np.sqrt(2 * m)
+    return normals[:, :n]
 
 
 def sample(params: FgnParams, stream: RngStream, size: int | None = None) -> np.ndarray:
     """Sample fractional Gaussian noise paths with the exact target covariance.
 
     One generator of `stream` draws all normals, row by row, and
-    paths_from_normals turns them into paths in place, with one real FFT.
+    paths_from_normals turns them into paths in place, one real FFT a row.
     Returns shape (n,) when size is None, else (size, n), a view of the
     normals array; no other array of the batch's size is allocated.
     """

@@ -125,13 +125,13 @@ def simulate_batch(
     """Yield (y, eps, x), each of shape (len(streams), n), for each change.
 
     Row r belongs to streams[r]: its latent Gaussian comes from the normals of
-    streams[r].substream(0) and its innovations from .substream(1), written
-    in place into the batch, and one FFT turns all rows into paths. So a row
-    does not depend on the rows drawn with it, and the pre-change segment is
-    bit-identical to the null path of the same stream. The substream keys of
-    all rows are mixed at once (stream_keys), and one Philox is re-keyed for
-    each (keyed_generators): the draws of RngStream.generator(), bit for bit,
-    without creating a generator per stream. The draws are made once and
+    streams[r].substream(0) and its innovations from .substream(1), written in
+    place into the batch, and one real FFT a row turns them into paths. So a
+    row does not depend on the rows drawn with it, and the pre-change segment
+    is bit-identical to the null path of the same stream. The substream keys
+    of all rows are mixed at once (stream_keys), and one Philox is re-keyed
+    for each (keyed_generators): the draws of RngStream.generator(), bit for
+    bit, without creating a generator per stream. The draws are made once and
     every change is applied to them: common random numbers across changes.
     """
     for change in changes:

@@ -6,15 +6,16 @@ replication reuses the same base stream for every shift height (common
 random numbers across h).
 
 A grid row is evaluated in chunks of replications sized by their normals
-(_CHUNK_NORMALS, 1 MiB: 128 replications at n = 500, 32 at n = 2000): each
-replication draws from its own two keyed streams into its row of the chunk,
-one FFT turns the chunk's normals into FGN paths, and each statistic is
-reduced to its per-row suprema (stats.row_sups) in the row blocks of the
-kernels, so no profile of the chunk is kept. The chunk's paths come from
-lmsv.simulate_batch, which keeps each replication on its own streams, so
-the counts are those of evaluating one replication at a time, whatever the
-chunk size. A NaN supremum, which a shift that overflows the doubles
-leaves, is refused by its h.
+by the block rule of tables (fgn.block_rows, 1 MiB: 128 replications at
+n = 500, 64 at 1000, 32 at 2000), so a worker's working set does not grow
+with n: each replication draws from its own two keyed streams into its row
+of the chunk, paths_from_normals turns the chunk's normals into FGN paths,
+and each statistic is reduced to its per-row suprema (stats.row_sups) in
+the row blocks of the kernels, so no profile of the chunk is kept. The
+chunk's paths come from lmsv.simulate_batch, which keeps each replication
+on its own streams, so the counts are those of evaluating one replication
+at a time, whatever the chunk size. A NaN supremum, which a shift that
+overflows the doubles leaves, is refused by its h.
 
 In a mean row, cusum and sn_cusum see every shift through one bridge of the
 chunk's null paths x0 (stats.mean_shift_sups). The shifted path is
@@ -101,19 +102,6 @@ def _key(name: str | None = None):
         if key is None:
             raise
         raise type(err)(f"{key}: {err}") from None
-
-
-#: Normals per chunk of a grid row, 1 MiB: a row is evaluated
-#: max(1, _CHUNK_NORMALS // embedding_size(n)) replications at a time (128 at
-#: n = 500, 64 at 1000, 32 at 2000), so a worker's working set does not grow
-#: with n. Every replication keeps its own streams, so the counts do not
-#: depend on this; it only trades per-call overhead against memory.
-_CHUNK_NORMALS = 1 << 17
-
-
-def _chunk_rows(n: int) -> int:
-    """Replications per chunk of a grid row of length n."""
-    return max(1, _CHUNK_NORMALS // fgn.embedding_size(n))
 
 
 def _float_key(x: float) -> int:
@@ -554,7 +542,7 @@ def _evaluate_row(cfg: ExperimentConfig, hurst: float, n: int, alpha: float | No
     cut = lmsv.change_point_index(n, cfg.tau)
     base = _row_stream(cfg, hurst, n, alpha)
     rejections = {(p.family, h): 0 for p in plans for h in cfg.shifts}
-    step = _chunk_rows(n)
+    step = fgn.block_rows(n)
     for start in range(0, cfg.replications, step):
         streams = base.substreams(range(start, min(start + step, cfg.replications)))
         paths = lmsv.simulate_batch(params, noise, changes, streams)

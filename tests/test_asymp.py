@@ -28,7 +28,7 @@ from lmsvtest.asymp import (
     wilcoxon_limit_factor,
 )
 from lmsvtest.dist import CenteredPareto, RngStream, StandardNormal
-from lmsvtest.stats import TrimSpec
+from lmsvtest.stats import TrimSpec, _bridge
 
 
 def sn_ratio_by_definition(paths, trim):
@@ -358,6 +358,62 @@ class TestTableFunctionals:
             ]
         assert np.array_equal(np.concatenate(whole), np.concatenate(rows))
 
+    @staticmethod
+    def _refined(paths, seed, zero_at=None):
+        """The refined supremum of _table_sup and of refined_sup_reference,
+        which evaluates every segment, on the same uniforms, and the grid
+        maximum; with `zero_at`, the upper uniform at that (row, column) is
+        an exact 0."""
+        class Drawn:
+            """Hands out the rows of uniforms drawn beforehand, block by block."""
+
+            def __init__(self, u):
+                self.u, self.row = u, 0
+
+            def random(self, shape):
+                self.row += shape[0]
+                return self.u[self.row - shape[0]:self.row]
+
+        u_hi, u_lo = (RngStream(seed).substream(1, 0, side).generator().random(paths.shape)
+                      for side in (0, 1))
+        if zero_at is not None:
+            u_hi[zero_at] = 0.0
+        grid = asymp._table_sup(paths)
+        with np.errstate(divide="ignore"):  # log 0
+            return (asymp._table_sup(paths, refine=[Drawn(u_hi), Drawn(u_lo)]),
+                    refined_sup_reference(paths, grid, u_hi, u_lo), grid)
+
+    @pytest.mark.parametrize("n, count", [(256, 2_000), (2048, 600)])
+    def test_bridge_refinement_is_the_dense_formula_bitwise(self, n, count):
+        paths = simulate_hermite_paths(0.5, 1, n, count, RngStream(90, n))
+        sup, dense, grid = self._refined(paths, 91)
+        assert np.array_equal(sup, dense)
+        assert np.mean(sup > grid) > 0.5  # the refinement moved most suprema
+
+    def test_an_exact_zero_uniform_refines_every_segment(self):
+        # U = 0 gives an infinite segment maximum. The segment `col` of row
+        # 3, the one with the smallest ends, lies below the margin, so the
+        # mask alone would skip it.
+        paths = simulate_hermite_paths(0.5, 1, 2048, 40, RngStream(92))
+        size = np.abs(_bridge(paths[3:4]))[0]
+        col = 1 + np.argmin(np.maximum(size[:-1], size[1:]))
+        assert max(size[col - 1:col + 1]) < size.max() - math.sqrt(36.8 / 4096)
+        sup, dense, _ = self._refined(paths, 93, zero_at=(3, col))
+        assert np.array_equal(sup, dense)
+        assert np.isinf(sup[3]) and np.isfinite(np.delete(sup, 3)).all()
+
+    def test_a_row_below_the_margin_refines_every_segment(self):
+        # sqrt(36.8 / (2N)) = 0.095 at N = 2048: rows scaled by 1e-3 and a
+        # zero row lie below it, so every segment, the first from P = 0, can
+        # hold the supremum.
+        paths = simulate_hermite_paths(0.5, 1, 2048, 40, RngStream(94))
+        paths[:20] *= 1e-3
+        paths[20] = 0.0
+        assert np.max(np.abs(_bridge(paths[:21]))) < math.sqrt(36.8 / 4096)
+        sup, dense, _ = self._refined(paths, 95)
+        assert np.array_equal(sup, dense)
+        assert sup[20] > 0.0
+
     def test_binomial_cdf_selects_the_ranks_of_scipy(self):
         # The interval ranks searchsorted finds at 0.005 and 0.995 agree with
         # scipy.special.bdtr for every count and level below.
@@ -534,24 +590,33 @@ class TestCriticalValues:
     ], ids=["bridge_h0.5_refined", "sn_h0.7"])
     def test_tables_do_not_depend_on_the_sub_block_size(self, monkeypatch, family, hurst,
                                                          trim):
-        # At N = 256 the default sub-block is a whole batch; 1, 7 and 64 rows
-        # split every batch, and 7 rows leave a partial sub-block in each.
+        # At N = 256 the default sub-block is half a batch; 1, 7 and 64 rows
+        # split it further, and 7 rows leave a partial sub-block in each.
         def table():
             return critical_values(family, 1, hurst, RngStream(85), trim=trim,
                                    budget=TableBudget(2_100, 256), workers=1).to_json()
 
         whole = table()
         for rows in (1, 7, 64):
-            monkeypatch.setattr(asymp, "_SUB_BLOCK", rows * fgn.embedding_size(256))
+            monkeypatch.setattr(fgn, "BLOCK_NORMALS", rows * fgn.embedding_size(256))
             assert table() == whole, rows
+
+    def test_sub_blocks_follow_the_block_rule(self):
+        # 1 MiB of normals: 32 paths at N = 2048.
+        params, norm = asymp._ensemble(0.7, 1, 2048)
+        blocks = asymp._batch_paths(params, norm, RngStream(87), 0, 100)
+        assert [(offset, len(paths)) for offset, paths in blocks] == [
+            (0, 32), (32, 32), (64, 32), (96, 4)]
 
     @pytest.mark.parametrize("family, hurst, trim", [
         (TableFamily.CUSUM_BRIDGE_SUP, 0.5, None),
         (TableFamily.SN_RATIO, 0.8, TrimSpec()),
     ], ids=["bridge_h0.5_refined", "sn_h0.8"])
     def test_table_holds_one_sub_block_not_a_batch(self, family, hurst, trim):
-        # A 512-path batch at N = 2048 is 16 MiB of normals; its 64-path
-        # sub-blocks are 2 MiB, with as much again for their half spectrum.
+        # A 512-path batch at N = 2048 is 16 MiB of normals; its 32-path
+        # sub-blocks are 1 MiB, and the half spectrum 256 kB. 2 MiB
+        # sub-blocks with a dense refinement peaked at 4.3 MiB, this layout
+        # at 2.7 MiB.
         def table():
             critical_values(family, 1, hurst, RngStream(86), trim=trim,
                             budget=TableBudget(1_024, 2_048), workers=1)
@@ -563,7 +628,7 @@ class TestCriticalValues:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2**20, peak / 2**20
+        assert peak < 4 * 2**20, peak / 2**20
 
     @pytest.mark.parametrize("level", [0.0, 1.0, math.nan, 1e-9, 0.9999999])
     def test_refuses_a_level_outside_the_unit_interval_at_six_decimals(self, level):

@@ -5,7 +5,11 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
+import signal
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -13,7 +17,8 @@ import numpy as np
 import pytest
 
 from lmsvtest import mc
-from lmsvtest.cli import EXIT_COMPUTATION, EXIT_FLAGGED, EXIT_OK, EXIT_USAGE, _build_parser, main
+from lmsvtest.cli import (EXIT_COMPUTATION, EXIT_FLAGGED, EXIT_INTERRUPTED, EXIT_OK, EXIT_USAGE,
+                          _build_parser, main)
 
 
 def run(capsys, *argv):
@@ -480,6 +485,22 @@ class TestCritvals:
                            "--tau1", "0.9", "--tau2", "0.1", "--out", str(out))
         assert code == EXIT_USAGE
         assert "--tau1 and --tau2" in err
+        assert not out.exists()
+
+    def test_an_interrupt_ends_in_one_error_line(self, tmp_path):
+        # SIGINT 1.5 s into a table of about half a minute: the batches under
+        # way finish, and the command ends in one line and the shell's 130.
+        out = tmp_path / "sn.json"
+        src = str(Path(mc.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "lmsvtest.cli", "critvals", "--family", "sn", "--hurst",
+             "0.7", "--paths", "60000", "--out", str(out)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+        time.sleep(1.5)
+        proc.send_signal(signal.SIGINT)
+        stdout, stderr = proc.communicate(timeout=60)
+        assert (proc.returncode, stdout, stderr) == (EXIT_INTERRUPTED, "", "error: interrupted\n")
         assert not out.exists()
 
     def test_never_reads_package_grid(self, capsys, tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Tests for fractional Gaussian noise generation."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -27,6 +28,17 @@ def complex_hermitian_paths(params, normals):
     z[:, 1:m] = half
     z[:, m + 1:] = np.conj(half[:, ::-1])
     return np.fft.fft(np.sqrt(eig) * z, axis=1)[:, :params.n].real / np.sqrt(m2)
+
+
+def one_shot_paths(params, normals):
+    """The half spectrum of every row assembled at once and inverted by one
+    np.fft.irfft call: the layout before the rows were sliced."""
+    re, im = fgn._half_spectrum_scales(params.n, params.hurst)
+    m = re.size - 1
+    half = np.zeros((len(normals), m + 1), dtype=complex)
+    half.real = normals[:, :m + 1] * re
+    half.imag[:, 1:m] = normals[:, m + 1:] * im
+    return np.fft.irfft(half, n=2 * m, axis=1)[:, :params.n] * np.sqrt(2 * m)
 
 
 class TestAutocovariance:
@@ -122,6 +134,33 @@ class TestSampling:
         for row in range(9):
             alone = fgn.paths_from_normals(params, normals[row:row + 1])
             assert np.array_equal(together[row], alone[0])
+
+    @pytest.mark.parametrize("n", [500, 2048])
+    def test_sliced_spectrum_is_the_one_shot_transform_bitwise(self, n):
+        # A slice holds 31 rows at n = 500 and 7 at n = 2048.
+        params = fgn.FgnParams(0.7, n)
+        m = fgn.embedding_size(n) // 2
+        step = fgn._SLICE // (m + 1)
+        assert step == {500: 31, 2048: 7}[n]
+        for rows in (1, step - 1, step, step + 1, 64):
+            normals = RngStream(21, rows).generator().standard_normal((rows, 2 * m))
+            expected = one_shot_paths(params, normals)
+            assert np.array_equal(fgn.paths_from_normals(params, normals), expected), rows
+
+    def test_spectrum_workspace_does_not_grow_with_the_batch(self):
+        # In a fresh thread, whose workspace starts empty: one row of 2049
+        # coefficients, then a slice of 7 rows whatever the batch.
+        params, sizes = fgn.FgnParams(0.7, 2048), []
+
+        def run():
+            for rows in (1, 64, 512):
+                fgn.paths_from_normals(params, np.ones((rows, 4096)))
+                sizes.append(fgn._workspace.half.size)
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(60)
+        assert not thread.is_alive() and sizes == [2049, 7 * 2049, 7 * 2049]
 
     @pytest.mark.parametrize("hurst", [0.5, 0.8])
     @pytest.mark.parametrize("n", [2, 3, 500, 2048])

@@ -459,6 +459,29 @@ class TestPackageGrid:
                              check=True, env=env).stdout
         assert out.strip() == "[]"
 
+    def test_one_worker_loads_no_pool_machinery_and_starts_no_thread(self):
+        # A one-worker table and a two-row experiment at one worker run every
+        # item in the calling thread, with nothing imported for threads.
+        code = """if True:
+            import sys, threading
+            from lmsvtest import asymp, mc
+            from lmsvtest.dist import RngStream
+            asymp.critical_values(asymp.TableFamily.CUSUM_BRIDGE_SUP, 1, 0.5, RngStream(1),
+                                  budget=asymp.TableBudget(1_100, 64), workers=1)
+            cfg = mc.ExperimentConfig(
+                problem="mean", noise_kind="normal", hursts=(0.6, 0.8), lengths=(120,),
+                shifts=(0.0, 1.0), families=("cusum",), replications=100, seed=7,
+                budget=asymp.TableBudget(500, 256), max_workers=1)
+            assert len(mc.run_experiment(cfg).cells) == 4
+            print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)),
+                  threading.active_count())
+        """
+        src = str(Path(mc.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=env).stdout
+        assert out.strip() == "[] 1"
+
     def test_runs_without_scipy(self, tmp_path):
         # The import, and each path that used scipy: the Kolmogorov quantile
         # (a mean cusum run), the Wilcoxon factor (a variance wilcoxon test)
@@ -622,17 +645,17 @@ class TestChunkedEngine:
         assert chunks == [150, 150]
         width = fgn.embedding_size(cfg.lengths[0])
         for normals, rows in ((1, 1), (7 * width, 7)):
-            monkeypatch.setattr(mc, "_CHUNK_NORMALS", normals)
-            assert mc._chunk_rows(cfg.lengths[0]) == rows
+            monkeypatch.setattr(fgn, "BLOCK_NORMALS", normals)
+            assert fgn.block_rows(cfg.lengths[0]) == rows
             assert counts() == default
             assert len(chunks) == 2 * -(-150 // rows) and max(chunks) == rows
 
     def test_chunk_rule(self):
-        assert [mc._chunk_rows(n) for n in (120, 300, 500, 1000, 2000)] == [512, 128, 128, 64, 32]
-        assert mc._chunk_rows(300_000) == 1
+        assert [fgn.block_rows(n) for n in (120, 300, 500, 1000, 2000)] == [512, 128, 128, 64, 32]
+        assert fgn.block_rows(300_000) == 1
         # tests/test_golden.py runs 150 replications at n = 300: one full
         # chunk, then a partial one.
-        rows = mc._chunk_rows(300)
+        rows = fgn.block_rows(300)
         assert rows < 150 < 2 * rows
 
     def test_a_row_holds_one_chunk_not_its_profiles(self):
@@ -661,7 +684,7 @@ class TestChunkedEngine:
         alpha = cfg.alpha_grid[0]
         base = mc._row_stream(cfg, hurst, n, alpha)
         changes = [_CHANGES[cfg.problem](h, cfg.tau) for h in cfg.shifts]
-        rows = mc._chunk_rows(n)
+        rows = fgn.block_rows(n)
         chunk = lmsv.simulate_batch(fgn.FgnParams(hurst, n), make_noise(cfg.noise_kind, alpha),
                                     changes, [base.substream(rep) for rep in range(rows)])
         for h, change in zip(cfg.shifts, changes):
