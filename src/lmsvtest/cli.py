@@ -43,7 +43,7 @@ _PLAN_FLAGS = {"hurst": "--hurst", "noise": "--alpha", "sigma": "--sigma"}
 
 
 @contextlib.contextmanager
-def _flags(names: str, refused: type[ValueError] = ValueError):
+def _flags(names: str, refused: type[Exception] = ValueError):
     """Refuse an error raised inside, of type `refused`, as a usage error that
     names the flags: the flag of the argument a PlanError names, else `names`."""
     try:
@@ -183,21 +183,9 @@ def _read_series(path: Path) -> np.ndarray:
     return np.asarray(values)
 
 
-def _load_tables(directory: Path | None) -> mc.TableSet:
-    tables = []
-    if directory is not None:
-        for file in sorted(directory.glob("*.json")):
-            tables.append(asymp.CriticalValueTable.load(file))
-    return mc.TableSet(tables)
-
-
 def _trim(args) -> TrimSpec:
     with _flags("--tau1 and --tau2"):
         return TrimSpec(tau1=args.tau1, tau2=args.tau2)
-
-
-#: The innovation law --alpha stands for under each problem.
-_ALPHA_NOISE = {"mean": "centered_pareto", "variance": "centered_pareto", "tail": "pareto"}
 
 
 def _resolve_test(args, xs: np.ndarray):
@@ -206,6 +194,8 @@ def _resolve_test(args, xs: np.ndarray):
         raise UsageError("--sigma is read only by the mean cusum test, "
                          "--problem mean --family cusum")
     trim = _trim(args)
+    with _flags("--tables", NotADirectoryError):
+        loaded = None if args.tables is None else mc.TableSet.read(args.tables)
     psi = None if args.psi is None else Transform(args.psi.replace("-", "_"))
     if args.problem is None:
         return psi or Transform.IDENTITY, trim, 1.0, args.critical_value
@@ -213,9 +203,9 @@ def _resolve_test(args, xs: np.ndarray):
     if psi not in (None, problem_psi):
         raise UsageError(f"--psi {args.psi} contradicts --problem {args.problem}, which sets "
                          f"--psi {problem_psi.value.replace('_', '-')}")
-    with _flags("--alpha"):
-        noise = None if args.alpha is None else make_noise(_ALPHA_NOISE[args.problem], args.alpha)
-    loaded = _load_tables(args.tables)
+    with _flags("--alpha"):  # the law --alpha stands for: the problem's Pareto-type one
+        kind = mc._PROBLEM_NOISE[args.problem][-1]
+        noise = None if args.alpha is None else make_noise(kind, args.alpha)
 
     def lookup(*key):
         # The lookup an experiment makes, at the default table budget.
@@ -271,7 +261,9 @@ def _cmd_critvals(args) -> int:
 
 def _cmd_experiment(args) -> int:
     cfg = mc.ExperimentConfig.load(args.config)
-    report = mc.run_experiment(cfg, tables=_load_tables(args.tables))
+    with _flags("--tables", NotADirectoryError):
+        tables = None if args.tables is None else mc.TableSet.read(args.tables)
+    report = mc.run_experiment(cfg, tables=tables)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     mc.cells_to_csv(report.cells, args.out_dir / "cells.csv")
     mc.report_to_csv(report, args.out_dir / "report.csv")

@@ -42,6 +42,7 @@ LEVEL = Domain("lie in (0, 1) at six decimals",
                lambda x: 0.0 < round(x, 6) < 1.0 and 0.0 < round(1.0 - x, 6) < 1.0)
 FINITE = Domain("be finite", math.isfinite)  # change heights, critical values
 NONNEGATIVE = Domain("be finite and >= 0", lambda x: 0.0 <= x < math.inf)  # comparison bounds
+POSITIVE = Domain("be positive and finite", lambda x: 0.0 < x < math.inf)  # tail indices, scales
 #: RngStream reads a seed modulo 2^64, so one outside [0, 2^64) would alias another.
 SEED = Domain("be an integer in [0, 2^64)", lambda x: 0 <= x < 2**64, integer=True)
 COUNT = Domain("be an integer >= 1", lambda x: x >= 1, integer=True)  # paths, workers
@@ -157,8 +158,7 @@ class Pareto:
     kind = "pareto"
 
     def __post_init__(self) -> None:
-        if not 0 < self.alpha < math.inf:
-            raise ValueError(f"Pareto tail index must be positive and finite, got {self.alpha}")
+        POSITIVE.require("Pareto tail index", self.alpha)
         _check_draws("Pareto", self.alpha, self.scale)
 
 
@@ -172,12 +172,10 @@ class CenteredPareto:
     alpha: float
     scale: float = 1.0
     kind = "centered_pareto"
+    tail_indices = Domain("have a finite alpha > 1 for a finite mean", lambda x: 1.0 < x < math.inf)
 
     def __post_init__(self) -> None:
-        if not 1 < self.alpha < math.inf:
-            raise ValueError(
-                f"CenteredPareto needs a finite alpha > 1 for a finite mean, got {self.alpha}"
-            )
+        self.tail_indices.require("CenteredPareto", self.alpha)
         _check_draws("CenteredPareto", self.alpha, self.scale)
 
     @property
@@ -188,8 +186,7 @@ class CenteredPareto:
 
 def _check_draws(law: str, alpha: float, scale: float) -> None:
     """Refuse a scale, or a positive finite alpha, that draws a value past the doubles."""
-    if not 0 < scale < math.inf:  # an infinite scale makes every draw infinite
-        raise ValueError(f"{law} scale must be positive and finite, got {scale}")
+    POSITIVE.require(f"{law} scale", scale)  # an infinite scale makes every draw infinite
     # The largest draw c * u^(-1/alpha) is at u = 1 - U = 2^-53, as innovations
     # computes it; a denormal alpha has no finite reciprocal.
     with np.errstate(over="ignore"):

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .dist import COUNT, UNIT_INTERVAL, RngStream
+from .stats import row_blocks
 
 #: Largest tolerated negative circulant eigenvalue; the fractional Gaussian
 #: noise embedding is nonnegative definite in exact arithmetic, so anything
@@ -120,14 +120,6 @@ def _half_spectrum_scales(n: int, hurst: float) -> tuple[np.ndarray, np.ndarray]
     return re, im
 
 
-#: Complex coefficients per slice of the half spectrum, 256 kB: the spectrum
-#: is assembled and inverted max(1, _SLICE // (m + 1)) rows at a time.
-_SLICE = 1 << 14
-
-#: Each thread's half-spectrum array, one slice, reused by paths_from_normals.
-_workspace = threading.local()
-
-
 def paths_from_normals(params: FgnParams, normals: np.ndarray) -> np.ndarray:
     """Turn standard normals of shape (B, embedding_size(n)) into B paths,
     overwriting `normals`.
@@ -136,29 +128,24 @@ def paths_from_normals(params: FgnParams, normals: np.ndarray) -> np.ndarray:
     the m + 1 coefficients of a Hermitian-symmetric complex normal vector
     (real parts from columns 0..m, imaginary parts from columns m+1..2m-1),
     scaled by sqrt(eigenvalues), and one real inverse FFT of each row yields
-    its path as the first n coordinates. The rows are taken in slices of at
-    most _SLICE coefficients (7 rows at n = 2048), assembled in a complex
-    array that each thread keeps, so that array does not grow with B. Each
-    row is transformed on its own, so a path does not depend on the rows
-    stacked or sliced with it. The inverse FFT is written over `normals`,
-    which must be a float64 array; the (B, n) paths returned are a view of it.
+    its path as the first n coordinates. The rows are taken in the row
+    blocks of the kernels (stats.row_blocks, a complex coefficient being two
+    doubles: 7 rows at n = 2048), in one complex array of a block that each
+    call allocates, so it does not grow with B. Each row is transformed on
+    its own, so a path does not depend on the rows stacked or sliced with
+    it. The inverse FFT is written over `normals`, which must be a float64
+    array; the (B, n) paths returned are a view of it.
     """
     n = params.n
-    if n == 1:
-        return normals
+    if n == 1 or not len(normals):
+        return normals[:, :n]
     re, im = _half_spectrum_scales(n, params.hurst)
     m = re.size - 1
-    step = max(1, _SLICE // (m + 1))
-    size = min(step, normals.shape[0]) * (m + 1)
-    buffer = getattr(_workspace, "half", None)
-    if buffer is None or buffer.size < size:
-        buffer = _workspace.half = np.empty(size, dtype=complex)
-    # The buffer is reshaped to each width, so a call of another width may
-    # have left values where this one has its real columns 0 and m.
-    spectrum = buffer[:size].reshape(-1, m + 1)
-    spectrum.imag[:, [0, m]] = 0.0
-    for start in range(0, normals.shape[0], step):
-        part = normals[start:start + step]
+    shape = (len(normals), 2 * (m + 1))  # a complex coefficient is two doubles
+    spectrum = np.empty((next(row_blocks(shape)).stop, m + 1), dtype=complex)  # a block's rows
+    spectrum.imag[:, [0, m]] = 0.0  # the real columns 0 and m, which np.empty leaves undefined
+    for block in row_blocks(shape):
+        part = normals[block]
         half = spectrum[:len(part)]
         np.multiply(part[:, :m + 1], re, out=half.real)
         np.multiply(part[:, m + 1:], im, out=half.imag[:, 1:m])

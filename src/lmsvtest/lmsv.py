@@ -17,6 +17,7 @@ import numpy as np
 from . import fgn
 from .dist import (
     FINITE,
+    POSITIVE,
     UNIT_INTERVAL,
     NoiseSpec,
     Pareto,
@@ -66,8 +67,7 @@ class VarianceScale(_Change):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not self.h > 0:
-            raise ValueError(f"variance scale must be positive, got {self.h}")
+        POSITIVE.require("variance scale", self.h)
 
 
 @dataclass(frozen=True)

@@ -212,14 +212,27 @@ def _budget_of(table: CriticalValueTable) -> tuple[int, int]:
 
 
 class TableSet:
-    """Critical-value tables keyed by (family, m, H, trim), each with its source.
+    """Critical-value tables keyed by (family, m, H, trim), each with its source,
+    built from (table, source) pairs, as resolve_table returns them.
 
     The source is "loaded" (read from files by the caller), "package" (the
     grid shipped in lmsvtest/data/tables) or "simulated".
     """
 
-    def __init__(self, tables: list[CriticalValueTable], source: str = "loaded"):
-        self._entries = {_table_key(t.family, t.m, t.hurst, t.trim): (t, source) for t in tables}
+    def __init__(self, entries):
+        self._entries = {_table_key(t.family, t.m, t.hurst, t.trim): (t, source)
+                         for t, source in entries}
+
+    @classmethod
+    def read(cls, directory, source: str = "loaded") -> "TableSet":
+        """Every *.json table of `directory`, a Path or a resource directory, in
+        name order. Anything but a directory is refused (NotADirectoryError), and
+        a file that is not a valid table is named in the ValueError."""
+        if not directory.is_dir():
+            raise NotADirectoryError(f"{directory} is not a directory")
+        files = sorted((f for f in directory.iterdir() if f.name.endswith(".json")),
+                       key=lambda f: f.name)
+        return cls((CriticalValueTable.load(f), source) for f in files)
 
     def find(
         self, family: TableFamily, m: int, hurst: float, trim: TrimSpec | None
@@ -265,11 +278,7 @@ def _package_tables() -> TableSet:
     Every file is `lmsvtest critvals ... --seed 0` at the default budget, so
     each equals the table resolve_table simulates for seed 0.
     """
-    directory = resources.files("lmsvtest.data") / "tables"
-    files = sorted((f for f in directory.iterdir() if f.name.endswith(".json")),
-                   key=lambda f: f.name)
-    return TableSet([CriticalValueTable.from_json(f.read_text()) for f in files],
-                    source="package")
+    return TableSet.read(resources.files("lmsvtest.data") / "tables", source="package")
 
 
 def resolve_table(
@@ -337,12 +346,10 @@ def ensure_tables(cfg: ExperimentConfig, existing: TableSet | None = None) -> Ta
     table runs on cfg.max_workers threads. Tables of `existing` that the
     experiment does not need are left out.
     """
-    out = TableSet([])
-    for key in required_tables(cfg):
-        out._entries[_table_key(*key)] = resolve_table(
-            *key, seed=cfg.seed, budget=cfg.budget, levels=table_levels(cfg.level),
-            loaded=existing, workers=cfg.max_workers)
-    return out
+    return TableSet(resolve_table(*key, seed=cfg.seed, budget=cfg.budget,
+                                  levels=table_levels(cfg.level), loaded=existing,
+                                  workers=cfg.max_workers)
+                    for key in required_tables(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +378,7 @@ class Plan:
     critical_value: float | None = None
 
 
-#: Innovation laws the limit theory of each problem covers.
+#: Innovation laws the limit theory of each problem covers, its Pareto-type law last.
 _PROBLEM_NOISE = {"mean": ("normal", "centered_pareto"), "variance": ("centered_pareto",),
                   "tail": ("pareto",)}
 
@@ -425,7 +432,8 @@ def resolve_plan(
     if not brownian and (hurst is None or hurst <= 0.5):
         raise PlanError(f"the {problem} {family} test needs long memory, H > 1/2, got H = "
                         f"{hurst}; only the mean cusum and sn_cusum tests do not use H", "hurst")
-    if sigma is not None and (problem, family) == ("mean", "cusum") and not 0.0 < sigma < math.inf:
+    if (sigma is not None and (problem, family) == ("mean", "cusum")
+            and not dist.POSITIVE.holds(sigma)):
         raise PlanError(f"the mean cusum test needs a finite sigma > 0, got sigma = {sigma}",
                         "sigma")
     variance = None if noise is None else noise_moments(noise).variance

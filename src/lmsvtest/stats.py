@@ -23,8 +23,8 @@ A mean shift adds h 1{t > cut} to a series, and the bridge is linear in the
 series, so mean_shift_sups takes the sum families at every h from the
 bridge of the unshifted series and that of the step (derivation there).
 
-The bridge is built in the row blocks of row_blocks, the rule the table
-functionals of asymp use too: as many whole rows as fit in _BLOCK doubles.
+The bridge is built in the row blocks of row_blocks, the rule of asymp's
+table functionals and fgn's spectrum: as many whole rows as fit in _BLOCK.
 Rows are independent, so a row's result is bitwise the same alone, in any
 batch and in any block. row_sups reduces each block to its rows' suprema,
 so a batch of replications keeps no profile. A NaN supremum, which terms
@@ -44,10 +44,10 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 
-#: Doubles per row block: the bridge of the statistics and the table functionals
-#: evaluate as many whole rows as fit in 256 kB (at least one) at a time, so
-#: that each temporary stays in cache. Rows are independent, so the block size
-#: does not change a bit of any result.
+#: Doubles per row block: the statistics' bridge, the table functionals and
+#: fgn's half spectrum evaluate as many whole rows as fit in 256 kB (at least
+#: one) at a time, so that each temporary stays in cache. Rows are
+#: independent, so the block size does not change a bit of any result.
 _BLOCK = 1 << 15
 
 

@@ -621,7 +621,7 @@ class TestCriticalValues:
             critical_values(family, 1, hurst, RngStream(86), trim=trim,
                             budget=TableBudget(1_024, 2_048), workers=1)
 
-        table()  # warm: the eigenvalues and this thread's spectrum array
+        table()  # warm: the eigenvalues and the spectrum scales, cached per process
         tracemalloc.start()
         try:
             table()

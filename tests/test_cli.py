@@ -688,6 +688,23 @@ class TestTableResolution:
         assert "normal noise" in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command", ["test", "experiment"])
+    @pytest.mark.parametrize("given", ["missing", "file"])
+    def test_tables_that_is_not_a_directory_is_refused(self, capsys, tmp_path, shifted_series,
+                                                       command, given):
+        # Both commands ran on the package grid, with exit 0, before.
+        tables = tmp_path / "missing" if given == "missing" else shifted_series
+        if command == "test":
+            argv = ["test", "--input", str(shifted_series), "--problem", "mean",
+                    "--family", "sn_cusum"]
+        else:
+            argv = ["experiment", "--config", str(_write_config(tmp_path / "config.json")),
+                    "--out-dir", str(tmp_path / "run")]
+        code, out, err = run(capsys, *argv, "--tables", str(tables))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: --tables: {tables} is not a directory\n"
+        assert not (tmp_path / "run").exists()
+
     def test_non_table_json_is_named(self, capsys, tmp_path):
         tables = tmp_path / "tables"
         tables.mkdir()

@@ -1,12 +1,12 @@
 """Tests for fractional Gaussian noise generation."""
 
 import math
-import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from lmsvtest import fgn
+from lmsvtest import fgn, stats
 from lmsvtest.dist import RngStream
 
 
@@ -118,6 +118,7 @@ class TestSampling:
     def test_batch_shape(self):
         paths = fgn.sample(fgn.FgnParams(0.6, 100), RngStream(15), size=7)
         assert paths.shape == (7, 100)
+        assert fgn.sample(fgn.FgnParams(0.6, 100), RngStream(15), size=0).shape == (0, 100)
 
     def test_sample_is_paths_from_normals_of_its_stream(self):
         params = fgn.FgnParams(0.75, 300)
@@ -137,10 +138,11 @@ class TestSampling:
 
     @pytest.mark.parametrize("n", [500, 2048])
     def test_sliced_spectrum_is_the_one_shot_transform_bitwise(self, n):
-        # A slice holds 31 rows at n = 500 and 7 at n = 2048.
+        # A slice holds 31 rows at n = 500 and 7 at n = 2048: a row block of
+        # the kernels, with each complex coefficient as two doubles.
         params = fgn.FgnParams(0.7, n)
         m = fgn.embedding_size(n) // 2
-        step = fgn._SLICE // (m + 1)
+        step = next(stats.row_blocks((64, 2 * (m + 1)))).stop
         assert step == {500: 31, 2048: 7}[n]
         for rows in (1, step - 1, step, step + 1, 64):
             normals = RngStream(21, rows).generator().standard_normal((rows, 2 * m))
@@ -148,19 +150,22 @@ class TestSampling:
             assert np.array_equal(fgn.paths_from_normals(params, normals), expected), rows
 
     def test_spectrum_workspace_does_not_grow_with_the_batch(self):
-        # In a fresh thread, whose workspace starts empty: one row of 2049
-        # coefficients, then a slice of 7 rows whatever the batch.
-        params, sizes = fgn.FgnParams(0.7, 2048), []
-
-        def run():
-            for rows in (1, 64, 512):
-                fgn.paths_from_normals(params, np.ones((rows, 4096)))
-                sizes.append(fgn._workspace.half.size)
-
-        thread = threading.Thread(target=run)
-        thread.start()
-        thread.join(60)
-        assert not thread.is_alive() and sizes == [2049, 7 * 2049, 7 * 2049]
+        # Beyond its input, a call holds one slice of at most 7 rows of 2049
+        # coefficients, with numpy's temporaries for that slice: a batch of
+        # 64 or 512 rows peaks where one slice does, and one row below it.
+        params, row_bytes = fgn.FgnParams(0.7, 2048), 2049 * np.dtype(complex).itemsize
+        fgn.paths_from_normals(params, np.ones((7, 4096)))  # caches the spectrum scales
+        peaks = {}
+        for rows in (1, 7, 64, 512):
+            normals = np.ones((rows, 4096))
+            tracemalloc.start()
+            try:
+                fgn.paths_from_normals(params, normals)
+                peaks[rows] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 7 * row_bytes <= peaks[7], peaks
+        assert max(peaks[64], peaks[512]) <= peaks[7] + 4096, peaks
 
     @pytest.mark.parametrize("hurst", [0.5, 0.8])
     @pytest.mark.parametrize("n", [2, 3, 500, 2048])
@@ -173,18 +178,15 @@ class TestSampling:
         assert np.max(np.abs(fast - complex_hermitian_paths(params, normals))) < 1e-12
 
     def test_reused_half_spectrum_holds_no_stale_values(self):
-        # One thread's spectrum array serves every call: a wider or taller
-        # call leaves values where the next one has its real columns 0 and m.
-        # numpy's irfft happens to discard their imaginary parts, so the
-        # array is read as well as the paths.
+        # Each call fills a fresh spectrum array, whose imaginary parts at
+        # the real columns 0 and m start undefined, over widths and heights
+        # that differ from the call before.
         for n, rows in ((300, 9), (2048, 2), (2, 16), (300, 1)):
             params = fgn.FgnParams(0.7, n)
             m = fgn.embedding_size(n) // 2
             normals = RngStream(20, n).generator().standard_normal((rows, 2 * m))
             expected = complex_hermitian_paths(params, normals)
             assert np.max(np.abs(fgn.paths_from_normals(params, normals) - expected)) < 1e-12
-            half = fgn._workspace.half[:rows * (m + 1)].reshape(rows, m + 1)
-            assert not np.any(half.imag[:, [0, m]])
 
     def test_eigenvalues_cached_and_read_only(self):
         eig = fgn.embedding_eigenvalues(300, 0.65)

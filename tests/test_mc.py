@@ -286,7 +286,7 @@ class TestTables:
         complete = mc.ensure_tables(cfg)
         bridge = complete.find(TableFamily.CUSUM_BRIDGE_SUP, 1, 0.6, None)[0]
         monkeypatch.setattr(asymp, "critical_values", _refuse_simulation)
-        partial = mc.run_experiment(cfg, tables=mc.TableSet([bridge]))
+        partial = mc.run_experiment(cfg, tables=mc.TableSet([(bridge, "loaded")]))
         sources = {v["family"]: v["source"] for v in partial.meta["tables"]}
         assert sources == {"cusum_bridge_sup": "loaded", "sn_ratio": "package"}
         assert partial.cells == mc.run_experiment(cfg, tables=complete).cells
@@ -337,20 +337,20 @@ class TestTableLookup:
         cfg = _small_cfg()
         small = _fake_table(TableFamily.SN_RATIO, 0.5, *budget, trim=cfg.trim)
         with pytest.raises(ValueError, match="below the requested 2000 x 512"):
-            mc.ensure_tables(cfg, existing=mc.TableSet([small]))
+            mc.ensure_tables(cfg, existing=mc.TableSet([(small, "loaded")]))
 
     def test_provided_table_below_budget_is_refused_by_run_experiment(self):
         cfg = _small_cfg()
         small = _fake_table(TableFamily.SN_RATIO, 0.5, 200, 64, trim=cfg.trim)
         with pytest.raises(ValueError, match="200 x 64, below the requested 2000 x 512"):
-            mc.run_experiment(cfg, tables=mc.TableSet([small]))
+            mc.run_experiment(cfg, tables=mc.TableSet([(small, "loaded")]))
 
     @pytest.mark.parametrize("budget", [(2_000, 512), (4_000, 512), (2_000, 1_024)])
     def test_loaded_table_at_or_above_budget_is_used(self, monkeypatch, budget):
         cfg = _small_cfg()
         table = _fake_table(TableFamily.SN_RATIO, 0.5, *budget, trim=cfg.trim)
         monkeypatch.setattr(asymp, "critical_values", _refuse_simulation)
-        tables = mc.ensure_tables(cfg, existing=mc.TableSet([table]))
+        tables = mc.ensure_tables(cfg, existing=mc.TableSet([(table, "loaded")]))
         assert tables.find(TableFamily.SN_RATIO, 1, 0.5, cfg.trim) == (table, "loaded")
 
     def test_meta_records_each_table_source(self):
@@ -360,7 +360,8 @@ class TestTableLookup:
                          hursts=(0.6, 0.7), shifts=(1.0,), families=("cusum",),
                          replications=100, budget=TableBudget())
         loaded = _fake_table(TableFamily.CUSUM_BRIDGE_SUP, 0.6, 10_000, 2_048)
-        report = mc.run_experiment(cfg, mc.ensure_tables(cfg, existing=mc.TableSet([loaded])))
+        existing = mc.TableSet([(loaded, "loaded")])
+        report = mc.run_experiment(cfg, mc.ensure_tables(cfg, existing=existing))
         sources = {v["hurst"]: v["source"] for v in report.meta["tables"]}
         assert sources == {0.6: "loaded", 0.7: "package"}
 
@@ -384,6 +385,16 @@ _SHIPPED_HURSTS = (0.5, 0.6, 0.7, 0.8, 0.9)
 
 
 class TestPackageGrid:
+    def test_read_of_the_package_directory_is_the_package_grid(self):
+        # One reader serves --tables and the package grid, so the shipped
+        # directory read as a path holds the grid's tables, key by key.
+        with resources.as_file(resources.files("lmsvtest.data") / "tables") as directory:
+            loaded = mc.TableSet.read(directory)
+        package = mc._package_tables()
+        assert len(package._entries) == 10 and loaded._entries.keys() == package._entries.keys()
+        for key, (table, source) in package._entries.items():
+            assert source == "package" and loaded._entries[key] == (table, "loaded")
+
     def test_shipped_files_cover_exactly_the_grid(self):
         directory = resources.files("lmsvtest.data") / "tables"
         files = sorted(f.name for f in directory.iterdir())
