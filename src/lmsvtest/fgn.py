@@ -69,7 +69,10 @@ def embedding_size(n: int) -> int:
 #: page faults under glibc's dynamic mmap threshold unless their temporaries
 #: are small: four 10000 x 2048 tables at two workers took 56 k minor faults
 #: at 2 MiB, 209 k at 1 MiB, and 31 k at 1 MiB once the Brownian refinement
-#: skipped the segments that cannot win (asymp._table_sup).
+#: skipped the segments that cannot win (asymp._table_sup). The benchmark's
+#: 96 variance cells, in process, took 26 k at 2 MiB, 92 k at 1 MiB with
+#: the statistics of a chunk evaluated whole, and 5-11 k once stats.row_sups
+#: ran them one row block at a time.
 BLOCK_NORMALS = 1 << 17
 
 
@@ -133,8 +136,11 @@ def paths_from_normals(params: FgnParams, normals: np.ndarray) -> np.ndarray:
     doubles: 7 rows at n = 2048), in one complex array of a block that each
     call allocates, so it does not grow with B. Each row is transformed on
     its own, so a path does not depend on the rows stacked or sliced with
-    it. The inverse FFT is written over `normals`, which must be a float64
-    array; the (B, n) paths returned are a view of it.
+    it. The DC and Nyquist coefficients (columns 0 and m) are real: irfft
+    reads only their real parts, so their imaginary parts are left as
+    np.empty gives them (tests/test_fgn.py holds numpy to this). The inverse
+    FFT is written over `normals`, which must be a float64 array; the (B, n)
+    paths returned are a view of it.
     """
     n = params.n
     if n == 1 or not len(normals):
@@ -143,7 +149,6 @@ def paths_from_normals(params: FgnParams, normals: np.ndarray) -> np.ndarray:
     m = re.size - 1
     shape = (len(normals), 2 * (m + 1))  # a complex coefficient is two doubles
     spectrum = np.empty((next(row_blocks(shape)).stop, m + 1), dtype=complex)  # a block's rows
-    spectrum.imag[:, [0, m]] = 0.0  # the real columns 0 and m, which np.empty leaves undefined
     for block in row_blocks(shape):
         part = normals[block]
         half = spectrum[:len(part)]

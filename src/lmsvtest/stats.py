@@ -5,7 +5,9 @@ that evaluates the formulas by direct summation. The tests hold the kernels to
 1e-10 relative error against them on i.i.d. normal series (n <= 128) and, for
 the SN sup and argmax, on random walks with an offset of 50 and shifts up to
 10 (n = 500, 2000). Elsewhere the SN algebra, which cancels terms of size
-sum_t P_t^2, can miss: i.i.d. rows with a 10 sigma shift at n = 2000 gave 1.4e-10.
+sum_t P_t^2, can miss: rows of 50 + N(0, 1) with a 10 sigma shift at n/2,
+n = 2000, read up to 7.8e-10 off a long-double reference (seeds 0-3, 8 rows
+each; ROADMAP item 4).
 
 All four statistics are functionals of one bridge, the partial sums
 P_t = S_t - (t/n) S_n of the values (cusum, sn_cusum) or of their ranks
@@ -17,21 +19,26 @@ u = n - k, A = sum_t P_t^2 and CC the prefix sums of the prefix sums of P
 centered row (P does not depend on the row's offset): three prefix passes
 and one row dot product serve both families of the input. The ranks of a
 tie-free row average (n+1)/2 exactly, so the Wilcoxon profile is bitwise
-|sum_{i<=k} R_i - k(n+1)/2|.
+|sum_{i<=k} R_i - k(n+1)/2|. The ranks come from one sort of packed
+integer keys per block (_ranked); a row where two keys agree in their high
+bits, a tie or values a few ulps apart, is ranked by the counting
+definition.
 
 A mean shift adds h 1{t > cut} to a series, and the bridge is linear in the
 series, so mean_shift_sups takes the sum families at every h from the
 bridge of the unshifted series and that of the step (derivation there).
 
-The bridge is built in the row blocks of row_blocks, the rule of asymp's
-table functionals and fgn's spectrum: as many whole rows as fit in _BLOCK.
-Rows are independent, so a row's result is bitwise the same alone, in any
-batch and in any block. row_sups reduces each block to its rows' suprema,
-so a batch of replications keeps no profile. A NaN supremum, which terms
-past the doubles leave, is refused by every reduction. The SN table
-functional of asymp is this kernel too: _bridge, _sn_terms and _sn_ratio
-entered at the partial sums that the simulated paths already are, with no
-differencing.
+evaluate and row_sups take a batch one row block of row_blocks at a time,
+from end to end: the transform, the NaN and +-inf checks, the ranking and
+the bridge of each input. Those blocks are the rule of asymp's table
+functionals and fgn's spectrum too: as many whole rows as fit in _BLOCK,
+so no temporary grows with the batch. Rows are independent, so a row's
+result is bitwise the same alone, in any batch and in any block. row_sups
+reduces each block to its rows' suprema, so a batch of replications keeps
+no profile. A NaN supremum, which terms past the doubles leave, is refused
+by every reduction. The SN table functional of asymp is this kernel too:
+_bridge, _sn_terms and _sn_ratio entered at the partial sums that the
+simulated paths already are, with no differencing.
 """
 
 from __future__ import annotations
@@ -39,15 +46,16 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import asdict, dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 
-#: Doubles per row block: the statistics' bridge, the table functionals and
-#: fgn's half spectrum evaluate as many whole rows as fit in 256 kB (at least
-#: one) at a time, so that each temporary stays in cache. Rows are
-#: independent, so the block size does not change a bit of any result.
+#: Doubles per row block: the statistics (from the transform to the
+#: suprema), the table functionals and fgn's half spectrum evaluate as many
+#: whole rows as fit in 256 kB (at least one) at a time, so that each
+#: temporary stays in cache. Rows are independent, so the block size does
+#: not change a bit of any result.
 _BLOCK = 1 << 15
 
 
@@ -157,46 +165,62 @@ def ranks(xs: np.ndarray) -> np.ndarray:
     return np.searchsorted(order, xs, side="right").astype(float)
 
 
-class _Batch:
-    """Transformed series along the last axis, ranked at most once.
+def _rows(xs: np.ndarray) -> np.ndarray:
+    """xs as a (count, n) float batch, one series being a batch of one."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim not in (1, 2):
+        raise ValueError(f"need one series or a 2-D batch of series, got shape {xs.shape}")
+    if xs.shape[-1] < 2:
+        raise ValueError(f"need at least 2 observations, got {xs.shape[-1]}")
+    return xs.reshape(-1, xs.shape[-1])
 
-    Every kernel evaluates a whole batch; a single series is a batch of one.
-    NaN is refused for every family.
-    """
 
-    def __init__(self, xs: np.ndarray, transform: Transform):
-        y = transform.apply(xs)
-        if y.ndim not in (1, 2):
-            raise ValueError(f"need one series or a 2-D batch of series, got shape {y.shape}")
-        if y.shape[-1] < 2:
-            raise ValueError(f"need at least 2 observations, got {y.shape[-1]}")
+def _checked(y: np.ndarray, sums: bool) -> np.ndarray:
+    """The block y, refusing NaN for every family and, where `sums`, +-inf:
+    sums of infinite values mean nothing."""
+    if not np.isfinite(y).all():
         if np.isnan(y).any():
             raise ValueError("the series contains NaN")
-        self.values = y.reshape(-1, y.shape[-1])
-
-    def finite_values(self) -> np.ndarray:
-        """The values, refusing +-inf: sums of infinite values mean nothing."""
-        if not np.isfinite(self.values).all():
+        if sums:
             raise ValueError("the series contains +-inf, which sum-based statistics refuse")
-        return self.values
+    return y
 
-    @cached_property
-    def ranked(self) -> tuple[np.ndarray, np.ndarray]:
-        """'<='-count ranks of every row, and which rows hold ties.
 
-        One argsort per row gives both: in a tie-free row the rank is the
-        sorted position, and a tie shows as two equal neighbours in sorted
-        order. Tied rows are re-ranked by the counting definition.
-        """
-        y = self.values
-        order = np.argsort(y, axis=-1)
-        ordered = np.take_along_axis(y, order, axis=-1)
-        tied = np.any(ordered[:, 1:] == ordered[:, :-1], axis=-1)
-        r = np.empty_like(y)
-        np.put_along_axis(r, order, np.arange(1.0, y.shape[-1] + 1.0), axis=-1)
-        for row in np.flatnonzero(tied):
-            r[row] = ranks(y[row])
-        return r, tied
+def _ranked(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """'<='-count ranks of each row of the (rows, n) block y, and which rows
+    hold ties.
+
+    One in-place sort of packed keys gives both. A double maps to a uint64
+    in the same order (-0.0 folded into +0.0 first), whose low ceil(log2 n)
+    bits are then replaced by the column index. A row whose sorted keys all
+    differ in their high bits is in exact value order, tie-free, and its
+    sorted position is the rank. A row where two keys share their high bits
+    (a tie, or values a few ulps apart) is ranked by the counting definition
+    (ranks); a tie raises the rank of all but the last of its values, so
+    that row is tied exactly when its ranks sum past n(n+1)/2.
+    """
+    rows, n = y.shape
+    bits = (n - 1).bit_length()
+    keys = (y + 0.0).view(np.int64)
+    flip = keys >> 63  # all ones for a negative double, else zero
+    flip |= np.int64(-1 << 63)
+    keys ^= flip  # negatives flip every bit, the rest only the sign bit
+    del flip
+    keys = keys.view(np.uint64)
+    keys &= np.uint64(2**64 - (1 << bits))
+    keys |= np.arange(n, dtype=np.uint64)
+    keys.sort(axis=-1)
+    close = np.min(keys[:, 1:] ^ keys[:, :-1], axis=-1) < (1 << bits)
+    index = keys.view(np.int64)
+    index &= (1 << bits) - 1
+    index += np.arange(0, rows * n, n)[:, None]
+    r = np.empty((rows, n))
+    r.reshape(-1)[index.reshape(-1)] = np.tile(np.arange(1.0, n + 1.0), rows)
+    tied = np.zeros(rows, dtype=bool)
+    for row in np.flatnonzero(close):
+        r[row] = ranks(y[row])
+        tied[row] = r[row].sum() > n * (n + 1) / 2
+    return r, tied
 
 
 def _row_sup(values: np.ndarray, family: str, h: float | None = None) -> np.ndarray:
@@ -330,12 +354,16 @@ def _sn_terms(p: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, ...]:
     n = p.shape[-1]
     gamma, w_left, w_right = _sn_weights(n, lo, hi)
     a = np.einsum("ij,ij->i", p, p)[:, None] / n
-    cc = np.zeros_like(p)
-    np.cumsum(np.cumsum(p[:, :-1], axis=-1), axis=-1, out=cc[:, 1:])
+    cc = np.empty_like(p)
+    cc[:, 0] = 0.0
+    np.cumsum(p[:, :-1], axis=-1, out=cc[:, 1:])
+    np.cumsum(cc[:, 1:], axis=-1, out=cc[:, 1:])
     pk = p[:, lo - 1:hi]
     linear = gamma * pk
-    linear += w_left * cc[:, lo - 1:hi]
-    linear -= w_right * cc[:, -1:]
+    window = cc[:, lo - 1:hi]  # hi < n: CC_{n-1} lies past it
+    window *= w_left
+    linear += window
+    linear -= np.multiply(w_right, cc[:, -1:], out=window)
     return pk, linear, a
 
 
@@ -409,7 +437,8 @@ def sn_wilcoxon(
 def _bridge(s: np.ndarray) -> np.ndarray:
     """The bridge P_t = S_t - (t/n) S_n of each row of partial sums s."""
     n = s.shape[-1]
-    return s - np.arange(1.0, n + 1.0) * (s[:, -1:] / n)
+    line = np.arange(1.0, n + 1.0) * (s[:, -1:] / n)
+    return np.subtract(s, line, out=line)
 
 
 def _centered_bridge(z: np.ndarray) -> np.ndarray:
@@ -421,50 +450,39 @@ def _centered_bridge(z: np.ndarray) -> np.ndarray:
 
 
 def _bridge_stats(
-    z: np.ndarray, sup: str | None, sn: str | None, trim: TrimSpec, profiles: bool
-) -> dict[str, ProfileStat | np.ndarray]:
+    p: np.ndarray, sup: str | None, sn: str | None, window: tuple[int, int] | None,
+    out: dict[str, np.ndarray], rows: slice, profiles: bool, degenerate: np.ndarray | None,
+) -> None:
     """The statistic `sup`, the profile |P_k| over k = 1..n, and `sn`, the
-    trimmed self-normalized ratio, of each row of z (None leaves a family
-    out), from one bridge per row block of row_blocks. With `profiles`, sup
-    maps to its (rows, n) profile and sn to its ProfileStat; without, each
-    maps to the per-row suprema, reduced block by block, so no profile
-    outlives its block."""
-    count, n = z.shape
-    out = {}
-    if sup:
-        out[sup] = np.empty((count, n) if profiles else count)
+    self-normalized ratio over the cuts of `window`, of one row block of
+    bridges p (None leaves a family out), written over p and into
+    out[family][rows]. With `profiles`, those rows take their profiles and
+    degenerate[rows] whether the row has a degenerate SN cut; without, they
+    take the row suprema, so that no profile outlives its block."""
+    n = p.shape[-1]
     if sn:
-        lo, hi = trim.window(n)
-        out[sn] = np.empty((count, hi - lo + 1) if profiles else count)
-        degenerate = np.empty(count, dtype=bool)
-    for rows in row_blocks(z.shape):
-        p = _centered_bridge(z[rows])
-        if sn:
-            pk, linear, a = _sn_terms(p, lo, hi)
-            # The ratio does not depend on the scale of P, but A = sum_t P_t^2
-            # overflows (inf - inf = NaN) or underflows (a zero denominator)
-            # far from 1. Such rows are evaluated at P 2^-e, e the exponent of
-            # their largest |P|: a power of two scales every term exactly, so a
-            # row reads the same bits at any scale.
-            far = ~((a[:, 0] >= 2.0**-500) & (a[:, 0] <= 2.0**500))
-            if far.any():
-                pk = pk.copy()  # a view of p, whose |P| the sup family reads next
-                e = np.frexp(np.max(np.abs(p[far]), axis=-1, keepdims=True))[1]
-                for term, scaled in zip((pk, linear, a), _sn_terms(np.ldexp(p[far], -e), lo, hi)):
-                    term[far] = scaled
-            ratio, zero = _sn_ratio(pk, linear, a, n, out=out[sn][rows] if profiles else None)
-            if profiles:
-                degenerate[rows] = np.any(zero, axis=-1)
-            else:
-                out[sn][rows] = _row_sup(ratio, sn)
-        if sup:
-            if profiles:
-                np.abs(p, out=out[sup][rows])
-            else:
-                out[sup][rows] = _row_sup(np.abs(p, out=p), sup)
-    if sn and profiles:
-        out[sn] = _finish_batch(out[sn], np.arange(lo, hi + 1), degenerate, sn)
-    return out
+        pk, linear, a = _sn_terms(p, *window)
+        # The ratio does not depend on the scale of P, but A = sum_t P_t^2
+        # overflows (inf - inf = NaN) or underflows (a zero denominator)
+        # far from 1. Such rows are evaluated at P 2^-e, e the exponent of
+        # their largest |P|: a power of two scales every term exactly, so a
+        # row reads the same bits at any scale.
+        far = ~((a[:, 0] >= 2.0**-500) & (a[:, 0] <= 2.0**500))
+        if far.any():
+            pk = pk.copy()  # a view of p, whose |P| the sup family reads next
+            e = np.frexp(np.max(np.abs(p[far]), axis=-1, keepdims=True))[1]
+            for term, scaled in zip((pk, linear, a), _sn_terms(np.ldexp(p[far], -e), *window)):
+                term[far] = scaled
+        ratio, zero = _sn_ratio(pk, linear, a, n, out=out[sn][rows] if profiles else None)
+        if profiles:
+            degenerate[rows] = np.any(zero, axis=-1)
+        else:
+            out[sn][rows] = _row_sup(ratio, sn)
+    if sup:
+        if profiles:
+            np.abs(p, out=out[sup][rows])
+        else:
+            out[sup][rows] = _row_sup(np.abs(p, out=p), sup)
 
 
 #: The families of each input of the bridge, the values and their ranks:
@@ -479,31 +497,48 @@ def _evaluate(
     families: tuple[str, ...], xs: np.ndarray, transform: Transform, trim: TrimSpec,
     profiles: bool,
 ) -> dict[str, ProfileStat | np.ndarray]:
-    """The families of the batch xs by _bridge_stats, as ProfileStats or as
-    per-row suprema."""
+    """The families of the batch xs, as ProfileStats or as per-row suprema,
+    evaluated one row block at a time from end to end: the transform, the
+    NaN and +-inf checks, the ranking and the bridge of each input, by
+    _bridge_stats."""
     unknown = set(families) - {family for pair in _INPUTS for family in pair}
     if unknown:
         raise ValueError(f"unknown families {sorted(unknown)}")
-    batch = _Batch(xs, transform)
-    results = {}
-    for sup, sn in _INPUTS:
-        if sup not in families and sn not in families:
-            continue
-        z = batch.finite_values() if sup == "cusum" else batch.ranked[0]
-        results.update(_bridge_stats(z, sup if sup in families else None,
-                                     sn if sn in families else None, trim, profiles))
-        if sup not in families:
-            continue
-        if sup == "wilcoxon":
+    xs = _rows(xs)
+    count, n = xs.shape
+    on_values, on_ranks = ([f if f in families else None for f in pair] for pair in _INPUTS)
+    window = trim.window(n) if on_values[1] or on_ranks[1] else None
+    out, degenerate = {}, {}
+    for sup, sn in (on_values, on_ranks):
+        if sup:
+            out[sup] = np.empty((count, n) if profiles else count)
+        if sn:
+            out[sn] = np.empty((count, window[1] - window[0] + 1) if profiles else count)
+            if profiles:
+                degenerate[sn] = np.empty(count, dtype=bool)
+    for rows in row_blocks(xs.shape):
+        y = _checked(transform.apply(xs[rows]), sums=any(on_values))
+        if any(on_values):
+            _bridge_stats(_centered_bridge(y), *on_values, window, out, rows, profiles,
+                          degenerate.get(on_values[1]))
+        if any(on_ranks):
+            r, tied = _ranked(y)
+            _bridge_stats(_centered_bridge(r), *on_ranks, window, out, rows, profiles,
+                          degenerate.get(on_ranks[1]))
             # The rank identity holds only for tie-free rows; a tied row falls
             # back to the O(n^2) pair counts (a null event under continuous
             # generators, so speed there does not matter).
-            for row in np.flatnonzero(batch.ranked[1]):
-                counts = np.abs(_wilcoxon_pair_counts(batch.values[row]))
-                results[sup][row] = counts if profiles else np.max(counts)
-        if profiles:
-            results[sup] = _finish_batch(results[sup], np.arange(1, z.shape[-1] + 1), family=sup)
-    return results
+            for row in np.flatnonzero(tied) if on_ranks[0] else ():
+                counts = np.abs(_wilcoxon_pair_counts(y[row]))
+                out[on_ranks[0]][rows.start + row] = counts if profiles else np.max(counts)
+    if profiles:
+        for sup, sn in (on_values, on_ranks):
+            if sup:
+                out[sup] = _finish_batch(out[sup], np.arange(1, n + 1), family=sup)
+            if sn:
+                out[sn] = _finish_batch(out[sn], np.arange(window[0], window[1] + 1),
+                                        degenerate[sn], sn)
+    return out
 
 
 def evaluate(
@@ -534,7 +569,8 @@ def row_sups(
 ) -> dict[str, np.ndarray]:
     """The supremum of each family of each row of the batch xs: the
     sup_value of evaluate, bit for bit, reduced in each row block, so that
-    no (rows, n) profile is kept. A NaN supremum is refused.
+    no (rows, n) profile or temporary of the batch's size is allocated. A
+    NaN supremum is refused.
     """
     return _evaluate(families, xs, transform, trim, profiles=False)
 
@@ -565,13 +601,13 @@ def mean_shift_sups(
     unknown = set(families) - {"cusum", "sn_cusum"}
     if unknown:
         raise ValueError(f"the mean-shift path covers cusum and sn_cusum, got {sorted(unknown)}")
-    z = _Batch(x0, Transform.IDENTITY).finite_values()
+    z = _rows(x0)
     count, n = z.shape
     window = trim.window(n) if "sn_cusum" in families else None
     b, b_terms = _step_bridge(n, cut, window)
     sups = {(family, h): np.empty(count) for family in families for h in shifts}
     for rows in row_blocks(z.shape):
-        p = _centered_bridge(z[rows])
+        p = _centered_bridge(_checked(z[rows], sums=True))
         if window is not None:
             pk, linear, a = _sn_terms(p, *window)
             pb = (p @ b)[:, None] * (2.0 / n)

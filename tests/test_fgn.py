@@ -149,6 +149,25 @@ class TestSampling:
             expected = one_shot_paths(params, normals)
             assert np.array_equal(fgn.paths_from_normals(params, normals), expected), rows
 
+    @pytest.mark.parametrize("n", [2, 3, 500, 1000, 2000, 2048])
+    def test_irfft_reads_only_the_real_parts_of_the_dc_and_nyquist_terms(self, n):
+        # paths_from_normals leaves the imaginary parts of columns 0 and m as
+        # np.empty gives them, so irfft must ignore whatever they hold, on
+        # the slices it is called on: one row, a short last slice and a full
+        # one, into rows of the normals.
+        m = fgn.embedding_size(n) // 2
+        step = next(stats.row_blocks((64, 2 * (m + 1)))).stop
+        rng = RngStream(22, n).generator()
+        for rows in (1, step - 1, step):
+            half = rng.standard_normal((rows, m + 1)) + 1j * rng.standard_normal((rows, m + 1))
+            half.imag[:, [0, m]] = 0.0
+            expected = np.fft.irfft(half, n=2 * m, axis=1)
+            for junk in (np.nan, np.inf, -1e300, 1.0):
+                half.imag[:, [0, m]] = junk
+                out = np.empty((rows, 2 * m))
+                np.fft.irfft(half, n=2 * m, axis=1, out=out)
+                assert np.array_equal(out, expected), (rows, junk)
+
     def test_spectrum_workspace_does_not_grow_with_the_batch(self):
         # Beyond its input, a call holds one slice of at most 7 rows of 2049
         # coefficients, with numpy's temporaries for that slice: a batch of
