@@ -17,18 +17,15 @@ on its own streams, so the counts are those of evaluating one replication
 at a time, whatever the chunk size. A NaN supremum, which a shift that
 overflows the doubles leaves, is refused by its h.
 
-In a mean row, cusum and sn_cusum see every shift through one bridge of the
-chunk's null paths x0 (stats.mean_shift_sups). The shifted path is
-x0 + h 1{t > floor(n tau)}, and the bridge P_t = S_t - (t/n) S_n is linear
-in the path, so with B the bridge of the step (a fixed tent):
-P(h) = P0 + h B, its double prefix sums CC(h) = CC0 + h CC_B, and
-A(h) = sum_t P_t(h)^2 = A0 + 2h <P0, B> + h^2 <B, B>. These are all the
-SN ratio needs, so a shift costs no prefix pass. The counts equal those of
-evaluating each shifted path unless a statistic lies within rounding of
-its critical value. The rank families rank each shifted path. Variance and
-tail rows evaluate each shift: a scale change splits only into
-pre + h^2 post terms of the squares, and a tail shift into pre and
-post-change draws, and at two shifts that decomposition saves no pass.
+A mean row draws only its null chunk x0, and stats.mean_shift_sups reads
+every family at every shift of x0 + h 1{t > floor(n tau)} from it in one
+pass over its row blocks: the rank families rank each shifted block, and
+cusum and sn_cusum take every shift from the bridge of x0 (derivation
+there). The counts equal those of evaluating each shifted path unless a
+sum statistic lies within rounding of its critical value. Variance and
+tail rows evaluate each shift: a scale change splits only into pre + h^2
+post terms of the squares, and a tail shift into pre and post-change
+draws, and at two shifts that decomposition saves no pass.
 
 Every test follows one rule, resolve_plan: the problem and the family fix
 the transform, the normalization and the limit table. Every table comes
@@ -539,13 +536,12 @@ def _row_stream(cfg: ExperimentConfig, hurst: float, n: int, alpha: float | None
 def _evaluate_row(cfg: ExperimentConfig, hurst: float, n: int, alpha: float | None,
                   plans: list[Plan]) -> list[CellResult]:
     families = tuple(plan.family for plan in plans)
-    # A mean shift adds h times a fixed step, so the sum families take every
-    # shift from the bridge of the null chunk; the others see each shift.
-    linear = tuple(f for f in families if cfg.problem == "mean" and f in ("cusum", "sn_cusum"))
-    rest = tuple(f for f in families if f not in linear)
+    mean = cfg.problem == "mean"
     params = fgn.FgnParams(hurst, n)
     noise = make_noise(cfg.noise_kind, alpha)
-    changes = [lmsv.NoChange()] * bool(linear) + [
+    # A mean shift adds h times a fixed step, so a mean row draws its null
+    # chunk alone and reads every shift from it; the others draw each shift.
+    changes = [lmsv.NoChange()] if mean else [
         lmsv.CHANGES[cfg.problem](h, cfg.tau) for h in cfg.shifts]
     cut = lmsv.change_point_index(n, cfg.tau)
     base = _row_stream(cfg, hurst, n, alpha)
@@ -554,23 +550,22 @@ def _evaluate_row(cfg: ExperimentConfig, hurst: float, n: int, alpha: float | No
     for start in range(0, cfg.replications, step):
         streams = base.substreams(range(start, min(start + step, cfg.replications)))
         paths = lmsv.simulate_batch(params, noise, changes, streams)
-        sups = {}
         # The statistics refuse a NaN supremum, which a shift that overflows
         # leaves; the refusal names the shift.
-        if linear:
-            x0 = next(paths)[2]
-            if not rest:  # free the chunk's draws before the statistics run
-                paths.close()
+        if mean:
+            [x0] = (x for _, _, x in paths)  # ends the generator: the draws are freed
             try:
-                sups = stats.mean_shift_sups(linear, x0, cut, cfg.shifts, cfg.trim)
+                sups = stats.mean_shift_sups(families, x0, cut, cfg.shifts, cfg.trim)
             except ValueError as err:  # names its h
                 raise ValueError(f"shifts: {err}") from None
-        for h, (_, _, x) in zip(cfg.shifts, paths):
-            try:
-                results = stats.row_sups(rest, x, plans[0].transform, cfg.trim)
-            except ValueError as err:
-                raise ValueError(f"shifts: at h = {h:g}, {err}") from None
-            sups.update({(family, h): results[family] for family in rest})
+        else:
+            sups = {}
+            for h, (_, _, x) in zip(cfg.shifts, paths):
+                try:
+                    results = stats.row_sups(families, x, plans[0].transform, cfg.trim)
+                except ValueError as err:
+                    raise ValueError(f"shifts: at h = {h:g}, {err}") from None
+                sups.update({(family, h): results[family] for family in families})
         for plan in plans:
             for h in cfg.shifts:
                 value = sups[plan.family, h] / plan.normalization

@@ -24,21 +24,23 @@ integer keys per block (_ranked); a row where two keys agree in their high
 bits, a tie or values a few ulps apart, is ranked by the counting
 definition.
 
-A mean shift adds h 1{t > cut} to a series, and the bridge is linear in the
-series, so mean_shift_sups takes the sum families at every h from the
-bridge of the unshifted series and that of the step (derivation there).
+A mean shift adds h 1{t > cut} to a series. mean_shift_sups reads each
+family at every h in the block loop of evaluate and row_sups, under their
+scale rule and refusals: the rank families rank each block shifted by h,
+and the sum families take every h from the bridges of the unshifted block
+and of the step, as the bridge is linear in the series (derivation there).
 
-evaluate and row_sups take a batch one row block of row_blocks at a time,
-from end to end: the transform, the NaN and +-inf checks, the ranking and
-the bridge of each input. Those blocks are the rule of asymp's table
-functionals and fgn's spectrum too: as many whole rows as fit in _BLOCK,
-so no temporary grows with the batch. Rows are independent, so a row's
-result is bitwise the same alone, in any batch and in any block. row_sups
-reduces each block to its rows' suprema, so a batch of replications keeps
-no profile. A NaN supremum, which terms past the doubles leave, is refused
-by every reduction. The SN table functional of asymp is this kernel too:
-_bridge, _sn_terms and _sn_ratio entered at the partial sums that the
-simulated paths already are, with no differencing.
+evaluate, row_sups and mean_shift_sups take a batch one row block of
+row_blocks at a time, from end to end: the transform, the NaN and +-inf
+checks, the ranking and the bridge of each input. Those blocks are the
+rule of asymp's table functionals and fgn's spectrum too: as many whole
+rows as fit in _BLOCK, so no temporary grows with the batch. Rows are
+independent, so a row's result is bitwise the same alone, in any batch and
+in any block. row_sups reduces each block to its rows' suprema, so a batch
+of replications keeps no profile. A NaN supremum, which terms past the
+doubles leave, is refused by every reduction. The SN table functional of
+asymp is this kernel too: _bridge, _sn_terms and _sn_ratio entered at the
+partial sums that the simulated paths already are, with no differencing.
 """
 
 from __future__ import annotations
@@ -451,17 +453,20 @@ def _centered_bridge(z: np.ndarray) -> np.ndarray:
 
 def _bridge_stats(
     p: np.ndarray, sup: str | None, sn: str | None, window: tuple[int, int] | None,
-    out: dict[str, np.ndarray], rows: slice, profiles: bool, degenerate: np.ndarray | None,
+    out: dict[tuple, np.ndarray], rows: slice, profiles: bool, degenerate: np.ndarray | None,
+    h: float | None = None, terms: tuple[np.ndarray, ...] | None = None,
 ) -> None:
     """The statistic `sup`, the profile |P_k| over k = 1..n, and `sn`, the
     self-normalized ratio over the cuts of `window`, of one row block of
     bridges p (None leaves a family out), written over p and into
-    out[family][rows]. With `profiles`, those rows take their profiles and
-    degenerate[rows] whether the row has a degenerate SN cut; without, they
-    take the row suprema, so that no profile outlives its block."""
+    out[family, h][rows]. `terms` are those of _sn_terms of p, when the
+    caller already has them. With `profiles`, those rows take their
+    profiles and degenerate[rows] whether the row has a degenerate SN cut;
+    without, they take the row suprema, so that no profile outlives its
+    block, and a NaN supremum is refused with its h."""
     n = p.shape[-1]
     if sn:
-        pk, linear, a = _sn_terms(p, *window)
+        pk, linear, a = _sn_terms(p, *window) if terms is None else terms
         # The ratio does not depend on the scale of P, but A = sum_t P_t^2
         # overflows (inf - inf = NaN) or underflows (a zero denominator)
         # far from 1. Such rows are evaluated at P 2^-e, e the exponent of
@@ -469,20 +474,20 @@ def _bridge_stats(
         # row reads the same bits at any scale.
         far = ~((a[:, 0] >= 2.0**-500) & (a[:, 0] <= 2.0**500))
         if far.any():
-            pk = pk.copy()  # a view of p, whose |P| the sup family reads next
+            pk = pk.copy()  # maybe a view of p, whose |P| the sup family reads next
             e = np.frexp(np.max(np.abs(p[far]), axis=-1, keepdims=True))[1]
             for term, scaled in zip((pk, linear, a), _sn_terms(np.ldexp(p[far], -e), *window)):
                 term[far] = scaled
-        ratio, zero = _sn_ratio(pk, linear, a, n, out=out[sn][rows] if profiles else None)
+        ratio, zero = _sn_ratio(pk, linear, a, n, out=out[sn, h][rows] if profiles else None)
         if profiles:
             degenerate[rows] = np.any(zero, axis=-1)
         else:
-            out[sn][rows] = _row_sup(ratio, sn)
+            out[sn, h][rows] = _row_sup(ratio, sn, h)
     if sup:
         if profiles:
-            np.abs(p, out=out[sup][rows])
+            np.abs(p, out=out[sup, h][rows])
         else:
-            out[sup][rows] = _row_sup(np.abs(p, out=p), sup)
+            out[sup, h][rows] = _row_sup(np.abs(p, out=p), sup, h)
 
 
 #: The families of each input of the bridge, the values and their ranks:
@@ -495,12 +500,14 @@ _INPUTS = (("cusum", "sn_cusum"), ("wilcoxon", "sn_wilcoxon"))
 @np.errstate(over="ignore", invalid="ignore")
 def _evaluate(
     families: tuple[str, ...], xs: np.ndarray, transform: Transform, trim: TrimSpec,
-    profiles: bool,
-) -> dict[str, ProfileStat | np.ndarray]:
-    """The families of the batch xs, as ProfileStats or as per-row suprema,
-    evaluated one row block at a time from end to end: the transform, the
-    NaN and +-inf checks, the ranking and the bridge of each input, by
-    _bridge_stats."""
+    profiles: bool, cut: int | None = None, shifts: tuple[float | None, ...] = (None,),
+) -> dict[tuple[str, float | None], ProfileStat | np.ndarray]:
+    """The families of the batch xs, as ProfileStats or as per-row suprema
+    keyed (family, h), evaluated one row block at a time from end to end:
+    the transform, the NaN and +-inf checks, the ranking and the bridge of
+    each input, by _bridge_stats. h None reads the block itself; with a
+    cut, each h of `shifts` reads the block plus h 1{t > cut}
+    (mean_shift_sups)."""
     unknown = set(families) - {family for pair in _INPUTS for family in pair}
     if unknown:
         raise ValueError(f"unknown families {sorted(unknown)}")
@@ -508,36 +515,48 @@ def _evaluate(
     count, n = xs.shape
     on_values, on_ranks = ([f if f in families else None for f in pair] for pair in _INPUTS)
     window = trim.window(n) if on_values[1] or on_ranks[1] else None
-    out, degenerate = {}, {}
-    for sup, sn in (on_values, on_ranks):
-        if sup:
-            out[sup] = np.empty((count, n) if profiles else count)
-        if sn:
-            out[sn] = np.empty((count, window[1] - window[0] + 1) if profiles else count)
-            if profiles:
-                degenerate[sn] = np.empty(count, dtype=bool)
+    if cut is not None:
+        b, b_terms = _step_bridge(n, cut, window)
+    k_grids = {f: np.arange(window[0], window[1] + 1) if f.startswith("sn_")
+               else np.arange(1, n + 1) for f in families if profiles}
+    out = {(f, h): np.empty((count, k_grids[f].size) if profiles else count)
+           for f in families for h in shifts}
+    degenerate = {(f, h): np.empty(count, dtype=bool)
+                  for f in families if profiles and f.startswith("sn_") for h in shifts}
     for rows in row_blocks(xs.shape):
         y = _checked(transform.apply(xs[rows]), sums=any(on_values))
         if any(on_values):
-            _bridge_stats(_centered_bridge(y), *on_values, window, out, rows, profiles,
-                          degenerate.get(on_values[1]))
-        if any(on_ranks):
-            r, tied = _ranked(y)
+            p = _centered_bridge(y)
+            if cut is not None and on_values[1]:
+                pk, linear, a = _sn_terms(p, *window)
+                pb = (p @ b)[:, None] * (2.0 / n)
+            for h in shifts:
+                terms = None  # a shift costs no prefix pass: the bridge is linear in the series
+                if h is not None and on_values[1]:
+                    terms = (pk + h * b_terms[0], linear + h * b_terms[1],
+                             a + h * (pb + h * b_terms[2]))
+                _bridge_stats(p if h is None else p + h * b, *on_values, window, out, rows,
+                              profiles, degenerate.get((on_values[1], h)), h, terms)
+            p = pk = linear = a = pb = terms = None  # not held while the block is ranked
+        for h in shifts if any(on_ranks) else ():
+            yh = y
+            if h is not None:  # the shifted path of lmsv.simulate_batch, bit for bit
+                yh = y.copy()
+                yh[:, cut:] += h
+            r, tied = _ranked(yh)
             _bridge_stats(_centered_bridge(r), *on_ranks, window, out, rows, profiles,
-                          degenerate.get(on_ranks[1]))
+                          degenerate.get((on_ranks[1], h)), h)
             # The rank identity holds only for tie-free rows; a tied row falls
             # back to the O(n^2) pair counts (a null event under continuous
             # generators, so speed there does not matter).
             for row in np.flatnonzero(tied) if on_ranks[0] else ():
-                counts = np.abs(_wilcoxon_pair_counts(y[row]))
-                out[on_ranks[0]][rows.start + row] = counts if profiles else np.max(counts)
+                counts = np.abs(_wilcoxon_pair_counts(yh[row]))
+                out[on_ranks[0], h][rows.start + row] = counts if profiles else np.max(counts)
+        yh = r = None  # nor while the next block is evaluated
     if profiles:
-        for sup, sn in (on_values, on_ranks):
-            if sup:
-                out[sup] = _finish_batch(out[sup], np.arange(1, n + 1), family=sup)
-            if sn:
-                out[sn] = _finish_batch(out[sn], np.arange(window[0], window[1] + 1),
-                                        degenerate[sn], sn)
+        for (family, h), values in out.items():
+            out[family, h] = _finish_batch(values, k_grids[family], degenerate.get((family, h)),
+                                           family)
     return out
 
 
@@ -557,8 +576,8 @@ def evaluate(
     """
     results = _evaluate(families, xs, transform, trim, profiles=True)
     if np.ndim(xs) == 1:
-        return {family: _single(results[family]) for family in families}
-    return {family: results[family] for family in families}
+        return {family: _single(results[family, None]) for family in families}
+    return {family: results[family, None] for family in families}
 
 
 def row_sups(
@@ -572,10 +591,10 @@ def row_sups(
     no (rows, n) profile or temporary of the batch's size is allocated. A
     NaN supremum is refused.
     """
-    return _evaluate(families, xs, transform, trim, profiles=False)
+    sups = _evaluate(families, xs, transform, trim, profiles=False)
+    return {family: sups[family, None] for family in families}
 
 
-@np.errstate(over="ignore", invalid="ignore")  # as _evaluate
 def mean_shift_sups(
     families: tuple[str, ...],
     x0: np.ndarray,
@@ -583,9 +602,10 @@ def mean_shift_sups(
     shifts: tuple[float, ...],
     trim: TrimSpec = TrimSpec(),
 ) -> dict[tuple[str, float], np.ndarray]:
-    """Supremum of each sum family (cusum, sn_cusum) of every row of
-    x0 + h 1{t > cut}, for each h in `shifts`, keyed (family, h), from one
-    bridge pass over the rows of x0.
+    """Supremum of each family of every row of x0 + h 1{t > cut}, for each h
+    in `shifts`, keyed (family, h), from one pass over the row blocks of x0
+    (_evaluate): the rank families rank each block shifted by h, and the
+    sum families take every h from the bridge of the block.
 
     The bridge is linear in the series. With P0, CC0 and A0 those of x0,
     and B, CC_B those of the step 1{t > cut} (cached per (n, cut)),
@@ -595,30 +615,14 @@ def mean_shift_sups(
 
     and the linear part of the SN denominator (see _sn_terms) is
     L(h) = L0 + h L_B, so a shift costs a few vector operations over the
-    cuts and no prefix pass. The values agree with evaluate on each shifted series to rounding;
-    at h = 0 they are bitwise the same. A NaN supremum is refused with its h.
+    cuts and no prefix pass. The sum families agree with row_sups of each
+    shifted series to rounding, the rank families bit for bit; at h = 0
+    all are bitwise the same. The scale rule, the degenerate floor and the
+    refusal of a NaN supremum, named by its h, are those of row_sups
+    (_bridge_stats).
     """
-    unknown = set(families) - {"cusum", "sn_cusum"}
-    if unknown:
-        raise ValueError(f"the mean-shift path covers cusum and sn_cusum, got {sorted(unknown)}")
-    z = _rows(x0)
-    count, n = z.shape
-    window = trim.window(n) if "sn_cusum" in families else None
-    b, b_terms = _step_bridge(n, cut, window)
-    sups = {(family, h): np.empty(count) for family in families for h in shifts}
-    for rows in row_blocks(z.shape):
-        p = _centered_bridge(_checked(z[rows], sums=True))
-        if window is not None:
-            pk, linear, a = _sn_terms(p, *window)
-            pb = (p @ b)[:, None] * (2.0 / n)
-        for h in shifts:
-            if "cusum" in families:
-                sups["cusum", h][rows] = _row_sup(np.abs(p + h * b), "cusum", h)
-            if window is not None:
-                ratio, _ = _sn_ratio(pk + h * b_terms[0], linear + h * b_terms[1],
-                                     a + h * (pb + h * b_terms[2]), n)
-                sups["sn_cusum", h][rows] = _row_sup(ratio, "sn_cusum", h)
-    return sups
+    return _evaluate(families, x0, Transform.IDENTITY, trim, profiles=False, cut=cut,
+                     shifts=shifts)
 
 
 @lru_cache(maxsize=32)

@@ -874,7 +874,10 @@ class TestExperimentAndCompare:
         assert "compared" not in out
 
     @pytest.mark.parametrize("overrides, h", [
-        ({"shifts": [0.0, 1e160]}, "1e+160"),
+        # At h = 1e160 the SN terms overflowed; under the scale rule that row
+        # now runs (cusum and sn_cusum reject 100 of 100). At h = 1e308 the
+        # bridge h B of the step overflows itself.
+        ({"shifts": [0.0, 1e308]}, "1e+308"),
         # Every squared value of this row stays finite at h = 5.6e152, but the
         # sum of some replication's squares overflows and leaves a NaN bridge.
         # The SN terms of a finite bridge no longer overflow: at h = 1e150

@@ -707,30 +707,77 @@ class TestChunkedEngine:
                 assert np.array_equal(paths[rep], lmsv.simulate_series(spec, base.substream(rep)))
 
 
+def _null_chunk(hurst, n, noise, rows=64, seed=31):
+    [(_, _, x0)] = lmsv.simulate_batch(fgn.FgnParams(hurst, n), noise, [lmsv.NoChange()],
+                                       RngStream(seed).substreams(range(rows)))
+    return x0
+
+
+def _shifted(x0, cut, h):
+    x = x0.copy()
+    x[:, cut:] += h
+    return x
+
+
 class TestMeanShiftReuse:
-    """Mean rows take every shift of cusum and sn_cusum from the bridge of
-    the null chunk (stats.mean_shift_sups)."""
+    """Mean rows take every shift of every family from the null chunk
+    (stats.mean_shift_sups): the sum families from its bridge, the rank
+    families from each shifted block."""
 
     @pytest.mark.parametrize("n", [500, 2000])
     def test_sups_match_evaluate_on_each_shifted_series(self, n):
         # 0 and 1 are the desk shifts; 0.37, 2.5 and -4 are not.
-        shifts, families, trim = (0.0, 1.0, 0.37, 2.5, -4.0), ("cusum", "sn_cusum"), TrimSpec()
+        shifts, families, trim = (0.0, 1.0, 0.37, 2.5, -4.0), mc.FAMILIES, TrimSpec()
         cut = lmsv.change_point_index(n, 0.5)
-        [(_, _, x0)] = lmsv.simulate_batch(fgn.FgnParams(0.8, n), make_noise("normal"),
-                                           [lmsv.NoChange()], RngStream(31).substreams(range(64)))
+        x0 = _null_chunk(0.8, n, make_noise("normal"))
         sups = stats.mean_shift_sups(families, x0, cut, shifts, trim)
         for h in shifts:
-            x = x0.copy()
-            x[:, cut:] += h
-            results = stats.evaluate(families, x, trim=trim)
-            for family in families:
+            results = stats.evaluate(families, _shifted(x0, cut, h), trim=trim)
+            for family in ("cusum", "sn_cusum"):
                 np.testing.assert_allclose(sups[family, h], results[family].sup_value,
                                            rtol=1e-10, atol=0)
+            for family in ("wilcoxon", "sn_wilcoxon"):
+                assert np.array_equal(sups[family, h], results[family].sup_value)
         at_zero = stats.evaluate(families, x0, trim=trim)
         for family in families:
             assert np.array_equal(sups[family, 0.0], at_zero[family].sup_value)
-        with pytest.raises(ValueError, match="covers cusum and sn_cusum"):
-            stats.mean_shift_sups(("wilcoxon",), x0, cut, shifts, trim)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e155])
+    def test_extreme_scales_read_as_each_shifted_chunk(self, scale):
+        # The scale rule of row_sups holds for every shift: the mean path
+        # read inf at 1e-170, a value 4.7e-6 off at 1e-160, and refused
+        # 1e155 as NaN. At h = 1 a chunk of 1e-170 is piecewise constant
+        # to the doubles, and both read its degenerate +inf.
+        n, families = 500, mc.FAMILIES
+        cut = lmsv.change_point_index(n, 0.5)
+        x0 = _null_chunk(0.8, n, make_noise("normal"), rows=16) * scale
+        sups = stats.mean_shift_sups(families, x0, cut, (0.0, 1.0))
+        for h in (0.0, 1.0):
+            expected = stats.row_sups(families, _shifted(x0, cut, h))
+            for family in families:
+                if h == 0.0:
+                    assert np.array_equal(sups[family, h], expected[family]), family
+                else:
+                    np.testing.assert_allclose(sups[family, h], expected[family],
+                                               rtol=1e-10, atol=0, err_msg=family)
+
+    @pytest.mark.parametrize("h", [0.0, 0.25, 0.5, 1.0])
+    def test_heavy_tails_read_as_each_shifted_chunk(self, h):
+        # Centered Pareto innovations at alpha = 2.5, the Table 2 cells that
+        # disagree with the published power: the rank families are the
+        # ranks of the shifted chunk bit for bit, and the sum families its
+        # bridge to rounding (1.1e-12 relative here, as before the rank
+        # families shared the pass).
+        n, families = 500, mc.FAMILIES
+        cut = lmsv.change_point_index(n, 0.5)
+        x0 = _null_chunk(0.9, n, make_noise("centered_pareto", 2.5), rows=128)
+        sups = stats.mean_shift_sups(families, x0, cut, (h,))
+        expected = stats.row_sups(families, _shifted(x0, cut, h))
+        for family in ("wilcoxon", "sn_wilcoxon"):
+            assert np.array_equal(sups[family, h], expected[family]), family
+        for family in ("cusum", "sn_cusum"):
+            np.testing.assert_allclose(sups[family, h], expected[family], rtol=1e-10, atol=0,
+                                       err_msg=family)
 
     @pytest.mark.parametrize("name", ["mean_normal", "mean_centered_pareto"])
     @pytest.mark.parametrize("n", [500, 2000])
