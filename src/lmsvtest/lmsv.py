@@ -87,6 +87,33 @@ ChangeSpec = NoChange | MeanShift | VarianceScale | TailShift
 CHANGES = {change.kind: change for change in (MeanShift, VarianceScale, TailShift)}
 
 
+def shift_rule(kind: str, noise: NoiseSpec | None, cut: int, eps: np.ndarray | None):
+    """(direction, gain) of the changes of `kind` at the index cut: under
+    its problem's transform a change of height h turns a null chunk z0 into
+    z0 + gain(h) D, to rounding, with D = direction(rows, z0) on the row
+    block `rows` (stats.shift_sups). Only the tail reads `noise` and the
+    null innovations eps (its draw c u^(-1/(alpha+h)) reuses the u of
+    eps = c u^(-1/alpha)), and only its direction keeps eps.
+
+        mean      D = 1{t > cut}, one row for all     g = h
+        variance  D = z0 1{t > cut}                   g = h^2 - 1
+        tail      D = log(eps / c) 1{t > cut}         g = -h / (alpha + h)
+    """
+    post, gain = {  # D after the cut, and g
+        "mean": (lambda rows, z0: 1.0, lambda h: h),
+        "variance": (lambda rows, z0: z0[:, cut:], lambda h: h * h - 1.0),
+        "tail": (lambda rows, z0: np.log(eps[rows, cut:] / noise.scale),
+                 lambda h: -h / (noise.alpha + h)),
+    }[kind]
+
+    def direction(rows: slice, z0: np.ndarray) -> np.ndarray:
+        d = np.zeros_like(z0[:1] if kind == "mean" else z0)
+        d[:, cut:] = post(rows, z0)
+        return d
+
+    return direction, gain
+
+
 @dataclass(frozen=True)
 class SeriesSpec:
     """Complete description of one simulated series including its change."""

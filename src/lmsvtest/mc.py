@@ -10,22 +10,17 @@ by the block rule of tables (fgn.block_rows, 1 MiB: 128 replications at
 n = 500, 64 at 1000, 32 at 2000), so a worker's working set does not grow
 with n: each replication draws from its own two keyed streams into its row
 of the chunk, paths_from_normals turns the chunk's normals into FGN paths,
-and each statistic is reduced to its per-row suprema (stats.row_sups) in
-the row blocks of the kernels, so no profile of the chunk is kept. The
-chunk's paths come from lmsv.simulate_batch, which keeps each replication
-on its own streams, so the counts are those of evaluating one replication
-at a time, whatever the chunk size. A NaN supremum, which a shift that
-overflows the doubles leaves, is refused by its h.
+and each statistic is reduced to its per-row suprema in the row blocks of
+the kernels, so no profile of the chunk is kept. The chunk's paths come
+from lmsv.simulate_batch, which keeps each replication on its own streams,
+so the counts are those of evaluating one replication at a time, whatever
+the chunk size. A NaN supremum, which a shift that overflows the doubles
+leaves, is refused by its h.
 
-A mean row draws only its null chunk x0, and stats.mean_shift_sups reads
-every family at every shift of x0 + h 1{t > floor(n tau)} from it in one
-pass over its row blocks: the rank families rank each shifted block, and
-cusum and sn_cusum take every shift from the bridge of x0 (derivation
-there). The counts equal those of evaluating each shifted path unless a
-sum statistic lies within rounding of its critical value. Variance and
-tail rows evaluate each shift: a scale change splits only into pre + h^2
-post terms of the squares, and a tail shift into pre and post-change
-draws, and at two shifts that decomposition saves no pass.
+Every row draws only its null chunk and reads every family at every shift
+from it (stats.shift_sups, by the rule of lmsv.shift_rule). The counts
+equal those of evaluating each shifted chunk unless a sum statistic lies
+within rounding of its critical value.
 
 Every test follows one rule, resolve_plan: the problem and the family fix
 the transform, the normalization and the limit table. Every table comes
@@ -536,36 +531,24 @@ def _row_stream(cfg: ExperimentConfig, hurst: float, n: int, alpha: float | None
 def _evaluate_row(cfg: ExperimentConfig, hurst: float, n: int, alpha: float | None,
                   plans: list[Plan]) -> list[CellResult]:
     families = tuple(plan.family for plan in plans)
-    mean = cfg.problem == "mean"
     params = fgn.FgnParams(hurst, n)
     noise = make_noise(cfg.noise_kind, alpha)
-    # A mean shift adds h times a fixed step, so a mean row draws its null
-    # chunk alone and reads every shift from it; the others draw each shift.
-    changes = [lmsv.NoChange()] if mean else [
-        lmsv.CHANGES[cfg.problem](h, cfg.tau) for h in cfg.shifts]
     cut = lmsv.change_point_index(n, cfg.tau)
     base = _row_stream(cfg, hurst, n, alpha)
     rejections = {(p.family, h): 0 for p in plans for h in cfg.shifts}
     step = fgn.block_rows(n)
     for start in range(0, cfg.replications, step):
         streams = base.substreams(range(start, min(start + step, cfg.replications)))
-        paths = lmsv.simulate_batch(params, noise, changes, streams)
-        # The statistics refuse a NaN supremum, which a shift that overflows
-        # leaves; the refusal names the shift.
-        if mean:
-            [x0] = (x for _, _, x in paths)  # ends the generator: the draws are freed
-            try:
-                sups = stats.mean_shift_sups(families, x0, cut, cfg.shifts, cfg.trim)
-            except ValueError as err:  # names its h
-                raise ValueError(f"shifts: {err}") from None
-        else:
-            sups = {}
-            for h, (_, _, x) in zip(cfg.shifts, paths):
-                try:
-                    results = stats.row_sups(families, x, plans[0].transform, cfg.trim)
-                except ValueError as err:
-                    raise ValueError(f"shifts: at h = {h:g}, {err}") from None
-                sups.update({(family, h): results[family] for family in families})
+        # The generator ends here, so the latent path and, but for the tail's
+        # direction, the innovations are freed before the statistics run.
+        [(x0, (direction, gain))] = (
+            (x, lmsv.shift_rule(cfg.problem, noise, cut, eps))
+            for _, eps, x in lmsv.simulate_batch(params, noise, [lmsv.NoChange()], streams))
+        try:
+            sups = stats.shift_sups(families, x0, plans[0].transform, direction,
+                                    {h: gain(h) for h in cfg.shifts}, cfg.trim)
+        except ValueError as err:  # names its h: a shift that overflows leaves a NaN supremum
+            raise ValueError(f"shifts: {err}") from None
         for plan in plans:
             for h in cfg.shifts:
                 value = sups[plan.family, h] / plan.normalization
@@ -758,13 +741,15 @@ def _two_proportion_z(p1: float, n1: int, p2: float, n2: int) -> float:
 def compare_to_reference(
     cells: list[CellResult], reference: list[CellResult], max_z: float = 3.0
 ) -> ComparisonResult:
-    """Per-cell z-scores of local rates against reference rates.
+    """Per-cell z-scores of local rates against the rates of a published
+    table (reference_from_csv), which are given to three decimals.
 
-    Both sides are treated as independent binomial proportions; cells with
-    |z| > max_z are flagged. Every local cell must have a reference partner,
-    otherwise the grids are considered mismatched. A max_z that is NaN,
-    infinite or negative is refused: no z exceeds NaN, and a bound of inf
-    passes even an infinite z.
+    Both sides are treated as independent binomial proportions, the
+    reference at the value within 0.0005 of its rate that lies nearest the
+    local rate; cells with |z| > max_z are flagged. Every local cell must
+    have a reference partner, otherwise the grids are considered
+    mismatched. A max_z that is NaN, infinite or negative is refused: no z
+    exceeds NaN, and a bound of inf passes even an infinite z.
     """
     dist.NONNEGATIVE.require("max_z", max_z)
     indexed = {
@@ -776,7 +761,8 @@ def compare_to_reference(
         ref = indexed.get(key)
         if ref is None:
             raise ValueError(f"reference table has no cell for {key}")
-        z = _two_proportion_z(c.rate, c.replications, ref.rate, ref.replications)
+        ref_rate = min(max(c.rate, ref.rate - 0.0005), ref.rate + 0.0005)
+        z = _two_proportion_z(c.rate, c.replications, ref_rate, ref.replications)
         rows.append(CellComparison(c, ref, z, abs(z) > max_z))
     return ComparisonResult(rows=rows)
 

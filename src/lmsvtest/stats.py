@@ -24,21 +24,17 @@ integer keys per block (_ranked); a row where two keys agree in their high
 bits, a tie or values a few ulps apart, is ranked by the counting
 definition.
 
-A mean shift adds h 1{t > cut} to a series. mean_shift_sups reads each
-family at every h in the block loop of evaluate and row_sups, under their
-scale rule and refusals: the rank families rank each block shifted by h,
-and the sum families take every h from the bridges of the unshifted block
-and of the step, as the bridge is linear in the series (derivation there).
-
-evaluate, row_sups and mean_shift_sups take a batch one row block of
-row_blocks at a time, from end to end: the transform, the NaN and +-inf
-checks, the ranking and the bridge of each input. Those blocks are the
-rule of asymp's table functionals and fgn's spectrum too: as many whole
-rows as fit in _BLOCK, so no temporary grows with the batch. Rows are
-independent, so a row's result is bitwise the same alone, in any batch and
-in any block. row_sups reduces each block to its rows' suprema, so a batch
-of replications keeps no profile. A NaN supremum, which terms past the
-doubles leave, is refused by every reduction. The SN table functional of
+evaluate, row_sups and shift_sups, which reads every shift z0 + g D of a
+series z0 (lmsv.shift_rule) by the linearity of the bridge, take a batch
+one row block of row_blocks at a time, from end to end: the transform,
+the NaN and +-inf checks, the ranking and the bridge of each input. Those
+blocks are the rule of asymp's table functionals and fgn's spectrum too:
+as many whole rows as fit in _BLOCK, so no temporary grows with the batch.
+Rows are independent, so a row's result is bitwise the same alone, in any
+batch and in any block. row_sups and shift_sups reduce each block to its
+rows' suprema, so a batch of replications keeps no profile. A NaN
+supremum, which terms past the doubles leave, is refused by every
+reduction. The SN table functional of
 asymp is this kernel too: _bridge, _sn_terms and _sn_ratio entered at the
 partial sums that the simulated paths already are, with no differencing.
 """
@@ -179,12 +175,12 @@ def _rows(xs: np.ndarray) -> np.ndarray:
 
 def _checked(y: np.ndarray, sums: bool) -> np.ndarray:
     """The block y, refusing NaN for every family and, where `sums`, +-inf:
-    sums of infinite values mean nothing."""
+    sums of infinite values mean nothing, and neither does y + g D."""
     if not np.isfinite(y).all():
         if np.isnan(y).any():
             raise ValueError("the series contains NaN")
         if sums:
-            raise ValueError("the series contains +-inf, which sum-based statistics refuse")
+            raise ValueError("the series contains +-inf, which sums and shifts refuse")
     return y
 
 
@@ -296,23 +292,25 @@ def wilcoxon(xs: np.ndarray, transform: Transform = Transform.IDENTITY) -> Profi
     """Two-sample rank-sum profile |sum_{i<=k} R_i - k(n+1)/2| over cut points.
 
     `xs` is one series or a batch of series along the last axis. The rank
-    identity holds only for tie-free data; with ties the statistic falls
-    back to the O(n^2) double-sum definition.
+    identity holds only for tie-free data; a row with ties is read from
+    its pair counts, in O(n log n) too.
     """
     return evaluate(("wilcoxon",), xs, transform)["wilcoxon"]
 
 
 def _wilcoxon_pair_counts(y: np.ndarray) -> np.ndarray:
-    # W(k) = sum_{i<=k} sum_{j>k} (1{y_i <= y_j} - 1/2) via the O(n) update
-    # moving observation k+1 from the right block to the left block.
+    # W(k) = sum_{i<=k} sum_{j>k} (1{y_i <= y_j} - 1/2), k = 1..n, is
+    # sum_{i<=k} (G_i - occ_i) - k - k(k-1)/2 - k(n-k)/2, with
+    # G_i = #{j : y_j >= y_i} and occ_i the count of values equal to y_i
+    # before it: O(n log n), and exact, every term a count or half of one.
     n = y.size
-    w = np.empty(n)
-    w[0] = np.sum(y[0] <= y[1:]) - (n - 1) / 2.0
-    for k in range(1, n):
-        gained = np.sum(y[k] <= y[k + 1:]) - (n - k - 1) / 2.0
-        lost = np.sum(y[:k] <= y[k]) - k / 2.0
-        w[k] = w[k - 1] + gained - lost
-    return w
+    order = np.argsort(y, kind="stable")
+    ys = y[order]
+    first = np.searchsorted(ys, ys, side="left")  # of each sorted value's run of equals
+    terms = np.empty(n)
+    terms[order] = (n - first) - (np.arange(n) - first)
+    k = np.arange(1.0, n + 1.0)
+    return np.cumsum(terms) - k - k * (k - 1.0) / 2.0 - k * (n - k) / 2.0
 
 
 def wilcoxon_by_definition(
@@ -458,9 +456,9 @@ def _bridge_stats(
 ) -> None:
     """The statistic `sup`, the profile |P_k| over k = 1..n, and `sn`, the
     self-normalized ratio over the cuts of `window`, of one row block of
-    bridges p (None leaves a family out), written over p and into
-    out[family, h][rows]. `terms` are those of _sn_terms of p, when the
-    caller already has them. With `profiles`, those rows take their
+    bridges p (None leaves a family out), written into out[family, h][rows];
+    p and `terms`, those of _sn_terms of p when the caller has them, are
+    left as they are. With `profiles`, those rows take their
     profiles and degenerate[rows] whether the row has a degenerate SN cut;
     without, they take the row suprema, so that no profile outlives its
     block, and a NaN supremum is refused with its h."""
@@ -473,8 +471,8 @@ def _bridge_stats(
         # their largest |P|: a power of two scales every term exactly, so a
         # row reads the same bits at any scale.
         far = ~((a[:, 0] >= 2.0**-500) & (a[:, 0] <= 2.0**500))
-        if far.any():
-            pk = pk.copy()  # maybe a view of p, whose |P| the sup family reads next
+        if far.any():  # pk may be a view of p, and the caller's terms serve other shifts
+            pk, linear, a = pk.copy(), linear.copy(), a.copy()
             e = np.frexp(np.max(np.abs(p[far]), axis=-1, keepdims=True))[1]
             for term, scaled in zip((pk, linear, a), _sn_terms(np.ldexp(p[far], -e), *window)):
                 term[far] = scaled
@@ -487,7 +485,7 @@ def _bridge_stats(
         if profiles:
             np.abs(p, out=out[sup, h][rows])
         else:
-            out[sup, h][rows] = _row_sup(np.abs(p, out=p), sup, h)
+            out[sup, h][rows] = _row_sup(np.abs(p), sup, h)
 
 
 #: The families of each input of the bridge, the values and their ranks:
@@ -500,14 +498,14 @@ _INPUTS = (("cusum", "sn_cusum"), ("wilcoxon", "sn_wilcoxon"))
 @np.errstate(over="ignore", invalid="ignore")
 def _evaluate(
     families: tuple[str, ...], xs: np.ndarray, transform: Transform, trim: TrimSpec,
-    profiles: bool, cut: int | None = None, shifts: tuple[float | None, ...] = (None,),
+    profiles: bool, direction=None, gains: dict[float, float] | None = None,
 ) -> dict[tuple[str, float | None], ProfileStat | np.ndarray]:
     """The families of the batch xs, as ProfileStats or as per-row suprema
     keyed (family, h), evaluated one row block at a time from end to end:
     the transform, the NaN and +-inf checks, the ranking and the bridge of
     each input, by _bridge_stats. h None reads the block itself; with a
-    cut, each h of `shifts` reads the block plus h 1{t > cut}
-    (mean_shift_sups)."""
+    direction, each h of `gains` reads the transformed block y plus g D,
+    g = gains[h] and D = direction(rows, y) (shift_sups)."""
     unknown = set(families) - {family for pair in _INPUTS for family in pair}
     if unknown:
         raise ValueError(f"unknown families {sorted(unknown)}")
@@ -515,8 +513,7 @@ def _evaluate(
     count, n = xs.shape
     on_values, on_ranks = ([f if f in families else None for f in pair] for pair in _INPUTS)
     window = trim.window(n) if on_values[1] or on_ranks[1] else None
-    if cut is not None:
-        b, b_terms = _step_bridge(n, cut, window)
+    shifts = {None: None} if direction is None else gains
     k_grids = {f: np.arange(window[0], window[1] + 1) if f.startswith("sn_")
                else np.arange(1, n + 1) for f in families if profiles}
     out = {(f, h): np.empty((count, k_grids[f].size) if profiles else count)
@@ -524,35 +521,37 @@ def _evaluate(
     degenerate = {(f, h): np.empty(count, dtype=bool)
                   for f in families if profiles and f.startswith("sn_") for h in shifts}
     for rows in row_blocks(xs.shape):
-        y = _checked(transform.apply(xs[rows]), sums=any(on_values))
+        y = _checked(transform.apply(xs[rows]), sums=any(on_values) or direction is not None)
+        d = None if direction is None else direction(rows, y)
         if any(on_values):
             p = _centered_bridge(y)
-            if cut is not None and on_values[1]:
-                pk, linear, a = _sn_terms(p, *window)
-                pb = (p @ b)[:, None] * (2.0 / n)
-            for h in shifts:
-                terms = None  # a shift costs no prefix pass: the bridge is linear in the series
-                if h is not None and on_values[1]:
-                    terms = (pk + h * b_terms[0], linear + h * b_terms[1],
-                             a + h * (pb + h * b_terms[2]))
-                _bridge_stats(p if h is None else p + h * b, *on_values, window, out, rows,
-                              profiles, degenerate.get((on_values[1], h)), h, terms)
-            p = pk = linear = a = pb = terms = None  # not held while the block is ranked
-        for h in shifts if any(on_ranks) else ():
-            yh = y
-            if h is not None:  # the shifted path of lmsv.simulate_batch, bit for bit
-                yh = y.copy()
-                yh[:, cut:] += h
+            terms = _sn_terms(p, *window) if on_values[1] else None
+            if d is not None:  # a shift costs no prefix pass: the bridge is linear in the series
+                pd = _centered_bridge(d)
+                if on_values[1]:
+                    d_terms = _sn_terms(pd, *window)
+                    cross = np.vecdot(p, pd)[:, None] * (2.0 / n)
+            for h, g in shifts.items():
+                ph, g_terms = p, terms  # g None or 0 reads the block itself
+                if g:
+                    ph = p + g * pd
+                    if terms is not None:
+                        g_terms = (terms[0] + g * d_terms[0], terms[1] + g * d_terms[1],
+                                   terms[2] + g * (cross + g * d_terms[2]))
+                _bridge_stats(ph, *on_values, window, out, rows, profiles,
+                              degenerate.get((on_values[1], h)), h, g_terms)
+            p = pd = ph = terms = d_terms = cross = g_terms = None  # not held while ranking
+        for h, g in shifts.items() if any(on_ranks) else ():
+            yh = y + g * d if g else y
             r, tied = _ranked(yh)
             _bridge_stats(_centered_bridge(r), *on_ranks, window, out, rows, profiles,
                           degenerate.get((on_ranks[1], h)), h)
-            # The rank identity holds only for tie-free rows; a tied row falls
-            # back to the O(n^2) pair counts (a null event under continuous
-            # generators, so speed there does not matter).
+            # The rank identity holds only for tie-free rows; a tied row is
+            # counted by its pairs.
             for row in np.flatnonzero(tied) if on_ranks[0] else ():
                 counts = np.abs(_wilcoxon_pair_counts(yh[row]))
                 out[on_ranks[0], h][rows.start + row] = counts if profiles else np.max(counts)
-        yh = r = None  # nor while the next block is evaluated
+        yh = r = d = None  # nor while the next block is evaluated
     if profiles:
         for (family, h), values in out.items():
             out[family, h] = _finish_batch(values, k_grids[family], degenerate.get((family, h)),
@@ -595,47 +594,32 @@ def row_sups(
     return {family: sups[family, None] for family in families}
 
 
-def mean_shift_sups(
+def shift_sups(
     families: tuple[str, ...],
     x0: np.ndarray,
-    cut: int,
-    shifts: tuple[float, ...],
+    transform: Transform,
+    direction,
+    gains: dict[float, float],
     trim: TrimSpec = TrimSpec(),
 ) -> dict[tuple[str, float], np.ndarray]:
-    """Supremum of each family of every row of x0 + h 1{t > cut}, for each h
-    in `shifts`, keyed (family, h), from one pass over the row blocks of x0
-    (_evaluate): the rank families rank each block shifted by h, and the
-    sum families take every h from the bridge of the block.
-
-    The bridge is linear in the series. With P0, CC0 and A0 those of x0,
-    and B, CC_B those of the step 1{t > cut} (cached per (n, cut)),
-
-        P(h) = P0 + h B,    CC(h) = CC0 + h CC_B,
-        A(h) = sum_t (P0_t + h B_t)^2 = A0 + 2h <P0, B> + h^2 <B, B>,
-
-    and the linear part of the SN denominator (see _sn_terms) is
-    L(h) = L0 + h L_B, so a shift costs a few vector operations over the
-    cuts and no prefix pass. The sum families agree with row_sups of each
-    shifted series to rounding, the rank families bit for bit; at h = 0
-    all are bitwise the same. The scale rule, the degenerate floor and the
-    refusal of a NaN supremum, named by its h, are those of row_sups
-    (_bridge_stats).
+    """Supremum of each family of every row of z0 + g D, z0 the transform
+    of x0, for each h of `gains` at g = gains[h], keyed (family, h), from
+    one pass over the row blocks of x0 (_evaluate); direction(rows, z0) is
+    D on the row block `rows`, a block of z0's shape or one (1, n) row for
+    all (lmsv.shift_rule). The rank families rank each block z0 + g D. The
+    bridge P and the linear part L of _sn_terms are linear in the series,
+    and A(g) = A + 2g <P, P_D> + g^2 A_D, so the sum families take every g
+    from the terms of z0 and D, with no prefix pass, and agree with
+    row_sups of z0 + g D to rounding; g = 0 reads the block itself. The
+    scale rule and the refusals are those of row_sups: a NaN supremum is
+    refused by its h, and so is a gain outside the doubles, as g D would
+    read NaN where D is 0.
     """
-    return _evaluate(families, x0, Transform.IDENTITY, trim, profiles=False, cut=cut,
-                     shifts=shifts)
-
-
-@lru_cache(maxsize=32)
-def _step_bridge(n: int, cut: int, window: tuple[int, int] | None):
-    """The bridge B of the step 1{t > cut} of length n and, for a window,
-    its terms of _sn_terms (A / n is <B, B> / n); read-only."""
-    step = np.zeros((1, n))
-    step[0, cut:] = 1.0
-    b = _centered_bridge(step)
-    terms = None if window is None else _sn_terms(b, *window)
-    for array in (b, *(terms or ())):
-        array.flags.writeable = False
-    return b[0], terms
+    for h, g in gains.items():
+        if not math.isfinite(g):
+            raise ValueError(f"the gain at h = {h:g} is {g}, outside the doubles")
+    return _evaluate(families, x0, transform, trim, profiles=False, direction=direction,
+                     gains=gains)
 
 
 def _sn_profile_by_definition(values: np.ndarray, trim: TrimSpec) -> ProfileStat:

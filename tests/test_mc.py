@@ -639,11 +639,12 @@ class TestChunkedEngine:
         cfg = _small_cfg(replications=150, hursts=(0.6, 0.8), max_workers=2,
                          **_ENGINE_CASES[name])
         tables = mc.ensure_tables(cfg)
-        chunks = []
+        chunks, drawn = [], set()
         simulate_batch = lmsv.simulate_batch
 
         def counting(params, noise, changes, streams):
             chunks.append(len(streams))
+            drawn.add(tuple(changes))
             return simulate_batch(params, noise, changes, streams)
 
         monkeypatch.setattr(lmsv, "simulate_batch", counting)
@@ -654,6 +655,7 @@ class TestChunkedEngine:
 
         default = counts()
         assert chunks == [150, 150]
+        assert drawn == {(lmsv.NoChange(),)}  # every row draws its null chunk alone
         width = fgn.embedding_size(cfg.lengths[0])
         for normals, rows in ((1, 1), (7 * width, 7)):
             monkeypatch.setattr(fgn, "BLOCK_NORMALS", normals)
@@ -719,10 +721,39 @@ def _shifted(x0, cut, h):
     return x
 
 
+def _shift_sups(problem, families, x0, cut, shifts, trim=TrimSpec(), noise=None, eps=None):
+    """stats.shift_sups of the null chunk x0 by the rule of lmsv.shift_rule,
+    which reads the noise and the innovations eps for the tail alone."""
+    direction, gain = lmsv.shift_rule(problem, noise, cut, eps)
+    return stats.shift_sups(families, x0, mc.PROBLEM_TRANSFORM[problem], direction,
+                            {h: gain(h) for h in shifts}, trim)
+
+
+def _check_row_counts(name, n, shifts):
+    """A row's counts are those of evaluating each shifted chunk that
+    simulate_batch draws, and the shifts give different counts."""
+    cfg = _small_cfg(lengths=(n,), **{**_ENGINE_CASES[name], "shifts": shifts})
+    hurst, alpha = cfg.hursts[0], cfg.alpha_grid[0]
+    plans = mc._plans_for_row(cfg, hurst, n, alpha, mc.ensure_tables(cfg))
+    changes = [lmsv.CHANGES[cfg.problem](h, cfg.tau) for h in cfg.shifts]
+    streams = mc._row_stream(cfg, hurst, n, alpha).substreams(range(cfg.replications))
+    paths = lmsv.simulate_batch(fgn.FgnParams(hurst, n), make_noise(cfg.noise_kind, alpha),
+                                changes, streams)
+    expected = {}
+    for h, (_, _, x) in zip(cfg.shifts, paths):
+        results = stats.evaluate(cfg.families, x, mc.PROBLEM_TRANSFORM[cfg.problem], cfg.trim)
+        for plan in plans:
+            value = results[plan.family].sup_value / plan.normalization
+            expected[plan.family, h] = int(np.count_nonzero(value > plan.critical_value))
+    cells = mc._evaluate_row(cfg, hurst, n, alpha, plans)
+    assert {(c.family, c.h): c.rejections for c in cells} == expected
+    assert len(set(expected.values())) > 2  # the shifts give different counts
+
+
 class TestMeanShiftReuse:
     """Mean rows take every shift of every family from the null chunk
-    (stats.mean_shift_sups): the sum families from its bridge, the rank
-    families from each shifted block."""
+    (stats.shift_sups under the mean rule of lmsv.shift_rule): the sum
+    families from its bridge, the rank families from each shifted block."""
 
     @pytest.mark.parametrize("n", [500, 2000])
     def test_sups_match_evaluate_on_each_shifted_series(self, n):
@@ -730,7 +761,7 @@ class TestMeanShiftReuse:
         shifts, families, trim = (0.0, 1.0, 0.37, 2.5, -4.0), mc.FAMILIES, TrimSpec()
         cut = lmsv.change_point_index(n, 0.5)
         x0 = _null_chunk(0.8, n, make_noise("normal"))
-        sups = stats.mean_shift_sups(families, x0, cut, shifts, trim)
+        sups = _shift_sups("mean", families, x0, cut, shifts, trim)
         for h in shifts:
             results = stats.evaluate(families, _shifted(x0, cut, h), trim=trim)
             for family in ("cusum", "sn_cusum"):
@@ -751,7 +782,7 @@ class TestMeanShiftReuse:
         n, families = 500, mc.FAMILIES
         cut = lmsv.change_point_index(n, 0.5)
         x0 = _null_chunk(0.8, n, make_noise("normal"), rows=16) * scale
-        sups = stats.mean_shift_sups(families, x0, cut, (0.0, 1.0))
+        sups = _shift_sups("mean", families, x0, cut, (0.0, 1.0))
         for h in (0.0, 1.0):
             expected = stats.row_sups(families, _shifted(x0, cut, h))
             for family in families:
@@ -771,7 +802,7 @@ class TestMeanShiftReuse:
         n, families = 500, mc.FAMILIES
         cut = lmsv.change_point_index(n, 0.5)
         x0 = _null_chunk(0.9, n, make_noise("centered_pareto", 2.5), rows=128)
-        sups = stats.mean_shift_sups(families, x0, cut, (h,))
+        sups = _shift_sups("mean", families, x0, cut, (h,))
         expected = stats.row_sups(families, _shifted(x0, cut, h))
         for family in ("wilcoxon", "sn_wilcoxon"):
             assert np.array_equal(sups[family, h], expected[family]), family
@@ -779,26 +810,100 @@ class TestMeanShiftReuse:
             np.testing.assert_allclose(sups[family, h], expected[family], rtol=1e-10, atol=0,
                                        err_msg=family)
 
+    def test_a_shift_that_ties_every_row_reads_its_pair_counts(self):
+        # At h = 1e17 the post-change values of a centered-Pareto chunk round
+        # together, so every row is tied and its wilcoxon profile comes from
+        # its pair counts, in O(n log n).
+        n, h = 2000, 1e17
+        cut = lmsv.change_point_index(n, 0.5)
+        x0 = _null_chunk(0.7, n, make_noise("centered_pareto", 4.5), rows=32)
+        sups = _shift_sups("mean", ("wilcoxon",), x0, cut, (h,))
+        x = _shifted(x0, cut, h)
+        assert stats._ranked(x)[1].all()
+        assert np.array_equal(sups["wilcoxon", h], stats.row_sups(("wilcoxon",), x)["wilcoxon"])
+        assert sups["wilcoxon", h][0] == stats.wilcoxon_by_definition(x[0]).sup_value
+
     @pytest.mark.parametrize("name", ["mean_normal", "mean_centered_pareto"])
     @pytest.mark.parametrize("n", [500, 2000])
     def test_row_counts_equal_per_shift_evaluation(self, name, n):
-        case = {**_ENGINE_CASES[name], "shifts": (0.0, 0.37, 1.0, 2.5)}
-        cfg = _small_cfg(lengths=(n,), **case)
-        hurst, alpha = cfg.hursts[0], cfg.alpha_grid[0]
-        plans = mc._plans_for_row(cfg, hurst, n, alpha, mc.ensure_tables(cfg))
-        changes = [lmsv.MeanShift(h, cfg.tau) for h in cfg.shifts]
-        streams = mc._row_stream(cfg, hurst, n, alpha).substreams(range(cfg.replications))
-        paths = lmsv.simulate_batch(fgn.FgnParams(hurst, n), make_noise(cfg.noise_kind, alpha),
-                                    changes, streams)
-        expected = {}
-        for h, (_, _, x) in zip(cfg.shifts, paths):
-            results = stats.evaluate(cfg.families, x, trim=cfg.trim)
-            for plan in plans:
-                value = results[plan.family].sup_value / plan.normalization
-                expected[plan.family, h] = int(np.count_nonzero(value > plan.critical_value))
-        cells = mc._evaluate_row(cfg, hurst, n, alpha, plans)
-        assert {(c.family, c.h): c.rejections for c in cells} == expected
-        assert len(set(expected.values())) > 2  # the shifts give different counts
+        _check_row_counts(name, n, (0.0, 0.37, 1.0, 2.5))
+
+
+#: The noise and the shifts of each problem's null chunk, the first shift at g = 0.
+_SHIFT_CASES = {
+    "mean": (make_noise("centered_pareto", 2.5), (0.0, 1.0, 0.37, -4.0)),
+    "variance": (make_noise("centered_pareto", 4.5), (1.0, 2.0, 0.37, 3.5)),
+    "tail": (make_noise("pareto", 1.0), (0.0, 0.5, -0.5, 2.0)),
+}
+
+
+def _shifted_chunks(problem, n, rows=64, seed=31):
+    """(eps, x0) of a null chunk and the x of each shift of _SHIFT_CASES."""
+    noise, shifts = _SHIFT_CASES[problem]
+    changes = [lmsv.NoChange()] + [lmsv.CHANGES[problem](h, 0.5) for h in shifts]
+    (_, eps, x0), *shifted = lmsv.simulate_batch(fgn.FgnParams(0.7, n), noise, changes,
+                                                  RngStream(seed).substreams(range(rows)))
+    return eps, x0, [x for _, _, x in shifted]
+
+
+class TestShiftRule:
+    """Variance and tail rows read every shift from their null chunk too, by
+    one rule (lmsv.shift_rule, stats.shift_sups), as mean rows do."""
+
+    @pytest.mark.parametrize("problem", ["mean", "variance", "tail"])
+    def test_direction_and_gain_make_each_shifted_chunk(self, problem):
+        # z0 + g D is the transformed chunk of each change, to rounding, and
+        # D is 0 up to the cut.
+        n = 500
+        cut = lmsv.change_point_index(n, 0.5)
+        noise, shifts = _SHIFT_CASES[problem]
+        eps, x0, shifted = _shifted_chunks(problem, n)
+        transform = mc.PROBLEM_TRANSFORM[problem]
+        direction, gain = lmsv.shift_rule(problem, noise, cut, eps)
+        z0 = transform.apply(x0)
+        d = direction(slice(0, len(x0)), z0)
+        assert d.shape == ((1, n) if problem == "mean" else z0.shape)
+        assert not d[:, :cut].any() and d[:, cut:].all()
+        assert gain(shifts[0]) == 0.0
+        for h, x in zip(shifts, shifted):
+            np.testing.assert_allclose(z0 + gain(h) * d, transform.apply(x), rtol=1e-12,
+                                       atol=1e-12, err_msg=f"h = {h}")
+
+    @pytest.mark.parametrize("problem", ["variance", "tail"])
+    @pytest.mark.parametrize("n", [500, 2000])
+    def test_sups_match_row_sups_of_each_shifted_chunk(self, problem, n):
+        # The sum families to rounding; the variance rank families bit for
+        # bit; every family at g = 0 bit for bit as the null chunk reads. (The
+        # tail chunk that simulate_batch draws at h = 0 may lie an ulp off the
+        # null chunk: numpy takes u^-1 as a reciprocal for one scalar exponent
+        # and as a power for a per-draw one.)
+        cut = lmsv.change_point_index(n, 0.5)
+        noise, shifts = _SHIFT_CASES[problem]
+        eps, x0, shifted = _shifted_chunks(problem, n)
+        sups = _shift_sups(problem, mc.FAMILIES, x0, cut, shifts, noise=noise, eps=eps)
+        for h, x in zip(shifts, shifted):
+            expected = stats.row_sups(mc.FAMILIES, x0 if h == shifts[0] else x,
+                                      mc.PROBLEM_TRANSFORM[problem])
+            for family in mc.FAMILIES:
+                if h == shifts[0] or (problem, family) in (("variance", "wilcoxon"),
+                                                           ("variance", "sn_wilcoxon")):
+                    assert np.array_equal(sups[family, h], expected[family]), (family, h)
+                elif family in ("cusum", "sn_cusum"):
+                    np.testing.assert_allclose(sups[family, h], expected[family], rtol=1e-10,
+                                               atol=0, err_msg=f"{family} at h = {h}")
+
+    @pytest.mark.parametrize("name, shifts", [("variance", (0.37, 1.0, 2.0, 2.5)),
+                                              ("tail", (0.0, 0.37, 1.0, 2.5))])
+    @pytest.mark.parametrize("n", [500, 2000])
+    def test_row_counts_equal_per_shift_evaluation(self, name, shifts, n):
+        _check_row_counts(name, n, shifts)
+
+    def test_a_gain_past_the_doubles_is_refused_by_its_h(self):
+        # A variance scale of 1e160 has the gain h^2 - 1 = inf, and inf times
+        # the zeros of D before the cut is NaN: refused, not ranked.
+        eps, x0, _ = _shifted_chunks("variance", 200, rows=4)
+        with pytest.raises(ValueError, match=r"the gain at h = 1e\+160 is inf"):
+            _shift_sups("variance", ("wilcoxon",), x0, 100, (1.0, 1e160))
 
 
 class TestSerialization:
@@ -932,6 +1037,18 @@ class TestComparison:
         )
         with pytest.raises(ValueError, match="no cell"):
             mc.compare_to_reference([stray], reference)
+
+    def test_a_published_rate_reads_as_its_nearest_unrounded_value(self):
+        # Table 1 at seed 777: cusum, H = 0.8, n = 1000, h = 1 read 998 of 1000
+        # against a published 1.000 of 5000, z = -3.16 and a flag. The
+        # published rate is rounded to three decimals, so it may be 0.9995.
+        [published] = [c for c in mc.load_reference("mean_normal")
+                       if (c.family, c.hurst, c.n, c.h) == ("cusum", 0.8, 1000, 1.0)]
+        assert (published.rate, published.replications) == (1.0, 5000)
+        local = mc.CellResult("mean", "cusum", 0.8, 1000, None, 1.0, 0.5, 0.05, 1000, 998)
+        [row] = mc.compare_to_reference([local], [published]).rows
+        assert not row.flagged and row.z_score == pytest.approx(-1.58, abs=0.005)
+        assert row.reference is published
 
     @pytest.mark.parametrize("max_z", [float("nan"), -1.0, float("inf")])
     def test_max_z_nan_or_negative_is_refused(self, max_z):

@@ -117,6 +117,15 @@ class TestWilcoxon:
         fast, slow = wilcoxon(x), wilcoxon_by_definition(x)
         assert np.allclose(fast.profile, slow.profile)
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 17, 64, 200])
+    def test_tied_rows_equal_the_double_sum_bit_for_bit(self, n):
+        # A tied row is counted by its pairs in O(n log n), in sums of counts
+        # and half counts, which are exact.
+        rng = RngStream(39).generator()
+        for levels in (1, 2, 3, n // 2 + 1):
+            x = rng.integers(0, levels, n).astype(float)
+            assert np.array_equal(wilcoxon(x).profile, wilcoxon_by_definition(x).profile)
+
     def test_monotone_transform_invariance(self):
         x = RngStream(37).generator().standard_normal(80)
         direct = wilcoxon(x)
