@@ -379,10 +379,9 @@ class TableFamily(enum.Enum):
 
 @dataclass(frozen=True)
 class CriticalValueTable:
-    """Simulated quantiles of one limiting functional."""
+    """Simulated quantiles of one limiting functional, of Hermite rank 1."""
 
     family: TableFamily
-    m: int
     hurst: float
     trim: TrimSpec | None
     quantiles: dict[float, float]
@@ -401,7 +400,7 @@ class CriticalValueTable:
         payload = {
             "version": TABLE_FORMAT_VERSION,
             "family": self.family.value,
-            "m": self.m,
+            "m": 1,
             "hurst": self.hurst,
             "trim": None if self.trim is None else [self.trim.tau1, self.trim.tau2],
             "quantiles": {f"{k:.6f}": v for k, v in sorted(self.quantiles.items())},
@@ -420,10 +419,11 @@ class CriticalValueTable:
                 f"critical-value table version {version} does not match "
                 f"supported version {TABLE_FORMAT_VERSION}"
             )
+        if payload["m"] != 1:  # tables are keyed without it: another rank would stand in
+            raise ValueError(f"only Hermite rank m = 1 is supported, got m = {payload['m']!r}")
         trim = payload["trim"]
         return CriticalValueTable(
             family=TableFamily(payload["family"]),
-            m=int(payload["m"]),
             hurst=float(payload["hurst"]),
             trim=None if trim is None else TrimSpec(tau1=trim[0], tau2=trim[1]),
             quantiles={round(float(k), 6): float(v) for k, v in payload["quantiles"].items()},
@@ -607,7 +607,6 @@ def critical_values(
     }
     return CriticalValueTable(
         family=family,
-        m=m,
         hurst=hurst,
         trim=trim,
         quantiles=quantiles,

@@ -249,7 +249,7 @@ def _cmd_critvals(args) -> int:
         family,
         1,
         args.hurst,
-        mc.table_stream(args.seed, family, 1, args.hurst),
+        mc.table_stream(args.seed, family, args.hurst),
         trim=trim,
         levels=tuple(args.levels),
         budget=asymp.TableBudget(path_count=args.paths, path_length=args.grid),
@@ -316,7 +316,9 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_USAGE
     except (ValueError, KeyError, OSError, MemoryError, asymp.QuadratureError) as err:
-        sys.stderr.write(f"error: {err}\n")
+        # A KeyError's str() quotes its message, and a MemoryError has none.
+        text = str(err.args[0]) if isinstance(err, KeyError) and err.args else str(err)
+        sys.stderr.write(f"error: {text or type(err).__name__}\n")
         return EXIT_COMPUTATION
     except KeyboardInterrupt:
         sys.stderr.write("error: interrupted\n")

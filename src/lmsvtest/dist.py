@@ -231,15 +231,13 @@ def draw_raw(spec: NoiseSpec, rng: np.random.Generator, out: np.ndarray) -> None
         rng.random(out=out)
 
 
-def innovations(
-    spec: NoiseSpec, raw: np.ndarray, alpha: float | np.ndarray | None = None
-) -> np.ndarray:
+def innovations(spec: NoiseSpec, raw: np.ndarray, alpha: float | None = None) -> np.ndarray:
     """Innovations from the draws of draw_raw; for the Pareto-type laws
-    `alpha` (a scalar or one value per draw) replaces spec.alpha."""
+    the one tail index `alpha` of every draw replaces spec.alpha."""
     if isinstance(spec, StandardNormal):
         return raw
     # The inverse CDF c * u^(-1/alpha) at u = 1 - U, which lies in (0, 1]; u = 0 would blow up.
-    alpha = np.asarray(spec.alpha if alpha is None else alpha, dtype=float)
+    alpha = float(spec.alpha if alpha is None else alpha)
     draws = spec.scale * np.power(1.0 - raw, -1.0 / alpha)
     if isinstance(spec, CenteredPareto):
         draws -= spec.mean_shift

@@ -9,7 +9,7 @@ generated from the same stream are coupled across shift heights.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,23 +146,24 @@ def change_point_index(n: int, tau: float) -> int:
 def simulate_batch(
     params: fgn.FgnParams,
     noise: NoiseSpec,
-    changes: Sequence[ChangeSpec],
+    change: ChangeSpec,
     streams: Sequence[RngStream],
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield (y, eps, x), each of shape (len(streams), n), for each change.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(y, eps, x) under `change`, each of shape (len(streams), n).
 
     Row r belongs to streams[r]: its latent Gaussian comes from the normals of
     streams[r].substream(0) and its innovations from .substream(1), written in
     place into the batch, and one real FFT a row turns them into paths. So a
-    row does not depend on the rows drawn with it, and the pre-change segment
-    is bit-identical to the null path of the same stream. The substream keys
-    of all rows are mixed at once (stream_keys), and one Philox is re-keyed
-    for each (keyed_generators): the draws of RngStream.generator(), bit for
-    bit, without creating a generator per stream. The draws are made once and
-    every change is applied to them: common random numbers across changes.
+    row does not depend on the rows drawn with it. The substream keys of all
+    rows are mixed at once (stream_keys), and one Philox is re-keyed for each
+    (keyed_generators): the draws of RngStream.generator(), bit for bit,
+    without creating a generator per stream. A change touches only the
+    columns from its cut on; a tail shift maps the same uniforms at the index
+    alpha + h there. So every change drawn on the same streams shares the
+    null draw, and its pre-change columns are those of the null path bit for
+    bit: common random numbers across changes.
     """
-    for change in changes:
-        _check_change(noise, change)
+    _check_change(noise, change)
     n = params.n
     normals = np.empty((len(streams), fgn.embedding_size(n)))
     raw = np.empty((len(streams), n))
@@ -172,29 +173,24 @@ def simulate_batch(
         draw_raw(noise, rng, raw[row])
 
     y = fgn.paths_from_normals(params, normals)
-    vol = np.exp(y)
-    null_eps = None
-    for change in changes:
-        if isinstance(change, TailShift):
-            # Post-change draws reuse the same uniforms at the shifted index.
-            alpha = np.full(n, noise.alpha)
-            alpha[change_point_index(n, change.tau):] += change.h
-            eps = innovations(noise, raw, alpha)
-        else:
-            null_eps = eps = innovations(noise, raw) if null_eps is None else null_eps
-        x = vol * eps
-        if isinstance(change, MeanShift):
-            x[:, change_point_index(n, change.tau):] += change.h
-        elif isinstance(change, VarianceScale):
-            x[:, change_point_index(n, change.tau):] *= change.h
-        yield y, eps, x
+    eps = innovations(noise, raw)
+    cut = n if isinstance(change, NoChange) else change_point_index(n, change.tau)
+    if isinstance(change, TailShift):
+        eps[:, cut:] = innovations(noise, raw[:, cut:], noise.alpha + change.h)
+    x = np.exp(y)
+    x *= eps
+    if isinstance(change, MeanShift):
+        x[:, cut:] += change.h
+    elif isinstance(change, VarianceScale):
+        x[:, cut:] *= change.h
+    return y, eps, x
 
 
 def simulate_components(
     spec: SeriesSpec, stream: RngStream
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Return (y, eps, x) for one path: simulate_batch for one stream."""
-    [(y, eps, x)] = simulate_batch(spec.fgn, spec.noise, (spec.change,), (stream,))
+    y, eps, x = simulate_batch(spec.fgn, spec.noise, spec.change, (stream,))
     return y[0], eps[0], x[0]
 
 

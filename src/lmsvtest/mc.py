@@ -194,9 +194,9 @@ class ExperimentConfig:
 # Critical-value table bookkeeping
 
 
-def _table_key(family: TableFamily, m: int, hurst: float, trim: TrimSpec | None):
+def _table_key(family: TableFamily, hurst: float, trim: TrimSpec | None):
     trim_key = None if trim is None else (round(trim.tau1, 6), round(trim.tau2, 6))
-    return (family.value, m, round(hurst, 6), trim_key)
+    return (family.value, round(hurst, 6), trim_key)
 
 
 def _budget_of(table: CriticalValueTable) -> tuple[int, int]:
@@ -204,15 +204,16 @@ def _budget_of(table: CriticalValueTable) -> tuple[int, int]:
 
 
 class TableSet:
-    """Critical-value tables keyed by (family, m, H, trim), each with its source,
-    built from (table, source) pairs, as resolve_table returns them.
+    """Critical-value tables keyed by (family, H, trim), each with its source,
+    built from (table, source) pairs, as resolve_table returns them. Every
+    problem here has Hermite rank 1, and so has every table.
 
     The source is "loaded" (read from files by the caller), "package" (the
     grid shipped in lmsvtest/data/tables) or "simulated".
     """
 
     def __init__(self, entries):
-        self._entries = {_table_key(t.family, t.m, t.hurst, t.trim): (t, source)
+        self._entries = {_table_key(t.family, t.hurst, t.trim): (t, source)
                          for t, source in entries}
 
     @classmethod
@@ -227,16 +228,15 @@ class TableSet:
         return cls((CriticalValueTable.load(f), source) for f in files)
 
     def find(
-        self, family: TableFamily, m: int, hurst: float, trim: TrimSpec | None
+        self, family: TableFamily, hurst: float, trim: TrimSpec | None
     ) -> tuple[CriticalValueTable, str] | None:
         """(table, source) of a key, or None when the set has no such table."""
-        return self._entries.get(_table_key(family, m, hurst, trim))
+        return self._entries.get(_table_key(family, hurst, trim))
 
     def versions(self) -> list[dict]:
         return [
             {
                 "family": t.family.value,
-                "m": t.m,
                 "hurst": t.hurst,
                 "trim": None if t.trim is None else [t.trim.tau1, t.trim.tau2],
                 "source": source,
@@ -251,16 +251,17 @@ def table_levels(level: float) -> tuple[float, ...]:
     return tuple(sorted({0.90, 0.95, 0.99, round(1.0 - level, 6)}))
 
 
-def table_stream(seed: int, family: TableFamily, m: int, hurst: float) -> RngStream:
-    """Random stream of the simulated table (family, m, H) for a seed.
+def table_stream(seed: int, family: TableFamily, hurst: float) -> RngStream:
+    """Random stream of the simulated table (family, H) for a seed.
 
     Experiments, `lmsvtest critvals` and `lmsvtest test` all simulate from
     this stream, so one seed gives one table per key, whichever command
     builds it. Streams are keyed by the table coordinates, not by build
-    order; SN tables of one H share their paths across trims.
+    order; SN tables of one H share their paths across trims. The key holds
+    the Hermite rank 1 of every table, as the streams of the shipped tables do.
     """
     kind = 1 if family is TableFamily.CUSUM_BRIDGE_SUP else 2
-    return RngStream(seed).substream(0xC71).substream(kind, m, _float_key(hurst))
+    return RngStream(seed).substream(0xC71).substream(kind, 1, _float_key(hurst))
 
 
 @functools.cache
@@ -275,7 +276,6 @@ def _package_tables() -> TableSet:
 
 def resolve_table(
     family: TableFamily,
-    m: int,
     hurst: float,
     trim: TrimSpec | None,
     *,
@@ -294,32 +294,32 @@ def resolve_table(
     2. the package table of the same key, when its budget equals `budget`
        exactly and it has every level in `levels`. The package grid is read
        at most once per process, here, on first need.
-    3. otherwise a table simulated from table_stream(seed, family, m, hurst)
+    3. otherwise a table simulated from table_stream(seed, family, hurst)
        on `workers` threads (default: asymp.default_workers()).
     """
-    entry = None if loaded is None else loaded.find(family, m, hurst, trim)
+    entry = None if loaded is None else loaded.find(family, hurst, trim)
     if entry is not None:
         count, length = _budget_of(entry[0])
         if count < budget.path_count or length < budget.path_length:
             raise ValueError(
-                f"critical-value table {family.value} m={m} H={hurst} has budget {count} x "
+                f"critical-value table {family.value} H={hurst} has budget {count} x "
                 f"{length}, below the requested {budget.path_count} x {budget.path_length}"
             )
         return entry
-    entry = _package_tables().find(family, m, hurst, trim)
+    entry = _package_tables().find(family, hurst, trim)
     if entry is not None:
         table = entry[0]
         if (_budget_of(table) == (budget.path_count, budget.path_length)
                 and all(round(lv, 6) in table.quantiles for lv in levels)):
             return entry
     table = asymp.critical_values(
-        family, m, hurst, table_stream(seed, family, m, hurst),
+        family, 1, hurst, table_stream(seed, family, hurst),
         trim=trim, levels=levels, budget=budget, workers=workers,
     )
     return table, "simulated"
 
 
-def required_tables(cfg: ExperimentConfig) -> list[tuple[TableFamily, int, float, TrimSpec | None]]:
+def required_tables(cfg: ExperimentConfig) -> list[tuple[TableFamily, float, TrimSpec | None]]:
     """Table keys an experiment needs, given its problem and families."""
     noise = make_noise(cfg.noise_kind, cfg.alpha_grid[0])  # the keys do not depend on alpha
     keys = (resolve_plan(cfg.problem, family, hurst, noise, cfg.trim).table
@@ -359,13 +359,13 @@ class PlanError(ValueError):
 
 @dataclass(frozen=True)
 class Plan:
-    """How one family tests one problem. `table` is the key (family, m,
+    """How one family tests one problem. `table` is the key (family,
     effective H, trim) of the limit table, None for the Kolmogorov law; the
     normalization and the critical value are None when not resolved."""
 
     family: str
     transform: Transform
-    table: tuple[TableFamily, int, float, TrimSpec | None] | None
+    table: tuple[TableFamily, float, TrimSpec | None] | None
     normalization: float | None = None
     critical_value: float | None = None
 
@@ -436,10 +436,9 @@ def resolve_plan(
                         f"above 0, got {variance} at alpha = {noise.alpha}", "noise")
 
     if family in ("cusum", "wilcoxon"):
-        # Every problem here has Hermite rank 1 (asymp.limit_coefficient).
-        table = None if brownian else (TableFamily.CUSUM_BRIDGE_SUP, 1, hurst, None)
+        table = None if brownian else (TableFamily.CUSUM_BRIDGE_SUP, hurst, None)
     else:
-        table = (TableFamily.SN_RATIO, 1, 0.5 if brownian else hurst, trim)
+        table = (TableFamily.SN_RATIO, 0.5 if brownian else hurst, trim)
     normalization = critical_value = None
     if n is not None:
         if family in ("sn_cusum", "sn_wilcoxon"):
@@ -539,11 +538,11 @@ def _evaluate_row(cfg: ExperimentConfig, hurst: float, n: int, alpha: float | No
     step = fgn.block_rows(n)
     for start in range(0, cfg.replications, step):
         streams = base.substreams(range(start, min(start + step, cfg.replications)))
-        # The generator ends here, so the latent path and, but for the tail's
-        # direction, the innovations are freed before the statistics run.
-        [(x0, (direction, gain))] = (
-            (x, lmsv.shift_rule(cfg.problem, noise, cut, eps))
-            for _, eps, x in lmsv.simulate_batch(params, noise, [lmsv.NoChange()], streams))
+        eps, x0 = lmsv.simulate_batch(params, noise, lmsv.NoChange(), streams)[1:]
+        direction, gain = lmsv.shift_rule(cfg.problem, noise, cut, eps)
+        # Only the tail's direction keeps the innovations: the latent path and
+        # every other eps are freed before the statistics run.
+        del eps
         try:
             sups = stats.shift_sups(families, x0, plans[0].transform, direction,
                                     {h: gain(h) for h in cfg.shifts}, cfg.trim)

@@ -564,6 +564,43 @@ def _write_config(path, **overrides):
     return path
 
 
+def _shipped_table_as(tmp_path, name, **changes):
+    """A --tables directory holding the shipped table `name` with `changes`."""
+    from importlib import resources
+
+    table = json.loads((resources.files("lmsvtest.data") / "tables" / name).read_text())
+    tables = tmp_path / "tables"
+    tables.mkdir()
+    (tables / name).write_text(json.dumps({**table, **changes}))
+    return tables
+
+
+class TestErrorLines:
+    """A computation error ends in one error line with its text: never an
+    empty one, and never a quoted one."""
+
+    def test_an_error_without_text_is_named_by_its_class(self, capsys, monkeypatch):
+        # A MemoryError in numpy's FFT of the circulant row has no text.
+        from lmsvtest import fgn
+
+        def exhausted(n, hurst):
+            raise MemoryError()
+
+        monkeypatch.setattr(fgn, "_embedding_eigenvalues", exhausted)
+        code, out, err = run(capsys, "simulate", "--n", "77", "--hurst", "0.6543")
+        assert (code, out, err) == (EXIT_COMPUTATION, "", "error: MemoryError\n")
+
+    def test_a_key_error_reads_without_quotes(self, capsys, tmp_path, pareto_series):
+        # A loaded table that lacks the test's level.
+        tables = _shipped_table_as(tmp_path, "sn_h0.7.json",
+                                   quantiles={"0.900000": 1.0, "0.990000": 2.0})
+        code, out, err = run(capsys, "test", "--input", str(pareto_series), "--problem",
+                             "variance", "--family", "sn_cusum", "--hurst", "0.7", "--alpha",
+                             "4.5", "--tables", str(tables))
+        assert (code, out) == (EXIT_COMPUTATION, "")
+        assert err == "error: level 0.95 not tabulated for sn_ratio (have [0.9, 0.99])\n"
+
+
 class TestTableResolution:
     def test_commands_resolve_one_table_per_seed_and_key(self, capsys, tmp_path, monkeypatch,
                                                          shifted_series):
@@ -703,6 +740,27 @@ class TestTableResolution:
         code, out, err = run(capsys, *argv, "--tables", str(tables))
         assert (code, out) == (EXIT_USAGE, "")
         assert err == f"error: --tables: {tables} is not a directory\n"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["test", "experiment"])
+    def test_a_table_of_another_hermite_rank_is_refused(self, capsys, tmp_path, pareto_series,
+                                                        command):
+        # Tables are keyed without the rank, as every table has rank 1. A file
+        # of rank 2 was passed over, and the run took the package table with
+        # exit 0.
+        tables = _shipped_table_as(tmp_path, "sn_h0.7.json", m=2,
+                                   quantiles={"0.900000": 99.0, "0.950000": 99.0,
+                                              "0.990000": 99.0})
+        if command == "test":
+            argv = ["test", "--input", str(pareto_series), "--problem", "variance",
+                    "--family", "sn_cusum", "--hurst", "0.7", "--alpha", "4.5"]
+        else:
+            argv = ["experiment", "--config", str(_write_config(tmp_path / "config.json")),
+                    "--out-dir", str(tmp_path / "run")]
+        code, out, err = run(capsys, *argv, "--tables", str(tables))
+        assert (code, out) == (EXIT_COMPUTATION, "")
+        assert err == (f"error: {tables / 'sn_h0.7.json'}: only Hermite rank m = 1 is "
+                       "supported, got m = 2\n")
         assert not (tmp_path / "run").exists()
 
     def test_non_table_json_is_named(self, capsys, tmp_path):

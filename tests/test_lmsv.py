@@ -14,6 +14,7 @@ from lmsvtest.lmsv import (
     TailShift,
     VarianceScale,
     change_point_index,
+    simulate_batch,
     simulate_components,
     simulate_series,
     verify_breiman_tail,
@@ -88,6 +89,20 @@ class TestChangeInjection:
         assert np.array_equal(x0[:cut], x1[:cut])
         # Lighter tail after the change: coupled draws shrink toward 1.
         assert np.all(np.abs(x1[cut:]) <= np.abs(x0[cut:]) + 1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0])
+    def test_tail_shift_leaves_the_pre_change_columns_of_the_null_batch(self, alpha):
+        # Only the post-change columns map their uniforms at alpha + h. At
+        # alpha = 1 a per-draw index array once took u^-1 as a power, and the
+        # pre-change values lay up to 3.4e-16 relative off the null path.
+        params, noise, cut = FgnParams(0.7, 500), Pareto(alpha), change_point_index(500, 0.5)
+        streams = RngStream(3).substreams(range(8))
+        null = simulate_batch(params, noise, NoChange(), streams)
+        shifted = simulate_batch(params, noise, TailShift(h=0.5, tau=0.5), streams)
+        assert np.array_equal(shifted[0], null[0])
+        for a, b in zip(shifted[1:], null[1:]):
+            assert np.array_equal(a[:, :cut], b[:, :cut])
+            assert not np.array_equal(a[:, cut:], b[:, cut:])
 
     def test_tail_shift_requires_pareto(self):
         with pytest.raises(ValueError):

@@ -105,7 +105,7 @@ class TestConfig:
 
     def test_brownian_mean_plans_do_not_use_hurst(self):
         cfg = _small_cfg(hursts=(0.3, 0.5), families=("cusum", "sn_cusum"))
-        assert [key[2] for key in mc.required_tables(cfg)] == [0.5]
+        assert [key[1] for key in mc.required_tables(cfg)] == [0.5]
 
     def test_rejects_every_invalid_alpha(self):
         with pytest.raises(ValueError, match="alpha > 1"):
@@ -284,7 +284,7 @@ class TestTables:
                          shifts=(1.0,), families=("cusum", "sn_cusum"), replications=100,
                          budget=TableBudget())
         complete = mc.ensure_tables(cfg)
-        bridge = complete.find(TableFamily.CUSUM_BRIDGE_SUP, 1, 0.6, None)[0]
+        bridge = complete.find(TableFamily.CUSUM_BRIDGE_SUP, 0.6, None)[0]
         monkeypatch.setattr(asymp, "critical_values", _refuse_simulation)
         partial = mc.run_experiment(cfg, tables=mc.TableSet([(bridge, "loaded")]))
         sources = {v["family"]: v["source"] for v in partial.meta["tables"]}
@@ -309,8 +309,8 @@ class TestTables:
         # CUSUM in the mean problem uses the analytic Kolmogorov value, and
         # the SN-CUSUM limit is Brownian, so one SN table at H = 0.5 suffices.
         assert len(needed) == 1
-        family, m, hurst, trim = needed[0]
-        assert (family.value, m, hurst) == ("sn_ratio", 1, 0.5)
+        family, hurst, trim = needed[0]
+        assert (family.value, hurst) == ("sn_ratio", 0.5)
 
     def test_required_tables_variance_problem(self):
         cfg = _small_cfg(
@@ -318,14 +318,14 @@ class TestTables:
             families=("cusum", "wilcoxon", "sn_cusum", "sn_wilcoxon"),
             shifts=(1.0,), hursts=(0.6,),
         )
-        needed = {(f.value, h) for f, _, h, _ in mc.required_tables(cfg)}
+        needed = {(f.value, h) for f, h, _ in mc.required_tables(cfg)}
         assert needed == {("cusum_bridge_sup", 0.6), ("sn_ratio", 0.6)}
 
 
 def _fake_table(family, hurst, path_count, path_length, trim=None):
     # A hand-made table: only its key, its budget and its quantiles matter here.
     return CriticalValueTable(
-        family=family, m=1, hurst=hurst, trim=trim,
+        family=family, hurst=hurst, trim=trim,
         quantiles={0.9: 1.0, 0.95: 1.2, 0.99: 1.5},
         meta={"path_count": path_count, "path_length": path_length},
     )
@@ -351,7 +351,7 @@ class TestTableLookup:
         table = _fake_table(TableFamily.SN_RATIO, 0.5, *budget, trim=cfg.trim)
         monkeypatch.setattr(asymp, "critical_values", _refuse_simulation)
         tables = mc.ensure_tables(cfg, existing=mc.TableSet([(table, "loaded")]))
-        assert tables.find(TableFamily.SN_RATIO, 1, 0.5, cfg.trim) == (table, "loaded")
+        assert tables.find(TableFamily.SN_RATIO, 0.5, cfg.trim) == (table, "loaded")
 
     def test_meta_records_each_table_source(self):
         # Mean SN-CUSUM needs the H = 0.5 SN table; variance CUSUM a bridge
@@ -371,9 +371,9 @@ class TestTableLookup:
         assert (entry["meta"]["path_count"], entry["meta"]["path_length"]) == (2_000, 512)
 
     def test_table_stream_keeps_the_experiment_convention(self):
-        stream = mc.table_stream(7, TableFamily.SN_RATIO, 1, 0.5)
+        stream = mc.table_stream(7, TableFamily.SN_RATIO, 0.5)
         assert stream == RngStream(7).substream(0xC71).substream(2, 1, mc._float_key(0.5))
-        bridge = mc.table_stream(7, TableFamily.CUSUM_BRIDGE_SUP, 1, 0.5)
+        bridge = mc.table_stream(7, TableFamily.CUSUM_BRIDGE_SUP, 0.5)
         assert bridge == RngStream(7).substream(0xC71).substream(1, 1, mc._float_key(0.5))
 
 
@@ -401,13 +401,14 @@ class TestPackageGrid:
         assert len(files) == 10
         keys = set()
         for name in files:
-            table = CriticalValueTable.from_json((directory / name).read_text())
-            assert table.m == 1
+            text = (directory / name).read_text()
+            table = CriticalValueTable.from_json(text)
+            assert json.loads(text)["m"] == 1
             assert sorted(table.quantiles) == [0.9, 0.95, 0.99]
             assert (table.meta["path_count"], table.meta["path_length"]) == (10_000, 2_048)
             assert table.meta["seed"] == 0
             assert table.meta["stream_id"] == mc.table_stream(
-                0, table.family, 1, table.hurst).stream_id
+                0, table.family, table.hurst).stream_id
             trim = None if table.trim is None else (table.trim.tau1, table.trim.tau2)
             keys.add((table.family, table.hurst, trim))
         assert keys == {
@@ -642,10 +643,10 @@ class TestChunkedEngine:
         chunks, drawn = [], set()
         simulate_batch = lmsv.simulate_batch
 
-        def counting(params, noise, changes, streams):
+        def counting(params, noise, change, streams):
             chunks.append(len(streams))
-            drawn.add(tuple(changes))
-            return simulate_batch(params, noise, changes, streams)
+            drawn.add(change)
+            return simulate_batch(params, noise, change, streams)
 
         monkeypatch.setattr(lmsv, "simulate_batch", counting)
 
@@ -655,7 +656,7 @@ class TestChunkedEngine:
 
         default = counts()
         assert chunks == [150, 150]
-        assert drawn == {(lmsv.NoChange(),)}  # every row draws its null chunk alone
+        assert drawn == {lmsv.NoChange()}  # every row draws its null chunk alone
         width = fgn.embedding_size(cfg.lengths[0])
         for normals, rows in ((1, 1), (7 * width, 7)):
             monkeypatch.setattr(fgn, "BLOCK_NORMALS", normals)
@@ -696,23 +697,19 @@ class TestChunkedEngine:
         hurst, n = cfg.hursts[0], cfg.lengths[0]
         alpha = cfg.alpha_grid[0]
         base = mc._row_stream(cfg, hurst, n, alpha)
-        changes = [_CHANGES[cfg.problem](h, cfg.tau) for h in cfg.shifts]
         rows = fgn.block_rows(n)
-        chunk = lmsv.simulate_batch(fgn.FgnParams(hurst, n), make_noise(cfg.noise_kind, alpha),
-                                    changes, [base.substream(rep) for rep in range(rows)])
-        for h, change in zip(cfg.shifts, changes):
-            _, _, paths = next(chunk)
-            assert change.h == h
+        streams = [base.substream(rep) for rep in range(rows)]
+        for h in cfg.shifts:
             spec = lmsv.SeriesSpec(fgn.FgnParams(hurst, n), make_noise(cfg.noise_kind, alpha),
                                    _CHANGES[cfg.problem](h, cfg.tau))
+            _, _, paths = lmsv.simulate_batch(spec.fgn, spec.noise, spec.change, streams)
             for rep in (0, 1, rows - 1):
                 assert np.array_equal(paths[rep], lmsv.simulate_series(spec, base.substream(rep)))
 
 
 def _null_chunk(hurst, n, noise, rows=64, seed=31):
-    [(_, _, x0)] = lmsv.simulate_batch(fgn.FgnParams(hurst, n), noise, [lmsv.NoChange()],
-                                       RngStream(seed).substreams(range(rows)))
-    return x0
+    return lmsv.simulate_batch(fgn.FgnParams(hurst, n), noise, lmsv.NoChange(),
+                               RngStream(seed).substreams(range(rows)))[2]
 
 
 def _shifted(x0, cut, h):
@@ -731,16 +728,16 @@ def _shift_sups(problem, families, x0, cut, shifts, trim=TrimSpec(), noise=None,
 
 def _check_row_counts(name, n, shifts):
     """A row's counts are those of evaluating each shifted chunk that
-    simulate_batch draws, and the shifts give different counts."""
+    simulate_batch draws on the row's streams, and the shifts give different
+    counts."""
     cfg = _small_cfg(lengths=(n,), **{**_ENGINE_CASES[name], "shifts": shifts})
     hurst, alpha = cfg.hursts[0], cfg.alpha_grid[0]
     plans = mc._plans_for_row(cfg, hurst, n, alpha, mc.ensure_tables(cfg))
-    changes = [lmsv.CHANGES[cfg.problem](h, cfg.tau) for h in cfg.shifts]
     streams = mc._row_stream(cfg, hurst, n, alpha).substreams(range(cfg.replications))
-    paths = lmsv.simulate_batch(fgn.FgnParams(hurst, n), make_noise(cfg.noise_kind, alpha),
-                                changes, streams)
     expected = {}
-    for h, (_, _, x) in zip(cfg.shifts, paths):
+    for h in cfg.shifts:
+        _, _, x = lmsv.simulate_batch(fgn.FgnParams(hurst, n), make_noise(cfg.noise_kind, alpha),
+                                      lmsv.CHANGES[cfg.problem](h, cfg.tau), streams)
         results = stats.evaluate(cfg.families, x, mc.PROBLEM_TRANSFORM[cfg.problem], cfg.trim)
         for plan in plans:
             value = results[plan.family].sup_value / plan.normalization
@@ -838,12 +835,16 @@ _SHIFT_CASES = {
 
 
 def _shifted_chunks(problem, n, rows=64, seed=31):
-    """(eps, x0) of a null chunk and the x of each shift of _SHIFT_CASES."""
+    """(eps, x0) of a null chunk and the x of each shift of _SHIFT_CASES, each
+    drawn on the same streams."""
     noise, shifts = _SHIFT_CASES[problem]
-    changes = [lmsv.NoChange()] + [lmsv.CHANGES[problem](h, 0.5) for h in shifts]
-    (_, eps, x0), *shifted = lmsv.simulate_batch(fgn.FgnParams(0.7, n), noise, changes,
-                                                  RngStream(seed).substreams(range(rows)))
-    return eps, x0, [x for _, _, x in shifted]
+    streams = RngStream(seed).substreams(range(rows))
+
+    def draw(change):
+        return lmsv.simulate_batch(fgn.FgnParams(0.7, n), noise, change, streams)
+
+    _, eps, x0 = draw(lmsv.NoChange())
+    return eps, x0, [draw(lmsv.CHANGES[problem](h, 0.5))[2] for h in shifts]
 
 
 class TestShiftRule:
@@ -873,17 +874,13 @@ class TestShiftRule:
     @pytest.mark.parametrize("n", [500, 2000])
     def test_sups_match_row_sups_of_each_shifted_chunk(self, problem, n):
         # The sum families to rounding; the variance rank families bit for
-        # bit; every family at g = 0 bit for bit as the null chunk reads. (The
-        # tail chunk that simulate_batch draws at h = 0 may lie an ulp off the
-        # null chunk: numpy takes u^-1 as a reciprocal for one scalar exponent
-        # and as a power for a per-draw one.)
+        # bit; every family at g = 0 bit for bit as the null chunk reads.
         cut = lmsv.change_point_index(n, 0.5)
         noise, shifts = _SHIFT_CASES[problem]
         eps, x0, shifted = _shifted_chunks(problem, n)
         sups = _shift_sups(problem, mc.FAMILIES, x0, cut, shifts, noise=noise, eps=eps)
         for h, x in zip(shifts, shifted):
-            expected = stats.row_sups(mc.FAMILIES, x0 if h == shifts[0] else x,
-                                      mc.PROBLEM_TRANSFORM[problem])
+            expected = stats.row_sups(mc.FAMILIES, x, mc.PROBLEM_TRANSFORM[problem])
             for family in mc.FAMILIES:
                 if h == shifts[0] or (problem, family) in (("variance", "wilcoxon"),
                                                            ("variance", "sn_wilcoxon")):
