@@ -479,7 +479,7 @@ def _table_sup(
     for rows in row_blocks(paths.shape):
         p = _bridge(paths[rows])
         if trim is not None:
-            sup[rows] = np.max(_sn_ratio(*_sn_terms(p, lo, hi), n)[0], axis=1)
+            sup[rows] = np.max(_sn_ratio(*_sn_terms(p, lo, hi), n), axis=1)
             continue
         magnitude = np.abs(p)
         peak = np.max(magnitude, axis=1)

@@ -237,7 +237,20 @@ def _cmd_test(args) -> int:
     return EXIT_OK
 
 
+def _check_output(flag: str, path: Path, made: bool = False) -> None:
+    """Refuse by its flag, before any computation, an output path that cannot
+    be written: a file in a missing directory or at a directory's path or,
+    for a directory that the command makes with its parents (`made`), a
+    path at or under a file."""
+    where = next(p for p in (path, *path.parents) if p.exists()) if made else path.parent
+    if not where.is_dir():
+        raise UsageError(f"{flag}: {where} is not a directory")
+    if not made and path.is_dir():
+        raise UsageError(f"{flag}: {path} is a directory")
+
+
 def _cmd_critvals(args) -> int:
+    _check_output("--out", args.out)
     trim = _trim(args)  # refused when malformed, and unused by bridge tables
     family = (
         asymp.TableFamily.CUSUM_BRIDGE_SUP if args.family == "bridge" else asymp.TableFamily.SN_RATIO
@@ -260,6 +273,7 @@ def _cmd_critvals(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    _check_output("--out-dir", args.out_dir, made=True)
     cfg = mc.ExperimentConfig.load(args.config)
     with _flags("--tables", NotADirectoryError):
         tables = None if args.tables is None else mc.TableSet.read(args.tables)
@@ -278,7 +292,8 @@ def _cmd_experiment(args) -> int:
 def _cmd_compare(args) -> int:
     cells = mc.cells_from_csv(args.report)
     if str(args.reference).startswith("builtin:"):
-        reference = mc.load_reference(str(args.reference).split(":", 1)[1])
+        with _flags("--reference"):
+            reference = mc.load_reference(str(args.reference).split(":", 1)[1])
     else:
         reference = mc.reference_from_csv(Path(args.reference))
     result = mc.compare_to_reference(cells, reference, max_z=args.max_z)

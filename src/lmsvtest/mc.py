@@ -120,6 +120,12 @@ class ExperimentConfig:
     max_workers: int = field(default_factory=asymp.default_workers)
 
     def __post_init__(self) -> None:
+        for name in ("families", "hursts", "lengths", "shifts", "alphas"):
+            values = getattr(self, name)
+            if not isinstance(values, (tuple, list)):  # a string would read as its letters
+                raise TypeError(f"{name} must be a list, got {values!r}")
+            if len(set(values)) != len(values):  # a repeat would run, and count, its cells twice
+                raise ValueError(f"{name} repeats an entry: {list(values)}")
         # A float count fails only deep in a run, and a NaN shift never rejects.
         for key, domain in _KEY_DOMAINS.items():
             values = getattr(self, key)
@@ -127,10 +133,6 @@ class ExperimentConfig:
                 domain.require(key, value)
         if not self.families or not self.hursts or not self.lengths or not self.shifts:
             raise ValueError("families, hursts, lengths, and shifts must be non-empty")
-        for name in ("families", "hursts", "lengths", "shifts", "alphas"):
-            values = getattr(self, name)  # a repeat would run, and count, its cells twice
-            if len(set(values)) != len(values):
-                raise ValueError(f"{name} repeats an entry: {list(values)}")
         # A row that cannot run is refused here, not after the tables and the
         # rows before it.
         if any(family.startswith("sn_") for family in self.families):
@@ -174,8 +176,12 @@ class ExperimentConfig:
         """The configuration of a to_json payload. A key left out takes the
         field's default; an unknown key is refused."""
         names = {key: name for name, key in _JSON_KEYS.items()}
+        payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise ValueError("invalid experiment config: need an object of keys, "
+                             f"got {type(payload).__name__}")
         kwargs = {names.get(key, key): tuple(value) if isinstance(value, list) else value
-                  for key, value in json.loads(text).items()}
+                  for key, value in payload.items()}
         try:
             for name, build in (("trim", TrimSpec), ("budget", TableBudget)):
                 if name in kwargs:
@@ -187,7 +193,11 @@ class ExperimentConfig:
 
     @staticmethod
     def load(path: str | Path) -> "ExperimentConfig":
-        return ExperimentConfig.from_json(Path(path).read_text())
+        """Read a config file; a file that is not a valid config is named in the error."""
+        try:
+            return ExperimentConfig.from_json(Path(path).read_text())
+        except ValueError as err:  # a file that is not JSON too
+            raise ValueError(f"{path}: {err}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -777,7 +787,7 @@ _REFERENCE_FILES = {
 def load_reference(name: str) -> list[CellResult]:
     """Load one of the bundled published rejection-rate tables."""
     if name not in _REFERENCE_FILES:
-        raise KeyError(f"unknown reference table {name!r}; have {sorted(_REFERENCE_FILES)}")
+        raise ValueError(f"unknown reference table {name!r}; have {sorted(_REFERENCE_FILES)}")
     path = resources.files("lmsvtest.data") / _REFERENCE_FILES[name]
     return reference_from_csv(path)
 

@@ -31,19 +31,21 @@ the NaN and +-inf checks, the ranking and the bridge of each input. Those
 blocks are the rule of asymp's table functionals and fgn's spectrum too:
 as many whole rows as fit in _BLOCK, so no temporary grows with the batch.
 Rows are independent, so a row's result is bitwise the same alone, in any
-batch and in any block. row_sups and shift_sups reduce each block to its
-rows' suprema, so a batch of replications keeps no profile. A NaN
-supremum, which terms past the doubles leave, is refused by every
-reduction. The SN table functional of
-asymp is this kernel too: _bridge, _sn_terms and _sn_ratio entered at the
-partial sums that the simulated paths already are, with no differencing.
+batch and in any block. Each block's profiles, one per family (_profiles),
+go to the caller's reduction: evaluate keeps them, and a row is degenerate
+where its profile reads +inf; row_sups and shift_sups keep their rows'
+suprema, so a batch of replications keeps no profile. A NaN supremum,
+which terms past the doubles leave, is refused by every reduction. The SN
+table functional of asymp is this kernel too: _bridge, _sn_terms and
+_sn_ratio entered at the partial sums that the simulated paths already
+are, with no differencing.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -234,15 +236,14 @@ def _row_sup(values: np.ndarray, family: str, h: float | None = None) -> np.ndar
 
 
 def _finish_batch(
-    profile: np.ndarray, k_grid: np.ndarray, degenerate: np.ndarray | None = None,
-    family: str = "statistic",
+    profile: np.ndarray, k_grid: np.ndarray, family: str = "statistic"
 ) -> ProfileStat:
     return ProfileStat(
         sup_value=_row_sup(profile, family),
         argmax_k=k_grid[np.argmax(profile, axis=-1)],
         k_grid=k_grid,
         profile=profile,
-        degenerate=np.zeros(profile.shape[0], dtype=bool) if degenerate is None else degenerate,
+        degenerate=np.isinf(profile).any(axis=-1),  # a zero SN denominator (_sn_ratio)
     )
 
 
@@ -258,7 +259,7 @@ def _single(stat: ProfileStat) -> ProfileStat:
 
 
 def _finish(profile: np.ndarray, k_grid: np.ndarray, degenerate: bool = False) -> ProfileStat:
-    return _single(_finish_batch(profile[None, :], k_grid, np.array([degenerate])))
+    return replace(_single(_finish_batch(profile[None, :], k_grid)), degenerate=degenerate)
 
 
 # ---------------------------------------------------------------------------
@@ -367,14 +368,12 @@ def _sn_terms(p: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, ...]:
     return pk, linear, a
 
 
-def _sn_ratio(
-    pk: np.ndarray, linear: np.ndarray, a: np.ndarray, n: int, out: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _sn_ratio(pk: np.ndarray, linear: np.ndarray, a: np.ndarray, n: int) -> np.ndarray:
     """Self-normalized ratio |P_k| / sqrt(P_k L_k + A / n) from the terms of
-    _sn_terms, and which cuts are a degenerate zero. A denominator within
-    rounding of the cancelled magnitude A (piecewise-constant input) yields
-    +inf.
-    """
+    _sn_terms. A denominator within rounding of the cancelled magnitude A
+    (piecewise-constant input) is a degenerate zero and yields +inf, its
+    only infinite value: elsewhere denom^2 > 4 eps A >= 4 eps P_k^2, so the
+    ratio stays below about 1 / sqrt(4 eps)."""
     denom_sq = linear * pk
     denom_sq += a
     # The cancellation against A leaves rounding of up to about
@@ -384,9 +383,9 @@ def _sn_ratio(
     # counts as an exact zero. A constant row has P = 0 exactly.
     zero = denom_sq <= 4.0 * n * np.finfo(float).eps * a
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.divide(np.abs(pk), np.sqrt(denom_sq, out=denom_sq), out=out)
+        ratio = np.divide(np.abs(pk), np.sqrt(denom_sq, out=denom_sq), out=denom_sq)
     ratio[zero] = np.inf
-    return ratio, zero
+    return ratio
 
 
 @lru_cache(maxsize=32)
@@ -449,20 +448,14 @@ def _centered_bridge(z: np.ndarray) -> np.ndarray:
     return _bridge(s)
 
 
-def _bridge_stats(
+def _profiles(
     p: np.ndarray, sup: str | None, sn: str | None, window: tuple[int, int] | None,
-    out: dict[tuple, np.ndarray], rows: slice, profiles: bool, degenerate: np.ndarray | None,
-    h: float | None = None, terms: tuple[np.ndarray, ...] | None = None,
-) -> None:
-    """The statistic `sup`, the profile |P_k| over k = 1..n, and `sn`, the
-    self-normalized ratio over the cuts of `window`, of one row block of
-    bridges p (None leaves a family out), written into out[family, h][rows];
-    p and `terms`, those of _sn_terms of p when the caller has them, are
-    left as they are. With `profiles`, those rows take their
-    profiles and degenerate[rows] whether the row has a degenerate SN cut;
-    without, they take the row suprema, so that no profile outlives its
-    block, and a NaN supremum is refused with its h."""
-    n = p.shape[-1]
+    terms: tuple[np.ndarray, ...] | None = None,
+):
+    """The profiles of one row block of bridges p, as (family, block) pairs:
+    `sn`, the self-normalized ratio over the cuts of `window`, then `sup`,
+    |P_k| over k = 1..n (None leaves a family out). p and `terms`, those of
+    _sn_terms of p when the caller has them, are left as they are."""
     if sn:
         pk, linear, a = _sn_terms(p, *window) if terms is None else terms
         # The ratio does not depend on the scale of P, but A = sum_t P_t^2
@@ -476,16 +469,9 @@ def _bridge_stats(
             e = np.frexp(np.max(np.abs(p[far]), axis=-1, keepdims=True))[1]
             for term, scaled in zip((pk, linear, a), _sn_terms(np.ldexp(p[far], -e), *window)):
                 term[far] = scaled
-        ratio, zero = _sn_ratio(pk, linear, a, n, out=out[sn, h][rows] if profiles else None)
-        if profiles:
-            degenerate[rows] = np.any(zero, axis=-1)
-        else:
-            out[sn, h][rows] = _row_sup(ratio, sn, h)
+        yield sn, _sn_ratio(pk, linear, a, p.shape[-1])
     if sup:
-        if profiles:
-            np.abs(p, out=out[sup, h][rows])
-        else:
-            out[sup, h][rows] = _row_sup(np.abs(p), sup, h)
+        yield sup, np.abs(p)
 
 
 #: The families of each input of the bridge, the values and their ranks:
@@ -498,14 +484,14 @@ _INPUTS = (("cusum", "sn_cusum"), ("wilcoxon", "sn_wilcoxon"))
 @np.errstate(over="ignore", invalid="ignore")
 def _evaluate(
     families: tuple[str, ...], xs: np.ndarray, transform: Transform, trim: TrimSpec,
-    profiles: bool, direction=None, gains: dict[float, float] | None = None,
-) -> dict[tuple[str, float | None], ProfileStat | np.ndarray]:
-    """The families of the batch xs, as ProfileStats or as per-row suprema
-    keyed (family, h), evaluated one row block at a time from end to end:
-    the transform, the NaN and +-inf checks, the ranking and the bridge of
-    each input, by _bridge_stats. h None reads the block itself; with a
-    direction, each h of `gains` reads the transformed block y plus g D,
-    g = gains[h] and D = direction(rows, y) (shift_sups)."""
+    reduce, direction=None, gains: dict[float, float] | None = None,
+) -> dict[tuple[str, float | None], np.ndarray]:
+    """reduce(profile, family, h) of each row block's profiles (_profiles) of
+    the batch xs, in one array per (family, h), one row block at a time from
+    end to end: the transform, the NaN and +-inf checks, the ranking and the
+    bridge of each input. h None reads the block itself; with a direction,
+    each h of `gains` reads the transformed block y plus g D, g = gains[h]
+    and D = direction(rows, y) (shift_sups)."""
     unknown = set(families) - {family for pair in _INPUTS for family in pair}
     if unknown:
         raise ValueError(f"unknown families {sorted(unknown)}")
@@ -514,13 +500,16 @@ def _evaluate(
     on_values, on_ranks = ([f if f in families else None for f in pair] for pair in _INPUTS)
     window = trim.window(n) if on_values[1] or on_ranks[1] else None
     shifts = {None: None} if direction is None else gains
-    k_grids = {f: np.arange(window[0], window[1] + 1) if f.startswith("sn_")
-               else np.arange(1, n + 1) for f in families if profiles}
-    out = {(f, h): np.empty((count, k_grids[f].size) if profiles else count)
-           for f in families for h in shifts}
-    degenerate = {(f, h): np.empty(count, dtype=bool)
-                  for f in families if profiles and f.startswith("sn_") for h in shifts}
-    for rows in row_blocks(xs.shape):
+    out = dict.fromkeys((f, h) for f in families for h in shifts)
+
+    def keep(rows, family, h, profile):
+        value = reduce(profile, family, h)
+        if out[family, h] is None:
+            out[family, h] = np.empty((count, *value.shape[1:]))
+        out[family, h][rows] = value
+
+    # An empty batch runs one empty block, which gives its results their shapes.
+    for rows in row_blocks((max(count, 1), n)):
         y = _checked(transform.apply(xs[rows]), sums=any(on_values) or direction is not None)
         d = None if direction is None else direction(rows, y)
         if any(on_values):
@@ -538,24 +527,20 @@ def _evaluate(
                     if terms is not None:
                         g_terms = (terms[0] + g * d_terms[0], terms[1] + g * d_terms[1],
                                    terms[2] + g * (cross + g * d_terms[2]))
-                _bridge_stats(ph, *on_values, window, out, rows, profiles,
-                              degenerate.get((on_values[1], h)), h, g_terms)
-            p = pd = ph = terms = d_terms = cross = g_terms = None  # not held while ranking
+                for family, profile in _profiles(ph, *on_values, window, g_terms):
+                    keep(rows, family, h, profile)
+                profile = None  # no profile outlives its reduction
+            p = pd = ph = terms = d_terms = cross = g_terms = None  # freed before ranking
         for h, g in shifts.items() if any(on_ranks) else ():
             yh = y + g * d if g else y
             r, tied = _ranked(yh)
-            _bridge_stats(_centered_bridge(r), *on_ranks, window, out, rows, profiles,
-                          degenerate.get((on_ranks[1], h)), h)
-            # The rank identity holds only for tie-free rows; a tied row is
-            # counted by its pairs.
-            for row in np.flatnonzero(tied) if on_ranks[0] else ():
-                counts = np.abs(_wilcoxon_pair_counts(yh[row]))
-                out[on_ranks[0], h][rows.start + row] = counts if profiles else np.max(counts)
-        yh = r = d = None  # nor while the next block is evaluated
-    if profiles:
-        for (family, h), values in out.items():
-            out[family, h] = _finish_batch(values, k_grids[family], degenerate.get((family, h)),
-                                           family)
+            for family, profile in _profiles(_centered_bridge(r), *on_ranks, window):
+                # The rank identity holds only for tie-free rows: a tied row counts its pairs.
+                for row in np.flatnonzero(tied) if family == "wilcoxon" else ():
+                    profile[row] = np.abs(_wilcoxon_pair_counts(yh[row]))
+                keep(rows, family, h, profile)
+            yh = r = profile = None  # freed before the next ranking
+        d = None  # nor held while the next block is evaluated
     return out
 
 
@@ -573,10 +558,14 @@ def evaluate(
     each input share its bridge. A NaN supremum, left by terms that
     overflow, is refused.
     """
-    results = _evaluate(families, xs, transform, trim, profiles=True)
-    if np.ndim(xs) == 1:
-        return {family: _single(results[family, None]) for family in families}
-    return {family: results[family, None] for family in families}
+    profiles = _evaluate(families, xs, transform, trim, lambda profile, family, h: profile)
+    n = np.shape(xs)[-1]
+    results = {}
+    for family in families:
+        lo, hi = trim.window(n) if family.startswith("sn_") else (1, n)
+        stat = _finish_batch(profiles[family, None], np.arange(lo, hi + 1), family)
+        results[family] = _single(stat) if np.ndim(xs) == 1 else stat
+    return results
 
 
 def row_sups(
@@ -590,7 +579,7 @@ def row_sups(
     no (rows, n) profile or temporary of the batch's size is allocated. A
     NaN supremum is refused.
     """
-    sups = _evaluate(families, xs, transform, trim, profiles=False)
+    sups = _evaluate(families, xs, transform, trim, _row_sup)
     return {family: sups[family, None] for family in families}
 
 
@@ -618,8 +607,7 @@ def shift_sups(
     for h, g in gains.items():
         if not math.isfinite(g):
             raise ValueError(f"the gain at h = {h:g} is {g}, outside the doubles")
-    return _evaluate(families, x0, transform, trim, profiles=False, direction=direction,
-                     gains=gains)
+    return _evaluate(families, x0, transform, trim, _row_sup, direction, gains)
 
 
 def _sn_profile_by_definition(values: np.ndarray, trim: TrimSpec) -> ProfileStat:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lmsvtest import mc
+from lmsvtest import asymp, mc
 from lmsvtest.cli import (EXIT_COMPUTATION, EXIT_FLAGGED, EXIT_INTERRUPTED, EXIT_OK, EXIT_USAGE,
                           _build_parser, main)
 
@@ -487,6 +487,19 @@ class TestCritvals:
         assert "--tau1 and --tau2" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("out", ["missing/sn.json", "directory"])
+    def test_an_out_that_cannot_be_written_is_refused_before_simulating(
+        self, capsys, tmp_path, monkeypatch, out
+    ):
+        # It simulated the table (2.6 s at 20 000 paths), then failed to write it with exit 2.
+        monkeypatch.setattr(asymp, "critical_values", _never_called)
+        (tmp_path / "directory").mkdir()
+        code, stdout, err = run(capsys, "critvals", "--family", "sn", "--hurst", "0.7",
+                                "--paths", "20000", "--out", str(tmp_path / out))
+        _refused_by_name(code, stdout, err, EXIT_USAGE, "--out")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["directory"]
+        assert not any((tmp_path / "directory").iterdir())
+
     def test_an_interrupt_ends_in_one_error_line(self, tmp_path):
         # SIGINT 1.5 s into a table of about half a minute: the batches under
         # way finish, and the command ends in one line and the shell's 130.
@@ -551,6 +564,10 @@ class TestSeedFlags:
 
 #: sha256 of cells.csv of `lmsvtest experiment` on the bundled table1_desk.json.
 DESK_CELLS_SHA256 = "441760d266df1c5722736944bf13f8a387b7a2779012dd952166c54469dd7bd4"
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("computed before the output location was checked")
 
 
 def _write_config(path, **overrides):
@@ -919,6 +936,29 @@ class TestExperimentAndCompare:
         assert f"{path} has a header and no cells" in err
         assert "compared" not in out
 
+    def test_an_unknown_builtin_reference_is_refused_by_its_flag(self, capsys, tmp_path):
+        # It exited 2 with the message of a KeyError, which named no flag.
+        path = tmp_path / "cells.csv"
+        mc.cells_to_csv(mc.load_reference("mean_normal"), path)
+        code, out, err = run(capsys, "compare", "--report", str(path),
+                             "--reference", "builtin:nope")
+        _refused_by_name(code, out, err, EXIT_USAGE, "--reference")
+        assert "unknown reference table 'nope'" in err
+
+    @pytest.mark.parametrize("out_dir", ["file", "file/run"])
+    def test_an_out_dir_where_a_file_is_is_refused_before_running(
+        self, capsys, tmp_path, monkeypatch, out_dir
+    ):
+        # The whole run (1.4 s on the desk config) came before the mkdir that
+        # failed, with exit 2.
+        monkeypatch.setattr(mc, "run_experiment", _never_called)
+        (tmp_path / "file").write_text("")
+        code, out, err = run(capsys, "experiment", "--config",
+                             str(_write_config(tmp_path / "config.json")),
+                             "--out-dir", str(tmp_path / out_dir))
+        _refused_by_name(code, out, err, EXIT_USAGE, "--out-dir")
+        assert (tmp_path / "file").read_text() == ""
+
     @pytest.mark.parametrize("max_z", ["nan", "-1"])
     def test_max_z_nan_or_negative_is_refused(self, capsys, tmp_path, max_z):
         # A NaN bound flags no cell, so a comparison would always pass. A bad
@@ -983,15 +1023,28 @@ class TestExperimentAndCompare:
         ({"seed": -1}, "seed must be an integer in [0, 2^64), got -1"),
         ({"seed": 2**64}, "seed must be an integer in [0, 2^64)"),
         ({"max_workers": 0}, "max_workers must be an integer >= 1"),
+        # A grid key given as one value, which read as its letters or as no list.
+        ({"families": "cusum"}, "families must be a list, got 'cusum'"),
+        ({"hursts": 0.6}, "hursts must be a list, got 0.6"),
+        # A whole file that is not a config: a traceback, or an error without its file.
+        ("[1, 2]", "need an object of keys, got list"),
+        ('"x"', "need an object of keys, got str"),
+        ("not json", "Expecting value"),
     ], ids=["trim-null", "trim-three-values", "budget-scalar", "repeated-shift",
             "replications-float", "length-float", "workers-bool", "seed-float",
             "budget-count-float", "budget-length-bool", "shift-nan", "shift-inf",
-            "seed-negative", "seed-2^64", "workers-zero"])
+            "seed-negative", "seed-2^64", "workers-zero", "families-string",
+            "hursts-scalar", "file-list", "file-string", "file-not-json"])
     def test_malformed_config_is_refused(self, capsys, tmp_path, overrides, message):
-        config = _write_config(tmp_path / "config.json", **overrides)
-        code, _, err = run(capsys, "experiment", "--config", str(config),
-                           "--out-dir", str(tmp_path / "run"))
-        assert code == EXIT_COMPUTATION
+        config = tmp_path / "config.json"
+        if isinstance(overrides, str):
+            config.write_text(overrides)
+        else:
+            _write_config(config, **overrides)
+        code, out, err = run(capsys, "experiment", "--config", str(config),
+                             "--out-dir", str(tmp_path / "run"))
+        assert (code, out) == (EXIT_COMPUTATION, "")
+        assert err.startswith(f"error: {config}: ") and err.count("\n") == 1, err
         assert message in err
         assert not (tmp_path / "run").exists()
 

@@ -361,6 +361,21 @@ class TestBatch:
             assert np.allclose(fast.profile[row], ref.profile)
         assert list(sn_cusum(batch).degenerate) == [False] * 7 + [True, True, False]
         assert list(sn_wilcoxon(batch).degenerate) == [False] * 7 + [True, True, False]
+        # A row is degenerate where its profile reads +inf: row by row, that is
+        # the oracle's own flag on constant and two-level rows at 1 and 2^+-520,
+        # and on rows that are neither at 1 and 2^520. At 2^-520 the oracle's
+        # 1 / denom^2 overflows and flags every row, so such rows are left out
+        # (test_ratio_is_bitwise_scale_free reads them).
+        n = 200
+        levels = np.vstack([np.full(n, 2.5), np.full(n, -4.0),
+                            np.where(np.arange(n) < n // 2, 1.0, 3.0),
+                            np.where(np.arange(n) < 70, -2.0, 0.5)])
+        noise = RngStream(52).generator().standard_normal((2, n))
+        rows = np.vstack([levels, levels * 2.0**520, levels * 2.0**-520, noise, noise * 2.0**520])
+        with np.errstate(over="ignore"):  # the oracle's sums of squares at 2^+-520
+            flags = [sn_cusum_by_definition(x).degenerate for x in rows]
+        assert flags == [True] * 12 + [False] * 4
+        assert list(evaluate(("sn_cusum",), rows)["sn_cusum"].degenerate) == flags
 
     def test_evaluate_shares_one_transform(self):
         x = _mixed_batch()
@@ -372,9 +387,9 @@ class TestBatch:
 
     @pytest.mark.parametrize("transform", [Transform.IDENTITY, Transform.SQUARE, Transform.LOG_ABS])
     def test_row_sups_are_the_sup_values_of_evaluate(self, transform):
-        # Tied, constant and piecewise-constant rows included (_mixed_batch).
+        # An empty batch, and tied, constant and piecewise-constant rows (_mixed_batch).
         families = ("cusum", "wilcoxon", "sn_cusum", "sn_wilcoxon")
-        for x in (_mixed_batch(), _random_walks(48, 40, 2000, h=1.0)):
+        for x in (np.empty((0, 60)), _mixed_batch(), _random_walks(48, 40, 2000, h=1.0)):
             sups = row_sups(families, x, transform)
             results = evaluate(families, x, transform)
             assert set(sups) == set(families)
