@@ -17,7 +17,7 @@ import numpy as np
 from . import fgn
 from .dist import (COUNT, LENGTH, LEVEL, UNIT_INTERVAL, CenteredPareto, NoiseSpec, RngStream,
                    noise_moments)
-from .stats import TrimSpec, _bridge, _sn_ratio, _sn_terms, row_blocks
+from .stats import TrimSpec, _bridge, _profiles, row_blocks
 
 TABLE_FORMAT_VERSION = 1
 
@@ -448,11 +448,13 @@ def _table_sup(
     refine: list[np.random.Generator] | None = None,
 ) -> np.ndarray:
     """Supremum of a functional of the bridge P = Z - (t/N) Z(1) of each
-    partial-sum path Z on the grid j/N, from one stats._bridge per row block.
+    partial-sum path Z on the grid j/N: the profile of one stats._bridge per
+    row block, built by the statistics' own stats._profiles.
 
-    With `trim`, the trimmed self-normalized ratio, by the kernel of the SN
-    statistics. On the grid its denominator sums equal the trapezoid
-    integrals of the squared residual bridges, which vanish at both ends.
+    With `trim`, the trimmed self-normalized ratio, under the statistics'
+    scale rule, so a path reads the same bits at any power-of-two scale. On
+    the grid its denominator sums equal the trapezoid integrals of the
+    squared residual bridges, which vanish at both ends.
 
     Otherwise max |P|, and with `refine`, generators (upper, lower) of
     uniforms, that maximum sharpened by exact within-segment extremes,
@@ -472,22 +474,19 @@ def _table_sup(
     evaluates every segment.
     """
     count, n = paths.shape
-    if trim is not None:
-        lo, hi = trim.window(n)
+    window = None if trim is None else trim.window(n)
+    families = ("bridge", None) if trim is None else (None, "sn_ratio")
     margin = math.sqrt(_REFINE_E / (2 * n))
     sup = np.empty(count)
     for rows in row_blocks(paths.shape):
         p = _bridge(paths[rows])
-        if trim is not None:
-            sup[rows] = np.max(_sn_ratio(*_sn_terms(p, lo, hi), n), axis=1)
-            continue
-        magnitude = np.abs(p)
-        peak = np.max(magnitude, axis=1)
+        [(_, profile)] = _profiles(p, *families, window)
+        peak = np.max(profile, axis=1)
         if refine is not None:
             u_hi, u_lo = (rng.random(p.shape) for rng in refine)
             # Segment j runs from grid point j - 1 to j; the first, from P = 0,
             # is near when its end is.
-            near = magnitude > (peak - margin)[:, None]
+            near = profile > (peak - margin)[:, None]
             near[:, 1:] |= near[:, :-1].copy()
             if not (u_hi.all() and u_lo.all()):
                 near[:] = True

@@ -142,7 +142,9 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_simulate(args) -> int:
-    # Bad flag values, refused by name before any computation starts.
+    # An unwritable output and bad flag values, refused by name before any
+    # computation starts.
+    _check_output("--out", args.out)
     with _flags("--noise, --alpha and --scale"):
         noise = make_noise(args.noise.replace("-", "_"), args.alpha, args.scale)
     with _flags("--h"):  # a variance scale h > 0
@@ -225,6 +227,7 @@ def _resolve_test(args, xs: np.ndarray):
 
 
 def _cmd_test(args) -> int:
+    _check_output("--profile-out", args.profile_out)
     xs = _read_series(args.input)
     transform, trim, norm, cv = _resolve_test(args, xs)
     family = args.family
@@ -237,11 +240,13 @@ def _cmd_test(args) -> int:
     return EXIT_OK
 
 
-def _check_output(flag: str, path: Path, made: bool = False) -> None:
+def _check_output(flag: str, path: Path | None, made: bool = False) -> None:
     """Refuse by its flag, before any computation, an output path that cannot
     be written: a file in a missing directory or at a directory's path or,
     for a directory that the command makes with its parents (`made`), a
-    path at or under a file."""
+    path at or under a file. No path (stdout, or no such output) passes."""
+    if path is None:
+        return
     where = next(p for p in (path, *path.parents) if p.exists()) if made else path.parent
     if not where.is_dir():
         raise UsageError(f"{flag}: {where} is not a directory")
@@ -290,6 +295,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    _check_output("--out", args.out)
     cells = mc.cells_from_csv(args.report)
     if str(args.reference).startswith("builtin:"):
         with _flags("--reference"):

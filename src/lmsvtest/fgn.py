@@ -71,8 +71,8 @@ def embedding_size(n: int) -> int:
 #: at 2 MiB, 209 k at 1 MiB, and 31 k at 1 MiB once the Brownian refinement
 #: skipped the segments that cannot win (asymp._table_sup). The benchmark's
 #: 96 variance cells, in process, took 26 k at 2 MiB, 92 k at 1 MiB with
-#: the statistics of a chunk evaluated whole, and 5-11 k once stats.row_sups
-#: ran them one row block at a time.
+#: the statistics of a chunk evaluated whole, and 5-11 k once the block loop
+#: of the statistics (stats._evaluate) ran them one row block at a time.
 BLOCK_NORMALS = 1 << 17
 
 

@@ -24,21 +24,21 @@ integer keys per block (_ranked); a row where two keys agree in their high
 bits, a tie or values a few ulps apart, is ranked by the counting
 definition.
 
-evaluate, row_sups and shift_sups, which reads every shift z0 + g D of a
-series z0 (lmsv.shift_rule) by the linearity of the bridge, take a batch
-one row block of row_blocks at a time, from end to end: the transform,
-the NaN and +-inf checks, the ranking and the bridge of each input. Those
-blocks are the rule of asymp's table functionals and fgn's spectrum too:
-as many whole rows as fit in _BLOCK, so no temporary grows with the batch.
-Rows are independent, so a row's result is bitwise the same alone, in any
-batch and in any block. Each block's profiles, one per family (_profiles),
-go to the caller's reduction: evaluate keeps them, and a row is degenerate
-where its profile reads +inf; row_sups and shift_sups keep their rows'
-suprema, so a batch of replications keeps no profile. A NaN supremum,
-which terms past the doubles leave, is refused by every reduction. The SN
-table functional of asymp is this kernel too: _bridge, _sn_terms and
-_sn_ratio entered at the partial sums that the simulated paths already
-are, with no differencing.
+evaluate and shift_sups, which reads every shift z0 + g D of a series z0
+(lmsv.shift_rule) by the linearity of the bridge, take a batch one row
+block of row_blocks at a time, from end to end: the transform, the NaN and
++-inf checks, the ranking and the bridge of each input. Those blocks are
+the rule of asymp's table functionals and fgn's spectrum too: as many
+whole rows as fit in _BLOCK, so no temporary grows with the batch. Rows
+are independent, so a row's result is bitwise the same alone, in any batch
+and in any block. _profiles is the one place that builds a profile block,
+|P| or the SN ratio under one scale rule, and each block's profiles go to
+the caller's reduction: evaluate keeps them, and a row is degenerate where
+its profile reads +inf; shift_sups keeps its rows' suprema, so a batch of
+replications keeps no profile. A NaN supremum, which terms past the
+doubles leave, is refused by both. asymp's table functionals reduce
+_profiles too, of _bridge entered at the partial sums that the simulated
+paths already are, with no differencing.
 """
 
 from __future__ import annotations
@@ -568,21 +568,6 @@ def evaluate(
     return results
 
 
-def row_sups(
-    families: tuple[str, ...],
-    xs: np.ndarray,
-    transform: Transform = Transform.IDENTITY,
-    trim: TrimSpec = TrimSpec(),
-) -> dict[str, np.ndarray]:
-    """The supremum of each family of each row of the batch xs: the
-    sup_value of evaluate, bit for bit, reduced in each row block, so that
-    no (rows, n) profile or temporary of the batch's size is allocated. A
-    NaN supremum is refused.
-    """
-    sups = _evaluate(families, xs, transform, trim, _row_sup)
-    return {family: sups[family, None] for family in families}
-
-
 def shift_sups(
     families: tuple[str, ...],
     x0: np.ndarray,
@@ -598,11 +583,11 @@ def shift_sups(
     all (lmsv.shift_rule). The rank families rank each block z0 + g D. The
     bridge P and the linear part L of _sn_terms are linear in the series,
     and A(g) = A + 2g <P, P_D> + g^2 A_D, so the sum families take every g
-    from the terms of z0 and D, with no prefix pass, and agree with
-    row_sups of z0 + g D to rounding; g = 0 reads the block itself. The
-    scale rule and the refusals are those of row_sups: a NaN supremum is
-    refused by its h, and so is a gain outside the doubles, as g D would
-    read NaN where D is 0.
+    from the terms of z0 and D, with no prefix pass, and agree with the
+    sup_value of evaluate on z0 + g D to rounding; g = 0 reads the block
+    itself, bit for bit. The scale rule is that of _profiles, and the
+    refusals those of evaluate: a NaN supremum is refused by its h, and so
+    is a gain outside the doubles, as g D would read NaN where D is 0.
     """
     for h, g in gains.items():
         if not math.isfinite(g):

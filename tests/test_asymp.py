@@ -340,6 +340,18 @@ class TestTableFunctionals:
         rows = [asymp._table_sup(paths[i:i + 1], TrimSpec()) for i in range(len(paths))]
         assert np.array_equal(whole, np.concatenate(rows))
 
+    @pytest.mark.parametrize("power", [-600, -520, 520, 600])
+    def test_sn_ratio_is_bitwise_scale_free(self, power):
+        # The ratio does not depend on the scale of a path. A = sum_t P_t^2
+        # of the scaled paths overflows or underflows, where the ratio read
+        # NaN or inf, or lost bits, without the statistics' scale rule. Every
+        # other path is scaled, so a block mixes both kinds.
+        paths = simulate_hermite_paths(0.7, 1, 256, 64, RngStream(76))
+        scaled = paths.copy()
+        scaled[::2] = np.ldexp(paths[::2], power)
+        assert np.array_equal(asymp._table_sup(scaled, TrimSpec()),
+                              asymp._table_sup(paths, TrimSpec()))
+
     def test_bridge_refinement_blocks_are_bitwise_row_by_row(self):
         paths = simulate_hermite_paths(0.5, 1, 256, 2048, RngStream(74))
         grid = asymp._table_sup(paths)

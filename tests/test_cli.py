@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lmsvtest import asymp, mc
+from lmsvtest import asymp, cli, mc, stats
 from lmsvtest.cli import (EXIT_COMPUTATION, EXIT_FLAGGED, EXIT_INTERRUPTED, EXIT_OK, EXIT_USAGE,
                           _build_parser, main)
 
@@ -487,29 +487,40 @@ class TestCritvals:
         assert "--tau1 and --tau2" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("out", ["missing/sn.json", "directory"])
+    @pytest.mark.parametrize("command, out", [
+        pytest.param("critvals", "missing/sn.json", id="missing/sn.json"),
+        pytest.param("critvals", "directory", id="directory"),
+        *(pytest.param(command, out, id=f"{command} {out}")
+          for command in ("simulate", "test", "compare") for out in ("missing/x.csv", "directory")),
+    ])
     def test_an_out_that_cannot_be_written_is_refused_before_simulating(
-        self, capsys, tmp_path, monkeypatch, out
+        self, capsys, tmp_path, tmp_path_factory, monkeypatch, command, out
     ):
-        # It simulated the table (2.6 s at 20 000 paths), then failed to write it with exit 2.
-        monkeypatch.setattr(asymp, "critical_values", _never_called)
+        # critvals simulated the table (2.6 s at 20 000 paths), then failed to
+        # write it with exit 2. simulate, test and compare computed too, then
+        # exited 2 with an OSError that named no flag.
+        argv, flag, computation = _writing_commands(tmp_path_factory.mktemp("inputs"))[command]
+        monkeypatch.setattr(*computation, _never_called)
         (tmp_path / "directory").mkdir()
-        code, stdout, err = run(capsys, "critvals", "--family", "sn", "--hurst", "0.7",
-                                "--paths", "20000", "--out", str(tmp_path / out))
-        _refused_by_name(code, stdout, err, EXIT_USAGE, "--out")
+        code, stdout, err = run(capsys, *argv, flag, str(tmp_path / out))
+        _refused_by_name(code, stdout, err, EXIT_USAGE, flag)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["directory"]
         assert not any((tmp_path / "directory").iterdir())
 
     def test_an_interrupt_ends_in_one_error_line(self, tmp_path):
-        # SIGINT 1.5 s into a table of about half a minute: the batches under
+        # SIGINT 1.5 s into a table of about 8 s on 2 CPUs: the batches under
         # way finish, and the command ends in one line and the shell's 130.
+        # A shell that runs the suite as a background job hands its children
+        # SIGINT ignored, and Python then installs no KeyboardInterrupt
+        # handler, so the child takes the default disposition back first.
         out = tmp_path / "sn.json"
         src = str(Path(mc.__file__).resolve().parents[1])
         proc = subprocess.Popen(
             [sys.executable, "-m", "lmsvtest.cli", "critvals", "--family", "sn", "--hurst",
              "0.7", "--paths", "60000", "--out", str(out)],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            env={**os.environ, "PYTHONPATH": src})
+            env={**os.environ, "PYTHONPATH": src},
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
         time.sleep(1.5)
         proc.send_signal(signal.SIGINT)
         stdout, stderr = proc.communicate(timeout=60)
@@ -568,6 +579,25 @@ DESK_CELLS_SHA256 = "441760d266df1c5722736944bf13f8a387b7a2779012dd952166c54469d
 
 def _never_called(*args, **kwargs):
     raise AssertionError("computed before the output location was checked")
+
+
+def _writing_commands(inputs):
+    """Each command with an output file: its arguments but the output, the
+    output's flag, and the (module, name) of the computation that a refused
+    location must come before. Its input files are written to `inputs`."""
+    series, report = inputs / "series.csv", inputs / "cells.csv"
+    np.savetxt(series, np.random.default_rng(0).standard_normal(100))
+    mc.cells_to_csv(mc.load_reference("mean_normal"), report)
+    return {
+        "critvals": (("critvals", "--family", "sn", "--hurst", "0.7", "--paths", "20000"),
+                     "--out", (asymp, "critical_values")),
+        "simulate": (("simulate", "--n", "100", "--hurst", "0.7"),
+                     "--out", (cli, "simulate_components")),
+        "test": (("test", "--input", str(series), "--family", "sn_cusum"),
+                 "--profile-out", (stats, "evaluate")),
+        "compare": (("compare", "--report", str(report), "--reference", "builtin:mean_normal"),
+                    "--out", (mc, "compare_to_reference")),
+    }
 
 
 def _write_config(path, **overrides):

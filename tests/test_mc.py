@@ -772,7 +772,7 @@ class TestMeanShiftReuse:
 
     @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e155])
     def test_extreme_scales_read_as_each_shifted_chunk(self, scale):
-        # The scale rule of row_sups holds for every shift: the mean path
+        # The scale rule of evaluate holds for every shift: the mean path
         # read inf at 1e-170, a value 4.7e-6 off at 1e-160, and refused
         # 1e155 as NaN. At h = 1 a chunk of 1e-170 is piecewise constant
         # to the doubles, and both read its degenerate +inf.
@@ -781,12 +781,12 @@ class TestMeanShiftReuse:
         x0 = _null_chunk(0.8, n, make_noise("normal"), rows=16) * scale
         sups = _shift_sups("mean", families, x0, cut, (0.0, 1.0))
         for h in (0.0, 1.0):
-            expected = stats.row_sups(families, _shifted(x0, cut, h))
+            expected = stats.evaluate(families, _shifted(x0, cut, h))
             for family in families:
                 if h == 0.0:
-                    assert np.array_equal(sups[family, h], expected[family]), family
+                    assert np.array_equal(sups[family, h], expected[family].sup_value), family
                 else:
-                    np.testing.assert_allclose(sups[family, h], expected[family],
+                    np.testing.assert_allclose(sups[family, h], expected[family].sup_value,
                                                rtol=1e-10, atol=0, err_msg=family)
 
     @pytest.mark.parametrize("h", [0.0, 0.25, 0.5, 1.0])
@@ -800,12 +800,12 @@ class TestMeanShiftReuse:
         cut = lmsv.change_point_index(n, 0.5)
         x0 = _null_chunk(0.9, n, make_noise("centered_pareto", 2.5), rows=128)
         sups = _shift_sups("mean", families, x0, cut, (h,))
-        expected = stats.row_sups(families, _shifted(x0, cut, h))
+        expected = stats.evaluate(families, _shifted(x0, cut, h))
         for family in ("wilcoxon", "sn_wilcoxon"):
-            assert np.array_equal(sups[family, h], expected[family]), family
+            assert np.array_equal(sups[family, h], expected[family].sup_value), family
         for family in ("cusum", "sn_cusum"):
-            np.testing.assert_allclose(sups[family, h], expected[family], rtol=1e-10, atol=0,
-                                       err_msg=family)
+            np.testing.assert_allclose(sups[family, h], expected[family].sup_value, rtol=1e-10,
+                                       atol=0, err_msg=family)
 
     def test_a_shift_that_ties_every_row_reads_its_pair_counts(self):
         # At h = 1e17 the post-change values of a centered-Pareto chunk round
@@ -817,7 +817,7 @@ class TestMeanShiftReuse:
         sups = _shift_sups("mean", ("wilcoxon",), x0, cut, (h,))
         x = _shifted(x0, cut, h)
         assert stats._ranked(x)[1].all()
-        assert np.array_equal(sups["wilcoxon", h], stats.row_sups(("wilcoxon",), x)["wilcoxon"])
+        assert np.array_equal(sups["wilcoxon", h], stats.wilcoxon(x).sup_value)
         assert sups["wilcoxon", h][0] == stats.wilcoxon_by_definition(x[0]).sup_value
 
     @pytest.mark.parametrize("name", ["mean_normal", "mean_centered_pareto"])
@@ -880,13 +880,14 @@ class TestShiftRule:
         eps, x0, shifted = _shifted_chunks(problem, n)
         sups = _shift_sups(problem, mc.FAMILIES, x0, cut, shifts, noise=noise, eps=eps)
         for h, x in zip(shifts, shifted):
-            expected = stats.row_sups(mc.FAMILIES, x, mc.PROBLEM_TRANSFORM[problem])
+            expected = stats.evaluate(mc.FAMILIES, x, mc.PROBLEM_TRANSFORM[problem])
             for family in mc.FAMILIES:
+                sup = expected[family].sup_value
                 if h == shifts[0] or (problem, family) in (("variance", "wilcoxon"),
                                                            ("variance", "sn_wilcoxon")):
-                    assert np.array_equal(sups[family, h], expected[family]), (family, h)
+                    assert np.array_equal(sups[family, h], sup), (family, h)
                 elif family in ("cusum", "sn_cusum"):
-                    np.testing.assert_allclose(sups[family, h], expected[family], rtol=1e-10,
+                    np.testing.assert_allclose(sups[family, h], sup, rtol=1e-10,
                                                atol=0, err_msg=f"{family} at h = {h}")
 
     @pytest.mark.parametrize("name, shifts", [("variance", (0.37, 1.0, 2.0, 2.5)),

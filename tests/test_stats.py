@@ -16,7 +16,6 @@ from lmsvtest.stats import (
     evaluate,
     ranks,
     row_blocks,
-    row_sups,
     sn_cusum,
     sn_cusum_by_definition,
     sn_wilcoxon,
@@ -192,7 +191,6 @@ class TestKeySortRanking:
         trim = TrimSpec() if n > 2 else TrimSpec(0.5, 0.6)  # the one cut k = 1 at n = 2
         batch = np.vstack(list(rows.values()))
         together = evaluate(("wilcoxon", "sn_wilcoxon"), batch, trim=trim)
-        sups = row_sups(("wilcoxon", "sn_wilcoxon"), batch, trim=trim)
         for i, (name, x) in enumerate(rows.items()):
             if n != 2048 or name != "constant":
                 assert np.array_equal(wilcoxon(x).profile, wilcoxon_by_definition(x).profile), name
@@ -201,7 +199,7 @@ class TestKeySortRanking:
             assert fast.degenerate == slow.degenerate, name
             for family, single in (("wilcoxon", wilcoxon(x)), ("sn_wilcoxon", fast)):
                 assert np.array_equal(together[family].profile[i], single.profile), name
-                assert sups[family][i] == single.sup_value, name
+                assert together[family].sup_value[i] == single.sup_value, name
 
 
 class TestSnCusum:
@@ -267,8 +265,7 @@ class TestSnCusum:
         assert np.array_equal(both["sn_cusum"].sup_value, base["sn_cusum"].sup_value)
         assert np.array_equal(both["sn_cusum"].argmax_k, base["sn_cusum"].argmax_k)
         assert not both["sn_cusum"].degenerate.any()
-        assert np.array_equal(row_sups(("sn_cusum",), scaled)["sn_cusum"],
-                              base["sn_cusum"].sup_value)
+        assert np.array_equal(sn_cusum(scaled).sup_value, base["sn_cusum"].sup_value)
         # The scaled rows' cusum reads their own |P|, which is exactly scaled.
         assert np.array_equal(both["cusum"].sup_value[::2], base["cusum"].sup_value[::2] * scale)
 
@@ -387,15 +384,18 @@ class TestBatch:
 
     @pytest.mark.parametrize("transform", [Transform.IDENTITY, Transform.SQUARE, Transform.LOG_ABS])
     def test_row_sups_are_the_sup_values_of_evaluate(self, transform):
-        # An empty batch, and tied, constant and piecewise-constant rows (_mixed_batch).
+        # The row suprema that each block reduces to (_row_sup, the reduction
+        # of shift_sups) are those of the whole profiles that evaluate keeps:
+        # an empty batch, and tied, constant and piecewise-constant rows
+        # (_mixed_batch).
         families = ("cusum", "wilcoxon", "sn_cusum", "sn_wilcoxon")
         for x in (np.empty((0, 60)), _mixed_batch(), _random_walks(48, 40, 2000, h=1.0)):
-            sups = row_sups(families, x, transform)
+            sups = _block_sups(families, x, transform)
             results = evaluate(families, x, transform)
-            assert set(sups) == set(families)
+            assert set(sups) == {(family, None) for family in families}
             for family in families:
-                assert np.array_equal(sups[family], results[family].sup_value)
-        assert set(row_sups(("sn_wilcoxon",), x)) == {"sn_wilcoxon"}
+                assert np.array_equal(sups[family, None], results[family].sup_value)
+        assert set(_block_sups(("sn_wilcoxon",), x)) == {("sn_wilcoxon", None)}
 
     @pytest.mark.parametrize("shape", [(128, 500), (32, 2000)])
     def test_row_sups_hold_a_few_row_blocks_not_the_chunk(self, shape):
@@ -408,10 +408,10 @@ class TestBatch:
         # as a numpy that copied their input would need.
         families = ("cusum", "wilcoxon", "sn_cusum", "sn_wilcoxon")
         x = RngStream(51).generator().standard_normal(shape)
-        row_sups(families, x, Transform.SQUARE)  # fills the weight caches
+        _block_sups(families, x, Transform.SQUARE)  # fills the weight caches
         tracemalloc.start()
         try:
-            row_sups(families, x, Transform.SQUARE)
+            _block_sups(families, x, Transform.SQUARE)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -422,10 +422,16 @@ class TestBatch:
         # bridge, and a NaN supremum, which would exceed no critical value.
         x = RngStream(49).generator().standard_normal((3, 200))
         x[1, 100:] += 1e307
-        for reduce in (row_sups, evaluate):
+        for reduce in (_block_sups, evaluate):
             for family in ("cusum", "sn_cusum"):
                 with pytest.raises(ValueError, match=f"the {family} supremum is NaN"):
                     reduce((family,), x)
+
+
+def _block_sups(families, x, transform=Transform.IDENTITY):
+    """The suprema that each row block reduces to (_row_sup), keyed (family,
+    None): the block loop that shift_sups runs, at no shift."""
+    return stats._evaluate(families, x, transform, TrimSpec(), stats._row_sup)
 
 
 def _random_walks(seed, count, n, h, offset=50.0):
