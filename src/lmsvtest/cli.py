@@ -12,6 +12,7 @@ import contextlib
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -190,17 +191,18 @@ def _trim(args) -> TrimSpec:
         return TrimSpec(tau1=args.tau1, tau2=args.tau2)
 
 
-def _resolve_test(args, xs: np.ndarray):
-    """Transform, normalization and critical value for a single-series test."""
+def _resolve_test(args, xs: np.ndarray, trim: TrimSpec) -> mc.Plan:
+    """The plan of a single-series test: the --problem's (mc.resolve_plan),
+    or without one the --psi transform with normalization 1; a
+    --critical-value replaces the plan's critical value."""
     if args.sigma is not None and (args.problem, args.family) != ("mean", "cusum"):
         raise UsageError("--sigma is read only by the mean cusum test, "
                          "--problem mean --family cusum")
-    trim = _trim(args)
     with _flags("--tables", NotADirectoryError):
         loaded = None if args.tables is None else mc.TableSet.read(args.tables)
     psi = None if args.psi is None else Transform(args.psi.replace("-", "_"))
     if args.problem is None:
-        return psi or Transform.IDENTITY, trim, 1.0, args.critical_value
+        return mc.Plan(args.family, psi or Transform.IDENTITY, None, 1.0, args.critical_value)
     problem_psi = mc.PROBLEM_TRANSFORM[args.problem]
     if psi not in (None, problem_psi):
         raise UsageError(f"--psi {args.psi} contradicts --problem {args.problem}, which sets "
@@ -222,21 +224,30 @@ def _resolve_test(args, xs: np.ndarray):
             # The mean problem's transform is the identity.
             sigma=args.sigma if args.sigma is not None else float(np.std(xs)),
         )
-    cv = plan.critical_value if args.critical_value is None else args.critical_value
-    return plan.transform, trim, plan.normalization, cv
+    return plan if args.critical_value is None else replace(
+        plan, critical_value=args.critical_value)
 
 
 def _cmd_test(args) -> int:
     _check_output("--profile-out", args.profile_out)
     xs = _read_series(args.input)
-    transform, trim, norm, cv = _resolve_test(args, xs)
-    family = args.family
-    stat = stats.evaluate((family,), xs, transform, trim)[family]
-    outcome = stats.decide(stat, family, normalization=norm, critical_value=cv)
+    trim = _trim(args)
+    if args.family.startswith("sn_"):  # refused before a table is looked up or simulated
+        with _flags("--input with --tau1 and --tau2"):
+            trim.window(xs.size)
+    plan = _resolve_test(args, xs, trim)
+    stat = stats.evaluate((plan.family,), xs, plan.transform, trim)[plan.family]
+    statistic, reject = plan.verdict(stat.sup_value)
     if args.profile_out is not None:
         rows = "".join(f"{k},{v:.17g}\n" for k, v in zip(stat.k_grid, stat.profile))
         args.profile_out.write_text("k,value\n" + rows)
-    sys.stdout.write(json.dumps(outcome.to_dict()) + "\n")
+    # A degenerate statistic, +inf, is written null: standard JSON has no infinity.
+    outcome = {"family": plan.family,
+               "statistic": float(statistic) if math.isfinite(statistic) else None,
+               "normalization": float(plan.normalization), "argmax_k": stat.argmax_k,
+               "critical_value": plan.critical_value,
+               "reject": None if reject is None else bool(reject), "degenerate": stat.degenerate}
+    sys.stdout.write(json.dumps(outcome, allow_nan=False) + "\n")
     return EXIT_OK
 
 

@@ -23,7 +23,8 @@ equal those of evaluating each shifted chunk unless a sum statistic lies
 within rounding of its critical value.
 
 Every test follows one rule, resolve_plan: the problem and the family fix
-the transform, the normalization and the limit table. Every table comes
+the transform, the normalization and the limit table; the plan's verdict
+is the one comparison with the critical value. Every table comes
 from one rule too, ensure_tables: a table the caller provides first (refused
 below the run's budget), then the package grid, then simulation. A run
 resolves every row's plans once, before any replication.
@@ -371,13 +372,23 @@ class PlanError(ValueError):
 class Plan:
     """How one family tests one problem. `table` is the key (family,
     effective H, trim) of the limit table, None for the Kolmogorov law; the
-    normalization and the critical value are None when not resolved."""
+    normalization and the critical value are None when not resolved.
+    `lmsvtest test` without --problem tests under Plan(family, --psi, None,
+    1.0, --critical-value). verdict is the one comparison of a statistic
+    with a critical value, for an experiment's counts and `test` alike."""
 
     family: str
     transform: Transform
     table: tuple[TableFamily, float, TrimSpec | None] | None
     normalization: float | None = None
     critical_value: float | None = None
+
+    def verdict(self, sup):
+        """The normalized statistic sup / normalization and whether it
+        exceeds the critical value, elementwise over an array of suprema;
+        the second is None when the plan has no critical value."""
+        value = sup / self.normalization
+        return value, None if self.critical_value is None else value > self.critical_value
 
 
 #: Innovation laws the limit theory of each problem covers, its Pareto-type law last.
@@ -546,22 +557,26 @@ def _evaluate_row(cfg: ExperimentConfig, hurst: float, n: int, alpha: float | No
     base = _row_stream(cfg, hurst, n, alpha)
     rejections = {(p.family, h): 0 for p in plans for h in cfg.shifts}
     step = fgn.block_rows(n)
-    for start in range(0, cfg.replications, step):
-        streams = base.substreams(range(start, min(start + step, cfg.replications)))
-        eps, x0 = lmsv.simulate_batch(params, noise, lmsv.NoChange(), streams)[1:]
-        direction, gain = lmsv.shift_rule(cfg.problem, noise, cut, eps)
-        # Only the tail's direction keeps the innovations: the latent path and
-        # every other eps are freed before the statistics run.
-        del eps
-        try:
-            sups = stats.shift_sups(families, x0, plans[0].transform, direction,
-                                    {h: gain(h) for h in cfg.shifts}, cfg.trim)
-        except ValueError as err:  # names its h: a shift that overflows leaves a NaN supremum
-            raise ValueError(f"shifts: {err}") from None
-        for plan in plans:
-            for h in cfg.shifts:
-                value = sups[plan.family, h] / plan.normalization
-                rejections[(plan.family, h)] += int(np.count_nonzero(value > plan.critical_value))
+    try:
+        for start in range(0, cfg.replications, step):
+            streams = base.substreams(range(start, min(start + step, cfg.replications)))
+            eps, x0 = lmsv.simulate_batch(params, noise, lmsv.NoChange(), streams)[1:]
+            direction, gain = lmsv.shift_rule(cfg.problem, noise, cut, eps)
+            # Only the tail's direction keeps the innovations: the latent path and
+            # every other eps are freed before the statistics run.
+            del eps
+            try:
+                sups = stats.shift_sups(families, x0, plans[0].transform, direction,
+                                        {h: gain(h) for h in cfg.shifts}, cfg.trim)
+            except ValueError as err:  # names its h: an overflowing shift leaves a NaN supremum
+                raise ValueError(f"shifts: {err}") from None
+            for plan in plans:
+                for h in cfg.shifts:
+                    reject = plan.verdict(sups[plan.family, h])[1]
+                    rejections[(plan.family, h)] += int(np.count_nonzero(reject))
+    except MemoryError as err:  # names its row; a MemoryError of numpy has no text
+        row = f"H = {hurst:g}, n = {n}" + ("" if alpha is None else f", alpha = {alpha:g}")
+        raise MemoryError(f"row {row}: {str(err) or 'MemoryError'}") from None
 
     return [
         CellResult(

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -120,42 +120,6 @@ class ProfileStat:
     k_grid: np.ndarray
     profile: np.ndarray
     degenerate: bool | np.ndarray = False
-
-
-@dataclass
-class TestOutcome:
-    """One normalized test decision."""
-
-    family: str
-    statistic: float
-    normalization: float
-    argmax_k: int
-    critical_value: float | None = None
-    reject: bool | None = None
-    degenerate: bool = False
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def decide(
-    stat: ProfileStat,
-    family: str,
-    normalization: float = 1.0,
-    critical_value: float | None = None,
-) -> TestOutcome:
-    """Normalize a supremum statistic and compare it to a critical value."""
-    value = stat.sup_value / normalization
-    reject = None if critical_value is None else bool(value > critical_value)
-    return TestOutcome(
-        family=family,
-        statistic=float(value),
-        normalization=float(normalization),
-        argmax_k=stat.argmax_k,
-        critical_value=critical_value,
-        reject=reject,
-        degenerate=stat.degenerate,
-    )
 
 
 def ranks(xs: np.ndarray) -> np.ndarray:

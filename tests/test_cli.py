@@ -240,7 +240,45 @@ class TestTest:
             capsys, "test", "--input", str(path), "--family", "sn_cusum",
         )
         assert code == EXIT_OK
-        assert json.loads(out)["degenerate"] is True
+
+        def refuse(token):  # Infinity, -Infinity and NaN are not JSON (RFC 8259)
+            raise AssertionError(f"non-standard JSON token {token}")
+
+        outcome = json.loads(out, parse_constant=refuse)
+        assert outcome["degenerate"] is True
+        assert outcome["statistic"] is None
+
+    @pytest.mark.parametrize("flags, line", [
+        (("--family", "cusum", "--problem", "mean", "--sigma", "2"),
+         '{"family": "cusum", "statistic": 5.451619969975616, "normalization": '
+         '44.721359549995796, "argmax_k": 259, "critical_value": 1.358098639322801, '
+         '"reject": true, "degenerate": false}'),
+        (("--family", "sn_cusum", "--psi", "identity", "--critical-value", "1"),
+         '{"family": "sn_cusum", "statistic": 15.415822459699976, "normalization": 1.0, '
+         '"argmax_k": 256, "critical_value": 1.0, "reject": true, "degenerate": false}'),
+    ], ids=["problem-mean-sigma", "psi-critical-value"])
+    def test_stdout_is_pinned(self, capsys, shifted_series, flags, line):
+        # The keys in their order, and every number in full precision.
+        code, out, err = run(capsys, "test", "--input", str(shifted_series), *flags)
+        assert (code, out, err) == (EXIT_OK, line + "\n", "")
+
+    @pytest.mark.parametrize("values, flags", [
+        (5, ("--problem", "variance", "--hurst", "0.65", "--alpha", "4.5")),
+        (2, ()),
+    ], ids=["5-variance", "2-no-problem"])
+    def test_a_series_too_short_for_the_sn_window_is_refused_first(
+        self, capsys, tmp_path, monkeypatch, values, flags
+    ):
+        # floor(0.15 n) = 0: the variance run simulated a 10 000 x 2048 SN
+        # table first (2.1 s), and both ended in exit 2 naming no flag.
+        path = tmp_path / "short.csv"
+        path.write_text("".join(f"{v}\n" for v in range(1, values + 1)))
+        monkeypatch.setattr(asymp, "critical_values", _never_called)
+        monkeypatch.setattr(stats, "evaluate", _never_called)
+        code, out, err = run(capsys, "test", "--input", str(path), "--family", "sn_cusum",
+                             *flags)
+        _refused_by_name(code, out, err, EXIT_USAGE, "--input")
+        assert "--tau1 and --tau2" in err
 
     def test_rank_families_invariant_under_exp(self, capsys, tmp_path, shifted_series):
         transformed = tmp_path / "exp.csv"
@@ -578,7 +616,7 @@ DESK_CELLS_SHA256 = "441760d266df1c5722736944bf13f8a387b7a2779012dd952166c54469d
 
 
 def _never_called(*args, **kwargs):
-    raise AssertionError("computed before the output location was checked")
+    raise AssertionError("computed before the inputs and outputs were checked")
 
 
 def _writing_commands(inputs):
@@ -636,6 +674,20 @@ class TestErrorLines:
         monkeypatch.setattr(fgn, "_embedding_eigenvalues", exhausted)
         code, out, err = run(capsys, "simulate", "--n", "77", "--hurst", "0.6543")
         assert (code, out, err) == (EXIT_COMPUTATION, "", "error: MemoryError\n")
+
+    def test_a_row_out_of_memory_is_named_by_its_row(self, capsys, tmp_path, monkeypatch):
+        # It ended in the line "error: MemoryError", which named no row.
+        from lmsvtest import lmsv
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(lmsv, "simulate_batch", exhausted)
+        config = _write_config(tmp_path / "config.json", hursts=[0.7])
+        code, out, err = run(capsys, "experiment", "--config", str(config), "--out-dir",
+                             str(tmp_path / "run"))
+        assert (code, out) == (EXIT_COMPUTATION, "")
+        assert err == "error: row H = 0.7, n = 60, alpha = 4.5: MemoryError\n"
 
     def test_a_key_error_reads_without_quotes(self, capsys, tmp_path, pareto_series):
         # A loaded table that lacks the test's level.

@@ -7,12 +7,12 @@ import pytest
 
 from lmsvtest import stats
 from lmsvtest.dist import RngStream
+from lmsvtest.mc import Plan
 from lmsvtest.stats import (
     Transform,
     TrimSpec,
     cusum,
     cusum_by_definition,
-    decide,
     evaluate,
     ranks,
     row_blocks,
@@ -501,14 +501,26 @@ class TestNonFiniteInput:
 
 
 class TestDecide:
+    """Plan.verdict, the one comparison of a statistic with a critical value."""
+
     def test_reject_flag(self):
         stat = cusum(np.array([0.0, 0.0, 5.0, 5.0]))
-        out = decide(stat, "cusum", normalization=2.0, critical_value=1.0)
-        assert out.statistic == pytest.approx(stat.sup_value / 2.0)
-        assert out.reject == (out.statistic > 1.0)
+        statistic, reject = Plan("cusum", Transform.IDENTITY, None, 2.0, 1.0).verdict(
+            stat.sup_value)
+        assert statistic == pytest.approx(stat.sup_value / 2.0)
+        assert reject == (statistic > 1.0)
 
     def test_no_critical_value_means_no_decision(self):
         stat = cusum(np.array([1.0, 2.0, 1.5, 0.5]))
-        out = decide(stat, "cusum")
-        assert out.reject is None
-        assert out.critical_value is None
+        plan = Plan("cusum", Transform.IDENTITY, None, 1.0)
+        statistic, reject = plan.verdict(stat.sup_value)
+        assert reject is None
+        assert plan.critical_value is None
+
+    def test_a_batch_reads_as_each_of_its_rows(self):
+        x = RngStream(3).generator().standard_normal((6, 40))
+        plan = Plan("cusum", Transform.IDENTITY, None, 3.0, 1.5)
+        statistic, reject = plan.verdict(cusum(x).sup_value)
+        assert 0 < np.count_nonzero(reject) < 6
+        for row, value, flag in zip(x, statistic, reject):
+            assert (value, flag) == plan.verdict(cusum(row).sup_value)
