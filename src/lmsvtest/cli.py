@@ -168,7 +168,9 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _read_series(path: Path) -> np.ndarray:
+def _read_series(path: Path, log_flag: str | None = None) -> np.ndarray:
+    """The series of a CSV, one value a line in its last column; with
+    `log_flag`, the flag that takes log|x|, a zero is refused by its line."""
     values = []
     for i, line in enumerate(path.read_text().strip().splitlines()):
         cell = line.split(",")[-1].strip()
@@ -180,6 +182,9 @@ def _read_series(path: Path) -> np.ndarray:
             raise UsageError(f"non-numeric value {cell!r} on line {i + 1} of {path}")
         if not math.isfinite(value):
             raise UsageError(f"non-finite value {cell!r} on line {i + 1} of {path}")
+        if value == 0.0 and log_flag is not None:
+            raise UsageError(f"--input: zero value {cell!r} on line {i + 1} of {path}, where "
+                             f"the log|x| transform of {log_flag} is undefined")
         values.append(value)
     if len(values) < 2:
         raise UsageError(f"{path} holds fewer than 2 observations")
@@ -230,7 +235,12 @@ def _resolve_test(args, xs: np.ndarray, trim: TrimSpec) -> mc.Plan:
 
 def _cmd_test(args) -> int:
     _check_output("--profile-out", args.profile_out)
-    xs = _read_series(args.input)
+    if args.psi is not None:  # the flag that chose the transform
+        flag, psi = f"--psi {args.psi}", Transform(args.psi.replace("-", "_"))
+    else:
+        flag, psi = f"--problem {args.problem}", mc.PROBLEM_TRANSFORM.get(args.problem)
+    # A zero is refused before a table is looked up or simulated.
+    xs = _read_series(args.input, flag if psi is Transform.LOG_ABS else None)
     trim = _trim(args)
     if args.family.startswith("sn_"):  # refused before a table is looked up or simulated
         with _flags("--input with --tau1 and --tau2"):

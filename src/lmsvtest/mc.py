@@ -139,17 +139,7 @@ class ExperimentConfig:
         if any(family.startswith("sn_") for family in self.families):
             for n in self.lengths:
                 self.trim.window(n)
-        for alpha in self.alpha_grid:
-            with _key("alphas"):
-                noise = make_noise(self.noise_kind, alpha)  # refuses alphas under normal noise
-            with _key():
-                for hurst in self.hursts:
-                    for family in self.families:
-                        for n in self.lengths:  # each row's own plan, without its table
-                            resolve_plan(self.problem, family, hurst, noise, self.trim, n=n)
-            with _key("shifts"):
-                for h in self.shifts:  # a variance scale h > 0, a tail index alpha + h > 0
-                    lmsv._check_change(noise, lmsv.CHANGES[self.problem](h, self.tau))
+        _grid_plans(self)  # each row's own plans, without their tables
 
     @property
     def alpha_grid(self) -> tuple[float | None, ...]:
@@ -331,10 +321,8 @@ def resolve_table(
 
 
 def required_tables(cfg: ExperimentConfig) -> list[tuple[TableFamily, float, TrimSpec | None]]:
-    """Table keys an experiment needs, given its problem and families."""
-    noise = make_noise(cfg.noise_kind, cfg.alpha_grid[0])  # the keys do not depend on alpha
-    keys = (resolve_plan(cfg.problem, family, hurst, noise, cfg.trim).table
-            for hurst in cfg.hursts for family in cfg.families)
+    """Table keys an experiment's plans need, in the run's order."""
+    keys = (plan.table for plans in _grid_plans(cfg).values() for plan in plans)
     return [key for key in dict.fromkeys(keys) if key is not None]
 
 
@@ -486,13 +474,24 @@ def resolve_plan(
     return Plan(family, PROBLEM_TRANSFORM[problem], table, normalization, critical_value)
 
 
-def _plans_for_row(
-    cfg: ExperimentConfig, hurst: float, n: int, alpha: float | None, tables: TableSet
-) -> list[Plan]:
-    noise = make_noise(cfg.noise_kind, alpha)
-    return [resolve_plan(cfg.problem, family, hurst, noise, cfg.trim, n=n, level=cfg.level,
-                         lookup=lambda *key: tables.find(*key)[0])
-            for family in cfg.families]
+def _grid_plans(cfg: ExperimentConfig, tables: TableSet | None = None) -> dict[tuple, list[Plan]]:
+    """Every grid row's plans, one per family, keyed (H, n, alpha) in the run's
+    order; with `tables` each carries its critical value. An alpha the noise
+    law refuses, a shift height that law cannot take and a plan the limit
+    theory does not cover are refused by their config keys."""
+    noises = {}
+    for alpha in cfg.alpha_grid:
+        with _key("alphas"):
+            noises[alpha] = make_noise(cfg.noise_kind, alpha)  # refuses alphas under normal noise
+        with _key("shifts"):
+            for h in cfg.shifts:  # a variance scale h > 0, a tail index alpha + h > 0
+                lmsv._check_change(noises[alpha], lmsv.CHANGES[cfg.problem](h, cfg.tau))
+    lookup = None if tables is None else lambda *key: tables.find(*key)[0]
+    with _key():
+        return {(hurst, n, alpha): [resolve_plan(cfg.problem, family, hurst, noise, cfg.trim,
+                                                 n=n, level=cfg.level, lookup=lookup)
+                                    for family in cfg.families]
+                for hurst in cfg.hursts for n in cfg.lengths for alpha, noise in noises.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -610,12 +609,7 @@ def run_experiment(cfg: ExperimentConfig, tables: TableSet | None = None) -> Exp
     """
     start = time.monotonic()
     tables = ensure_tables(cfg, existing=tables)
-    rows = [
-        (cfg, hurst, n, alpha, _plans_for_row(cfg, hurst, n, alpha, tables))
-        for hurst in cfg.hursts
-        for n in cfg.lengths
-        for alpha in cfg.alpha_grid
-    ]
+    rows = [(cfg, *row, plans) for row, plans in _grid_plans(cfg, tables).items()]
 
     cells = [cell for row in asymp._deal(lambda g: _evaluate_row(*rows[g]), len(rows),
                                          cfg.max_workers) for cell in row]

@@ -78,6 +78,10 @@ class TestHermitePolynomials:
         assert np.allclose(hermite(1, x), x)
         assert np.allclose(hermite(2, x), x * x - 1.0)
 
+    def test_a_negative_order_is_refused(self):
+        with pytest.raises(ValueError, match="order must be nonnegative, got -1"):
+            hermite(-1, 0.5)
+
     def test_recurrence(self):
         # H_{q+1}(x) = x H_q(x) - q H_{q-1}(x) on a grid, to 1e-12.
         x = np.linspace(-4, 4, 101)
@@ -104,6 +108,7 @@ class TestHermitePolynomials:
 class TestDnm:
     def test_white_noise_cases(self):
         assert dnm_exact(0.5, 1, 400) == pytest.approx(20.0, rel=1e-14)
+        assert dnm_exact(0.7, 1, 1) == 1.0  # one term: the standard deviation of H_1(Y)
         assert dnm_exact(0.5, 2, 400) == pytest.approx(math.sqrt(800), rel=1e-14)
 
     @pytest.mark.parametrize("hurst", [0.6, 0.7, 0.8, 0.9])
@@ -294,6 +299,10 @@ class TestKolmogorov:
     def test_quantile_values(self):
         assert kolmogorov_quantile(0.95) == pytest.approx(1.3581, abs=1e-4)
         assert kolmogorov_quantile(0.99) == pytest.approx(1.6276, abs=1e-4)
+
+    def test_cdf_is_zero_at_and_below_zero(self):
+        assert kolmogorov_cdf(0.0) == 0.0
+        assert kolmogorov_cdf(-1.0) == 0.0
 
     def test_cdf_roundtrip(self):
         for p in (0.05, 0.5, 0.9, 0.975):
@@ -685,6 +694,10 @@ class TestCriticalValues:
         # 500 draws hold no 99 % upper bound for the 0.99-quantile.
         assert [math.isinf(w) for w in widths[0]] == [False, False, True]
         assert all(narrow < wide for wide, narrow in zip(*widths))
+
+    def test_a_payload_that_is_not_an_object_is_refused(self):
+        with pytest.raises(ValueError, match="the JSON is not an object"):
+            CriticalValueTable.from_json("[]")
 
     def test_version_mismatch_rejected(self, tmp_path):
         tab = critical_values(

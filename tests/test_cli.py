@@ -280,6 +280,41 @@ class TestTest:
         _refused_by_name(code, out, err, EXIT_USAGE, "--input")
         assert "--tau1 and --tau2" in err
 
+    @pytest.mark.parametrize("flags", [
+        ("--problem", "tail", "--hurst", "0.65", "--family", "cusum"),
+        ("--psi", "log-abs", "--family", "sn_cusum", "--tau1", "0.25", "--tau2", "0.75"),
+    ], ids=["problem-tail", "psi-log-abs"])
+    def test_a_zero_under_the_log_transform_is_refused_first(
+        self, capsys, tmp_path, monkeypatch, flags
+    ):
+        # The tail run simulated a 10 000 x 2048 bridge table first (1.5 s),
+        # and both ended in exit 2 naming neither the input nor the line.
+        path = tmp_path / "zero.csv"
+        path.write_text("x\n1.5\n0.0\n-2.0\n3.1\n0.7\n-1.2\n2.2\n0.9\n")
+        monkeypatch.setattr(asymp, "critical_values", _never_called)
+        monkeypatch.setattr(stats, "evaluate", _never_called)
+        code, out, err = run(capsys, "test", "--input", str(path), *flags)
+        _refused_by_name(code, out, err, EXIT_USAGE, "--input")
+        assert "line 3" in err and " ".join(flags[:2]) in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("0.5\n1.5\nabc\n2.0\n", "non-numeric value 'abc' on line 4"),
+        ("0.5\n", "fewer than 2 observations"),
+    ], ids=["non-numeric", "one-value"])
+    def test_an_unreadable_series_is_usage_error(self, capsys, tmp_path, text, message):
+        path = tmp_path / "series.csv"
+        path.write_text("x\n" + text)  # the header line is tolerated, and counted
+        code, out, err = run(capsys, "test", "--input", str(path), "--family", "cusum")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert message in err
+
+    def test_a_header_line_is_tolerated(self, capsys, tmp_path, shifted_series):
+        headed = tmp_path / "headed.csv"
+        headed.write_text("x\n" + shifted_series.read_text())
+        outs = [run(capsys, "test", "--input", str(path), "--family", "cusum")
+                for path in (shifted_series, headed)]
+        assert outs[0][0] == EXIT_OK and outs[1] == outs[0]
+
     def test_rank_families_invariant_under_exp(self, capsys, tmp_path, shifted_series):
         transformed = tmp_path / "exp.csv"
         values = [float(v) for v in shifted_series.read_text().strip().splitlines()]
@@ -1017,6 +1052,19 @@ class TestExperimentAndCompare:
         assert code == EXIT_COMPUTATION
         assert f"{path} has a header and no cells" in err
         assert "compared" not in out
+
+    def test_compare_reads_a_reference_given_by_its_path(self, capsys, tmp_path):
+        from importlib import resources
+
+        reference = tmp_path / "published.csv"
+        reference.write_text(
+            (resources.files("lmsvtest.data") / "table1_mean_normal.csv").read_text())
+        path = tmp_path / "cells.csv"
+        mc.cells_to_csv(mc.load_reference("mean_normal"), path)
+        code, out, err = run(capsys, "compare", "--report", str(path),
+                             "--reference", str(reference))
+        assert (code, err) == (EXIT_OK, "")
+        assert out == "96 cells compared, max |z| = 0.000, 0 flagged\n"
 
     def test_an_unknown_builtin_reference_is_refused_by_its_flag(self, capsys, tmp_path):
         # It exited 2 with the message of a KeyError, which named no flag.

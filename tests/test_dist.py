@@ -159,6 +159,10 @@ class TestSampling:
         with pytest.raises(ValueError, match=match):
             make_noise("normal", alpha, scale)
 
+    def test_an_unknown_noise_kind_is_refused(self):
+        with pytest.raises(ValueError, match="unknown noise kind 'cauchy'"):
+            make_noise("cauchy", 2.0)
+
     def test_kolmogorov_smirnov_against_pareto_cdf(self):
         from scipy import stats as spstats
 

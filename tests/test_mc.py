@@ -165,6 +165,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="replicatons"):
             mc.ExperimentConfig.from_json(text)
 
+    def test_rejects_an_empty_family_list(self):
+        with pytest.raises(ValueError, match="families, hursts, lengths, and shifts must be "
+                                             "non-empty"):
+            _small_cfg(families=())
+
     def test_rejects_missing_alphas(self):
         with pytest.raises(ValueError):
             _small_cfg(noise_kind="centered_pareto", alphas=())
@@ -262,6 +267,18 @@ class TestResolvePlan:
         plan = mc.resolve_plan("mean", "cusum", None, make_noise("centered_pareto", 1.5),
                                TrimSpec(), n=100, sigma=2.0)
         assert plan.normalization == 20.0
+
+    @pytest.mark.parametrize("problem, family, hurst, kind, n, match", [
+        ("drift", "cusum", 0.7, None, None, "unknown problem 'drift'"),
+        ("variance", "cusum", 0.7, "normal", None,
+         "the variance problem needs centered_pareto innovations, got normal"),
+        ("mean", "cusum", None, None, 100, "needs sigma or the innovation law"),
+        ("variance", "cusum", 0.7, None, 100, "needs the innovation tail index alpha"),
+    ], ids=["unknown-problem", "variance-normal", "mean-cusum-no-law", "variance-no-law"])
+    def test_a_plan_outside_the_theory_is_refused(self, problem, family, hurst, kind, n, match):
+        noise = None if kind is None else make_noise(kind)
+        with pytest.raises(mc.PlanError, match=match):
+            mc.resolve_plan(problem, family, hurst, noise, TrimSpec(), n=n)
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf")])
     def test_sigma_not_finite_and_positive_is_refused(self, sigma):
@@ -549,6 +566,14 @@ class TestRunExperiment:
             slack = 2 * (size.standard_error + power.standard_error)
             assert power.rate >= size.rate - slack
 
+    def test_a_cell_lookup_matches_exactly_one_cell(self):
+        report = mc.ExperimentReport(cells=mc.load_reference("mean_normal"), meta={})
+        assert report.cell(family="cusum", hurst=0.6, n=500, h=0.0).rate == 0.046
+        with pytest.raises(KeyError, match="0 cells match"):
+            report.cell(family="wilcoxon")
+        with pytest.raises(KeyError, match="48 cells match"):
+            report.cell(family="cusum")
+
     def test_cell_independence(self):
         # Removing a grid length must not change the other cells' counts.
         full = mc.run_experiment(_small_cfg(lengths=(120, 80)))
@@ -680,7 +705,7 @@ class TestChunkedEngine:
             problem="variance", noise_kind="centered_pareto", alphas=(4.5,), hursts=(0.7,),
             lengths=(2000,), shifts=(1.0, 2.0), families=mc.FAMILIES, replications=100,
             seed=3, budget=TableBudget(500, 256))
-        plans = mc._plans_for_row(cfg, 0.7, 2000, 4.5, mc.ensure_tables(cfg))
+        plans = mc._grid_plans(cfg, mc.ensure_tables(cfg))[0.7, 2000, 4.5]
         row = lambda: mc._evaluate_row(cfg, 0.7, 2000, 4.5, plans)
         counts = row()  # warm: the eigenvalues, the weights and the FFT plans
         tracemalloc.start()
@@ -732,7 +757,7 @@ def _check_row_counts(name, n, shifts):
     counts."""
     cfg = _small_cfg(lengths=(n,), **{**_ENGINE_CASES[name], "shifts": shifts})
     hurst, alpha = cfg.hursts[0], cfg.alpha_grid[0]
-    plans = mc._plans_for_row(cfg, hurst, n, alpha, mc.ensure_tables(cfg))
+    plans = mc._grid_plans(cfg, mc.ensure_tables(cfg))[hurst, n, alpha]
     streams = mc._row_stream(cfg, hurst, n, alpha).substreams(range(cfg.replications))
     expected = {}
     for h in cfg.shifts:
@@ -961,6 +986,13 @@ class TestSerialization:
         path.write_text(f"{header}\n{row}\n{row.rsplit(',', 1)[0]}\n")
         with pytest.raises(ValueError, match="line 3 of .* fields"):
             read(path)
+
+    def test_refuses_the_other_format(self, tmp_path):
+        # A published table read as a cells file, by its header.
+        path = tmp_path / "table.csv"
+        path.write_text((resources.files("lmsvtest.data") / "table1_mean_normal.csv").read_text())
+        with pytest.raises(ValueError, match="unexpected header .* expected"):
+            mc.cells_from_csv(path)
 
     def test_report_csv_shape(self, tmp_path):
         report = mc.run_experiment(_small_cfg())

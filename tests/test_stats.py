@@ -382,6 +382,14 @@ class TestBatch:
         with pytest.raises(ValueError, match="unknown"):
             evaluate(("bogus",), x)
 
+    @pytest.mark.parametrize("xs, match", [
+        (np.zeros((2, 3, 4)), "one series or a 2-D batch"),
+        (np.array([1.0]), "at least 2 observations"),
+    ], ids=["3-d", "one-value"])
+    def test_evaluate_refuses_a_shape_it_cannot_read(self, xs, match):
+        with pytest.raises(ValueError, match=match):
+            evaluate(("cusum",), xs, Transform.IDENTITY, TrimSpec())
+
     @pytest.mark.parametrize("transform", [Transform.IDENTITY, Transform.SQUARE, Transform.LOG_ABS])
     def test_row_sups_are_the_sup_values_of_evaluate(self, transform):
         # The row suprema that each block reduces to (_row_sup, the reduction
