@@ -39,7 +39,6 @@ from .asymp import (
     critical_values,
     dnm_exact,
     kolmogorov_quantile,
-    limit_coefficient,
     simulate_hermite_paths,
     wilcoxon_limit_factor,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "dnm_exact",
     "hill_estimator",
     "kolmogorov_quantile",
-    "limit_coefficient",
     "noise_moments",
     "sample_noise",
     "simulate_components",

@@ -1,5 +1,6 @@
-"""Normalizing sequences, the limit constant of each test, and simulated
-critical-value tables, each read off one functional of a path's bridge."""
+"""Normalizing sequences, the primitives of the limit constants that
+mc.resolve_plan combines, and simulated critical-value tables, each read off
+one functional of a path's bridge."""
 
 from __future__ import annotations
 
@@ -15,8 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fgn
-from .dist import (COUNT, LENGTH, LEVEL, UNIT_INTERVAL, CenteredPareto, NoiseSpec, RngStream,
-                   noise_moments)
+from .dist import COUNT, LENGTH, LEVEL, UNIT_INTERVAL, CenteredPareto, RngStream
 from .stats import TrimSpec, _bridge, _profiles, row_blocks
 
 TABLE_FORMAT_VERSION = 1
@@ -87,40 +87,9 @@ def dnm_asymptotic(hurst: float, m: int, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Limit constants of the testing problems
+# Primitives of the limit constants, which mc.resolve_plan combines
 
 E_EXP_2Y = math.exp(2.0)  # E exp(2Y) for standard normal Y
-
-
-def limit_coefficient(problem: str, family: str, noise: NoiseSpec | None) -> float:
-    """Constant c of the limit law of the `family` statistic in `problem`.
-
-    Mean-change CUSUM: conditionally centered observations, so the limit is
-    Brownian and long memory drops out; the partial sums scale as c sqrt(n)
-    with c = sigma = sqrt(Var(eps) E exp(2Y)). Every other statistic has
-    Hermite rank 1 and scales as d_{n,1} c: c = 2 e^2 Var(eps) for the
-    variance CUSUM, 1 for the tail CUSUM with the log|x| convention, and the
-    double-integral factor of wilcoxon_limit_factor for the Wilcoxon tests.
-    Raises ValueError for a pair without a constant (the self-normalized
-    families, the tail Wilcoxon test) and for innovations outside the theory.
-    """
-    if (problem, family) == ("tail", "cusum"):
-        return 1.0
-    if family not in ("cusum", "wilcoxon") or problem not in ("mean", "variance"):
-        raise ValueError(f"no limit constant for the {problem} {family} test")
-    if noise is None or family == "wilcoxon" and noise.kind != CenteredPareto.kind:
-        raise ValueError(f"no {problem} {family} constant for the innovations {noise}")
-    if family == "wilcoxon":
-        return wilcoxon_limit_factor(problem, noise.alpha).value
-    moments = noise_moments(noise)
-    if moments.mean != 0.0 or not math.isfinite(moments.variance):
-        # With a nonzero innovation mean the observations are no longer
-        # conditionally centered (no Brownian regime) and E eps^2 != Var(eps).
-        raise ValueError(f"{problem}-change scaling needs mean-zero innovations with a "
-                         f"finite variance, got {noise}")
-    if problem == "mean":
-        return math.sqrt(moments.variance * E_EXP_2Y)
-    return 2.0 * E_EXP_2Y * moments.variance
 
 
 # ---------------------------------------------------------------------------

@@ -219,7 +219,7 @@ def _resolve_test(args, xs: np.ndarray, trim: TrimSpec) -> mc.Plan:
     def lookup(*key):
         # The lookup an experiment makes, at the default table budget.
         return mc.resolve_table(*key, seed=args.table_seed, budget=asymp.TableBudget(),
-                                levels=mc.table_levels(args.level), loaded=loaded)[0]
+                                level=args.level, loaded=loaded)[0]
 
     # A plan's refusal alone: a table's or the Wilcoxon factor's is exit 2.
     with _flags("--problem and --family", mc.PlanError):

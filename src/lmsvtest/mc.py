@@ -24,10 +24,10 @@ within rounding of its critical value.
 
 Every test follows one rule, resolve_plan: the problem and the family fix
 the transform, the normalization and the limit table; the plan's verdict
-is the one comparison with the critical value. Every table comes
-from one rule too, ensure_tables: a table the caller provides first (refused
-below the run's budget), then the package grid, then simulation. A run
-resolves every row's plans once, before any replication.
+is the one comparison with the critical value. Every table comes from one
+rule too, ensure_tables: a table the caller provides first (refused below
+the run's budget or without its level), then the package grid, then
+simulation. A run resolves every row's plans once, before any replication.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import math
 import platform
 import struct
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -47,12 +47,13 @@ import numpy as np
 
 from . import __version__, asymp, dist, fgn, lmsv, stats
 from .asymp import (
+    E_EXP_2Y,
     CriticalValueTable,
     TableBudget,
     TableFamily,
     dnm_exact,
     kolmogorov_quantile,
-    limit_coefficient,
+    wilcoxon_limit_factor,
 )
 from .dist import NoiseSpec, RngStream, make_noise, noise_moments
 from .stats import Transform, TrimSpec
@@ -157,10 +158,13 @@ class ExperimentConfig:
     def sha256(self) -> str:
         """The hex sha256 of to_json() at max_workers = 1, which names the
         configuration in a run's meta: the counts, and so the name, do not
-        depend on the worker count."""
+        depend on the worker count. The payload is edited, not the config,
+        whose copy would resolve every plan again."""
         import hashlib  # it loads OpenSSL, about 5 ms: not at import
 
-        return hashlib.sha256(replace(self, max_workers=1).to_json().encode()).hexdigest()
+        payload = json.loads(self.to_json())
+        payload["max_workers"] = 1
+        return hashlib.sha256(json.dumps(payload, indent=2).encode()).hexdigest()
 
     @staticmethod
     def from_json(text: str) -> "ExperimentConfig":
@@ -282,21 +286,23 @@ def resolve_table(
     *,
     seed: int,
     budget: TableBudget,
-    levels: tuple[float, ...],
+    level: float,
     loaded: TableSet | None = None,
     workers: int | None = None,
 ) -> tuple[CriticalValueTable, str]:
-    """Find or simulate one critical-value table; returns (table, source).
+    """Find or simulate one critical-value table for a test at significance
+    `level`; returns (table, source).
 
     Lookup order:
     1. the table of the same key in `loaded`. It is refused (ValueError)
-       when its path count or path length is below `budget`; a larger one
-       is accepted.
+       when its path count or path length is below `budget`, or when it
+       lacks the quantile 1 - level; a larger one is accepted.
     2. the package table of the same key, when its budget equals `budget`
-       exactly and it has every level in `levels`. The package grid is read
-       at most once per process, here, on first need.
+       exactly and it has every level of table_levels(level). The package
+       grid is read at most once per process, here, on first need.
     3. otherwise a table simulated from table_stream(seed, family, hurst)
-       on `workers` threads (default: asymp.default_workers()).
+       at table_levels(level) on `workers` threads (default:
+       asymp.default_workers()).
     """
     entry = None if loaded is None else loaded.find(family, hurst, trim)
     if entry is not None:
@@ -306,7 +312,12 @@ def resolve_table(
                 f"critical-value table {family.value} H={hurst} has budget {count} x "
                 f"{length}, below the requested {budget.path_count} x {budget.path_length}"
             )
+        q, quantiles = round(1.0 - level, 6), entry[0].quantiles
+        if q not in quantiles:
+            raise ValueError(f"loaded critical-value table {family.value} H={hurst} lacks "
+                             f"the level {q} (has {sorted(quantiles)})")
         return entry
+    levels = table_levels(level)
     entry = _package_tables().find(family, hurst, trim)
     if entry is not None:
         table = entry[0]
@@ -330,17 +341,20 @@ def ensure_tables(cfg: ExperimentConfig, existing: TableSet | None = None) -> Ta
     """Every table the experiment needs, and no other.
 
     Each needed table is looked up by resolve_table at cfg.budget: first in
-    `existing` (refused when below the budget), then in the package grid
-    (exact key, budget and levels), and otherwise simulated from
-    table_stream(cfg.seed, ...). A package table is a seed-0 table, so at
-    the package budget the tables do not depend on cfg.seed. A simulated
-    table runs on cfg.max_workers threads. Tables of `existing` that the
-    experiment does not need are left out.
+    `existing` (refused when below the budget or without the level), then
+    in the package grid (exact key, budget and levels), and otherwise
+    simulated from table_stream(cfg.seed, ...). A package table is a seed-0
+    table, so at the package budget the tables do not depend on cfg.seed. A
+    simulated table runs on cfg.max_workers threads. Tables of `existing`
+    that the experiment does not need are left out.
     """
-    return TableSet(resolve_table(*key, seed=cfg.seed, budget=cfg.budget,
-                                  levels=table_levels(cfg.level), loaded=existing,
-                                  workers=cfg.max_workers)
-                    for key in required_tables(cfg))
+    keys = required_tables(cfg)
+    # The loaded tables first, so one that cannot serve is refused before
+    # any table is simulated; the set keeps the run's order.
+    first = sorted(keys, key=lambda key: existing is None or existing.find(*key) is None)
+    found = {key: resolve_table(*key, seed=cfg.seed, budget=cfg.budget, level=cfg.level,
+                                loaded=existing, workers=cfg.max_workers) for key in first}
+    return TableSet(found[key] for key in keys)
 
 
 # ---------------------------------------------------------------------------
@@ -407,10 +421,12 @@ def resolve_plan(
     a PlanError that names `noise`. `sigma` replaces the mean CUSUM's Brownian scale that
     the noise law implies, and must be finite and > 0. At alpha <= 2, where
     E X^2 is infinite, every variance plan and the mean cusum plan without
-    `sigma` are refused. The normalization is sqrt(n) or d_{n,1} times
-    asymp.limit_coefficient (times n for the rank sums). With `n` the plan
-    carries its normalization; with `level` and `lookup`, a callable from a
-    table key to its CriticalValueTable, its critical value.
+    `sigma` are refused. Here is the one rule of the limit constants c: the mean
+    cusum divides by sqrt(n) sigma, sigma = sqrt(Var(eps) E exp(2Y)) by default,
+    the variance, tail and Wilcoxon plans by d_{n,1} c, with c = 2 e^2 Var(eps),
+    1 (log|x|) or the Wilcoxon factor (times n for the rank sums), the SN plans
+    by 1. With `n` the plan carries its normalization; with `level` and `lookup`,
+    a callable from a table key to its CriticalValueTable, its critical value.
     Raises PlanError for what the limit theory does not cover.
     """
     if problem not in PROBLEMS or family not in FAMILIES:
@@ -456,7 +472,7 @@ def resolve_plan(
             if sigma is None and noise is None:
                 raise PlanError("the mean cusum test needs sigma or the innovation law")
             if sigma is None:
-                sigma = limit_coefficient(problem, family, noise)
+                sigma = math.sqrt(variance * E_EXP_2Y)
             normalization = math.sqrt(n) * sigma
             if normalization == math.inf:
                 raise PlanError(f"the mean cusum normalization sqrt(n) sigma overflows at "
@@ -466,7 +482,10 @@ def resolve_plan(
                 raise PlanError(f"the {problem} {family} test needs the innovation tail index "
                                 f"alpha", "noise")
             scale = n if family == "wilcoxon" else 1  # the rank sums carry a factor n
-            coeff = limit_coefficient(problem, family, noise)
+            if family == "wilcoxon":
+                coeff = wilcoxon_limit_factor(problem, noise.alpha).value
+            else:  # 2 e^2 Var(eps) for the variance cusum, 1 for the tail cusum
+                coeff = 2.0 * E_EXP_2Y * variance if problem == "variance" else 1.0
             normalization = scale * dnm_exact(hurst, 1, n) * coeff
     if lookup is not None:
         q = round(1.0 - level, 6)
@@ -599,13 +618,13 @@ def run_experiment(cfg: ExperimentConfig, tables: TableSet | None = None) -> Exp
 
     The tables come from ensure_tables(cfg, existing=tables), as for
     `lmsvtest experiment --tables`: a provided table first (ValueError when
-    below cfg.budget), then the package grid, then simulation. Every row's
-    plans are resolved before any replication runs, and the wall time in
-    the report's meta covers the tables. The rows are dealt to
-    cfg.max_workers threads by the rule that deals a table's batches
-    (asymp._deal), so an interrupt stops the run after the rows under way;
-    the cells come back in grid order, and no count depends on the worker
-    count.
+    below cfg.budget or without the level), then the package grid, then
+    simulation. Every row's plans are resolved before any replication runs,
+    and the wall time in the report's meta covers the tables. The rows are
+    dealt to cfg.max_workers threads by the rule that deals a table's
+    batches (asymp._deal), so an interrupt stops the run after the rows
+    under way; the cells come back in grid order, and no count depends on
+    the worker count.
     """
     start = time.monotonic()
     tables = ensure_tables(cfg, existing=tables)

@@ -23,11 +23,10 @@ from lmsvtest.asymp import (
     hermite,
     kolmogorov_cdf,
     kolmogorov_quantile,
-    limit_coefficient,
     simulate_hermite_paths,
     wilcoxon_limit_factor,
 )
-from lmsvtest.dist import CenteredPareto, RngStream, StandardNormal
+from lmsvtest.dist import RngStream
 from lmsvtest.stats import TrimSpec, _bridge
 
 
@@ -131,43 +130,6 @@ class TestDnm:
     def test_asymptotic_rejects_short_memory_regime(self):
         with pytest.raises(ValueError):
             dnm_asymptotic(0.6, 2, 1024)  # mD = 1.6 > 1
-
-
-class TestHermiteRankAndCoeff:
-    """The rank-1 (or Brownian) limit constant of each test, limit_coefficient."""
-
-    def test_mean_change_is_short_memory(self):
-        sigma = limit_coefficient("mean", "cusum", StandardNormal())
-        assert sigma == pytest.approx(math.exp(1.0))  # sqrt(1 * e^2)
-
-    def test_mean_change_pareto_scale(self):
-        sigma = limit_coefficient("mean", "cusum", CenteredPareto(4.0))
-        assert sigma == pytest.approx(math.sqrt(4.0 / 18.0 * math.exp(2.0)))
-
-    def test_variance_change_coefficient(self):
-        # 2 e^2 alpha / ((alpha - 2)(alpha - 1)^2) at alpha = 4.5.
-        coeff = limit_coefficient("variance", "cusum", CenteredPareto(4.5))
-        assert coeff == pytest.approx(2.171478, abs=1e-5)
-
-    def test_variance_change_rejects_heavy_tail(self):
-        with pytest.raises(ValueError):
-            limit_coefficient("variance", "cusum", CenteredPareto(2.0))
-
-    def test_tail_change(self):
-        assert limit_coefficient("tail", "cusum", None) == 1.0
-
-    @pytest.mark.parametrize("problem, family", [("tail", "wilcoxon"), ("mean", "sn_cusum"),
-                                                 ("variance", "sn_wilcoxon"), ("level", "cusum")])
-    def test_pairs_without_a_constant_are_refused(self, problem, family):
-        with pytest.raises(ValueError, match="no limit constant"):
-            limit_coefficient(problem, family, CenteredPareto(4.5))
-
-    def test_wilcoxon_constant_is_the_factor(self):
-        noise = CenteredPareto(4.5)
-        assert (limit_coefficient("variance", "wilcoxon", noise)
-                == wilcoxon_limit_factor("variance", 4.5).value)
-        with pytest.raises(ValueError, match="innovations StandardNormal"):
-            limit_coefficient("mean", "wilcoxon", StandardNormal())
 
 
 def wilcoxon_limit_factor_by_quadrature(problem, alpha):

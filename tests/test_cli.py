@@ -724,13 +724,14 @@ class TestErrorLines:
         assert (code, out) == (EXIT_COMPUTATION, "")
         assert err == "error: row H = 0.7, n = 60, alpha = 4.5: MemoryError\n"
 
-    def test_a_key_error_reads_without_quotes(self, capsys, tmp_path, pareto_series):
-        # A loaded table that lacks the test's level.
-        tables = _shipped_table_as(tmp_path, "sn_h0.7.json",
-                                   quantiles={"0.900000": 1.0, "0.990000": 2.0})
+    def test_a_key_error_reads_without_quotes(self, capsys, monkeypatch, pareto_series):
+        def missing(*args, **kwargs):
+            raise KeyError("level 0.95 not tabulated for sn_ratio (have [0.9, 0.99])")
+
+        monkeypatch.setattr(stats, "evaluate", missing)
         code, out, err = run(capsys, "test", "--input", str(pareto_series), "--problem",
                              "variance", "--family", "sn_cusum", "--hurst", "0.7", "--alpha",
-                             "4.5", "--tables", str(tables))
+                             "4.5")
         assert (code, out) == (EXIT_COMPUTATION, "")
         assert err == "error: level 0.95 not tabulated for sn_ratio (have [0.9, 0.99])\n"
 
@@ -819,6 +820,38 @@ class TestTableResolution:
         assert code == EXIT_COMPUTATION
         assert "200 x 64" in err and "2000 x 512" in err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("quantiles, path_count, message", [
+        ({0.9: 1.0}, 10_000, "loaded critical-value table cusum_bridge_sup H=0.65 lacks the "
+                             "level 0.95 (has [0.9])"),
+        ({0.9: 1.0, 0.95: 1.2, 0.99: 1.5}, 1_000,
+         "critical-value table cusum_bridge_sup H=0.65 has budget 1000 x 2048, below the "
+         "requested 10000 x 2048"),
+    ], ids=["level", "budget"])
+    def test_loaded_table_that_cannot_serve_is_refused_first(self, capsys, tmp_path, monkeypatch,
+                                                             pareto_series, quantiles,
+                                                             path_count, message):
+        # Both were refused only after the H 0.65 SN table, ahead of the
+        # bridge table, had been simulated; the level was refused by the
+        # table's own lookup, which did not say the table was loaded.
+        from lmsvtest import asymp
+
+        tables = tmp_path / "tables"
+        tables.mkdir()
+        asymp.CriticalValueTable(asymp.TableFamily.CUSUM_BRIDGE_SUP, 0.65, None, quantiles,
+                                 {"path_count": path_count, "path_length": 2_048}).save(
+            tables / "bridge_h0.65.json")
+        monkeypatch.setattr(asymp, "critical_values", _never_called)
+        config = _write_config(tmp_path / "config.json", hursts=[0.65],
+                               families=["sn_cusum", "cusum"])
+        code, out, err = run(capsys, "experiment", "--config", str(config),
+                             "--out-dir", str(tmp_path / "run"), "--tables", str(tables))
+        assert (code, out, err) == (EXIT_COMPUTATION, "", f"error: {message}\n")
+        assert not (tmp_path / "run").exists()
+        code, out, err = run(capsys, "test", "--input", str(pareto_series), "--problem",
+                             "variance", "--family", "cusum", "--hurst", "0.65", "--alpha",
+                             "4.5", "--tables", str(tables))
+        assert (code, out, err) == (EXIT_COMPUTATION, "", f"error: {message}\n")
 
     def test_loaded_table_is_recorded_as_loaded(self, capsys, tmp_path):
         tables = tmp_path / "tables"

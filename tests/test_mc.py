@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo experiment harness."""
 
 import json
+import math
 import os
 import platform
 import re
@@ -53,6 +54,15 @@ class TestConfig:
         assert _small_cfg(shifts=(0.0, 2.0)).sha256() != cfg.sha256()
         # The counts do not depend on the worker count, nor does the name.
         assert {_small_cfg(max_workers=w).sha256() for w in (1, 2, 3)} == {cfg.sha256()}
+
+    def test_sha256_resolves_no_plan(self, monkeypatch):
+        # It hashed a copy of the config at one worker, which resolved every
+        # plan of the grid again.
+        cfg = mc.ExperimentConfig.load(resources.files("lmsvtest.data") / "table1_desk.json")
+        calls = []
+        monkeypatch.setattr(mc, "_grid_plans", lambda *args: calls.append(args))
+        assert cfg.sha256() == "79340f677c7431c27c403bce1f52357abe240fff224c58abacab06a870343943"
+        assert calls == []
 
     def test_rejects_too_few_replications(self):
         with pytest.raises(ValueError):
@@ -263,6 +273,25 @@ class TestResolvePlan:
         plan = mc.resolve_plan(problem, family, 0.7, make_noise(kind, alpha), TrimSpec(), n=1000)
         assert plan.normalization == expected
 
+    # The limit constant of each plan: at n = 1, sqrt(n) = d_{1,1} = 1, so the
+    # normalization is the constant itself.
+    @pytest.mark.parametrize("problem, family, kind, alpha, constant", [
+        ("mean", "cusum", "normal", None, math.exp(1.0)),  # sqrt(1 * e^2)
+        ("mean", "cusum", "centered_pareto", 4.0, math.sqrt(4.0 / 18.0 * math.exp(2.0))),
+        # 2 e^2 alpha / ((alpha - 2)(alpha - 1)^2) at alpha = 4.5: 2.171478.
+        ("variance", "cusum", "centered_pareto", 4.5, 2.0 * math.exp(2.0) * 4.5 / (2.5 * 3.5**2)),
+        ("tail", "cusum", None, None, 1.0),
+        ("variance", "wilcoxon", "centered_pareto", 4.5,
+         asymp.wilcoxon_limit_factor("variance", 4.5).value),
+        ("mean", "sn_cusum", "centered_pareto", 4.5, 1.0),
+        ("variance", "sn_wilcoxon", "centered_pareto", 4.5, 1.0),
+    ], ids=["mean-cusum-normal", "mean-cusum-pareto", "variance-cusum", "tail-cusum",
+            "variance-wilcoxon", "mean-sn_cusum", "variance-sn_wilcoxon"])
+    def test_limit_constants(self, problem, family, kind, alpha, constant):
+        noise = None if kind is None else make_noise(kind, alpha)
+        plan = mc.resolve_plan(problem, family, 0.7, noise, TrimSpec(), n=1)
+        assert plan.normalization == pytest.approx(constant)
+
     def test_given_sigma_skips_the_variance_check(self):
         plan = mc.resolve_plan("mean", "cusum", None, make_noise("centered_pareto", 1.5),
                                TrimSpec(), n=100, sigma=2.0)
@@ -274,7 +303,10 @@ class TestResolvePlan:
          "the variance problem needs centered_pareto innovations, got normal"),
         ("mean", "cusum", None, None, 100, "needs sigma or the innovation law"),
         ("variance", "cusum", 0.7, None, 100, "needs the innovation tail index alpha"),
-    ], ids=["unknown-problem", "variance-normal", "mean-cusum-no-law", "variance-no-law"])
+        ("tail", "wilcoxon", 0.7, None, 100, "no limit theory .* in the tail problem"),
+        ("mean", "wilcoxon", 0.7, "normal", 100, "degenerates under normal noise"),
+    ], ids=["unknown-problem", "variance-normal", "mean-cusum-no-law", "variance-no-law",
+            "tail-wilcoxon", "mean-wilcoxon-normal"])
     def test_a_plan_outside_the_theory_is_refused(self, problem, family, hurst, kind, n, match):
         noise = None if kind is None else make_noise(kind)
         with pytest.raises(mc.PlanError, match=match):
@@ -355,6 +387,25 @@ class TestTableLookup:
         small = _fake_table(TableFamily.SN_RATIO, 0.5, *budget, trim=cfg.trim)
         with pytest.raises(ValueError, match="below the requested 2000 x 512"):
             mc.ensure_tables(cfg, existing=mc.TableSet([(small, "loaded")]))
+
+    @pytest.mark.parametrize("quantiles, budget, match", [
+        ({0.9: 1.0}, (10_000, 2_048), r"bridge_sup H=0.65 lacks the level 0.95 \(has \[0.9\]\)"),
+        ({0.9: 1.0, 0.95: 1.2, 0.99: 1.5}, (1_000, 2_048),
+         "H=0.65 has budget 1000 x 2048, below the requested 2000 x 512"),
+    ], ids=["level", "budget"])
+    def test_loaded_table_is_refused_before_any_table_is_simulated(self, monkeypatch, quantiles,
+                                                                  budget, match):
+        # The loaded bridge table is the second key; the SN table of the
+        # first was simulated before the loaded one was refused.
+        cfg = _small_cfg(problem="variance", noise_kind="centered_pareto", alphas=(4.5,),
+                         hursts=(0.65,), shifts=(1.0,), families=("sn_cusum", "cusum"))
+        assert [key[0] for key in mc.required_tables(cfg)] == [TableFamily.SN_RATIO,
+                                                                TableFamily.CUSUM_BRIDGE_SUP]
+        bridge = CriticalValueTable(TableFamily.CUSUM_BRIDGE_SUP, 0.65, None, quantiles,
+                                    {"path_count": budget[0], "path_length": budget[1]})
+        monkeypatch.setattr(asymp, "critical_values", _refuse_simulation)
+        with pytest.raises(ValueError, match=match):
+            mc.ensure_tables(cfg, existing=mc.TableSet([(bridge, "loaded")]))
 
     def test_provided_table_below_budget_is_refused_by_run_experiment(self):
         cfg = _small_cfg()
