@@ -60,6 +60,7 @@ from .stats import Transform, TrimSpec
 
 FAMILIES = ("cusum", "wilcoxon", "sn_cusum", "sn_wilcoxon")
 PROBLEMS = ("mean", "variance", "tail")
+NOISES = (dist.StandardNormal.kind, dist.Pareto.kind, dist.CenteredPareto.kind)
 
 PROBLEM_TRANSFORM = {
     "mean": Transform.IDENTITY,
@@ -126,20 +127,29 @@ class ExperimentConfig:
             values = getattr(self, name)
             if not isinstance(values, (tuple, list)):  # a string would read as its letters
                 raise TypeError(f"{name} must be a list, got {values!r}")
-            if len(set(values)) != len(values):  # a repeat would run, and count, its cells twice
+            with _key(name):  # a list in the list is unhashable
+                repeats = len(set(values)) != len(values)
+            if repeats:  # a repeat would run, and count, its cells twice
                 raise ValueError(f"{name} repeats an entry: {list(values)}")
         # A float count fails only deep in a run, and a NaN shift never rejects.
         for key, domain in _KEY_DOMAINS.items():
             values = getattr(self, key)
             for value in values if isinstance(values, (tuple, list)) else (values,):
                 domain.require(key, value)
+        for key, names, known in (("problem", (self.problem,), PROBLEMS),
+                                  ("noise", (self.noise_kind,), NOISES),
+                                  ("families", self.families, FAMILIES)):
+            for name in names:
+                if name not in known:
+                    raise ValueError(f"{key} must be one of {', '.join(known)}, got {name!r}")
         if not self.families or not self.hursts or not self.lengths or not self.shifts:
             raise ValueError("families, hursts, lengths, and shifts must be non-empty")
         # A row that cannot run is refused here, not after the tables and the
         # rows before it.
         if any(family.startswith("sn_") for family in self.families):
-            for n in self.lengths:
-                self.trim.window(n)
+            with _key("lengths and trim"):
+                for n in self.lengths:
+                    self.trim.window(n)
         _grid_plans(self)  # each row's own plans, without their tables
 
     @property
@@ -298,12 +308,13 @@ def resolve_table(
        when its path count or path length is below `budget`, or when it
        lacks the quantile 1 - level; a larger one is accepted.
     2. the package table of the same key, when its budget equals `budget`
-       exactly and it has every level of table_levels(level). The package
-       grid is read at most once per process, here, on first need.
+       exactly and it has the quantile 1 - level. The package grid is read
+       at most once per process, here, on first need.
     3. otherwise a table simulated from table_stream(seed, family, hurst)
        at table_levels(level) on `workers` threads (default:
        asymp.default_workers()).
     """
+    q = round(1.0 - level, 6)  # the quantile the test reads
     entry = None if loaded is None else loaded.find(family, hurst, trim)
     if entry is not None:
         count, length = _budget_of(entry[0])
@@ -312,21 +323,17 @@ def resolve_table(
                 f"critical-value table {family.value} H={hurst} has budget {count} x "
                 f"{length}, below the requested {budget.path_count} x {budget.path_length}"
             )
-        q, quantiles = round(1.0 - level, 6), entry[0].quantiles
-        if q not in quantiles:
+        if q not in entry[0].quantiles:
             raise ValueError(f"loaded critical-value table {family.value} H={hurst} lacks "
-                             f"the level {q} (has {sorted(quantiles)})")
+                             f"the level {q} (has {sorted(entry[0].quantiles)})")
         return entry
-    levels = table_levels(level)
     entry = _package_tables().find(family, hurst, trim)
-    if entry is not None:
-        table = entry[0]
-        if (_budget_of(table) == (budget.path_count, budget.path_length)
-                and all(round(lv, 6) in table.quantiles for lv in levels)):
-            return entry
+    if (entry is not None and q in entry[0].quantiles
+            and _budget_of(entry[0]) == (budget.path_count, budget.path_length)):
+        return entry
     table = asymp.critical_values(
         family, 1, hurst, table_stream(seed, family, hurst),
-        trim=trim, levels=levels, budget=budget, workers=workers,
+        trim=trim, levels=table_levels(level), budget=budget, workers=workers,
     )
     return table, "simulated"
 

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -199,31 +199,18 @@ def _row_sup(values: np.ndarray, family: str, h: float | None = None) -> np.ndar
     return sup
 
 
-def _finish_batch(
-    profile: np.ndarray, k_grid: np.ndarray, family: str = "statistic"
-) -> ProfileStat:
-    return ProfileStat(
-        sup_value=_row_sup(profile, family),
-        argmax_k=k_grid[np.argmax(profile, axis=-1)],
-        k_grid=k_grid,
-        profile=profile,
-        degenerate=np.isinf(profile).any(axis=-1),  # a zero SN denominator (_sn_ratio)
-    )
-
-
-def _single(stat: ProfileStat) -> ProfileStat:
-    """The one series of a batch of one, with Python scalars."""
-    return ProfileStat(
-        sup_value=float(stat.sup_value[0]),
-        argmax_k=int(stat.argmax_k[0]),
-        k_grid=stat.k_grid,
-        profile=stat.profile[0],
-        degenerate=bool(stat.degenerate[0]),
-    )
-
-
-def _finish(profile: np.ndarray, k_grid: np.ndarray, degenerate: bool = False) -> ProfileStat:
-    return replace(_single(_finish_batch(profile[None, :], k_grid)), degenerate=degenerate)
+def _finish(profile: np.ndarray, k_grid: np.ndarray, family: str = "statistic",
+            degenerate: bool | None = None) -> ProfileStat:
+    """The statistic of a profile, or of each row of a 2-D batch of them: the
+    supremum (a NaN one refused), the cut of its first maximum, and whether
+    the profile is degenerate, where it reads +inf (a zero SN denominator,
+    _sn_ratio) unless `degenerate` says. One profile gets Python scalars."""
+    sup, argmax_k = _row_sup(profile, family), k_grid[np.argmax(profile, axis=-1)]
+    if degenerate is None:
+        degenerate = np.isinf(profile).any(axis=-1)
+    if profile.ndim == 1:
+        sup, argmax_k, degenerate = float(sup), int(argmax_k), bool(degenerate)
+    return ProfileStat(sup, argmax_k, k_grid, profile, degenerate)
 
 
 # ---------------------------------------------------------------------------
@@ -527,8 +514,9 @@ def evaluate(
     results = {}
     for family in families:
         lo, hi = trim.window(n) if family.startswith("sn_") else (1, n)
-        stat = _finish_batch(profiles[family, None], np.arange(lo, hi + 1), family)
-        results[family] = _single(stat) if np.ndim(xs) == 1 else stat
+        profile = profiles[family, None]
+        results[family] = _finish(profile[0] if np.ndim(xs) == 1 else profile,
+                                  np.arange(lo, hi + 1), family)
     return results
 
 

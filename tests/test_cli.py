@@ -1211,6 +1211,23 @@ class TestExperimentAndCompare:
         assert message in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("overrides, key", [
+        ({"problem": "drift"}, "problem"),
+        ({"noise": "gauss"}, "noise"),
+        ({"families": ["cusum", "bogus"]}, "families"),
+        ({"lengths": [5]}, "lengths and trim"),
+        ({"hursts": [[0.7]]}, "hursts"),
+    ], ids=["problem", "noise", "families", "lengths-and-trim", "hursts"])
+    def test_a_config_refusal_names_its_key(self, capsys, tmp_path, overrides, key):
+        # "problem": "drift" ended in the line "error: drift".
+        config = _write_config(tmp_path / "config.json", **overrides)
+        code, out, err = run(capsys, "experiment", "--config", str(config),
+                             "--out-dir", str(tmp_path / "run"))
+        assert (code, out) == (EXIT_COMPUTATION, "")
+        [line] = err.splitlines()
+        assert line.startswith(f"error: {config}: ") and re.search(rf": {key}[: ]", line), line
+        assert not (tmp_path / "run").exists()
+
 
 def _refused_by_name(code, out, err, exit_code, name):
     """Exit `exit_code` with one error line that names the flag or key, and no output."""

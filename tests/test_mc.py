@@ -170,6 +170,20 @@ class TestConfig:
             TableBudget(*budget)
         assert TableBudget(np.int64(300), 64).path_count == 300
 
+    @pytest.mark.parametrize("entry, key", [
+        ({"problem": "drift"}, "problem"),
+        ({"noise": "gauss"}, "noise"),
+        ({"families": ["cusum", "bogus"]}, "families"),
+        ({"lengths": [5]}, "lengths and trim"),
+        ({"hursts": [[0.7]]}, "hursts"),
+    ], ids=["problem", "noise", "families", "lengths-and-trim", "hursts"])
+    def test_a_refusal_names_the_key_the_file_spells(self, entry, key):
+        # "drift" was a bare KeyError of the change classes, "gauss" was
+        # named by alphas, and the other three named no key.
+        payload = {**json.loads(_small_cfg().to_json()), **entry}
+        with pytest.raises(ValueError, match=rf"(^|: ){key}[: ]"):
+            mc.ExperimentConfig.from_json(json.dumps(payload))
+
     def test_from_json_refuses_an_unknown_key(self):
         text = _small_cfg().to_json().replace('"replications"', '"replicatons"')
         with pytest.raises(ValueError, match="replicatons"):

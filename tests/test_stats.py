@@ -374,6 +374,25 @@ class TestBatch:
         assert flags == [True] * 12 + [False] * 4
         assert list(evaluate(("sn_cusum",), rows)["sn_cusum"].degenerate) == flags
 
+    def test_one_series_reads_python_scalars(self):
+        # One finishing rule serves a batch and one series: a series reads
+        # float, int and bool (which json.dumps takes), a batch reads arrays,
+        # from evaluate, each kernel and each oracle alike, on a degenerate
+        # row too.
+        families = ("cusum", "wilcoxon", "sn_cusum", "sn_wilcoxon")
+        kernels = (cusum, wilcoxon, sn_cusum, sn_wilcoxon)
+        oracles = (cusum_by_definition, wilcoxon_by_definition, sn_cusum_by_definition,
+                   sn_wilcoxon_by_definition)
+        for x in _mixed_batch()[[0, 4, 7, 8]]:
+            results = [*evaluate(families, x).values(), *(f(x) for f in kernels + oracles)]
+            for stat in results:
+                types = type(stat.sup_value), type(stat.argmax_k), type(stat.degenerate)
+                assert types == (float, int, bool)
+                assert stat.profile.ndim == 1
+        for stat in (*evaluate(families, _mixed_batch()).values(), cusum(_mixed_batch())):
+            assert isinstance(stat.sup_value, np.ndarray) and stat.argmax_k.dtype.kind == "i"
+            assert stat.degenerate.dtype == bool and stat.profile.ndim == 2
+
     def test_evaluate_shares_one_transform(self):
         x = _mixed_batch()
         results = evaluate(("cusum", "wilcoxon", "sn_cusum", "sn_wilcoxon"), x, Transform.SQUARE)
