@@ -33,6 +33,9 @@ _REFINE_E = 36.8
 #: Coverage of the order-statistic interval recorded for each table quantile.
 _INTERVAL_COVERAGE = 0.99
 
+#: The default levels of a table: every shipped one, and every one a test simulates, holds them.
+STANDARD_LEVELS = (0.90, 0.95, 0.99)
+
 # ---------------------------------------------------------------------------
 # Hermite polynomials and the subordinated-sum normalization d_{n,m}
 
@@ -514,7 +517,7 @@ def critical_values(
     hurst: float,
     stream: RngStream,
     trim: TrimSpec | None = None,
-    levels: tuple[float, ...] = (0.90, 0.95, 0.99),
+    levels: tuple[float, ...] = STANDARD_LEVELS,
     budget: TableBudget = TableBudget(),
     workers: int | None = None,
 ) -> CriticalValueTable:
@@ -561,7 +564,11 @@ def critical_values(
         for offset, paths in _batch_paths(params, norm, stream, g, rows):
             values[start + offset:start + offset + len(paths)] = _table_sup(paths, trim, refine)
 
-    _deal(batch, -(-count // _BATCH), workers)
+    try:
+        _deal(batch, -(-count // _BATCH), workers)
+    except MemoryError as err:  # names its table; a MemoryError of numpy has no text
+        raise MemoryError(f"table {family.value} H = {hurst:g}: "
+                          f"{str(err) or 'MemoryError'}") from None
 
     quantiles = {lv: float(np.quantile(values, lv)) for lv in levels}
     meta = {

@@ -101,8 +101,8 @@ def _build_parser() -> _Parser:
     test.add_argument("--sigma", type=float,
                       help="known noise scale for the mean-problem CUSUM; estimated when omitted")
     test.add_argument("--level", type=_value(dist.LEVEL), default=0.05)
-    test.add_argument("--tau1", type=float, default=0.15)
-    test.add_argument("--tau2", type=float, default=0.85)
+    test.add_argument("--tau1", type=float, default=TrimSpec.tau1)
+    test.add_argument("--tau2", type=float, default=TrimSpec.tau2)
     test.add_argument("--critical-value", type=_value(dist.FINITE),
                       help="override the critical value")
     test.add_argument("--tables", type=Path, help="directory of critical-value table JSON files")
@@ -114,12 +114,12 @@ def _build_parser() -> _Parser:
     crit = sub.add_parser("critvals", help="simulate a critical-value table")
     crit.add_argument("--family", choices=["bridge", "sn"], required=True)
     crit.add_argument("--hurst", type=_value(dist.UNIT_INTERVAL), required=True)
-    crit.add_argument("--tau1", type=float, default=0.15)
-    crit.add_argument("--tau2", type=float, default=0.85)
-    crit.add_argument("--paths", type=_value(dist.COUNT), default=10_000)
-    crit.add_argument("--grid", type=_value(dist.LENGTH), default=2_048)
+    crit.add_argument("--tau1", type=float, default=TrimSpec.tau1)
+    crit.add_argument("--tau2", type=float, default=TrimSpec.tau2)
+    crit.add_argument("--paths", type=_value(dist.COUNT), default=asymp.TableBudget.path_count)
+    crit.add_argument("--grid", type=_value(dist.LENGTH), default=asymp.TableBudget.path_length)
     crit.add_argument("--levels", type=_value(dist.LEVEL), nargs="+",
-                      default=[0.90, 0.95, 0.99])
+                      default=asymp.STANDARD_LEVELS)
     crit.add_argument("--seed", type=_value(dist.SEED), default=0,
                       help="table seed; the same seed and key give the table an experiment "
                            "or `test` simulates")

@@ -11,12 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def require_integer(name: str, value) -> None:
-    """Refuse (TypeError) a value that is not an integer; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class Domain:
     """The values of a numeric input, declared once for a flag, a config key
@@ -28,10 +22,12 @@ class Domain:
     integer: bool = False
 
     def require(self, name: str, value) -> None:
-        """Refuse by `name` a value outside: TypeError for a non-integer
-        where one is needed, else ValueError."""
-        if self.integer:
-            require_integer(name, value)
+        """Refuse by `name` a value outside: TypeError for a non-number, or a
+        non-integer where one is needed (a bool is neither), else ValueError."""
+        kind, types = (("an integer", numbers.Integral) if self.integer
+                       else ("a number", numbers.Real))
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise TypeError(f"{name} must be {kind}, got {value!r}")
         if not self.holds(value):
             raise ValueError(f"{name} must {self.text}, got {value}")
 

@@ -82,7 +82,9 @@ def block_rows(n: int) -> int:
     return max(1, BLOCK_NORMALS // embedding_size(n))
 
 
-def _embedding_eigenvalues(n: int, hurst: float) -> np.ndarray:
+def embedding_eigenvalues(n: int, hurst: float) -> np.ndarray:
+    """Circulant eigenvalues for (n, H), computed on each call;
+    _half_spectrum_scales caches their scales per (n, H)."""
     # Circulant first row: gamma(0..m), then mirrored gamma(m-1..1).
     m = embedding_size(n) // 2
     gamma = autocovariance(hurst, np.arange(m + 1))
@@ -94,17 +96,6 @@ def _embedding_eigenvalues(n: int, hurst: float) -> np.ndarray:
             f"-{EIGENVALUE_TOLERANCE:g} for n={n}, H={hurst}"
         )
     np.clip(eig, 0.0, None, out=eig)
-    return eig
-
-
-@lru_cache(maxsize=None)
-def embedding_eigenvalues(n: int, hurst: float) -> np.ndarray:
-    """Circulant eigenvalues for (n, H), computed once per process.
-
-    The array is shared by every caller, so it is returned read-only.
-    """
-    eig = _embedding_eigenvalues(n, hurst)
-    eig.flags.writeable = False
     return eig
 
 

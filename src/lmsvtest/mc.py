@@ -144,6 +144,9 @@ class ExperimentConfig:
                     raise ValueError(f"{key} must be one of {', '.join(known)}, got {name!r}")
         if not self.families or not self.hursts or not self.lengths or not self.shifts:
             raise ValueError("families, hursts, lengths, and shifts must be non-empty")
+        for key in ("hursts", "alphas"):  # resolve_plan and make_noise read None as not given
+            if None in getattr(self, key):
+                raise TypeError(f"{key}: null is not a number")
         # A row that cannot run is refused here, not after the tables and the
         # rows before it.
         if any(family.startswith("sn_") for family in self.families):
@@ -263,7 +266,7 @@ class TableSet:
 
 def table_levels(level: float) -> tuple[float, ...]:
     """Levels of a table built for a test at significance `level`."""
-    return tuple(sorted({0.90, 0.95, 0.99, round(1.0 - level, 6)}))
+    return tuple(sorted({*asymp.STANDARD_LEVELS, round(1.0 - level, 6)}))
 
 
 def table_stream(seed: int, family: TableFamily, hurst: float) -> RngStream:
@@ -381,7 +384,7 @@ class PlanError(ValueError):
 class Plan:
     """How one family tests one problem. `table` is the key (family,
     effective H, trim) of the limit table, None for the Kolmogorov law; the
-    normalization and the critical value are None when not resolved.
+    critical value is None when not resolved.
     `lmsvtest test` without --problem tests under Plan(family, --psi, None,
     1.0, --critical-value). verdict is the one comparison of a statistic
     with a critical value, for an experiment's counts and `test` alike."""
@@ -389,7 +392,7 @@ class Plan:
     family: str
     transform: Transform
     table: tuple[TableFamily, float, TrimSpec | None] | None
-    normalization: float | None = None
+    normalization: float
     critical_value: float | None = None
 
     def verdict(self, sup):
@@ -412,7 +415,7 @@ def resolve_plan(
     noise: NoiseSpec | None,
     trim: TrimSpec,
     *,
-    n: int | None = None,
+    n: int,
     level: float | None = None,
     lookup=None,
     sigma: float | None = None,
@@ -432,14 +435,17 @@ def resolve_plan(
     cusum divides by sqrt(n) sigma, sigma = sqrt(Var(eps) E exp(2Y)) by default,
     the variance, tail and Wilcoxon plans by d_{n,1} c, with c = 2 e^2 Var(eps),
     1 (log|x|) or the Wilcoxon factor (times n for the rank sums), the SN plans
-    by 1. With `n` the plan carries its normalization; with `level` and `lookup`,
-    a callable from a table key to its CriticalValueTable, its critical value.
+    by 1. With `level` and `lookup`, a callable from a table key to its
+    CriticalValueTable, the plan carries its critical value.
     Raises PlanError for what the limit theory does not cover.
     """
     if problem not in PROBLEMS or family not in FAMILIES:
         raise PlanError(f"unknown problem {problem!r} or family {family!r}")
-    if hurst is not None and not dist.UNIT_INTERVAL.holds(hurst):
-        raise PlanError(f"the Hurst index must lie in (0, 1), got H = {hurst}", "hurst")
+    if hurst is not None:
+        try:  # a non-number too, by its argument
+            dist.UNIT_INTERVAL.require("the Hurst index", hurst)
+        except (TypeError, ValueError) as err:
+            raise PlanError(str(err), "hurst") from None
     kind = None if noise is None else noise.kind
     if kind not in (None, *_PROBLEM_NOISE[problem]):
         raise PlanError(f"the {problem} problem needs {' or '.join(_PROBLEM_NOISE[problem])} "
@@ -471,29 +477,28 @@ def resolve_plan(
         table = None if brownian else (TableFamily.CUSUM_BRIDGE_SUP, hurst, None)
     else:
         table = (TableFamily.SN_RATIO, 0.5 if brownian else hurst, trim)
-    normalization = critical_value = None
-    if n is not None:
-        if family in ("sn_cusum", "sn_wilcoxon"):
-            normalization = 1.0
-        elif brownian:
-            if sigma is None and noise is None:
-                raise PlanError("the mean cusum test needs sigma or the innovation law")
-            if sigma is None:
-                sigma = math.sqrt(variance * E_EXP_2Y)
-            normalization = math.sqrt(n) * sigma
-            if normalization == math.inf:
-                raise PlanError(f"the mean cusum normalization sqrt(n) sigma overflows at "
-                                f"sigma = {sigma}, n = {n}", "sigma")
-        else:
-            if problem != "tail" and noise is None:
-                raise PlanError(f"the {problem} {family} test needs the innovation tail index "
-                                f"alpha", "noise")
-            scale = n if family == "wilcoxon" else 1  # the rank sums carry a factor n
-            if family == "wilcoxon":
-                coeff = wilcoxon_limit_factor(problem, noise.alpha).value
-            else:  # 2 e^2 Var(eps) for the variance cusum, 1 for the tail cusum
-                coeff = 2.0 * E_EXP_2Y * variance if problem == "variance" else 1.0
-            normalization = scale * dnm_exact(hurst, 1, n) * coeff
+    if family in ("sn_cusum", "sn_wilcoxon"):
+        normalization = 1.0
+    elif brownian:
+        if sigma is None and noise is None:
+            raise PlanError("the mean cusum test needs sigma or the innovation law")
+        if sigma is None:
+            sigma = math.sqrt(variance * E_EXP_2Y)
+        normalization = math.sqrt(n) * sigma
+        if normalization == math.inf:
+            raise PlanError(f"the mean cusum normalization sqrt(n) sigma overflows at "
+                            f"sigma = {sigma}, n = {n}", "sigma")
+    else:
+        if problem != "tail" and noise is None:
+            raise PlanError(f"the {problem} {family} test needs the innovation tail index "
+                            f"alpha", "noise")
+        scale = n if family == "wilcoxon" else 1  # the rank sums carry a factor n
+        if family == "wilcoxon":
+            coeff = wilcoxon_limit_factor(problem, noise.alpha).value
+        else:  # 2 e^2 Var(eps) for the variance cusum, 1 for the tail cusum
+            coeff = 2.0 * E_EXP_2Y * variance if problem == "variance" else 1.0
+        normalization = scale * dnm_exact(hurst, 1, n) * coeff
+    critical_value = None
     if lookup is not None:
         q = round(1.0 - level, 6)
         critical_value = kolmogorov_quantile(q) if table is None else lookup(*table).quantile(q)

@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -487,6 +488,19 @@ class TestTest:
 
 
 class TestCritvals:
+    def test_defaults_are_the_librarys(self):
+        # Every shipped table is `critvals ... --seed 0` at the default budget
+        # and levels, which the experiments look up as the package grid.
+        parser = _build_parser()
+        crit = parser.parse_args(["critvals", "--family", "sn", "--hurst", "0.7", "--out", "x"])
+        test = parser.parse_args(["test", "--input", "x", "--family", "sn_cusum"])
+        trim = stats.TrimSpec()
+        for args in (crit, test):
+            assert (args.tau1, args.tau2) == (trim.tau1, trim.tau2)
+        assert asymp.TableBudget(crit.paths, crit.grid) == asymp.TableBudget()
+        levels = inspect.signature(asymp.critical_values).parameters["levels"].default
+        assert tuple(crit.levels) == levels == mc.table_levels(0.1)
+
     def test_writes_table(self, capsys, tmp_path):
         out = tmp_path / "bridge.json"
         code, _, _ = run(
@@ -706,7 +720,7 @@ class TestErrorLines:
         def exhausted(n, hurst):
             raise MemoryError()
 
-        monkeypatch.setattr(fgn, "_embedding_eigenvalues", exhausted)
+        monkeypatch.setattr(fgn, "embedding_eigenvalues", exhausted)
         code, out, err = run(capsys, "simulate", "--n", "77", "--hurst", "0.6543")
         assert (code, out, err) == (EXIT_COMPUTATION, "", "error: MemoryError\n")
 
@@ -723,6 +737,34 @@ class TestErrorLines:
                              str(tmp_path / "run"))
         assert (code, out) == (EXIT_COMPUTATION, "")
         assert err == "error: row H = 0.7, n = 60, alpha = 4.5: MemoryError\n"
+
+    @pytest.mark.parametrize("command, hurst, family", [
+        ("critvals", "0.6544", "sn_ratio"), ("test", "0.6545", "cusum_bridge_sup"),
+        ("experiment", "0.6546", "cusum_bridge_sup"),
+    ])
+    def test_a_table_out_of_memory_is_named_by_its_table(self, capsys, tmp_path, monkeypatch,
+                                                         pareto_series, command, hurst, family):
+        # It ended in the line "error: MemoryError", which named no table. Each
+        # command has an H of its own: the spectrum's scales are cached per (n, H).
+        from lmsvtest import fgn
+
+        def exhausted(*args):
+            raise MemoryError()
+
+        out = tmp_path / "out"
+        argv = {
+            "critvals": ["--family", "sn", "--hurst", hurst, "--paths", "200", "--grid", "64",
+                         "--out", str(out)],
+            "test": ["--input", str(pareto_series), "--problem", "variance", "--family", "cusum",
+                     "--hurst", hurst, "--alpha", "4.5"],
+            "experiment": ["--config", str(tmp_path / "config.json"), "--out-dir", str(out)],
+        }[command]
+        _write_config(tmp_path / "config.json", hursts=[float(hurst)])
+        monkeypatch.setattr(fgn, "embedding_eigenvalues", exhausted)
+        code, stdout, err = run(capsys, command, *argv)
+        assert (code, stdout) == (EXIT_COMPUTATION, "")
+        assert err == f"error: table {family} H = {hurst}: MemoryError\n"
+        assert not out.exists()
 
     def test_a_key_error_reads_without_quotes(self, capsys, monkeypatch, pareto_series):
         def missing(*args, **kwargs):
@@ -1259,6 +1301,9 @@ _CONFIG_CASES = [(key, entry, value, value in runs)
                  for key, entry, runs in _CONFIG_KEYS for value in _BAD_VALUES] + [
     ("level", None, "1e-7", False), ("level", None, "0.9999999", False)]
 
+#: A config value that is not a number, made from the number it replaces.
+_NOT_NUMBERS = {"string": str, "true": lambda _: True, "null": lambda _: None}
+
 #: The mean problem under centered Pareto noise, at one small row; its
 #: sn_cusum table is the package's.
 _WALKER_CONFIG = {
@@ -1351,3 +1396,24 @@ class TestEveryNumericInput:
         else:
             _refused_by_name(code, out, err, EXIT_COMPUTATION, key)
             assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key, entry, spelt", [
+        (key, entry, spelt) for key, entry, _ in _CONFIG_KEYS for spelt in _NOT_NUMBERS
+    ], ids=[f"{key}{'' if entry is None else f'[{entry}]'} {spelt}"
+            for key, entry, _ in _CONFIG_KEYS for spelt in _NOT_NUMBERS])
+    def test_config_key_that_is_not_a_number(self, capsys, tmp_path, key, entry, spelt):
+        # A string in hursts, shifts, tau or level was refused without its key,
+        # "shifts": [true] ran as h = 1, and "hursts": [null] under the mean
+        # cusum ended in a traceback.
+        config = {"tau": 0.5, "level": 0.05, "max_workers": 1,
+                  **json.loads(json.dumps(_WALKER_CONFIG))}
+        holder, slot = (config, key) if entry is None else (config[key], entry)
+        if isinstance(holder[slot], list):  # the only entry of a grid
+            holder, slot = holder[slot], 0
+        holder[slot] = _NOT_NUMBERS[spelt](holder[slot])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run(capsys, "experiment", "--config", str(path),
+                             "--out-dir", str(tmp_path / "run"))
+        _refused_by_name(code, out, err, EXIT_COMPUTATION, key)
+        assert not (tmp_path / "run").exists()

@@ -1,11 +1,14 @@
 """Tests for innovation distributions and random streams."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from lmsvtest.dist import (
+    COUNT,
+    FINITE,
     CenteredPareto,
     Pareto,
     RngStream,
@@ -20,6 +23,20 @@ from lmsvtest.dist import (
 )
 
 _TOP = 2**64 - 1
+
+
+class TestDomain:
+    @pytest.mark.parametrize("domain, value, kind", [
+        (FINITE, "1.0", "a number"), (FINITE, None, "a number"), (FINITE, True, "a number"),
+        (COUNT, "1", "an integer"), (COUNT, None, "an integer"), (COUNT, True, "an integer"),
+        (COUNT, 2.5, "an integer"),
+    ], ids=["real-string", "real-none", "real-bool", "integer-string", "integer-none",
+            "integer-bool", "integer-float"])
+    def test_a_value_that_is_not_a_number_is_refused_by_name(self, domain, value, kind):
+        # A string met a comparison's TypeError, which named no input, and a
+        # bool passed a real domain as 0 or 1.
+        with pytest.raises(TypeError, match=re.escape(f"x must be {kind}, got {value!r}")):
+            domain.require("x", value)
 
 
 class TestRngStream:

@@ -208,11 +208,16 @@ class TestSampling:
             assert np.max(np.abs(fgn.paths_from_normals(params, normals) - expected)) < 1e-12
 
     def test_eigenvalues_cached_and_read_only(self):
+        # The spectrum's one cache is its half-spectrum scales, per (n, H).
         eig = fgn.embedding_eigenvalues(300, 0.65)
-        assert fgn.embedding_eigenvalues(300, 0.65) is eig
         assert eig.size == fgn.embedding_size(300) == 1024
-        with pytest.raises(ValueError):
-            eig[0] = 0.0
+        assert fgn.embedding_eigenvalues(300, 0.65) is not eig
+        re, im = scales = fgn._half_spectrum_scales(300, 0.65)
+        assert fgn._half_spectrum_scales(300, 0.65) is scales
+        assert (re.size, im.size) == (513, 511)
+        for part in scales:
+            with pytest.raises(ValueError):
+                part[0] = 0.0
 
     def test_single_observation(self):
         assert fgn.sample(fgn.FgnParams(0.7, 1), RngStream(18)).shape == (1,)
@@ -243,4 +248,4 @@ class TestSampling:
 
         monkeypatch.setattr(fgn, "autocovariance", fake_autocov)
         with pytest.raises(fgn.EmbeddingError):
-            fgn._embedding_eigenvalues(64, 0.7)
+            fgn.embedding_eigenvalues(64, 0.7)

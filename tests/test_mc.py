@@ -184,6 +184,14 @@ class TestConfig:
         with pytest.raises(ValueError, match=rf"(^|: ){key}[: ]"):
             mc.ExperimentConfig.from_json(json.dumps(payload))
 
+    @pytest.mark.parametrize("key", ["hursts", "alphas"])
+    def test_a_null_entry_is_refused_by_its_key(self, key):
+        # resolve_plan and make_noise read None as a value not given: a null H
+        # of the mean cusum, and a null alpha under normal noise, ran into a
+        # traceback.
+        with pytest.raises(TypeError, match=f"^{key}: null is not a number"):
+            _small_cfg(**{key: (None,)})
+
     def test_from_json_refuses_an_unknown_key(self):
         text = _small_cfg().to_json().replace('"replications"', '"replicatons"')
         with pytest.raises(ValueError, match="replicatons"):
